@@ -9,7 +9,9 @@ unexpected errors).
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import io
 import json
 import os
 import sys
@@ -20,7 +22,7 @@ from .dynamics import KINDS, AdjusterSpec, StopCriteria, run
 from .experiments import (PRESETS, RandomBall, SCHEMA_VERSION, SweepConfig,
                           analyze_point, config_from_json, run_preset,
                           serialize, sweep, _trailing_loss)
-from .games import CATALOG, catalog_game
+from .games import CATALOG, catalog_game, default_start
 
 
 class _UsageError(Exception):
@@ -78,7 +80,8 @@ def _add_common(parser):
                         help="output format (default json)")
     parser.add_argument("--out", metavar="PATH",
                         help="write output here instead of stdout")
-    parser.add_argument("--seed", type=int, default=0,
+    # None marks "not given", so a config file's value survives.
+    parser.add_argument("--seed", type=int, default=None,
                         help="seed for all randomness (default 0)")
     parser.add_argument("--jobs", type=int, default=None,
                         help="parallel cells for sweeps "
@@ -172,10 +175,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _trajectory_csv(traj, game) -> bytes:
-    import csv as _csv
-    import io as _io
-    buf = _io.StringIO()
-    writer = _csv.writer(buf, lineterminator="\n")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
     d = game.dim
     writer.writerow(["iter"] + [f"w{j}" for j in range(d)]
                     + ["mean_abs_loss", "xi_norm", "probe", "sign"])
@@ -196,8 +197,7 @@ def _cmd_run(args) -> int:
         loss_threshold=args.loss_threshold,
         divergence_norm=args.divergence_norm, xi_threshold=args.xi_threshold,
     )
-    w0 = (_parse_vector(args.w0) if args.w0
-          else [0.5] * game.dim)
+    w0 = _parse_vector(args.w0) if args.w0 else default_start(game.dim)
     if len(w0) != game.dim:
         raise _UsageError(
             f"--w0 has length {len(w0)}, game {args.game!r} needs {game.dim}")
@@ -245,7 +245,7 @@ def _sweep_config_from_flags(args) -> SweepConfig:
     elif args.w0:
         w0 = tuple(tuple(_parse_vector(p)) for p in args.w0)
     else:
-        w0 = ((0.5, 0.5),)
+        w0 = None
     stop = StopCriteria(
         max_iters=args.max_iters if args.max_iters is not None else 10000,
         loss_window=args.loss_window if args.loss_window is not None else 10,
@@ -263,23 +263,26 @@ def _sweep_config_from_flags(args) -> SweepConfig:
 
 
 def _cmd_sweep(args) -> int:
-    if args.jobs is None:
-        args.jobs = _default_jobs()
     if args.preset and args.config:
         raise _UsageError("--preset conflicts with --config")
     if args.preset and args.game:
         raise _UsageError("--preset conflicts with --game")
+    # Explicit flags, then $DIFFGAMES_JOBS, win over config file values.
+    jobs_given = args.jobs is not None or "DIFFGAMES_JOBS" in os.environ
+    seed_given = args.seed is not None
+    if args.jobs is None:
+        args.jobs = _default_jobs()
+    if args.seed is None:
+        args.seed = 0
     if args.preset:
         result = run_preset(args.preset, seed=args.seed, jobs=args.jobs)
     elif args.config:
         with open(args.config) as fh:
             doc = json.load(fh)
         config = config_from_json(doc)
-        # Explicit flags win over file values.
-        flags = _given_flags(args)
-        if "--seed" in flags:
+        if seed_given:
             config.seed = args.seed
-        if "--jobs" in flags or "DIFFGAMES_JOBS" in os.environ:
+        if jobs_given:
             config.jobs = args.jobs
         overrides = {key: value for key, value in (
             ("max_iters", args.max_iters),
@@ -297,19 +300,11 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _given_flags(args) -> set:
-    # argv was stashed on the namespace by main() for override detection
-    return set(getattr(args, "_argv", ()))
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        args._argv = argv
-        if getattr(args, "jobs", None) is None:
-            args.jobs = _default_jobs()
         handler = {
             "list-games": _cmd_list_games,
             "analyze": _cmd_analyze,

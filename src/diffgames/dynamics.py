@@ -9,13 +9,13 @@ fixed-weight rules on quadratic games with zero offsets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analysis import alignment_sign
-from .derivatives import (DEFAULT_CONFIG, DifferentiationConfig, hvp,
-                          simultaneous_gradient, thvp)
+from .derivatives import DEFAULT_CONFIG, DifferentiationConfig, hvp, thvp
 from .games import Game, QuadraticGame
 
 Array = np.ndarray
@@ -55,8 +55,8 @@ class AdjusterSpec:
             raise ValueError(f"unknown adjuster {self.kind!r}; one of {KINDS}")
         if not np.isfinite(self.lam):
             raise ValueError("lam must be finite")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
+        if not self.epsilon >= 0:
+            raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
 
 
 @dataclass(frozen=True)
@@ -81,6 +81,16 @@ class StopCriteria:
             raise ValueError("max_iters must be positive")
         if not (1 <= self.loss_window <= self.max_iters):
             raise ValueError("need 1 <= loss_window <= max_iters")
+        for name in ("loss_threshold", "divergence_norm", "xi_threshold"):
+            value = getattr(self, name)
+            if value is not None and not value >= 0:
+                raise ValueError(f"{name} must be nonnegative, got {value}")
+
+
+def check_eta(eta: float) -> None:
+    """Reject a learning rate that is not positive and finite (NaN too)."""
+    if not 0 < eta < math.inf:
+        raise ValueError(f"eta must be positive and finite, got {eta}")
 
 
 @dataclass(frozen=True)
@@ -120,23 +130,30 @@ class Trajectory:
         return np.mean(np.abs(self.losses), axis=1)
 
 
-def _adjusted(spec: AdjusterSpec, game: Game, w: Array, prev_xi,
+def _adjusted(spec: AdjusterSpec, game: Game, w: Array, xi: Array, prev_xi,
               config: DifferentiationConfig):
-    """Direction plus the state shared with diagnostics.
+    """Direction at w, given the field xi there, plus diagnostics.
 
-    Returns (direction, xi, probe, sign); probe is <xi, H' xi> and sign is
-    the sign of the adjustment weight the rule actually applied (0 for rules
-    without a weighted adjustment term).
+    Returns (direction, probe, sign); probe is <xi, H' xi> and sign is the
+    sign of the adjustment weight the rule actually applied (0 for rules
+    without a weighted adjustment term).  With an analytic Hessian, H is
+    fetched once and both products use it (the same arithmetic as ``thvp``
+    and ``hvp``); otherwise both go through the finite-difference products.
     """
-    xi = simultaneous_gradient(game, w).xi
-    grad_h = thvp(game, w, xi, config)
+    if config.hvp_mode == "analytic" and game.has_analytic_hessian:
+        h = game.analytic_hessian(w)
+        grad_h = h.T @ xi
+    else:
+        h = None
+        grad_h = thvp(game, w, xi, config)
     probe = float(xi @ grad_h)
     sign = 0.0
 
     if spec.kind == SIMGD:
         vec = xi
     elif spec.kind in (SGA, SGA_ALIGNED):
-        at_xi = 0.5 * (grad_h - hvp(game, w, xi, config))
+        h_xi = hvp(game, w, xi, config) if h is None else h @ xi
+        at_xi = 0.5 * (grad_h - h_xi)
         if spec.kind == SGA_ALIGNED:
             sign = alignment_sign(xi, at_xi, grad_h, spec.epsilon)
             lam = abs(spec.lam) * sign
@@ -157,7 +174,7 @@ def _adjusted(spec: AdjusterSpec, game: Game, w: Array, prev_xi,
         vec = 2.0 * xi - prev
     else:  # unreachable: AdjusterSpec validates kinds
         raise ValueError(f"unknown adjuster {spec.kind!r}")
-    return vec, xi, probe, sign
+    return vec, probe, sign
 
 
 def direction(spec: AdjusterSpec, game: Game, w, prev_xi=None,
@@ -168,7 +185,8 @@ def direction(spec: AdjusterSpec, game: Game, w, prev_xi=None,
     omitting it makes omd fall back to the plain field on its first step.
     """
     w = np.asarray(w, dtype=float).reshape(-1)
-    vec, _, _, _ = _adjusted(spec, game, w, prev_xi, config)
+    _, xi = game.losses_and_field(w)
+    vec, _, _ = _adjusted(spec, game, w, xi, prev_xi, config)
     return vec
 
 
@@ -179,17 +197,17 @@ def step(spec: AdjusterSpec, game: Game, w, eta: float, prev_xi=None,
     A non-finite post-step point is reported through ``diagnostics.finite``
     rather than raised; the caller decides how to treat divergence.
     """
-    if eta <= 0:
-        raise ValueError(f"eta must be positive, got {eta}")
+    check_eta(eta)
     w = np.asarray(w, dtype=float).reshape(-1)
-    vec, xi, probe, sign = _adjusted(spec, game, w, prev_xi, config)
+    loss, xi = game.losses_and_field(w)
+    vec, probe, sign = _adjusted(spec, game, w, xi, prev_xi, config)
     w_new = w - eta * vec
     diag = StepDiagnostics(
-        loss=game.loss_vector(w),
-        xi_norm=float(np.linalg.norm(xi)),
+        loss=loss,
+        xi_norm=math.sqrt(float(xi @ xi)),
         probe=probe,
         sign=sign,
-        finite=bool(np.all(np.isfinite(w_new))),
+        finite=bool(np.isfinite(w_new).all()),
     )
     return w_new, diag
 
@@ -200,10 +218,10 @@ def run(spec: AdjusterSpec, game: Game, w0, eta: float,
     """Iterate Euler steps until convergence, divergence, or the budget.
 
     All failure modes land in ``Trajectory.outcome``; nothing is raised for
-    numerical blow-ups.
+    numerical blow-ups.  Norms are ``sqrt(v @ v)``, which is what
+    ``np.linalg.norm`` computes for a real vector.
     """
-    if eta <= 0:
-        raise ValueError(f"eta must be positive, got {eta}")
+    check_eta(eta)
     w = np.asarray(w0, dtype=float).reshape(-1)
     points = [w.copy()]
     losses, xi_norms, probes, signs = [], [], [], []
@@ -212,14 +230,16 @@ def run(spec: AdjusterSpec, game: Game, w0, eta: float,
     outcome, decided_at = MAX_ITERS, stop.max_iters
 
     for t in range(stop.max_iters):
-        if (not np.all(np.isfinite(w))
-                or float(np.linalg.norm(w)) > stop.divergence_norm):
+        # A non-finite norm is a non-finite w, unless w @ w overflowed.
+        w_norm = math.sqrt(float(w @ w))
+        if w_norm > stop.divergence_norm or (
+                not math.isfinite(w_norm) and not np.isfinite(w).all()):
             outcome, decided_at = DIVERGED, t
             break
-        loss = game.loss_vector(w)
-        vec, xi, probe, sign = _adjusted(spec, game, w, prev_xi, config)
-        xi_norm = float(np.linalg.norm(xi))
-        if not (np.all(np.isfinite(loss)) and np.isfinite(xi_norm)):
+        loss, xi = game.losses_and_field(w)
+        vec, probe, sign = _adjusted(spec, game, w, xi, prev_xi, config)
+        xi_norm = math.sqrt(float(xi @ xi))
+        if not (np.isfinite(loss).all() and math.isfinite(xi_norm)):
             outcome, decided_at = DIVERGED, t
             break
         losses.append(loss)
@@ -239,7 +259,7 @@ def run(spec: AdjusterSpec, game: Game, w0, eta: float,
             break
 
         w = w - eta * vec
-        points.append(w.copy())
+        points.append(w)
         prev_xi = xi
 
     n = game.num_players

@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analysis
-from .derivatives import grad_hamiltonian, hvp, simultaneous_gradient, thvp
-from .dynamics import (CONVERGED, DIVERGED, LINEAR_KINDS, AdjusterSpec,
-                       StopCriteria, run, spectral_oracle)
-from .games import QuadraticGame, catalog_game
+from .derivatives import full_hessian, hvp, simultaneous_gradient, thvp
+from .dynamics import (CONVERGED, AdjusterSpec, StopCriteria, check_eta, run,
+                       spectral_oracle)
+from .games import QuadraticGame, catalog_game, default_start
 
 Array = np.ndarray
 
@@ -45,11 +45,15 @@ class RandomBall:
 
 @dataclass
 class SweepConfig:
+    """One sweep.  Building it builds the game, so an unknown game or
+    parameter fails here; ``w0=None`` becomes the game's default start
+    point, and every fixed start point must have the game's dimension."""
+
     game: str
     adjusters: tuple[AdjusterSpec, ...]
     etas: tuple[float, ...]
     game_params: dict = field(default_factory=dict)
-    w0: tuple | RandomBall = ((0.5, 0.5),)
+    w0: tuple | RandomBall | None = None
     stop: StopCriteria = StopCriteria()
     seed: int = 0
     jobs: int = 1
@@ -57,14 +61,24 @@ class SweepConfig:
     def __post_init__(self):
         self.adjusters = tuple(self.adjusters)
         self.etas = tuple(float(e) for e in self.etas)
-        if not self.etas or any(e <= 0 for e in self.etas):
+        if not self.etas:
             raise ValueError("etas must be a nonempty list of positive rates")
+        for eta in self.etas:
+            check_eta(eta)
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        dim = catalog_game(self.game, **self.game_params).dim
+        if self.w0 is None:
+            self.w0 = (tuple(default_start(dim)),)
         if not isinstance(self.w0, RandomBall):
             self.w0 = tuple(tuple(float(x) for x in p) for p in self.w0)
             if not self.w0:
                 raise ValueError("w0 must list at least one start point")
+            for p in self.w0:
+                if len(p) != dim:
+                    raise ValueError(
+                        f"start point {list(p)} has length {len(p)}, game "
+                        f"{self.game!r} needs {dim}")
 
 
 @dataclass(frozen=True)
@@ -115,9 +129,9 @@ def _trailing_loss(mean_abs: Array, window: int) -> float:
 def sweep(config: SweepConfig) -> SweepResult:
     """Run every (adjuster, eta, start point) cell of the config.
 
-    A cell that blows up numerically is recorded as diverged; nothing aborts
-    the sweep.  Output order follows the configured order regardless of the
-    thread pool's completion order.
+    A cell that blows up numerically is recorded as diverged by ``run``;
+    any exception is a fault and propagates.  Output order follows the
+    configured order regardless of the thread pool's completion order.
     """
     game = catalog_game(config.game, **config.game_params)
     starts = _start_points(config, game.dim)
@@ -141,20 +155,14 @@ def sweep(config: SweepConfig) -> SweepResult:
 
     def run_cell(task) -> SweepCell:
         spec, eta, w0 = task
-        try:
-            traj = run(spec, game, w0, eta, config.stop)
-            outcome = traj.outcome
-            iters = (traj.outcome_iteration if outcome == CONVERGED
-                     else config.stop.max_iters)
-            trailing = _trailing_loss(traj.mean_abs_losses(),
-                                      config.stop.loss_window)
-        except Exception:
-            outcome, iters, trailing = DIVERGED, config.stop.max_iters, \
-                TRAILING_LOSS_CAP
+        traj = run(spec, game, w0, eta, config.stop)
         return SweepCell(
             game=config.game, adjuster=spec.kind, lam=spec.lam, eta=eta,
-            seed=config.seed, outcome=outcome, iters=iters,
-            trailing_loss=trailing,
+            seed=config.seed, outcome=traj.outcome,
+            iters=(traj.outcome_iteration if traj.outcome == CONVERGED
+                   else config.stop.max_iters),
+            trailing_loss=_trailing_loss(traj.mean_abs_losses(),
+                                         config.stop.loss_window),
             spectral_radius=oracle_rho(spec, eta),
         )
 
@@ -230,8 +238,8 @@ def analyze_point(game, w, epsilon: float = 0.1,
     w = np.asarray(w, dtype=float).reshape(-1)
     ev = simultaneous_gradient(game, w)
     xi = ev.xi
-    grad_h = grad_hamiltonian(game, w)
-    at_xi = 0.5 * (thvp(game, w, xi) - hvp(game, w, xi))
+    grad_h = thvp(game, w, xi)
+    at_xi = 0.5 * (grad_h - hvp(game, w, xi))
 
     if isinstance(game, QuadraticGame):
         samples = [w]
@@ -241,7 +249,6 @@ def analyze_point(game, w, epsilon: float = 0.1,
                          for _ in range(8)]
     game_class = analysis.classify_game(game, samples)
 
-    from .derivatives import full_hessian
     dec = analysis.helmholtz_split(full_hessian(game, w))
 
     bundle = {
@@ -338,11 +345,9 @@ def config_from_json(doc: dict) -> SweepConfig:
                      epsilon=float(a.get("epsilon", 0.1)))
         for a in doc["adjusters"]
     )
-    w0_doc = doc.get("w0", [[0.5, 0.5]])
-    if isinstance(w0_doc, dict):
-        w0 = RandomBall(radius=float(w0_doc["random_ball"]))
-    else:
-        w0 = tuple(tuple(float(x) for x in p) for p in w0_doc)
+    w0 = doc.get("w0")
+    if isinstance(w0, dict):
+        w0 = RandomBall(radius=float(w0["random_ball"]))
     stop_doc = doc.get("stop", {})
     stop = StopCriteria(
         max_iters=int(stop_doc.get("max_iters", 10000)),

@@ -85,6 +85,11 @@ def as_point(partition: PlayerPartition, values) -> Array:
     return w
 
 
+def default_start(dim: int) -> Array:
+    """The start point used wherever none is given: 0.5 in every coordinate."""
+    return np.full(dim, 0.5)
+
+
 class Game:
     """An n-player game over R^d with analytic per-player gradients.
 
@@ -142,6 +147,17 @@ class Game:
                 f"expected {self.partition.sizes[i]}"
             )
         return g
+
+    def losses_and_field(self, w: Array) -> tuple[Array, Array]:
+        """The loss vector and the stacked field xi at w, in one call.
+
+        Returns exactly ``loss_vector(w)`` and the concatenated
+        ``player_gradient(i, w)``; subclasses override it only to share work
+        between the two, never to change a bit of either.
+        """
+        losses = self.loss_vector(w)
+        return losses, np.concatenate([self.player_gradient(i, w)
+                                       for i in range(self.num_players)])
 
     @property
     def has_analytic_hessian(self) -> bool:
@@ -228,6 +244,22 @@ class QuadraticGame(Game):
         self._linear = tuple(lin)
         self._hessian_matrix = hessian
         self._offset = offset
+        self._terms = tuple(zip(coeffs, lin, (partition.block(i)
+                                               for i in range(n))))
+
+    def losses_and_field(self, w: Array) -> tuple[Array, Array]:
+        """One ``B_i @ w`` per player, shared by loss i and gradient i.
+
+        The expressions are those of the per-player callables, so both
+        results are bit-identical to ``loss_vector`` and the stacked
+        ``player_gradient``.
+        """
+        losses, parts = [], []
+        for b, c, blk in self._terms:
+            p = b @ w
+            losses.append(0.5 * float(w @ p) + float(c @ w))
+            parts.append((p + c)[blk])
+        return np.array(losses), np.concatenate(parts)
 
     @property
     def coefficients(self) -> tuple[Array, ...]:

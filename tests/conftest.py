@@ -59,13 +59,14 @@ def random_block_antisymmetric(rng, partition):
     return a
 
 
-def random_realizable_game(rng, partition, eig_low, eig_high):
+def random_realizable_game(rng, partition, eig_low, eig_high, offset=None):
     """Quadratic game with symmetric part drawn in a spectral range and a
-    random rotational part (zero on the diagonal blocks)."""
+    random rotational part (zero on the diagonal blocks); ``offset`` is the
+    constant part of the field (zero when omitted)."""
     d = partition.total
     sym = random_symmetric(rng, d, eig_low, eig_high)
     anti = random_block_antisymmetric(rng, partition)
-    return dg.quadratic_game_from_hessian(partition, sym + anti)
+    return dg.quadratic_game_from_hessian(partition, sym + anti, offset)
 
 
 def fd_cos2_derivative(u, v, w, h=1e-6):

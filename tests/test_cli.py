@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import diffgames as dg
 from diffgames import cli
 
 
@@ -156,6 +157,56 @@ class TestSweep:
         assert code == 0
         row = out_path.read_text().strip().split("\n")[1].split(",")
         assert row[6] == "20"  # iters column capped by the overridden budget
+
+    @pytest.mark.parametrize("form", [["--seed", "3"], ["--seed=3"]])
+    def test_seed_flag_overrides_config_file(self, capsys, tmp_path, form):
+        config_path = tmp_path / "sweep.json"
+        config_path.write_text(json.dumps({
+            "game": "fig4_bilinear", "adjusters": [{"kind": "omd"}],
+            "etas": [0.1], "w0": {"random_ball": 1.0},
+            "stop": {"max_iters": 20}, "seed": 0,
+        }))
+        out_path = tmp_path / "o.csv"
+        code, _, _ = invoke(capsys, "sweep", "--config", str(config_path),
+                            *form, "--format", "csv", "--out", str(out_path))
+        assert code == 0
+        row = out_path.read_text().strip().split("\n")[1].split(",")
+        assert row[4] == "3"  # seed column
+
+    @pytest.mark.parametrize("form", [["--jobs", "4"], ["--jobs=4"]])
+    def test_jobs_flag_overrides_config_file(self, capsys, tmp_path,
+                                             monkeypatch, form):
+        monkeypatch.delenv("DIFFGAMES_JOBS", raising=False)
+        seen = []
+
+        def recording_sweep(config):
+            seen.append(config.jobs)
+            return dg.SweepResult(cells=[])
+
+        monkeypatch.setattr(cli, "sweep", recording_sweep)
+        config_path = tmp_path / "sweep.json"
+        config_path.write_text(json.dumps({
+            "game": "fig4_bilinear", "adjusters": [{"kind": "omd"}],
+            "etas": [0.1], "jobs": 1,
+        }))
+        code, _, _ = invoke(capsys, "sweep", "--config", str(config_path),
+                            *form, "--format", "csv")
+        assert code == 0
+        assert seen == [4]
+
+    def test_default_start_fits_the_game(self, capsys):
+        code, out, _ = invoke(capsys, "sweep", "--game", "example1",
+                              "--adjusters", "sga", "--etas", "0.1",
+                              "--format", "csv")
+        assert code == 0
+        assert out.strip().split("\n")[1].split(",")[5] == "converged"
+
+    def test_wrong_length_start_is_usage_error(self, capsys):
+        code, _, err = invoke(capsys, "sweep", "--game", "example1",
+                              "--adjusters", "sga", "--etas", "0.1",
+                              "--w0", "0.5,0.5")
+        assert code == 1
+        assert "length 2" in err
 
     def test_preset_conflicts_with_config(self, capsys, tmp_path):
         config_path = tmp_path / "sweep.json"

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -20,9 +22,19 @@ class TestSpecs:
         with pytest.raises(ValueError):
             dg.AdjusterSpec("sga-aligned", epsilon=-1.0)
 
+    def test_epsilon_not_nan(self):
+        with pytest.raises(ValueError):
+            dg.AdjusterSpec("sga-aligned", epsilon=np.nan)
+
     def test_stop_window_within_budget(self):
         with pytest.raises(ValueError):
             dg.StopCriteria(max_iters=5, loss_window=10)
+
+    @pytest.mark.parametrize("name", ["divergence_norm", "loss_threshold",
+                                      "xi_threshold"])
+    def test_stop_thresholds_nonnegative(self, name):
+        with pytest.raises(ValueError):
+            dg.StopCriteria(**{name: -1.0})
 
 
 class TestDirection:
@@ -117,6 +129,11 @@ class TestStep:
         with pytest.raises(ValueError):
             dg.step(dg.AdjusterSpec("simgd"), game, [1.0, 1.0], 0.0)
 
+    def test_rejects_nan_eta(self):
+        game = dg.catalog_game("example5")
+        with pytest.raises(ValueError):
+            dg.step(dg.AdjusterSpec("simgd"), game, [1.0, 1.0], np.nan)
+
 
 class TestRun:
     def test_descent_on_squared_field_reaches_equilibrium(self):
@@ -175,6 +192,82 @@ class TestRun:
         assert traj.signs.shape == (iters,)
         assert traj.points.shape[0] == iters + 1
         assert traj.losses.shape[1] == game.num_players
+
+    def test_rejects_nan_eta(self):
+        game = dg.catalog_game("fig4_bilinear")
+        with pytest.raises(ValueError):
+            dg.run(dg.AdjusterSpec("simgd"), game, [0.5, 0.5], np.nan)
+
+
+def _offset_game(seed):
+    """A realizable quadratic game with nonzero offsets, and the same game
+    rebuilt as a plain Game from its own public callables, which takes the
+    unfused per-player evaluation path."""
+    rng = np.random.default_rng(seed)
+    partition = dg.PlayerPartition((2, 3, 1))
+    game = random_realizable_game(rng, partition, 0.2, 1.0,
+                                  offset=rng.standard_normal(partition.total))
+    n = game.num_players
+    plain = dg.make_game(partition,
+                         [partial(game.loss, i) for i in range(n)],
+                         [partial(game.player_gradient, i) for i in range(n)],
+                         game.analytic_hessian)
+    return game, plain, rng.standard_normal(partition.total)
+
+
+class TestFusedEvaluation:
+    """The quadratic game's fused loss-and-field path changes no bit."""
+
+    def test_losses_and_field_equal_the_parts(self):
+        game, plain, w = _offset_game(0)
+        for g in (game, plain):
+            losses, xi = g.losses_and_field(w)
+            assert np.array_equal(losses, game.loss_vector(w))
+            assert np.array_equal(xi, dg.simultaneous_gradient(game, w).xi)
+
+    @pytest.mark.parametrize("kind", dg.KINDS)
+    def test_run_equals_the_plain_rebuild(self, kind):
+        game, plain, w0 = _offset_game(1)
+        spec = dg.AdjusterSpec(kind, lam=0.8)
+        stop = dg.StopCriteria(max_iters=300, xi_threshold=1e-3)
+        # Mostly converged at the two small rates, diverged at the large one.
+        for eta in (0.05, 0.4, 3.0):
+            fused = dg.run(spec, game, w0, eta, stop)
+            unfused = dg.run(spec, plain, w0, eta, stop)
+            for name in ("points", "losses", "xi_norms", "probes", "signs"):
+                assert np.array_equal(getattr(fused, name),
+                                      getattr(unfused, name),
+                                      equal_nan=True), (eta, name)
+            assert fused.outcome == unfused.outcome
+            assert fused.outcome_iteration == unfused.outcome_iteration
+
+    @pytest.mark.parametrize("kind", dg.KINDS)
+    def test_step_equals_the_first_run_entries(self, kind):
+        game, _, w0 = _offset_game(2)
+        spec = dg.AdjusterSpec(kind, lam=0.8)
+        eta = 0.05
+        w1, diag = dg.step(spec, game, w0, eta)
+        traj = dg.run(spec, game, w0, eta,
+                      dg.StopCriteria(max_iters=2, loss_window=1))
+        assert np.array_equal(diag.loss, traj.losses[0])
+        assert diag.xi_norm == traj.xi_norms[0]
+        assert diag.probe == traj.probes[0]
+        assert diag.sign == traj.signs[0]
+        assert np.array_equal(w1, traj.points[1])
+        assert np.array_equal(w0 - eta * dg.direction(spec, game, w0), w1)
+
+    def test_directions_equal_the_public_products(self):
+        game, _, w = _offset_game(3)
+        xi = dg.simultaneous_gradient(game, w).xi
+        grad_h = dg.thvp(game, w, xi)
+        at_xi = 0.5 * (grad_h - dg.hvp(game, w, xi))
+        lam = 0.8
+        expected = {"sga": xi + lam * at_xi, "consensus": xi + lam * grad_h,
+                    "hamiltonian-descent": grad_h}
+        for kind, want in expected.items():
+            spec = dg.AdjusterSpec(kind, lam=lam)
+            assert np.array_equal(dg.direction(spec, game, w), want)
+            assert dg.step(spec, game, w, 0.1)[1].probe == float(xi @ grad_h)
 
 
 class TestCompatibilityProperties:

@@ -67,6 +67,41 @@ class TestSweep:
         with pytest.raises(ValueError):
             tiny_config(etas=(0.1, -0.5))
 
+    def test_rejects_nan_eta(self):
+        with pytest.raises(ValueError):
+            tiny_config(etas=(0.1, np.nan))
+
+
+class TestStartPoints:
+    def test_default_start_has_the_game_dimension(self):
+        # example1 has d = 4; the oracle says rho = 0.906 < 1 at eta 0.1
+        config = dg.SweepConfig(game="example1",
+                                adjusters=(dg.AdjusterSpec("sga"),),
+                                etas=(0.1,))
+        assert config.w0 == ((0.5, 0.5, 0.5, 0.5),)
+        (cell,) = dg.sweep(config).cells
+        assert cell.spectral_radius < 1
+        assert cell.outcome == "converged"
+
+    def test_default_start_from_json(self):
+        config = dg.config_from_json({"game": "fig7_four_player",
+                                      "adjusters": [{"kind": "omd"}],
+                                      "etas": [0.1]})
+        assert config.w0 == ((0.5,) * 4,)
+
+    def test_rejects_wrong_length_start_point(self):
+        with pytest.raises(ValueError, match="length 2"):
+            dg.SweepConfig(game="example1", adjusters=(dg.AdjusterSpec("sga"),),
+                           etas=(0.1,), w0=((0.5, 0.5),))
+
+    def test_cell_error_is_raised_not_reported_as_diverged(self):
+        config = dg.SweepConfig(game="example1",
+                                adjusters=(dg.AdjusterSpec("sga"),),
+                                etas=(0.1,))
+        config.w0 = ((0.5, 0.5),)  # bypasses the check made at build time
+        with pytest.raises(ValueError):
+            dg.sweep(config)
+
 
 class TestPresets:
     def test_fig4_cell_count(self):
