@@ -2,8 +2,9 @@
 
 A sweep crosses update rules with a learning-rate grid, records outcome,
 iterations-to-convergence and trailing losses per cell, and attaches the
-exact spectral-radius prediction wherever the rule is linear.  Identical
-seeds give byte-identical CSV output for any number of worker threads.
+exact spectral-radius prediction wherever the rule is linear.  Each rule's
+cells step together as one batch, and identical seeds give byte-identical
+CSV output on every rerun.
 """
 
 import numpy as np
@@ -11,7 +12,7 @@ import numpy as np
 import diffgames as dg
 
 # The scalar bilinear saddle: adjusted updates vs extrapolated updates.
-result = dg.run_preset("fig4", seed=0, jobs=4)
+result = dg.run_preset("fig4", seed=0)
 
 def window(cells, kind):
     etas = sorted(c.eta for c in cells if c.adjuster == kind
@@ -42,8 +43,8 @@ print()
 print(f"wrote {len(cells)} cells to {path} "
       f"({data.count(b'converged')} converged rows)")
 
-# Custom sweeps are one config away; seeded start points are drawn before
-# the worker pool starts, so parallelism never changes a byte.
+# Custom sweeps are one config away; seeded start points are drawn up
+# front, so a rerun reproduces every byte.
 config = dg.SweepConfig(
     game="fig7_four_player",
     game_params={"epsilon": 0.01},
@@ -51,11 +52,10 @@ config = dg.SweepConfig(
     etas=tuple(np.linspace(0.05, 0.3, 6)),
     w0=dg.RandomBall(1.0),
     stop=dg.StopCriteria(max_iters=5000),
-    seed=7, jobs=4,
+    seed=7,
 )
-again = dg.SweepConfig(**{**config.__dict__, "jobs": 1})
 assert dg.serialize(dg.sweep(config), "csv") == \
-    dg.serialize(dg.sweep(again), "csv")
+    dg.serialize(dg.sweep(config), "csv")
 print()
 print("four-player game, iterations to convergence (sga vs omd):")
 four = dg.sweep(config).cells

@@ -13,7 +13,6 @@ import csv
 import dataclasses
 import io
 import json
-import os
 import sys
 
 import numpy as np
@@ -70,11 +69,6 @@ def _parse_eta_range(text: str):
     return tuple(space(start, stop_, count))
 
 
-def _default_jobs() -> int:
-    env = os.environ.get("DIFFGAMES_JOBS")
-    return int(env) if env else 1
-
-
 def _add_common(parser):
     parser.add_argument("--format", choices=("csv", "json"), default="json",
                         help="output format (default json)")
@@ -83,9 +77,27 @@ def _add_common(parser):
     # None marks "not given", so a config file's value survives.
     parser.add_argument("--seed", type=int, default=None,
                         help="seed for all randomness (default 0)")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="parallel cells for sweeps "
-                             "(default $DIFFGAMES_JOBS or 1)")
+
+
+# Stop-criteria flags; None marks "not given", so StopCriteria's default (or
+# a config file's value) stands.
+_STOP_FLAGS = (("max_iters", int), ("loss_window", int),
+               ("loss_threshold", float), ("divergence_norm", float),
+               ("xi_threshold", float))
+
+
+def _add_stop_flags(parser):
+    defaults = StopCriteria()
+    for name, kind in _STOP_FLAGS:
+        parser.add_argument("--" + name.replace("_", "-"), type=kind,
+                            default=None,
+                            help=f"default {getattr(defaults, name)}")
+
+
+def _stop_overrides(args) -> dict:
+    """The stop criteria given on the command line, by field name."""
+    return {name: getattr(args, name) for name, _ in _STOP_FLAGS
+            if getattr(args, name) is not None}
 
 
 def build_parser() -> _Parser:
@@ -114,11 +126,7 @@ def build_parser() -> _Parser:
     p.add_argument("--epsilon", type=float, default=0.1)
     p.add_argument("--w0", metavar="X1,X2,...",
                    help="start point (default all coordinates 0.5)")
-    p.add_argument("--max-iters", type=int, default=10000)
-    p.add_argument("--loss-window", type=int, default=10)
-    p.add_argument("--loss-threshold", type=float, default=0.01)
-    p.add_argument("--divergence-norm", type=float, default=1e6)
-    p.add_argument("--xi-threshold", type=float, default=None)
+    _add_stop_flags(p)
 
     p = sub.add_parser("sweep", help="learning-rate sweep")
     _add_common(p)
@@ -135,11 +143,7 @@ def build_parser() -> _Parser:
     p.add_argument("--eta-range", metavar="log:START:STOP:COUNT")
     p.add_argument("--w0", action="append", metavar="X1,X2,...")
     p.add_argument("--w0-ball", type=float, metavar="RADIUS")
-    p.add_argument("--max-iters", type=int, default=None)
-    p.add_argument("--loss-window", type=int, default=None)
-    p.add_argument("--loss-threshold", type=float, default=None)
-    p.add_argument("--divergence-norm", type=float, default=None)
-    p.add_argument("--xi-threshold", type=float, default=None)
+    _add_stop_flags(p)
     return parser
 
 
@@ -192,11 +196,7 @@ def _trajectory_csv(traj, game) -> bytes:
 def _cmd_run(args) -> int:
     game = catalog_game(args.game, **_parse_params(args.params))
     spec = AdjusterSpec(kind=args.adjuster, lam=args.lam, epsilon=args.epsilon)
-    stop = StopCriteria(
-        max_iters=args.max_iters, loss_window=args.loss_window,
-        loss_threshold=args.loss_threshold,
-        divergence_norm=args.divergence_norm, xi_threshold=args.xi_threshold,
-    )
+    stop = dataclasses.replace(StopCriteria(), **_stop_overrides(args))
     w0 = _parse_vector(args.w0) if args.w0 else default_start(game.dim)
     if len(w0) != game.dim:
         raise _UsageError(
@@ -246,19 +246,10 @@ def _sweep_config_from_flags(args) -> SweepConfig:
         w0 = tuple(tuple(_parse_vector(p)) for p in args.w0)
     else:
         w0 = None
-    stop = StopCriteria(
-        max_iters=args.max_iters if args.max_iters is not None else 10000,
-        loss_window=args.loss_window if args.loss_window is not None else 10,
-        loss_threshold=(args.loss_threshold
-                        if args.loss_threshold is not None else 0.01),
-        divergence_norm=(args.divergence_norm
-                         if args.divergence_norm is not None else 1e6),
-        xi_threshold=args.xi_threshold,
-    )
+    stop = dataclasses.replace(StopCriteria(), **_stop_overrides(args))
     return SweepConfig(
         game=args.game, game_params=_parse_params(args.params),
-        adjusters=adjusters, etas=etas, w0=w0, stop=stop,
-        seed=args.seed, jobs=args.jobs,
+        adjusters=adjusters, etas=etas, w0=w0, stop=stop, seed=args.seed,
     )
 
 
@@ -267,32 +258,19 @@ def _cmd_sweep(args) -> int:
         raise _UsageError("--preset conflicts with --config")
     if args.preset and args.game:
         raise _UsageError("--preset conflicts with --game")
-    # Explicit flags, then $DIFFGAMES_JOBS, win over config file values.
-    jobs_given = args.jobs is not None or "DIFFGAMES_JOBS" in os.environ
+    # Explicit flags win over config file values.
     seed_given = args.seed is not None
-    if args.jobs is None:
-        args.jobs = _default_jobs()
     if args.seed is None:
         args.seed = 0
     if args.preset:
-        result = run_preset(args.preset, seed=args.seed, jobs=args.jobs)
+        result = run_preset(args.preset, seed=args.seed)
     elif args.config:
         with open(args.config) as fh:
             doc = json.load(fh)
         config = config_from_json(doc)
         if seed_given:
             config.seed = args.seed
-        if jobs_given:
-            config.jobs = args.jobs
-        overrides = {key: value for key, value in (
-            ("max_iters", args.max_iters),
-            ("loss_window", args.loss_window),
-            ("loss_threshold", args.loss_threshold),
-            ("divergence_norm", args.divergence_norm),
-            ("xi_threshold", args.xi_threshold),
-        ) if value is not None}
-        if overrides:
-            config.stop = dataclasses.replace(config.stop, **overrides)
+        config.stop = dataclasses.replace(config.stop, **_stop_overrides(args))
         result = sweep(config)
     else:
         result = sweep(_sweep_config_from_flags(args))

@@ -5,16 +5,23 @@ is a plain explicit-Euler step on that direction.  Exposing the direction
 separately lets callers feed any outer optimizer, while keeping the built-in
 loop simple enough that the spectral oracle below is exact for the
 fixed-weight rules on quadratic games with zero offsets.
+
+There is one loop, ``_euler``.  It steps many cells of one rule on one game
+together as a ``(C, d)`` array, one learning rate per row; a sweep hands it
+all of a rule's cells and ``run`` is its batch of one.  Every row follows
+the arithmetic of a lone cell bit for bit (one matrix-vector product and
+one dot product per row, reductions along contiguous rows), so a cell's
+result does not depend on the batch it ran in.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .analysis import alignment_sign
 from .derivatives import DEFAULT_CONFIG, DifferentiationConfig, hvp, thvp
 from .games import Game, QuadraticGame
 
@@ -130,51 +137,110 @@ class Trajectory:
         return np.mean(np.abs(self.losses), axis=1)
 
 
-def _adjusted(spec: AdjusterSpec, game: Game, w: Array, xi: Array, prev_xi,
-              config: DifferentiationConfig):
-    """Direction at w, given the field xi there, plus diagnostics.
+def _fixed_hessian(game: Game, config: DifferentiationConfig):
+    """The game Hessian when it is one constant matrix on the analytic path
+    (a quadratic game), else None: the products then go row by row."""
+    if config.hvp_mode == "analytic" and isinstance(game, QuadraticGame):
+        return game.hessian_matrix
+    return None
 
-    Returns (direction, probe, sign); probe is <xi, H' xi> and sign is the
-    sign of the adjustment weight the rule actually applied (0 for rules
-    without a weighted adjustment term).  With an analytic Hessian, H is
-    fetched once and both products use it (the same arithmetic as ``thvp``
-    and ``hvp``); otherwise both go through the finite-difference products.
+
+def _row_products(game: Game, points: Array, xi: Array, both: bool,
+                  config: DifferentiationConfig):
+    """H'xi and (when ``both``) H xi, one row at a time.
+
+    With an analytic Hessian it is fetched once per row and both products
+    use it (the arithmetic of ``thvp`` and ``hvp``); otherwise both go
+    through the finite-difference products.
     """
-    if config.hvp_mode == "analytic" and game.has_analytic_hessian:
-        h = game.analytic_hessian(w)
-        grad_h = h.T @ xi
-    else:
-        h = None
-        grad_h = thvp(game, w, xi, config)
-    probe = float(xi @ grad_h)
-    sign = 0.0
+    grad_h, h_xi = [], []
+    analytic = config.hvp_mode == "analytic" and game.has_analytic_hessian
+    for w, x in zip(points, xi):
+        if analytic:
+            h = game.analytic_hessian(w)
+            grad_h.append(h.T @ x)
+            if both:
+                h_xi.append(h @ x)
+        else:
+            grad_h.append(thvp(game, w, x, config))
+            if both:
+                h_xi.append(hvp(game, w, x, config))
+    return np.array(grad_h), (np.array(h_xi) if both else None)
 
-    if spec.kind == SIMGD:
+
+def _directions(spec: AdjusterSpec, game: Game, points: Array, xi: Array,
+                prev_xi, config: DifferentiationConfig, hessian):
+    """Each row's direction, given the field rows xi there, plus diagnostics.
+
+    Returns (directions, probes, signs); a probe is <xi, H' xi> and a sign
+    is that of the adjustment weight the rule actually applied (0 for rules
+    without a weighted adjustment term).  ``prev_xi`` holds omd's previous
+    field rows (None on its first step).  ``hessian`` is the constant game
+    Hessian, if any (see ``_fixed_hessian``): both products are then one
+    batched matmul, which makes one matrix-vector product per row and so
+    matches the row-by-row products bit for bit.
+    """
+    kind = spec.kind
+    both = kind in (SGA, SGA_ALIGNED)
+    if hessian is not None:
+        grad_h = np.matmul(hessian.T, xi[:, :, None])[..., 0]
+        h_xi = np.matmul(hessian, xi[:, :, None])[..., 0] if both else None
+    else:
+        grad_h, h_xi = _row_products(game, points, xi, both, config)
+    probes = np.vecdot(xi, grad_h)
+    signs = np.zeros(len(xi))
+
+    if kind == SIMGD:
         vec = xi
-    elif spec.kind in (SGA, SGA_ALIGNED):
-        h_xi = hvp(game, w, xi, config) if h is None else h @ xi
+    elif both:
         at_xi = 0.5 * (grad_h - h_xi)
-        if spec.kind == SGA_ALIGNED:
-            sign = alignment_sign(xi, at_xi, grad_h, spec.epsilon)
-            lam = abs(spec.lam) * sign
+        if kind == SGA_ALIGNED:
+            # analysis.alignment_sign, row by row
+            value = (probes * np.vecdot(at_xi, grad_h) / xi.shape[1]
+                     + spec.epsilon)
+            signs = np.where(value >= 0.0, 1.0, -1.0)
+            lam = (abs(spec.lam) * signs)[:, None]
         else:
             lam = spec.lam
-            sign = 1.0 if lam >= 0 else -1.0
+            signs[:] = 1.0 if lam >= 0 else -1.0
         vec = xi + lam * at_xi
-    elif spec.kind == CONSENSUS:
-        sign = 1.0 if spec.lam >= 0 else -1.0
+    elif kind == CONSENSUS:
+        signs[:] = 1.0 if spec.lam >= 0 else -1.0
         vec = xi + spec.lam * grad_h
-    elif spec.kind == ALIGNED_CONSENSUS:
-        sign = 1.0 if probe >= 0 else -1.0
-        vec = xi + abs(spec.lam) * sign * grad_h
-    elif spec.kind == HAMILTONIAN_DESCENT:
+    elif kind == ALIGNED_CONSENSUS:
+        signs = np.where(probes >= 0, 1.0, -1.0)
+        vec = xi + (abs(spec.lam) * signs)[:, None] * grad_h
+    elif kind == HAMILTONIAN_DESCENT:
         vec = grad_h
-    elif spec.kind == OMD:
-        prev = xi if prev_xi is None else np.asarray(prev_xi, float)
-        vec = 2.0 * xi - prev
+    elif kind == OMD:
+        vec = 2.0 * xi - (xi if prev_xi is None else prev_xi)
     else:  # unreachable: AdjusterSpec validates kinds
         raise ValueError(f"unknown adjuster {spec.kind!r}")
-    return vec, probe, sign
+    return vec, probes, signs
+
+
+def _evaluate(game: Game, points: Array):
+    """Losses and field at every row of ``points``, as C-ordered arrays:
+    a BLAS dot product may sum a strided row in another order than a
+    contiguous one, so every row the engine hands on is contiguous."""
+    loss, xi = game.batch_losses_and_field(points)
+    return np.ascontiguousarray(loss), np.ascontiguousarray(xi)
+
+
+def _at_point(spec: AdjusterSpec, game: Game, w, prev_xi,
+              config: DifferentiationConfig):
+    """Losses, field, direction, probe and sign at one point w, each as a
+    one-row batch of the engine's arrays (w included)."""
+    w = np.asarray(w, dtype=float).reshape(1, -1)
+    if w.shape[1] != game.dim:
+        raise ValueError(f"point has length {w.shape[1]}, game needs "
+                         f"{game.dim}")
+    if prev_xi is not None:
+        prev_xi = np.asarray(prev_xi, dtype=float).reshape(1, -1)
+    loss, xi = _evaluate(game, w)
+    vec, probes, signs = _directions(spec, game, w, xi, prev_xi, config,
+                                     _fixed_hessian(game, config))
+    return w, loss, xi, vec, probes, signs
 
 
 def direction(spec: AdjusterSpec, game: Game, w, prev_xi=None,
@@ -184,10 +250,7 @@ def direction(spec: AdjusterSpec, game: Game, w, prev_xi=None,
     ``prev_xi`` is the previous field value, used only by the omd rule;
     omitting it makes omd fall back to the plain field on its first step.
     """
-    w = np.asarray(w, dtype=float).reshape(-1)
-    _, xi = game.losses_and_field(w)
-    vec, _, _ = _adjusted(spec, game, w, xi, prev_xi, config)
-    return vec
+    return _at_point(spec, game, w, prev_xi, config)[3][0]
 
 
 def step(spec: AdjusterSpec, game: Game, w, eta: float, prev_xi=None,
@@ -198,18 +261,133 @@ def step(spec: AdjusterSpec, game: Game, w, eta: float, prev_xi=None,
     rather than raised; the caller decides how to treat divergence.
     """
     check_eta(eta)
-    w = np.asarray(w, dtype=float).reshape(-1)
-    loss, xi = game.losses_and_field(w)
-    vec, probe, sign = _adjusted(spec, game, w, xi, prev_xi, config)
-    w_new = w - eta * vec
+    w, loss, xi, vec, probes, signs = _at_point(spec, game, w, prev_xi,
+                                                config)
+    w_new = (w - eta * vec)[0]
     diag = StepDiagnostics(
-        loss=loss,
-        xi_norm=math.sqrt(float(xi @ xi)),
-        probe=probe,
-        sign=sign,
+        loss=loss[0],
+        xi_norm=float(np.sqrt(np.vecdot(xi[0], xi[0]))),
+        probe=float(probes[0]),
+        sign=float(signs[0]),
         finite=bool(np.isfinite(w_new).all()),
     )
     return w_new, diag
+
+
+class _CellEnd(NamedTuple):
+    """How one cell of the engine stopped: its outcome, the iteration that
+    decided it, and the trailing window of per-iteration mean absolute
+    losses (oldest first; shorter than the window if fewer were recorded)."""
+
+    outcome: str
+    iteration: int
+    window: Array
+
+
+def _euler(spec: AdjusterSpec, game: Game, starts, etas, stop: StopCriteria,
+           config: DifferentiationConfig = DEFAULT_CONFIG,
+           record: bool = False):
+    """The Euler loop, for C cells of one rule on one game at once.
+
+    Cell k starts at ``starts[k]`` with rate ``etas[k]``.  The state is one
+    ``(C, d)`` array; every step evaluates and moves all cells still
+    running, and a cell that stops leaves the array, so the budget a slow
+    cell uses costs the others nothing.  Each row's arithmetic is that of a
+    lone cell, bit for bit: matrix products are one matrix-vector product
+    per row and reductions run along rows.
+
+    Returns one ``_CellEnd`` per cell and, with ``record`` (a batch of one
+    only), the cell's history (else None): a list with (losses, xi norm,
+    probe, sign) per processed iteration and a list with the start point
+    plus one point per step taken, all as the engine's one-row arrays.
+    Norms are ``sqrt(v @ v)``, what ``np.linalg.norm`` computes for a real
+    vector.
+    """
+    w = np.array(starts, dtype=float, ndmin=2)
+    if w.ndim != 2 or w.shape[1] != game.dim:
+        raise ValueError(f"start point has length {w.shape[-1]}, game needs "
+                         f"{game.dim}")
+    if record and len(w) != 1:
+        raise ValueError("only a batch of one records its history")
+    eta = np.asarray(etas, dtype=float).reshape(-1, 1)
+    ends = [None] * len(w)
+    steps, points = [], [w]
+    rows = np.arange(len(w))           # cell index of each remaining row
+    hessian = _fixed_hessian(game, config)
+    n, span = game.num_players, stop.loss_window
+    # Each step's mean absolute loss is written at t % span and t % span +
+    # span, so the last k means are always one contiguous, oldest-first
+    # slice ending at t % span + span (see ``tail``), and a window mean
+    # sums them in the order a list of the last ``span`` means would.
+    ring = np.empty((len(w), 2 * span))
+    prev_xi = None
+    finite_bound = math.isfinite(stop.divergence_norm)
+
+    def tail(t, mask):
+        """The means recorded up to step t of the masked rows."""
+        end = t % span + span + 1
+        return ring[mask, end - min(t + 1, span):end]
+
+    def finish(mask, outcome, t, windows):
+        for cell, window in zip(rows[mask], windows):
+            ends[cell] = _CellEnd(outcome, t, window)
+
+    for t in range(stop.max_iters):
+        # A non-finite norm is a non-finite row, unless w @ w overflowed:
+        # with a finite bound that is still above it.
+        if finite_bound:
+            ok = np.sqrt(np.vecdot(w, w)) <= stop.divergence_norm
+        else:
+            ok = np.isfinite(w).all(axis=1)
+        if np.count_nonzero(ok) < len(ok):
+            finish(~ok, DIVERGED, t, tail(t - 1, ~ok))
+            w, eta, ring, rows = w[ok], eta[ok], ring[ok], rows[ok]
+            prev_xi = None if prev_xi is None else prev_xi[ok]
+            if not len(rows):
+                break
+        loss, xi = _evaluate(game, w)
+        vec, probes, signs = _directions(spec, game, w, xi, prev_xi,
+                                         config, hessian)
+        xi_norm = np.sqrt(np.vecdot(xi, xi))
+        mean_abs = np.add.reduce(np.abs(loss), axis=1) / n
+        # A finite mean and norm imply finite losses and field; only
+        # where their sum is not finite does the exact test decide.
+        done = ~np.isfinite(mean_abs + xi_norm)
+        if np.count_nonzero(done):
+            done = ~(np.isfinite(loss).all(axis=1) & np.isfinite(xi_norm))
+            finish(done, DIVERGED, t, tail(t - 1, done))
+        elif record:
+            steps.append((loss, xi_norm, probes, signs))
+        slot = t % span
+        ring[:, slot] = mean_abs
+        ring[:, slot + span] = mean_abs
+
+        if stop.xi_threshold is not None:
+            converged = xi_norm < stop.xi_threshold
+        else:
+            converged = np.zeros(len(w), dtype=bool)
+        if stop.loss_threshold > 0 and t + 1 >= span:
+            window = ring[:, slot + 1:slot + span + 1]
+            converged |= (np.add.reduce(window, axis=1) / span
+                          < stop.loss_threshold)
+        if np.count_nonzero(converged):
+            converged &= ~done
+            finish(converged, CONVERGED, t, tail(t, converged))
+            done |= converged
+        if np.count_nonzero(done):
+            ok = ~done
+            w, eta, ring, rows = w[ok], eta[ok], ring[ok], rows[ok]
+            vec, xi = vec[ok], xi[ok]
+            if not len(rows):
+                break
+        w = w - eta * vec
+        prev_xi = xi
+        if record:
+            points.append(w)
+    else:
+        finish(slice(None), MAX_ITERS, stop.max_iters,
+               tail(stop.max_iters - 1, slice(None)))
+    return ends, ((steps, points) if record else None)
 
 
 def run(spec: AdjusterSpec, game: Game, w0, eta: float,
@@ -218,59 +396,28 @@ def run(spec: AdjusterSpec, game: Game, w0, eta: float,
     """Iterate Euler steps until convergence, divergence, or the budget.
 
     All failure modes land in ``Trajectory.outcome``; nothing is raised for
-    numerical blow-ups.  Norms are ``sqrt(v @ v)``, which is what
-    ``np.linalg.norm`` computes for a real vector.
+    numerical blow-ups.  This is the batch of one of the engine that steps
+    a sweep's cells together, so a run and the matching sweep cell agree
+    bit for bit.
     """
     check_eta(eta)
-    w = np.asarray(w0, dtype=float).reshape(-1)
-    points = [w.copy()]
-    losses, xi_norms, probes, signs = [], [], [], []
-    window = []
-    prev_xi = None
-    outcome, decided_at = MAX_ITERS, stop.max_iters
-
-    for t in range(stop.max_iters):
-        # A non-finite norm is a non-finite w, unless w @ w overflowed.
-        w_norm = math.sqrt(float(w @ w))
-        if w_norm > stop.divergence_norm or (
-                not math.isfinite(w_norm) and not np.isfinite(w).all()):
-            outcome, decided_at = DIVERGED, t
-            break
-        loss, xi = game.losses_and_field(w)
-        vec, probe, sign = _adjusted(spec, game, w, xi, prev_xi, config)
-        xi_norm = math.sqrt(float(xi @ xi))
-        if not (np.isfinite(loss).all() and math.isfinite(xi_norm)):
-            outcome, decided_at = DIVERGED, t
-            break
-        losses.append(loss)
-        xi_norms.append(xi_norm)
-        probes.append(probe)
-        signs.append(sign)
-        window.append(float(np.mean(np.abs(loss))))
-        if len(window) > stop.loss_window:
-            window.pop(0)
-
-        if stop.xi_threshold is not None and xi_norm < stop.xi_threshold:
-            outcome, decided_at = CONVERGED, t
-            break
-        if (stop.loss_threshold > 0 and len(window) == stop.loss_window
-                and float(np.mean(window)) < stop.loss_threshold):
-            outcome, decided_at = CONVERGED, t
-            break
-
-        w = w - eta * vec
-        points.append(w)
-        prev_xi = xi
-
-    n = game.num_players
+    w = np.asarray(w0, dtype=float).reshape(1, -1)
+    (end,), (steps, points) = _euler(spec, game, w, (eta,), stop, config,
+                                     record=True)
+    if steps:
+        losses, xi_norms, probes, signs = (
+            np.concatenate(column) for column in zip(*steps))
+    else:
+        losses = np.zeros((0, game.num_players))
+        xi_norms = probes = signs = np.zeros(0)
     return Trajectory(
-        points=np.asarray(points),
-        losses=(np.asarray(losses) if losses else np.zeros((0, n))),
-        xi_norms=np.asarray(xi_norms),
-        probes=np.asarray(probes),
-        signs=np.asarray(signs),
-        outcome=outcome,
-        outcome_iteration=decided_at,
+        points=np.concatenate(points),
+        losses=losses,
+        xi_norms=xi_norms,
+        probes=probes,
+        signs=signs,
+        outcome=end.outcome,
+        outcome_iteration=end.iteration,
     )
 
 

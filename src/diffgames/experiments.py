@@ -2,26 +2,27 @@
 
 A sweep crosses a list of update rules with a learning-rate grid on one
 catalog game, records the outcome of each cell, and attaches the exact
-spectral-oracle prediction wherever the rule admits one.  Cells are
-independent, so they run in a thread pool; every random draw is derived
-from the sweep seed before the pool starts, which makes results identical
-for any parallelism degree.
+spectral-oracle prediction wherever the rule admits one.  Every random
+draw is derived from the sweep seed up front.  The cells of one rule then
+step together as one ``(C, d)`` array through the Euler engine of
+``dynamics``, whose rows each follow the arithmetic of a lone ``run``, so
+a sweep's bytes equal those of its cells run one at a time.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import analysis
 from .derivatives import full_hessian, hvp, simultaneous_gradient, thvp
-from .dynamics import (CONVERGED, AdjusterSpec, StopCriteria, check_eta, run,
-                       spectral_oracle)
+from .dynamics import (CONVERGED, AdjusterSpec, StopCriteria, _euler,
+                       check_eta, spectral_oracle)
 from .games import QuadraticGame, catalog_game, default_start
 
 Array = np.ndarray
@@ -56,7 +57,6 @@ class SweepConfig:
     w0: tuple | RandomBall | None = None
     stop: StopCriteria = StopCriteria()
     seed: int = 0
-    jobs: int = 1
 
     def __post_init__(self):
         self.adjusters = tuple(self.adjusters)
@@ -65,8 +65,6 @@ class SweepConfig:
             raise ValueError("etas must be a nonempty list of positive rates")
         for eta in self.etas:
             check_eta(eta)
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
         dim = catalog_game(self.game, **self.game_params).dim
         if self.w0 is None:
             self.w0 = (tuple(default_start(dim)),)
@@ -126,51 +124,42 @@ def _trailing_loss(mean_abs: Array, window: int) -> float:
     return min(value, TRAILING_LOSS_CAP)
 
 
+def _oracle_rho(spec: AdjusterSpec, game, eta: float) -> float | None:
+    try:
+        return spectral_oracle(spec, game, eta).spectral_radius
+    except ValueError:
+        return None
+
+
 def sweep(config: SweepConfig) -> SweepResult:
     """Run every (adjuster, eta, start point) cell of the config.
 
-    A cell that blows up numerically is recorded as diverged by ``run``;
-    any exception is a fault and propagates.  Output order follows the
-    configured order regardless of the thread pool's completion order.
+    Each adjuster's cells step together through the Euler engine behind
+    ``run``, so every cell equals ``run`` on its own start point and rate,
+    bit for bit.  A cell that blows up numerically is recorded as diverged;
+    any exception is a fault and propagates.  Cells come out in the
+    configured order: adjuster, then eta, then start point.
     """
     game = catalog_game(config.game, **config.game_params)
     starts = _start_points(config, game.dim)
 
-    oracle_cache: dict[tuple[str, float, float], float | None] = {}
-
-    def oracle_rho(spec: AdjusterSpec, eta: float) -> float | None:
-        key = (spec.kind, spec.lam, eta)
-        if key not in oracle_cache:
-            try:
-                oracle_cache[key] = spectral_oracle(spec, game, eta).spectral_radius
-            except ValueError:
-                oracle_cache[key] = None
-        return oracle_cache[key]
-
-    tasks = []
+    cells = []
     for spec in config.adjusters:
-        for ei, eta in enumerate(config.etas):
-            for w0 in starts[ei]:
-                tasks.append((spec, eta, w0))
-
-    def run_cell(task) -> SweepCell:
-        spec, eta, w0 = task
-        traj = run(spec, game, w0, eta, config.stop)
-        return SweepCell(
-            game=config.game, adjuster=spec.kind, lam=spec.lam, eta=eta,
-            seed=config.seed, outcome=traj.outcome,
-            iters=(traj.outcome_iteration if traj.outcome == CONVERGED
-                   else config.stop.max_iters),
-            trailing_loss=_trailing_loss(traj.mean_abs_losses(),
-                                         config.stop.loss_window),
-            spectral_radius=oracle_rho(spec, eta),
-        )
-
-    if config.jobs == 1:
-        cells = [run_cell(t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            cells = list(pool.map(run_cell, tasks))
+        rhos = [_oracle_rho(spec, game, eta) for eta in config.etas]
+        grid = [(ei, w0) for ei in range(len(config.etas))
+                for w0 in starts[ei]]
+        ends, _ = _euler(spec, game, [w0 for _, w0 in grid],
+                         [config.etas[ei] for ei, _ in grid], config.stop)
+        for (ei, _), end in zip(grid, ends):
+            cells.append(SweepCell(
+                game=config.game, adjuster=spec.kind, lam=spec.lam,
+                eta=config.etas[ei], seed=config.seed, outcome=end.outcome,
+                iters=(end.iteration if end.outcome == CONVERGED
+                       else config.stop.max_iters),
+                trailing_loss=_trailing_loss(end.window,
+                                             config.stop.loss_window),
+                spectral_radius=rhos[ei],
+            ))
     return SweepResult(cells=cells)
 
 
@@ -178,7 +167,7 @@ def sweep(config: SweepConfig) -> SweepResult:
 # Presets
 # ---------------------------------------------------------------------------
 
-def preset_configs(name: str, seed: int = 0, jobs: int = 1) -> tuple[SweepConfig, ...]:
+def preset_configs(name: str, seed: int = 0) -> tuple[SweepConfig, ...]:
     """The built-in reproduction presets.
 
     fig3: weak-attractor game, plain descent vs sga (lam 0.1) at three rates.
@@ -192,7 +181,7 @@ def preset_configs(name: str, seed: int = 0, jobs: int = 1) -> tuple[SweepConfig
             adjusters=(AdjusterSpec("simgd"), AdjusterSpec("sga", lam=0.1)),
             etas=(0.01, 0.032, 0.1),
             stop=StopCriteria(max_iters=10000),
-            seed=seed, jobs=jobs,
+            seed=seed,
         ),)
     if name == "fig4":
         return (SweepConfig(
@@ -201,7 +190,7 @@ def preset_configs(name: str, seed: int = 0, jobs: int = 1) -> tuple[SweepConfig
             adjusters=(AdjusterSpec("sga", lam=1.0), AdjusterSpec("omd")),
             etas=tuple(np.geomspace(0.01, 1.75, 50)),
             stop=StopCriteria(max_iters=250),
-            seed=seed, jobs=jobs,
+            seed=seed,
         ),)
     if name == "fig7":
         return tuple(SweepConfig(
@@ -211,14 +200,14 @@ def preset_configs(name: str, seed: int = 0, jobs: int = 1) -> tuple[SweepConfig
             etas=tuple(np.linspace(0.025, 0.5, 20)),
             w0=RandomBall(1.0),
             stop=StopCriteria(max_iters=5000),
-            seed=seed, jobs=jobs,
+            seed=seed,
         ) for eps in (0.01, 0.0))
     raise ValueError(f"unknown preset {name!r}; one of {PRESETS}")
 
 
-def run_preset(name: str, seed: int = 0, jobs: int = 1) -> SweepResult:
+def run_preset(name: str, seed: int = 0) -> SweepResult:
     cells = []
-    for config in preset_configs(name, seed=seed, jobs=jobs):
+    for config in preset_configs(name, seed=seed):
         cells.extend(sweep(config).cells)
     return SweepResult(cells=cells)
 
@@ -338,8 +327,16 @@ def _etas_from_json(spec) -> tuple[float, ...]:
     return tuple(float(e) for e in spec)
 
 
+# Stop criteria read from JSON as integers; the others are floats.
+_COUNTS = ("max_iters", "loss_window")
+
+
 def config_from_json(doc: dict) -> SweepConfig:
-    """Build a SweepConfig from its JSON form (see README for the schema)."""
+    """Build a SweepConfig from its JSON form (see README for the schema).
+
+    Unknown keys, such as the ``jobs`` of older configs, are ignored; stop
+    criteria not given (or null) keep their ``StopCriteria`` defaults.
+    """
     adjusters = tuple(
         AdjusterSpec(kind=a["kind"], lam=float(a.get("lambda", 1.0)),
                      epsilon=float(a.get("epsilon", 0.1)))
@@ -349,14 +346,10 @@ def config_from_json(doc: dict) -> SweepConfig:
     if isinstance(w0, dict):
         w0 = RandomBall(radius=float(w0["random_ball"]))
     stop_doc = doc.get("stop", {})
-    stop = StopCriteria(
-        max_iters=int(stop_doc.get("max_iters", 10000)),
-        loss_window=int(stop_doc.get("loss_window", 10)),
-        loss_threshold=float(stop_doc.get("loss_threshold", 0.01)),
-        divergence_norm=float(stop_doc.get("divergence_norm", 1e6)),
-        xi_threshold=(None if stop_doc.get("xi_threshold") is None
-                      else float(stop_doc["xi_threshold"])),
-    )
+    stop = dataclasses.replace(StopCriteria(), **{
+        f.name: (int if f.name in _COUNTS else float)(stop_doc[f.name])
+        for f in dataclasses.fields(StopCriteria)
+        if stop_doc.get(f.name) is not None})
     return SweepConfig(
         game=doc["game"],
         game_params=dict(doc.get("game_params", {})),
@@ -365,7 +358,6 @@ def config_from_json(doc: dict) -> SweepConfig:
         w0=w0,
         stop=stop,
         seed=int(doc.get("seed", 0)),
-        jobs=int(doc.get("jobs", 1)),
     )
 
 
@@ -389,5 +381,4 @@ def config_to_json(config: SweepConfig) -> dict:
             "xi_threshold": config.stop.xi_threshold,
         },
         "seed": config.seed,
-        "jobs": config.jobs,
     }

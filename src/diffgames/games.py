@@ -159,6 +159,20 @@ class Game:
         return losses, np.concatenate([self.player_gradient(i, w)
                                        for i in range(self.num_players)])
 
+    def batch_losses_and_field(self, points: Array) -> tuple[Array, Array]:
+        """``losses_and_field`` for each row of a ``(C, d)`` array of points.
+
+        Returns the ``(C, n)`` losses and the ``(C, d)`` field, row k being
+        exactly ``losses_and_field(points[k])``.  This version loops over the
+        rows, so a game that overrides only ``losses_and_field`` is batched
+        correctly.
+        """
+        rows = [self.losses_and_field(w) for w in points]
+        losses = np.array([loss for loss, _ in rows])
+        field = np.array([xi for _, xi in rows])
+        return (losses.reshape(-1, self.num_players),
+                field.reshape(-1, self.dim))
+
     @property
     def has_analytic_hessian(self) -> bool:
         return self._hessian is not None
@@ -207,7 +221,6 @@ class QuadraticGame(Game):
             scale = max(1.0, np.max(np.abs(b)))
             if np.max(np.abs(b - b.T)) > _SYM_TOL * scale:
                 raise ValueError(f"coefficient matrix {i} is not symmetric")
-            b.setflags(write=False)
             coeffs.append(b)
         if len(coeffs) != n:
             raise ValueError(f"expected {n} coefficient matrices")
@@ -217,8 +230,12 @@ class QuadraticGame(Game):
             lin = [np.array(v, dtype=float).reshape(-1) for v in linear]
             if len(lin) != n or any(v.size != d for v in lin):
                 raise ValueError("linear terms must be n vectors of length d")
-        for v in lin:
-            v.setflags(write=False)
+        # One buffer per kind of term; each player's B_i and b_i are views
+        # of it, so the batched evaluation keeps no second copy.
+        stacked, stacked_linear = np.stack(coeffs), np.stack(lin)
+        for a in (stacked, stacked_linear):
+            a.setflags(write=False)
+        coeffs, lin = list(stacked), list(stacked_linear)
 
         hessian = np.vstack([coeffs[i][partition.block(i), :]
                              for i in range(n)])
@@ -244,22 +261,29 @@ class QuadraticGame(Game):
         self._linear = tuple(lin)
         self._hessian_matrix = hessian
         self._offset = offset
-        self._terms = tuple(zip(coeffs, lin, (partition.block(i)
-                                               for i in range(n))))
+        self._stacked = stacked
+        self._stacked_linear = stacked_linear
+        # Flat index into (n, d) of xi's entry j: row = j's owner, column j.
+        owner = np.repeat(np.arange(n), partition.sizes)
+        self._field_index = owner * d + np.arange(d)
 
-    def losses_and_field(self, w: Array) -> tuple[Array, Array]:
-        """One ``B_i @ w`` per player, shared by loss i and gradient i.
+    def batch_losses_and_field(self, points: Array) -> tuple[Array, Array]:
+        """All rows at once: one ``np.matmul`` over the stacked ``B_i``,
+        whose ``B_i @ w`` serves both loss i and gradient i.
 
-        The expressions are those of the per-player callables, so both
-        results are bit-identical to ``loss_vector`` and the stacked
-        ``player_gradient``.
+        Each row still gets its own ``B_i @ w`` matrix-vector product, and
+        each loss its own dot products (``np.vecdot``), in the expressions
+        of the per-player callables, so every row is bit-identical to
+        ``losses_and_field`` of that row.
         """
-        losses, parts = [], []
-        for b, c, blk in self._terms:
-            p = b @ w
-            losses.append(0.5 * float(w @ p) + float(c @ w))
-            parts.append((p + c)[blk])
-        return np.array(losses), np.concatenate(parts)
+        prods = np.matmul(self._stacked, points[:, None, :, None])[..., 0]
+        rows = points[:, None, :]
+        losses = (0.5 * np.vecdot(rows, prods)
+                  + np.vecdot(self._stacked_linear, rows))
+        # take() returns C-ordered rows: a BLAS dot product of a strided
+        # row may sum in another order than that of a contiguous one.
+        field = prods.reshape(len(points), -1).take(self._field_index, axis=1)
+        return losses, field + self._offset
 
     @property
     def coefficients(self) -> tuple[Array, ...]:

@@ -1,6 +1,8 @@
 """Shared helpers for the test suite: scale-aware error measures and
 random-instance generators used by the property tests."""
 
+from functools import partial
+
 import numpy as np
 
 import diffgames as dg
@@ -67,6 +69,17 @@ def random_realizable_game(rng, partition, eig_low, eig_high, offset=None):
     sym = random_symmetric(rng, d, eig_low, eig_high)
     anti = random_block_antisymmetric(rng, partition)
     return dg.quadratic_game_from_hessian(partition, sym + anti, offset)
+
+
+def plain_game(game):
+    """The game rebuilt with ``make_game`` from its own public callables: a
+    plain ``Game`` with no fused or batched override, so every evaluation
+    takes the per-player, row-by-row path."""
+    n = game.num_players
+    return dg.make_game(game.partition,
+                        [partial(game.loss, i) for i in range(n)],
+                        [partial(game.player_gradient, i) for i in range(n)],
+                        game.analytic_hessian)
 
 
 def fd_cos2_derivative(u, v, w, h=1e-6):

@@ -86,6 +86,25 @@ class TestRun:
         assert code == 1
         assert "--w0" in err
 
+    @pytest.mark.parametrize("flags,given", [
+        ([], {}),
+        (["--max-iters", "20", "--xi-threshold", "1e-3"],
+         {"max_iters": 20, "xi_threshold": 1e-3}),
+    ])
+    def test_stop_defaults_come_from_stop_criteria(self, capsys, monkeypatch,
+                                                   flags, given):
+        seen = []
+
+        def recording_run(spec, game, w0, eta, stop):
+            seen.append(stop)
+            return dg.run(spec, game, w0, eta, stop)
+
+        monkeypatch.setattr(cli, "run", recording_run)
+        code, _, _ = invoke(capsys, "run", "--game", "example7",
+                            "--adjuster", "simgd", "--eta", "0.1", *flags)
+        assert code == 0
+        assert seen == [dg.StopCriteria(**given)]
+
 
 class TestSweep:
     def test_preset_csv_row_count(self, capsys, tmp_path):
@@ -102,14 +121,6 @@ class TestSweep:
                "--seed", "3", "--out", str(a))
         invoke(capsys, "sweep", "--preset", "fig3", "--format", "csv",
                "--seed", "3", "--out", str(b))
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_jobs_do_not_change_bytes(self, capsys, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        invoke(capsys, "sweep", "--preset", "fig3", "--format", "csv",
-               "--jobs", "1", "--out", str(a))
-        invoke(capsys, "sweep", "--preset", "fig3", "--format", "csv",
-               "--jobs", "4", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
     def test_config_file_equals_flags(self, capsys, tmp_path):
@@ -172,27 +183,6 @@ class TestSweep:
         assert code == 0
         row = out_path.read_text().strip().split("\n")[1].split(",")
         assert row[4] == "3"  # seed column
-
-    @pytest.mark.parametrize("form", [["--jobs", "4"], ["--jobs=4"]])
-    def test_jobs_flag_overrides_config_file(self, capsys, tmp_path,
-                                             monkeypatch, form):
-        monkeypatch.delenv("DIFFGAMES_JOBS", raising=False)
-        seen = []
-
-        def recording_sweep(config):
-            seen.append(config.jobs)
-            return dg.SweepResult(cells=[])
-
-        monkeypatch.setattr(cli, "sweep", recording_sweep)
-        config_path = tmp_path / "sweep.json"
-        config_path.write_text(json.dumps({
-            "game": "fig4_bilinear", "adjusters": [{"kind": "omd"}],
-            "etas": [0.1], "jobs": 1,
-        }))
-        code, _, _ = invoke(capsys, "sweep", "--config", str(config_path),
-                            *form, "--format", "csv")
-        assert code == 0
-        assert seen == [4]
 
     def test_default_start_fits_the_game(self, capsys):
         code, out, _ = invoke(capsys, "sweep", "--game", "example1",

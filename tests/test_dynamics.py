@@ -1,12 +1,11 @@
-from functools import partial
-
 import numpy as np
 import pytest
 
 import diffgames as dg
 
-from conftest import (HAMILTONIAN_GAMES, POTENTIAL_GAMES, random_orthogonal,
-                      random_realizable_game, random_symmetric, rel_err)
+from conftest import (HAMILTONIAN_GAMES, POTENTIAL_GAMES, plain_game,
+                      random_orthogonal, random_realizable_game,
+                      random_symmetric, rel_err)
 
 
 class TestSpecs:
@@ -207,23 +206,25 @@ def _offset_game(seed):
     partition = dg.PlayerPartition((2, 3, 1))
     game = random_realizable_game(rng, partition, 0.2, 1.0,
                                   offset=rng.standard_normal(partition.total))
-    n = game.num_players
-    plain = dg.make_game(partition,
-                         [partial(game.loss, i) for i in range(n)],
-                         [partial(game.player_gradient, i) for i in range(n)],
-                         game.analytic_hessian)
-    return game, plain, rng.standard_normal(partition.total)
+    return game, plain_game(game), rng.standard_normal(partition.total)
 
 
 class TestFusedEvaluation:
-    """The quadratic game's fused loss-and-field path changes no bit."""
+    """The quadratic game's fused, batched loss-and-field path changes no
+    bit."""
 
     def test_losses_and_field_equal_the_parts(self):
         game, plain, w = _offset_game(0)
+        rows = np.random.default_rng(9).standard_normal((5, game.dim))
         for g in (game, plain):
             losses, xi = g.losses_and_field(w)
             assert np.array_equal(losses, game.loss_vector(w))
             assert np.array_equal(xi, dg.simultaneous_gradient(game, w).xi)
+            losses, xi = g.batch_losses_and_field(rows)
+            for k, r in enumerate(rows):
+                assert np.array_equal(losses[k], game.loss_vector(r))
+                assert np.array_equal(xi[k],
+                                      dg.simultaneous_gradient(game, r).xi)
 
     @pytest.mark.parametrize("kind", dg.KINDS)
     def test_run_equals_the_plain_rebuild(self, kind):
