@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .derivatives import (DEFAULT_CONFIG, DifferentiationConfig, full_hessian,
-                          grad_hamiltonian, simultaneous_gradient)
+                          simultaneous_gradient, thvp)
 from .games import Game, QuadraticGame
 
 Array = np.ndarray
@@ -108,9 +108,17 @@ def classify_game(game: Game, sample_points, tol: float | None = None,
     points = [np.asarray(p, dtype=float).reshape(-1) for p in sample_points]
     if not points:
         raise ValueError("need at least one sample point")
+    return _game_class([_split(game, w, config) for w in points], tol)
+
+
+def _split(game: Game, w: Array, config) -> Decomposition:
+    return helmholtz_split(full_hessian(game, w, config))
+
+
+def _game_class(splits, tol: float | None) -> GameClass:
+    """``classify_game`` from the splits at its sample points."""
     max_a = max_s = max_h = 0.0
-    for w in points:
-        dec = helmholtz_split(full_hessian(game, w, config))
+    for dec in splits:
         max_a = max(max_a, _inf_norm(dec.antisymmetric))
         max_s = max(max_s, _inf_norm(dec.symmetric))
         max_h = max(max_h, _inf_norm(dec.hessian))
@@ -134,21 +142,33 @@ def stability_probe(game: Game, w,
     identically zero in games with no symmetric part.
     """
     xi = simultaneous_gradient(game, w).xi
-    return float(xi @ grad_hamiltonian(game, w, config))
+    return float(xi @ thvp(game, w, xi, config))
 
 
 def _psd_tolerance(eigs: Array) -> float:
     return 1e-9 * max(1.0, float(eigs[0] - eigs[-1]))
 
 
-def _stability_at(game: Game, w: Array, config) -> tuple[str, Decomposition]:
-    dec = helmholtz_split(full_hessian(game, w, config))
+def _verdict(dec: Decomposition) -> str:
     tol = _psd_tolerance(dec.s_eigenvalues)
     if dec.s_eigenvalues[-1] >= -tol:
-        return STABLE, dec
+        return STABLE
     if dec.s_eigenvalues[0] < -tol:
-        return UNSTABLE, dec
-    return INDEFINITE, dec
+        return UNSTABLE
+    return INDEFINITE
+
+
+def _neighborhood(game: Game, w: Array) -> tuple[list, list]:
+    """The points whose S decides the stability of w, and the nearby
+    samples that average the probe (the same draws at every call).
+
+    Quadratic games have a constant S, so w alone decides; other games are
+    probed at w and at each nearby sample.
+    """
+    rng = np.random.default_rng(0)
+    nearby = [w + _NEIGHBORHOOD_RADIUS * rng.standard_normal(w.size)
+              for _ in range(_NEIGHBORHOOD_SAMPLES)]
+    return ([w] if isinstance(game, QuadraticGame) else [w] + nearby), nearby
 
 
 def classify_fixed_point(game: Game, w, fixed_point_tol: float = 1e-8,
@@ -172,18 +192,25 @@ def classify_fixed_point(game: Game, w, fixed_point_tol: float = 1e-8,
             f"{fixed_point_tol:.3e}"
         )
 
-    rng = np.random.default_rng(0)
-    nearby = [w + _NEIGHBORHOOD_RADIUS * rng.standard_normal(w.size)
-              for _ in range(_NEIGHBORHOOD_SAMPLES)]
+    deciding, nearby = _neighborhood(game, w)
+    return _fixed_point_report(game, w, xi_norm,
+                               (_split(game, p, config) for p in deciding),
+                               nearby, config)
 
-    stability, dec = _stability_at(game, w, config)
-    if not isinstance(game, QuadraticGame):
-        # S varies with w: the verdict must hold throughout the neighborhood.
-        for p in nearby:
-            verdict, _ = _stability_at(game, p, config)
-            if verdict != stability:
-                stability = INDEFINITE
-                break
+
+def _fixed_point_report(game: Game, w: Array, xi_norm: float, splits,
+                        nearby, config) -> FixedPointReport:
+    """``classify_fixed_point`` at a checked fixed point w, from the splits
+    at the deciding points of ``_neighborhood`` (w first), consumed only
+    as far as the verdict needs them."""
+    splits = iter(splits)
+    dec = next(splits)
+    stability = _verdict(dec)
+    # S varies with w: the verdict must hold throughout the neighborhood.
+    for other in splits:
+        if _verdict(other) != stability:
+            stability = INDEFINITE
+            break
 
     tol = _psd_tolerance(dec.s_eigenvalues)
     is_nash = True
@@ -197,6 +224,22 @@ def classify_fixed_point(game: Game, w, fixed_point_tol: float = 1e-8,
     probe = float(np.mean([stability_probe(game, p, config) for p in nearby]))
     return FixedPointReport(w=w, xi_norm=xi_norm, stability=stability,
                             is_local_nash=is_nash, probe_value=probe)
+
+
+def _classify_point(game: Game, w: Array, xi_norm: float,
+                    fixed_point_tol: float, config=DEFAULT_CONFIG):
+    """The game class over w and its neighbourhood, the split at w, and the
+    fixed-point report (None unless ``xi_norm`` is within the tolerance),
+    with each full Hessian built once.
+
+    The classes and report equal those of ``classify_game`` on the deciding
+    points of ``_neighborhood`` and of ``classify_fixed_point`` at w.
+    """
+    deciding, nearby = _neighborhood(game, w)
+    splits = [_split(game, p, config) for p in deciding]
+    report = (_fixed_point_report(game, w, xi_norm, splits, nearby, config)
+              if xi_norm <= fixed_point_tol else None)
+    return _game_class(splits, None), splits[0], report
 
 
 def alignment_sign(xi, at_xi, grad_h, epsilon: float = 0.1) -> float:

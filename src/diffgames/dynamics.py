@@ -12,12 +12,19 @@ all of a rule's cells and ``run`` is its batch of one.  Every row follows
 the arithmetic of a lone cell bit for bit (one matrix-vector product and
 one dot product per row, reductions along contiguous rows), so a cell's
 result does not depend on the batch it ran in.
+
+A step pays only for the Hessian products its rule's direction uses: none
+for simgd and omd, H' xi for the consensus rules and hamiltonian descent,
+H' xi and H xi for the sga rules.  The probe diagnostic <xi, H' xi> is not
+recorded by the loop; ``Trajectory.probes`` computes it from the stored
+points on first read, with the same field and product code, so it holds
+the bits a probe taken during the run would have.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -117,15 +124,36 @@ class Trajectory:
     The diagnostic arrays have one entry per processed iteration (evaluated
     at the pre-step point).  ``outcome_iteration`` is the iteration at which
     the outcome was decided; for MAX_ITERS it equals the iteration budget.
+    ``probes`` is computed from the stored points on first read (see there).
     """
 
     points: Array                 # (steps+1, d)
     losses: Array                 # (iters, n)
     xi_norms: Array               # (iters,)
-    probes: Array                 # (iters,)
     signs: Array                  # (iters,)
     outcome: str                  # CONVERGED | DIVERGED | MAX_ITERS
     outcome_iteration: int
+    _game: Game = field(repr=False, compare=False)
+    _config: DifferentiationConfig = field(repr=False, compare=False)
+    _probes: Array | None = field(default=None, init=False, repr=False,
+                                  compare=False)
+
+    @property
+    def probes(self) -> Array:
+        """The probe <xi, H' xi> at each processed iteration's pre-step
+        point, shape (iters,).
+
+        The loop does not record it: the first read computes it from
+        ``points`` with the loop's own field and product code, bit for bit
+        what a probe taken during the run would be, and caches it.  On a
+        game without an analytic Hessian that read costs 2d + 1 field
+        evaluations per iteration: the field again, then ``thvp``.
+        """
+        if self._probes is None:
+            points = self.points[:len(self.xi_norms)]
+            _, xi = _evaluate(self._game, points)
+            self._probes = _probes(self._game, points, xi, self._config)
+        return self._probes
 
     @property
     def final_point(self) -> Array:
@@ -145,14 +173,22 @@ def _fixed_hessian(game: Game, config: DifferentiationConfig):
     return None
 
 
-def _row_products(game: Game, points: Array, xi: Array, both: bool,
-                  config: DifferentiationConfig):
-    """H'xi and (when ``both``) H xi, one row at a time.
+def _products(game: Game, points: Array, xi: Array, both: bool,
+              config: DifferentiationConfig, hessian):
+    """H'xi and (when ``both``) H xi at each row, given the field rows xi.
 
-    With an analytic Hessian it is fetched once per row and both products
-    use it (the arithmetic of ``thvp`` and ``hvp``); otherwise both go
-    through the finite-difference products.
+    ``hessian`` is the constant game Hessian, if any (see
+    ``_fixed_hessian``): both products are then one batched matmul, which
+    makes one matrix-vector product per row and so matches the row-by-row
+    products bit for bit.  Otherwise they go one row at a time: with an
+    analytic Hessian it is fetched once per row and both products use it
+    (the arithmetic of ``thvp`` and ``hvp``), else both are the
+    finite-difference products.
     """
+    if hessian is not None:
+        grad_h = np.matmul(hessian.T, xi[:, :, None])[..., 0]
+        h_xi = np.matmul(hessian, xi[:, :, None])[..., 0] if both else None
+        return grad_h, h_xi
     grad_h, h_xi = [], []
     analytic = config.hvp_mode == "analytic" and game.has_analytic_hessian
     for w, x in zip(points, xi):
@@ -165,39 +201,45 @@ def _row_products(game: Game, points: Array, xi: Array, both: bool,
             grad_h.append(thvp(game, w, x, config))
             if both:
                 h_xi.append(hvp(game, w, x, config))
-    return np.array(grad_h), (np.array(h_xi) if both else None)
+    # reshape: a batch of no rows still has d columns
+    return (np.reshape(grad_h, xi.shape),
+            np.reshape(h_xi, xi.shape) if both else None)
+
+
+def _probes(game: Game, points: Array, xi: Array,
+            config: DifferentiationConfig) -> Array:
+    """The probe <xi, H' xi> at each row, with the products the rules use,
+    so a probe equals the one an aligned rule computes there, bit for bit."""
+    grad_h, _ = _products(game, points, xi, False, config,
+                          _fixed_hessian(game, config))
+    return np.vecdot(xi, grad_h)
 
 
 def _directions(spec: AdjusterSpec, game: Game, points: Array, xi: Array,
                 prev_xi, config: DifferentiationConfig, hessian):
-    """Each row's direction, given the field rows xi there, plus diagnostics.
+    """Each row's direction, given the field rows xi there, and the sign of
+    the adjustment weight the rule actually applied (0 for rules without a
+    weighted adjustment term).
 
-    Returns (directions, probes, signs); a probe is <xi, H' xi> and a sign
-    is that of the adjustment weight the rule actually applied (0 for rules
-    without a weighted adjustment term).  ``prev_xi`` holds omd's previous
-    field rows (None on its first step).  ``hessian`` is the constant game
-    Hessian, if any (see ``_fixed_hessian``): both products are then one
-    batched matmul, which makes one matrix-vector product per row and so
-    matches the row-by-row products bit for bit.
+    ``prev_xi`` holds omd's previous field rows (None on its first step);
+    ``hessian`` is passed on to ``_products``.  A rule takes only the
+    Hessian products it uses, none for simgd and omd, and only the aligned
+    rules, whose sign depends on it, compute the probe <xi, H' xi>.
     """
     kind = spec.kind
-    both = kind in (SGA, SGA_ALIGNED)
-    if hessian is not None:
-        grad_h = np.matmul(hessian.T, xi[:, :, None])[..., 0]
-        h_xi = np.matmul(hessian, xi[:, :, None])[..., 0] if both else None
-    else:
-        grad_h, h_xi = _row_products(game, points, xi, both, config)
-    probes = np.vecdot(xi, grad_h)
     signs = np.zeros(len(xi))
-
     if kind == SIMGD:
-        vec = xi
-    elif both:
+        return xi, signs
+    if kind == OMD:
+        return 2.0 * xi - (xi if prev_xi is None else prev_xi), signs
+    both = kind in (SGA, SGA_ALIGNED)
+    grad_h, h_xi = _products(game, points, xi, both, config, hessian)
+    if both:
         at_xi = 0.5 * (grad_h - h_xi)
         if kind == SGA_ALIGNED:
             # analysis.alignment_sign, row by row
-            value = (probes * np.vecdot(at_xi, grad_h) / xi.shape[1]
-                     + spec.epsilon)
+            value = (np.vecdot(xi, grad_h) * np.vecdot(at_xi, grad_h)
+                     / xi.shape[1] + spec.epsilon)
             signs = np.where(value >= 0.0, 1.0, -1.0)
             lam = (abs(spec.lam) * signs)[:, None]
         else:
@@ -208,15 +250,13 @@ def _directions(spec: AdjusterSpec, game: Game, points: Array, xi: Array,
         signs[:] = 1.0 if spec.lam >= 0 else -1.0
         vec = xi + spec.lam * grad_h
     elif kind == ALIGNED_CONSENSUS:
-        signs = np.where(probes >= 0, 1.0, -1.0)
+        signs = np.where(np.vecdot(xi, grad_h) >= 0, 1.0, -1.0)
         vec = xi + (abs(spec.lam) * signs)[:, None] * grad_h
     elif kind == HAMILTONIAN_DESCENT:
         vec = grad_h
-    elif kind == OMD:
-        vec = 2.0 * xi - (xi if prev_xi is None else prev_xi)
     else:  # unreachable: AdjusterSpec validates kinds
         raise ValueError(f"unknown adjuster {spec.kind!r}")
-    return vec, probes, signs
+    return vec, signs
 
 
 def _evaluate(game: Game, points: Array):
@@ -229,8 +269,8 @@ def _evaluate(game: Game, points: Array):
 
 def _at_point(spec: AdjusterSpec, game: Game, w, prev_xi,
               config: DifferentiationConfig):
-    """Losses, field, direction, probe and sign at one point w, each as a
-    one-row batch of the engine's arrays (w included)."""
+    """Losses, field, direction and sign at one point w, each as a one-row
+    batch of the engine's arrays (w included)."""
     w = np.asarray(w, dtype=float).reshape(1, -1)
     if w.shape[1] != game.dim:
         raise ValueError(f"point has length {w.shape[1]}, game needs "
@@ -238,9 +278,9 @@ def _at_point(spec: AdjusterSpec, game: Game, w, prev_xi,
     if prev_xi is not None:
         prev_xi = np.asarray(prev_xi, dtype=float).reshape(1, -1)
     loss, xi = _evaluate(game, w)
-    vec, probes, signs = _directions(spec, game, w, xi, prev_xi, config,
-                                     _fixed_hessian(game, config))
-    return w, loss, xi, vec, probes, signs
+    vec, signs = _directions(spec, game, w, xi, prev_xi, config,
+                             _fixed_hessian(game, config))
+    return w, loss, xi, vec, signs
 
 
 def direction(spec: AdjusterSpec, game: Game, w, prev_xi=None,
@@ -261,13 +301,12 @@ def step(spec: AdjusterSpec, game: Game, w, eta: float, prev_xi=None,
     rather than raised; the caller decides how to treat divergence.
     """
     check_eta(eta)
-    w, loss, xi, vec, probes, signs = _at_point(spec, game, w, prev_xi,
-                                                config)
+    w, loss, xi, vec, signs = _at_point(spec, game, w, prev_xi, config)
     w_new = (w - eta * vec)[0]
     diag = StepDiagnostics(
         loss=loss[0],
         xi_norm=float(np.sqrt(np.vecdot(xi[0], xi[0]))),
-        probe=float(probes[0]),
+        probe=float(_probes(game, w, xi, config)[0]),
         sign=float(signs[0]),
         finite=bool(np.isfinite(w_new).all()),
     )
@@ -298,8 +337,8 @@ def _euler(spec: AdjusterSpec, game: Game, starts, etas, stop: StopCriteria,
 
     Returns one ``_CellEnd`` per cell and, with ``record`` (a batch of one
     only), the cell's history (else None): a list with (losses, xi norm,
-    probe, sign) per processed iteration and a list with the start point
-    plus one point per step taken, all as the engine's one-row arrays.
+    sign) per processed iteration and a list with the start point plus one
+    point per step taken, all as the engine's one-row arrays.
     Norms are ``sqrt(v @ v)``, what ``np.linalg.norm`` computes for a real
     vector.
     """
@@ -346,8 +385,8 @@ def _euler(spec: AdjusterSpec, game: Game, starts, etas, stop: StopCriteria,
             if not len(rows):
                 break
         loss, xi = _evaluate(game, w)
-        vec, probes, signs = _directions(spec, game, w, xi, prev_xi,
-                                         config, hessian)
+        vec, signs = _directions(spec, game, w, xi, prev_xi, config,
+                                 hessian)
         xi_norm = np.sqrt(np.vecdot(xi, xi))
         mean_abs = np.add.reduce(np.abs(loss), axis=1) / n
         # A finite mean and norm imply finite losses and field; only
@@ -357,7 +396,7 @@ def _euler(spec: AdjusterSpec, game: Game, starts, etas, stop: StopCriteria,
             done = ~(np.isfinite(loss).all(axis=1) & np.isfinite(xi_norm))
             finish(done, DIVERGED, t, tail(t - 1, done))
         elif record:
-            steps.append((loss, xi_norm, probes, signs))
+            steps.append((loss, xi_norm, signs))
         slot = t % span
         ring[:, slot] = mean_abs
         ring[:, slot + span] = mean_abs
@@ -405,19 +444,20 @@ def run(spec: AdjusterSpec, game: Game, w0, eta: float,
     (end,), (steps, points) = _euler(spec, game, w, (eta,), stop, config,
                                      record=True)
     if steps:
-        losses, xi_norms, probes, signs = (
+        losses, xi_norms, signs = (
             np.concatenate(column) for column in zip(*steps))
     else:
         losses = np.zeros((0, game.num_players))
-        xi_norms = probes = signs = np.zeros(0)
+        xi_norms = signs = np.zeros(0)
     return Trajectory(
         points=np.concatenate(points),
         losses=losses,
         xi_norms=xi_norms,
-        probes=probes,
         signs=signs,
         outcome=end.outcome,
         outcome_iteration=end.iteration,
+        _game=game,
+        _config=config,
     )
 
 

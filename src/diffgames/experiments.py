@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analysis
-from .derivatives import full_hessian, hvp, simultaneous_gradient, thvp
+from .derivatives import hvp, simultaneous_gradient, thvp
 from .dynamics import (CONVERGED, AdjusterSpec, StopCriteria, _euler,
                        check_eta, spectral_oracle)
-from .games import QuadraticGame, catalog_game, default_start
+from .games import catalog_game, default_start
 
 Array = np.ndarray
 
@@ -230,21 +230,17 @@ def analyze_point(game, w, epsilon: float = 0.1,
     grad_h = thvp(game, w, xi)
     at_xi = 0.5 * (grad_h - hvp(game, w, xi))
 
-    if isinstance(game, QuadraticGame):
-        samples = [w]
-    else:
-        rng = np.random.default_rng(0)
-        samples = [w] + [w + 1e-3 * rng.standard_normal(w.size)
-                         for _ in range(8)]
-    game_class = analysis.classify_game(game, samples)
-
-    dec = analysis.helmholtz_split(full_hessian(game, w))
+    xi_norm = float(np.sqrt(ev.norm_sq))
+    # Sampled at w and, for a non-quadratic game, 8 points 1e-3 around it:
+    # each full Hessian serves the class, the split and the report.
+    game_class, dec, report = analysis._classify_point(game, w, xi_norm,
+                                                       fixed_point_tol)
 
     bundle = {
         "schema_version": SCHEMA_VERSION,
         "at": w.tolist(),
         "xi": xi.tolist(),
-        "xi_norm": float(np.sqrt(ev.norm_sq)),
+        "xi_norm": xi_norm,
         "hamiltonian": 0.5 * ev.norm_sq,
         "losses": game.loss_vector(w).tolist(),
         "game_class": game_class.kind,
@@ -254,12 +250,11 @@ def analyze_point(game, w, epsilon: float = 0.1,
         "additive_condition_number": dec.additive_condition_number,
         "probe": float(xi @ grad_h),
         "alignment_sign": analysis.alignment_sign(xi, at_xi, grad_h, epsilon),
-        "is_fixed_point": bool(np.sqrt(ev.norm_sq) <= fixed_point_tol),
+        "is_fixed_point": report is not None,
         "stability": None,
         "local_nash": None,
     }
-    if bundle["is_fixed_point"]:
-        report = analysis.classify_fixed_point(game, w, fixed_point_tol)
+    if report is not None:
         bundle["stability"] = report.stability
         bundle["local_nash"] = report.is_local_nash
         bundle["probe"] = report.probe_value

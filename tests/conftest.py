@@ -90,3 +90,81 @@ def fd_cos2_derivative(u, v, w, h=1e-6):
         c = float(x @ w) / (np.linalg.norm(x) * np.linalg.norm(w))
         return c * c
     return (cos2(h) - cos2(-h)) / (2.0 * h)
+
+
+class TanhGame:
+    """A non-quadratic game with a closed-form Hessian: players of sizes
+    (2, 1, 2), player i with loss
+
+        mu/2 |x_i|^2 + kappa/4 sum(x_i^4) + sum_{j != i} x_i' tanh(C_ij x_j)
+
+    and C_ji = -C_ij', so the coupling is purely rotational at the origin,
+    where S = mu I: a stable fixed point and a local Nash equilibrium."""
+
+    MU, KAPPA = 0.5, 1.0
+    partition = dg.PlayerPartition((2, 1, 2))
+
+    def __init__(self, seed=7):
+        rng = np.random.default_rng(seed)
+        sizes = self.partition.sizes
+        self.coupling = {}
+        for i in range(len(sizes)):
+            for j in range(i + 1, len(sizes)):
+                c = rng.standard_normal((sizes[i], sizes[j]))
+                self.coupling[i, j], self.coupling[j, i] = c, -c.T
+
+    def _others(self, i, w):
+        x = self.partition.split(w)
+        return [(j, self.coupling[i, j], x[j])
+                for j in range(len(x)) if j != i]
+
+    def loss(self, i, w):
+        x = self.partition.split(w)[i]
+        value = 0.5 * self.MU * (x @ x) + 0.25 * self.KAPPA * np.sum(x ** 4)
+        for _, c, y in self._others(i, w):
+            value += x @ np.tanh(c @ y)
+        return float(value)
+
+    def gradient(self, i, w):
+        x = self.partition.split(w)[i]
+        out = self.MU * x + self.KAPPA * x ** 3
+        for _, c, y in self._others(i, w):
+            out = out + np.tanh(c @ y)
+        return out
+
+    def hessian(self, w):
+        p = self.partition
+        h = np.zeros((p.total, p.total))
+        for i in range(p.num_players):
+            bi = p.block(i)
+            h[bi, bi] = np.diag(self.MU + 3.0 * self.KAPPA * w[bi] ** 2)
+            for j, c, y in self._others(i, w):
+                h[bi, p.block(j)] = (1.0 / np.cosh(c @ y) ** 2)[:, None] * c
+        return h
+
+    def build(self, analytic_hessian=True):
+        """The game through ``make_game``, with or without the Hessian."""
+        n = self.partition.num_players
+        return dg.make_game(self.partition,
+                            [partial(self.loss, i) for i in range(n)],
+                            [partial(self.gradient, i) for i in range(n)],
+                            self.hessian if analytic_hessian else None)
+
+
+class CountingGame(dg.Game):
+    """A plain rebuild of a game that counts its field evaluations: each
+    one, in the Euler loop or inside a finite difference, asks for player
+    0's gradient exactly once."""
+
+    def __init__(self, game):
+        n = game.num_players
+        super().__init__(game.partition,
+                         [partial(game.loss, i) for i in range(n)],
+                         [partial(game.player_gradient, i) for i in range(n)],
+                         game.analytic_hessian
+                         if game.has_analytic_hessian else None)
+        self.field_evals = 0
+
+    def player_gradient(self, i, w):
+        self.field_evals += i == 0
+        return super().player_gradient(i, w)

@@ -7,6 +7,8 @@ import pytest
 import diffgames as dg
 from diffgames.experiments import CSV_COLUMNS
 
+from conftest import CATALOG_DEFAULTS, CountingGame, TanhGame
+
 
 def tiny_config(**overrides):
     base = dict(
@@ -208,6 +210,55 @@ class TestAnalyzePoint:
         bundle = dg.analyze_point(game, [0.0, 0.0])
         text = json.dumps(bundle)
         assert "unstable" in text
+
+    @pytest.mark.parametrize("fixed", [True, False])
+    def test_each_full_hessian_built_once(self, fixed):
+        game = CountingGame(TanhGame().build(analytic_hessian=False))
+        d = game.dim
+        w = np.zeros(d) if fixed else np.full(d, 0.3)
+        bundle = dg.analyze_point(game, w)
+        assert bundle["is_fixed_point"] is fixed
+        # One full Hessian (d hvp of 2 evaluations each) at w and at each of
+        # 8 nearby samples, shared by the class, the split and the report.
+        hessians = 9 * 2 * d
+        if fixed:
+            # The field, then the report's 8 probes (field and thvp); thvp
+            # and hvp of a zero field cost nothing.
+            assert game.field_evals == 1 + hessians + 8 * (1 + 2 * d)
+        else:
+            # The field, thvp and hvp of it.
+            assert game.field_evals == 1 + 2 * d + 2 + hessians
+
+    @pytest.mark.parametrize("name,params", CATALOG_DEFAULTS + [
+        ("tanh", {"analytic_hessian": True}),
+        ("tanh", {"analytic_hessian": False})])
+    def test_bundle_equals_the_public_functions(self, name, params):
+        """The bundle assembled from classify_game, helmholtz_split of
+        full_hessian and classify_fixed_point, byte for byte."""
+        game = (TanhGame().build(**params) if name == "tanh"
+                else dg.catalog_game(name, **params))
+        for w in (np.zeros(game.dim), np.full(game.dim, 0.5)):
+            samples = [w]
+            if not isinstance(game, dg.QuadraticGame):
+                rng = np.random.default_rng(0)
+                samples += [w + 1e-3 * rng.standard_normal(w.size)
+                            for _ in range(8)]
+            game_class = dg.classify_game(game, samples)
+            dec = dg.helmholtz_split(dg.full_hessian(game, w))
+            want = dict(dg.analyze_point(game, w),
+                        game_class=game_class.kind,
+                        max_antisymmetric=game_class.max_antisymmetric,
+                        max_symmetric=game_class.max_symmetric,
+                        s_eigenvalues=dec.s_eigenvalues.tolist(),
+                        additive_condition_number=dec.
+                        additive_condition_number)
+            if want["is_fixed_point"]:
+                report = dg.classify_fixed_point(game, w)
+                want.update(stability=report.stability,
+                            local_nash=report.is_local_nash,
+                            probe=report.probe_value)
+            assert (json.dumps(dg.analyze_point(game, w))
+                    == json.dumps(want))
 
 
 class TestSerialize:
