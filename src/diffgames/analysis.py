@@ -192,25 +192,24 @@ def classify_fixed_point(game: Game, w, fixed_point_tol: float = 1e-8,
             f"{fixed_point_tol:.3e}"
         )
 
-    deciding, nearby = _neighborhood(game, w)
-    return _fixed_point_report(game, w, xi_norm,
-                               (_split(game, p, config) for p in deciding),
-                               nearby, config)
+    return _classify_point(game, w, xi_norm, fixed_point_tol, config)[2]
 
 
 def _fixed_point_report(game: Game, w: Array, xi_norm: float, splits,
-                        nearby, config) -> FixedPointReport:
+                        nearby) -> FixedPointReport:
     """``classify_fixed_point`` at a checked fixed point w, from the splits
-    at the deciding points of ``_neighborhood`` (w first), consumed only
-    as far as the verdict needs them."""
-    splits = iter(splits)
-    dec = next(splits)
+    at the deciding points of ``_neighborhood`` (w first).
+
+    The probe at each nearby sample is read off the full Hessian there (a
+    quadratic game's is the one at w): ``xi' (H' xi)``, one field
+    evaluation per sample, what ``stability_probe`` computes with an
+    analytic Hessian.
+    """
+    dec = splits[0]
     stability = _verdict(dec)
     # S varies with w: the verdict must hold throughout the neighborhood.
-    for other in splits:
-        if _verdict(other) != stability:
-            stability = INDEFINITE
-            break
+    if any(_verdict(other) != stability for other in splits[1:]):
+        stability = INDEFINITE
 
     tol = _psd_tolerance(dec.s_eigenvalues)
     is_nash = True
@@ -221,9 +220,14 @@ def _fixed_point_report(game: Game, w: Array, xi_norm: float, splits,
             is_nash = False
             break
 
-    probe = float(np.mean([stability_probe(game, p, config) for p in nearby]))
+    at_nearby = splits[1:] or splits * len(nearby)
+    probes = []
+    for p, near in zip(nearby, at_nearby):
+        xi = simultaneous_gradient(game, p).xi
+        probes.append(float(xi @ (near.hessian.T @ xi)))
     return FixedPointReport(w=w, xi_norm=xi_norm, stability=stability,
-                            is_local_nash=is_nash, probe_value=probe)
+                            is_local_nash=is_nash,
+                            probe_value=float(np.mean(probes)))
 
 
 def _classify_point(game: Game, w: Array, xi_norm: float,
@@ -232,12 +236,12 @@ def _classify_point(game: Game, w: Array, xi_norm: float,
     fixed-point report (None unless ``xi_norm`` is within the tolerance),
     with each full Hessian built once.
 
-    The classes and report equal those of ``classify_game`` on the deciding
-    points of ``_neighborhood`` and of ``classify_fixed_point`` at w.
+    The class equals ``classify_game``'s on the deciding points of
+    ``_neighborhood``; the report is what ``classify_fixed_point`` returns.
     """
     deciding, nearby = _neighborhood(game, w)
     splits = [_split(game, p, config) for p in deciding]
-    report = (_fixed_point_report(game, w, xi_norm, splits, nearby, config)
+    report = (_fixed_point_report(game, w, xi_norm, splits, nearby)
               if xi_norm <= fixed_point_tol else None)
     return _game_class(splits, None), splits[0], report
 

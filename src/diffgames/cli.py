@@ -130,15 +130,21 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sweep", help="learning-rate sweep")
     _add_common(p)
-    p.add_argument("--preset", choices=PRESETS)
+    p.add_argument("--preset", choices=PRESETS,
+                   help="a built-in sweep; of the flags that define a "
+                        "sweep, only --seed combines with it")
     p.add_argument("--config", metavar="FILE",
-                   help="JSON sweep config; explicit flags override it")
+                   help="JSON sweep config; --seed and the stop flags "
+                        "override it, the other sweep flags conflict")
     p.add_argument("--game")
     p.add_argument("--params", action="append", metavar="K=V")
     p.add_argument("--adjusters", metavar="KIND,KIND,...",
                    help=f"comma list from {KINDS}")
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--epsilon", type=float, default=0.1)
+    # None marks "not given": AdjusterSpec holds the defaults.
+    p.add_argument("--lambda", dest="lam", type=float, default=None,
+                   help=f"default {AdjusterSpec().lam}")
+    p.add_argument("--epsilon", type=float, default=None,
+                   help=f"default {AdjusterSpec().epsilon}")
     p.add_argument("--etas", metavar="E1,E2,...")
     p.add_argument("--eta-range", metavar="log:START:STOP:COUNT")
     p.add_argument("--w0", action="append", metavar="X1,X2,...")
@@ -232,10 +238,10 @@ def _sweep_config_from_flags(args) -> SweepConfig:
         raise _UsageError("sweep needs --adjusters with --game")
     if bool(args.etas) == bool(args.eta_range):
         raise _UsageError("give exactly one of --etas or --eta-range")
-    adjusters = tuple(
-        AdjusterSpec(kind=k.strip(), lam=args.lam, epsilon=args.epsilon)
-        for k in args.adjusters.split(",") if k.strip()
-    )
+    weights = {name: getattr(args, name) for name in ("lam", "epsilon")
+               if getattr(args, name) is not None}
+    adjusters = tuple(AdjusterSpec(kind=k.strip(), **weights)
+                      for k in args.adjusters.split(",") if k.strip())
     etas = (_parse_eta_range(args.eta_range) if args.eta_range
             else tuple(_parse_vector(args.etas)))
     if args.w0 and args.w0_ball is not None:
@@ -253,11 +259,33 @@ def _sweep_config_from_flags(args) -> SweepConfig:
     )
 
 
+# The flags that define a sweep from scratch, by argparse dest; a preset or
+# a config file defines all of it, so none of them may come with one.
+_SWEEP_FLAGS = (("game", "--game"), ("params", "--params"),
+                ("adjusters", "--adjusters"), ("lam", "--lambda"),
+                ("epsilon", "--epsilon"), ("etas", "--etas"),
+                ("eta_range", "--eta-range"), ("w0", "--w0"),
+                ("w0_ball", "--w0-ball"))
+
+
+def _check_conflicts(args) -> None:
+    """Reject a flag that a preset or config file would silently ignore."""
+    if args.preset:
+        source = "--preset"
+        # A preset's stop criteria are part of what it reproduces.
+        fixed = (("config", "--config"),) + _SWEEP_FLAGS + tuple(
+            (name, "--" + name.replace("_", "-")) for name, _ in _STOP_FLAGS)
+    elif args.config:
+        source, fixed = "--config", _SWEEP_FLAGS
+    else:
+        return
+    for name, flag in fixed:
+        if getattr(args, name) is not None:
+            raise _UsageError(f"{flag} conflicts with {source}")
+
+
 def _cmd_sweep(args) -> int:
-    if args.preset and args.config:
-        raise _UsageError("--preset conflicts with --config")
-    if args.preset and args.game:
-        raise _UsageError("--preset conflicts with --game")
+    _check_conflicts(args)
     # Explicit flags win over config file values.
     seed_given = args.seed is not None
     if args.seed is None:

@@ -19,6 +19,16 @@ H' xi and H xi for the sga rules.  The probe diagnostic <xi, H' xi> is not
 recorded by the loop; ``Trajectory.probes`` computes it from the stored
 points on first read, with the same field and product code, so it holds
 the bits a probe taken during the run would have.
+
+At the small d of the presets a step costs its NumPy calls, not its
+flops: about 30 calls of up to a microsecond each for simgd or omd on a
+quadratic game, a third of them in the game's evaluation.  So the loop
+makes no call it can skip.  A rule whose rows all share one adjustment
+sign (0 for the rules without a weight) returns it as one float, not an
+array, and ``run`` spells it out per step only when it records.  The stop
+tests build only the masks that are switched on, and one count of the
+rows that go on decides whether any stops: the masks of who stopped and
+why, and the compaction, are built only on the steps where one does.
 """
 
 from __future__ import annotations
@@ -218,8 +228,10 @@ def _probes(game: Game, points: Array, xi: Array,
 def _directions(spec: AdjusterSpec, game: Game, points: Array, xi: Array,
                 prev_xi, config: DifferentiationConfig, hessian):
     """Each row's direction, given the field rows xi there, and the sign of
-    the adjustment weight the rule actually applied (0 for rules without a
-    weighted adjustment term).
+    the adjustment weight the rule actually applied: one sign per row for
+    the aligned rules, else one float for every row (0.0 for the rules
+    without a weighted adjustment term), so no per-step array is built
+    where every row shares it.
 
     ``prev_xi`` holds omd's previous field rows (None on its first step);
     ``hessian`` is passed on to ``_products``.  A rule takes only the
@@ -227,36 +239,30 @@ def _directions(spec: AdjusterSpec, game: Game, points: Array, xi: Array,
     rules, whose sign depends on it, compute the probe <xi, H' xi>.
     """
     kind = spec.kind
-    signs = np.zeros(len(xi))
     if kind == SIMGD:
-        return xi, signs
+        return xi, 0.0
     if kind == OMD:
-        return 2.0 * xi - (xi if prev_xi is None else prev_xi), signs
+        return 2.0 * xi - (xi if prev_xi is None else prev_xi), 0.0
     both = kind in (SGA, SGA_ALIGNED)
     grad_h, h_xi = _products(game, points, xi, both, config, hessian)
+    fixed_sign = 1.0 if spec.lam >= 0 else -1.0
     if both:
         at_xi = 0.5 * (grad_h - h_xi)
-        if kind == SGA_ALIGNED:
-            # analysis.alignment_sign, row by row
-            value = (np.vecdot(xi, grad_h) * np.vecdot(at_xi, grad_h)
-                     / xi.shape[1] + spec.epsilon)
-            signs = np.where(value >= 0.0, 1.0, -1.0)
-            lam = (abs(spec.lam) * signs)[:, None]
-        else:
-            lam = spec.lam
-            signs[:] = 1.0 if lam >= 0 else -1.0
-        vec = xi + lam * at_xi
-    elif kind == CONSENSUS:
-        signs[:] = 1.0 if spec.lam >= 0 else -1.0
-        vec = xi + spec.lam * grad_h
-    elif kind == ALIGNED_CONSENSUS:
+        if kind == SGA:
+            return xi + spec.lam * at_xi, fixed_sign
+        # analysis.alignment_sign, row by row
+        value = (np.vecdot(xi, grad_h) * np.vecdot(at_xi, grad_h)
+                 / xi.shape[1] + spec.epsilon)
+        signs = np.where(value >= 0.0, 1.0, -1.0)
+        return xi + (abs(spec.lam) * signs)[:, None] * at_xi, signs
+    if kind == CONSENSUS:
+        return xi + spec.lam * grad_h, fixed_sign
+    if kind == ALIGNED_CONSENSUS:
         signs = np.where(np.vecdot(xi, grad_h) >= 0, 1.0, -1.0)
-        vec = xi + (abs(spec.lam) * signs)[:, None] * grad_h
-    elif kind == HAMILTONIAN_DESCENT:
-        vec = grad_h
-    else:  # unreachable: AdjusterSpec validates kinds
-        raise ValueError(f"unknown adjuster {spec.kind!r}")
-    return vec, signs
+        return xi + (abs(spec.lam) * signs)[:, None] * grad_h, signs
+    if kind == HAMILTONIAN_DESCENT:
+        return grad_h, 0.0
+    raise ValueError(f"unknown adjuster {spec.kind!r}")  # AdjusterSpec checks
 
 
 def _evaluate(game: Game, points: Array):
@@ -307,7 +313,7 @@ def step(spec: AdjusterSpec, game: Game, w, eta: float, prev_xi=None,
         loss=loss[0],
         xi_norm=float(np.sqrt(np.vecdot(xi[0], xi[0]))),
         probe=float(_probes(game, w, xi, config)[0]),
-        sign=float(signs[0]),
+        sign=float(np.full(1, signs)[0]),
         finite=bool(np.isfinite(w_new).all()),
     )
     return w_new, diag
@@ -353,14 +359,20 @@ def _euler(spec: AdjusterSpec, game: Game, starts, etas, stop: StopCriteria,
     steps, points = [], [w]
     rows = np.arange(len(w))           # cell index of each remaining row
     hessian = _fixed_hessian(game, config)
+    evaluate = game.batch_losses_and_field
     n, span = game.num_players, stop.loss_window
+    bound, xi_threshold = stop.divergence_norm, stop.xi_threshold
+    loss_threshold = stop.loss_threshold
+    finite_bound = math.isfinite(bound)
+    contiguous, vecdot, sqrt = np.ascontiguousarray, np.vecdot, np.sqrt
+    isfinite, absolute, add_reduce = np.isfinite, np.absolute, np.add.reduce
+    count_nonzero = np.count_nonzero
     # Each step's mean absolute loss is written at t % span and t % span +
     # span, so the last k means are always one contiguous, oldest-first
     # slice ending at t % span + span (see ``tail``), and a window mean
     # sums them in the order a list of the last ``span`` means would.
     ring = np.empty((len(w), 2 * span))
     prev_xi = None
-    finite_bound = math.isfinite(stop.divergence_norm)
 
     def tail(t, mask):
         """The means recorded up to step t of the masked rows."""
@@ -375,48 +387,53 @@ def _euler(spec: AdjusterSpec, game: Game, starts, etas, stop: StopCriteria,
         # A non-finite norm is a non-finite row, unless w @ w overflowed:
         # with a finite bound that is still above it.
         if finite_bound:
-            ok = np.sqrt(np.vecdot(w, w)) <= stop.divergence_norm
+            ok = sqrt(vecdot(w, w)) <= bound
         else:
-            ok = np.isfinite(w).all(axis=1)
-        if np.count_nonzero(ok) < len(ok):
+            ok = isfinite(w).all(axis=1)
+        if count_nonzero(ok) < len(ok):
             finish(~ok, DIVERGED, t, tail(t - 1, ~ok))
             w, eta, ring, rows = w[ok], eta[ok], ring[ok], rows[ok]
             prev_xi = None if prev_xi is None else prev_xi[ok]
             if not len(rows):
                 break
-        loss, xi = _evaluate(game, w)
+        loss, xi = evaluate(w)
+        loss, xi = contiguous(loss), contiguous(xi)    # as in ``_evaluate``
         vec, signs = _directions(spec, game, w, xi, prev_xi, config,
                                  hessian)
-        xi_norm = np.sqrt(np.vecdot(xi, xi))
-        mean_abs = np.add.reduce(np.abs(loss), axis=1) / n
-        # A finite mean and norm imply finite losses and field; only
-        # where their sum is not finite does the exact test decide.
-        done = ~np.isfinite(mean_abs + xi_norm)
-        if np.count_nonzero(done):
-            done = ~(np.isfinite(loss).all(axis=1) & np.isfinite(xi_norm))
-            finish(done, DIVERGED, t, tail(t - 1, done))
-        elif record:
-            steps.append((loss, xi_norm, signs))
+        xi_norm = sqrt(vecdot(xi, xi))
+        mean_abs = add_reduce(absolute(loss), axis=1) / n
         slot = t % span
-        ring[:, slot] = mean_abs
+        # The window reads this step's upper copy; the lower one is written
+        # after a diverging row's tail(t - 1), which holds the mean it
+        # overwrites, has been read.
         ring[:, slot + span] = mean_abs
-
-        if stop.xi_threshold is not None:
-            converged = xi_norm < stop.xi_threshold
-        else:
-            converged = np.zeros(len(w), dtype=bool)
-        if stop.loss_threshold > 0 and t + 1 >= span:
+        converged = None
+        if xi_threshold is not None:
+            converged = xi_norm < xi_threshold
+        if loss_threshold > 0 and t + 1 >= span:
             window = ring[:, slot + 1:slot + span + 1]
-            converged |= (np.add.reduce(window, axis=1) / span
-                          < stop.loss_threshold)
-        if np.count_nonzero(converged):
-            converged &= ~done
-            finish(converged, CONVERGED, t, tail(t, converged))
-            done |= converged
-        if np.count_nonzero(done):
-            ok = ~done
-            w, eta, ring, rows = w[ok], eta[ok], ring[ok], rows[ok]
-            vec, xi = vec[ok], xi[ok]
+            low = add_reduce(window, axis=1) / span < loss_threshold
+            converged = low if converged is None else converged | low
+        # A finite mean and norm imply finite losses and field; only where
+        # their sum is not finite does the exact test decide.
+        go = isfinite(mean_abs + xi_norm)
+        if converged is not None:
+            go = go > converged        # finite and not converged
+        stopping = count_nonzero(go) < len(go)
+        if stopping:
+            diverged = ~(isfinite(loss).all(axis=1) & isfinite(xi_norm))
+            finish(diverged, DIVERGED, t, tail(t - 1, diverged))
+            go = ~diverged
+        ring[:, slot] = mean_abs
+        if record and go[0]:
+            steps.append((loss, xi_norm, np.full(1, signs)))
+        if stopping:
+            if converged is not None:
+                converged &= go
+                finish(converged, CONVERGED, t, tail(t, converged))
+                go &= ~converged
+            w, eta, ring, rows = w[go], eta[go], ring[go], rows[go]
+            vec, xi = vec[go], xi[go]
             if not len(rows):
                 break
         w = w - eta * vec
@@ -497,8 +514,11 @@ def iteration_matrix(spec: AdjusterSpec, game: QuadraticGame,
     if spec.kind == HAMILTONIAN_DESCENT:
         return eye - eta * h.T @ h
     # OMD companion form: w_next = (I - 2 eta H) w_t + eta H w_{t-1}.
-    return np.block([[eye - 2.0 * eta * h, eta * h],
-                     [eye, np.zeros((d, d))]])
+    m = np.zeros((2 * d, 2 * d))
+    m[:d, :d] = eye - 2.0 * eta * h
+    m[:d, d:] = eta * h
+    m[d:, :d] = eye
+    return m
 
 
 def spectral_oracle(spec: AdjusterSpec, game: QuadraticGame,

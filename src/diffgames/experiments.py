@@ -225,6 +225,8 @@ def analyze_point(game, w, epsilon: float = 0.1,
     when the point is (numerically) fixed, the stability report is included.
     """
     w = np.asarray(w, dtype=float).reshape(-1)
+    if w.size != game.dim:
+        raise ValueError(f"point has length {w.size}, game needs {game.dim}")
     ev = simultaneous_gradient(game, w)
     xi = ev.xi
     grad_h = thvp(game, w, xi)

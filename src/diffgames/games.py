@@ -266,6 +266,9 @@ class QuadraticGame(Game):
         # Flat index into (n, d) of xi's entry j: row = j's owner, column j.
         owner = np.repeat(np.arange(n), partition.sizes)
         self._field_index = owner * d + np.arange(d)
+        # Exactly-zero linear terms only add +0.0: the sums of matrix and
+        # dot products never come out -0.0, so skipping them keeps every bit.
+        self._has_linear = bool(np.any(stacked_linear))
 
     def batch_losses_and_field(self, points: Array) -> tuple[Array, Array]:
         """All rows at once: one ``np.matmul`` over the stacked ``B_i``,
@@ -278,12 +281,14 @@ class QuadraticGame(Game):
         """
         prods = np.matmul(self._stacked, points[:, None, :, None])[..., 0]
         rows = points[:, None, :]
-        losses = (0.5 * np.vecdot(rows, prods)
-                  + np.vecdot(self._stacked_linear, rows))
+        losses = 0.5 * np.vecdot(rows, prods)
         # take() returns C-ordered rows: a BLAS dot product of a strided
         # row may sum in another order than that of a contiguous one.
         field = prods.reshape(len(points), -1).take(self._field_index, axis=1)
-        return losses, field + self._offset
+        if self._has_linear:
+            losses += np.vecdot(self._stacked_linear, rows)
+            field += self._offset
+        return losses, field
 
     @property
     def coefficients(self) -> tuple[Array, ...]:
@@ -353,9 +358,19 @@ def _zeros(k):
     return np.zeros((k, k))
 
 
+def _dimension(dim) -> int:
+    """A player dimension: a whole number >= 1 (the command line passes
+    every parameter as a float, so 2.0 is one)."""
+    value = float(dim)
+    if not (value.is_integer() and value >= 1):
+        raise ValueError(f"dim must be a whole number >= 1, got {dim}")
+    return int(value)
+
+
 def _build_example1(dim=2, payoff=None):
     """Zero-sum bilinear bimatrix game; the field rotates around the origin."""
-    a = np.eye(int(dim)) if payoff is None else np.atleast_2d(
+    dim = _dimension(dim)    # checked even where a payoff overrides it
+    a = np.eye(dim) if payoff is None else np.atleast_2d(
         np.asarray(payoff, dtype=float))
     dx, dy = a.shape
     b1 = np.block([[_zeros(dx), a], [a.T, _zeros(dy)]])
@@ -364,8 +379,9 @@ def _build_example1(dim=2, payoff=None):
 
 def _build_example2(dim=1, p=None, q=None):
     """General bilinear bimatrix game with separate payoff matrices."""
-    pm = np.eye(int(dim)) if p is None else np.atleast_2d(np.asarray(p, float))
-    qm = np.eye(int(dim)) if q is None else np.atleast_2d(np.asarray(q, float))
+    dim = _dimension(dim)    # checked even where p and q override it
+    pm = np.eye(dim) if p is None else np.atleast_2d(np.asarray(p, float))
+    qm = np.eye(dim) if q is None else np.atleast_2d(np.asarray(q, float))
     if pm.shape != qm.shape:
         raise ValueError("payoff matrices must share a shape")
     dx, dy = pm.shape
@@ -428,7 +444,7 @@ def _build_fig3(coupling=10.0):
 
 def _build_fig4(dim=1):
     """Zero-sum bilinear game +/- w1'w2 with configurable player dimension."""
-    return _build_example1(dim=int(dim))
+    return _build_example1(dim=dim)
 
 
 def _build_fig7(epsilon=0.01):

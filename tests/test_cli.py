@@ -56,6 +56,12 @@ class TestAnalyze:
         assert code == 1
         assert "unknown game" in err
 
+    def test_wrong_length_point_is_usage_error(self, capsys):
+        code, out, err = invoke(capsys, "analyze", "--game", "example1",
+                                "--at", "1,2,3")
+        assert (code, out) == (1, "")
+        assert "point has length 3, game needs 4" in err
+
 
 class TestRun:
     def test_descent_on_squared_field(self, capsys):
@@ -206,6 +212,42 @@ class TestSweep:
                               "--config", str(config_path))
         assert code == 1
         assert "conflicts" in err
+
+    @pytest.mark.parametrize("flag", [
+        ["--etas", "0.1"], ["--eta-range", "log:0.01:0.1:3"],
+        ["--adjusters", "omd"], ["--game", "fig3_weak_attractor"],
+        ["--params", "coupling=5"], ["--lambda", "0.5"],
+        ["--epsilon", "0.2"], ["--w0", "0.1,0.2"], ["--w0-ball", "2"],
+        ["--max-iters", "50"], ["--loss-window", "5"],
+        ["--loss-threshold", "0.1"], ["--divergence-norm", "10"],
+        ["--xi-threshold", "0.1"]])
+    def test_preset_rejects_what_it_would_ignore(self, capsys, flag):
+        code, out, err = invoke(capsys, "sweep", "--preset", "fig3", *flag)
+        assert (code, out) == (1, "")
+        assert f"{flag[0]} conflicts with --preset" in err
+
+    @pytest.mark.parametrize("flag", [
+        ["--etas", "0.1"], ["--eta-range", "log:0.01:0.1:3"],
+        ["--adjusters", "omd"], ["--game", "fig3_weak_attractor"],
+        ["--params", "coupling=5"], ["--lambda", "0.5"],
+        ["--epsilon", "0.2"], ["--w0", "0.1,0.2"], ["--w0-ball", "2"]])
+    def test_config_rejects_what_it_would_ignore(self, capsys, tmp_path,
+                                                 flag):
+        config_path = tmp_path / "sweep.json"
+        config_path.write_text(json.dumps({
+            "game": "fig3_weak_attractor", "adjusters": [{"kind": "simgd"}],
+            "etas": [0.01], "stop": {"max_iters": 20}}))
+        code, out, err = invoke(capsys, "sweep", "--config",
+                                str(config_path), *flag)
+        assert (code, out) == (1, "")
+        assert f"{flag[0]} conflicts with --config" in err
+
+    def test_help_names_the_overriding_flags(self):
+        sweep = cli.build_parser()._subparsers._group_actions[0].choices[
+            "sweep"]
+        helps = {a.dest: a.help for a in sweep._actions}
+        assert "only --seed combines" in helps["preset"]
+        assert "--seed and the stop flags override" in helps["config"]
 
     def test_unwritable_output_is_runtime_error(self, capsys):
         code, _, err = invoke(capsys, "sweep", "--preset", "fig3",

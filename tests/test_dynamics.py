@@ -197,6 +197,25 @@ class TestRun:
         with pytest.raises(ValueError):
             dg.run(dg.AdjusterSpec("simgd"), game, [0.5, 0.5], np.nan)
 
+    def test_overflowing_loss_mean_is_recorded(self):
+        """Finite losses whose mean overflows are not a divergence, and the
+        step is still recorded.  Each player's loss is half the next one's
+        squared coordinate, so the field is 0 and w stays put."""
+        game = dg.QuadraticGame(dg.PlayerPartition((1, 1, 1)),
+                                [np.diag(np.roll([1.0, 0.0, 0.0], i + 1))
+                                 for i in range(3)])
+        stop = dg.StopCriteria(max_iters=3, loss_window=3,
+                               loss_threshold=0.0, divergence_norm=np.inf)
+        with np.errstate(over="ignore"):
+            traj = dg.run(dg.AdjusterSpec("simgd"), game, [1.3e154] * 3,
+                          0.1, stop)
+            assert not np.isfinite(traj.mean_abs_losses()).any()
+        assert traj.outcome == dg.MAX_ITERS
+        assert np.isfinite(traj.losses).all()
+        assert traj.losses.shape == (3, 3)
+        assert traj.xi_norms.tolist() == [0.0] * 3
+        assert traj.points.shape == (4, 3)
+
 
 def _offset_game(seed):
     """A realizable quadratic game with nonzero offsets, and the same game
@@ -337,6 +356,31 @@ class TestSpectralOracle:
         game = dg.catalog_game("fig7_four_player")
         m = dg.iteration_matrix(dg.AdjusterSpec("omd"), game, 0.1)
         assert m.shape == (8, 8)
+
+    @pytest.mark.parametrize("kind", dg.LINEAR_KINDS)
+    def test_iteration_matrix_bits(self, kind):
+        """Each rule's matrix, the omd companion form included, equals the
+        same expressions assembled with ``np.block``, bit for bit."""
+        spec = dg.AdjusterSpec(kind, lam=0.7)
+        for name in ("fig7_four_player", "example6"):
+            game = dg.catalog_game(name)
+            h = game.hessian_matrix
+            eye = np.eye(game.dim)
+            for eta in (0.025, 0.3, 1.7):
+                want = {
+                    "simgd": lambda: eye - eta * h,
+                    "sga": lambda: eye - eta * (
+                        eye + spec.lam * (0.5 * (h - h.T)).T) @ h,
+                    "consensus": lambda: eye - eta * (
+                        eye + spec.lam * h.T) @ h,
+                    "hamiltonian-descent": lambda: eye - eta * h.T @ h,
+                    "omd": lambda: np.block([
+                        [eye - 2.0 * eta * h, eta * h],
+                        [eye, np.zeros_like(h)]]),
+                }[kind]()
+                got = dg.iteration_matrix(spec, game, eta)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
     def test_rejects_offsets(self):
         game = dg.catalog_game("example3")  # shifted equilibrium

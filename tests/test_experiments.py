@@ -222,9 +222,10 @@ class TestAnalyzePoint:
         # 8 nearby samples, shared by the class, the split and the report.
         hessians = 9 * 2 * d
         if fixed:
-            # The field, then the report's 8 probes (field and thvp); thvp
-            # and hvp of a zero field cost nothing.
-            assert game.field_evals == 1 + hessians + 8 * (1 + 2 * d)
+            # The field, then the field at each of the report's 8 probes,
+            # read off the Hessians there; thvp and hvp of a zero field
+            # cost nothing.
+            assert game.field_evals == 1 + hessians + 8
         else:
             # The field, thvp and hvp of it.
             assert game.field_evals == 1 + 2 * d + 2 + hessians

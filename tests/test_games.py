@@ -3,7 +3,7 @@ import pytest
 
 import diffgames as dg
 
-from conftest import CATALOG_DEFAULTS, rel_err
+from conftest import CATALOG_DEFAULTS, plain_game, rel_err
 
 
 class TestPlayerPartition:
@@ -147,6 +147,22 @@ class TestCatalog:
         game = dg.catalog_game("fig7_four_player", epsilon=0.0)
         assert game.dim == 4
 
+    @pytest.mark.parametrize("name", ["example1", "example2", "fig4_bilinear"])
+    @pytest.mark.parametrize("dim", [1.5, 0, -2, np.nan, np.inf])
+    def test_dimension_must_be_a_whole_number(self, name, dim):
+        with pytest.raises(ValueError, match="dim must be a whole number"):
+            dg.catalog_game(name, dim=dim)
+
+    def test_dimension_checked_beside_payoffs(self):
+        with pytest.raises(ValueError, match="dim must be a whole number"):
+            dg.catalog_game("example1", dim=7.5, payoff=[[1.0, 2.0]])
+        with pytest.raises(ValueError, match="dim must be a whole number"):
+            dg.catalog_game("example2", dim=-3, p=[[1.0]], q=[[2.0]])
+
+    def test_whole_float_dimension_accepted(self):
+        # The command line passes every parameter as a float.
+        assert dg.catalog_game("fig4_bilinear", dim=2.0).dim == 4
+
     @pytest.mark.parametrize("name,params", CATALOG_DEFAULTS)
     def test_analytic_gradients_match_finite_differences(self, name, params):
         game = dg.catalog_game(name, **params)
@@ -238,3 +254,26 @@ class TestGameFromHessian:
         game = dg.quadratic_game_from_hessian(p, h, offset=c)
         xi = dg.simultaneous_gradient(game, np.zeros(3)).xi
         assert np.allclose(xi, c)
+
+
+# Rows whose bits the fused evaluation must keep: signed zeros, subnormals,
+# huge and non-finite entries, and a ramp.
+EDGE_ROWS = (-0.0, 0.0, 1e-320, -1e-320, 1e300, -np.inf, np.nan)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("name,params", CATALOG_DEFAULTS)
+def test_batch_evaluation_keeps_every_bit(name, params):
+    """``batch_losses_and_field`` equals the per-player callables row by
+    row as bytes: ``np.array_equal`` would take -0.0 for 0.0."""
+    game = dg.catalog_game(name, **params)
+    plain = plain_game(game)
+    d = game.dim
+    points = np.array([np.full(d, v) for v in EDGE_ROWS]
+                      + [np.linspace(-1.5, 2.5, d)])
+    losses, field = game.batch_losses_and_field(points)
+    for w, loss, xi in zip(points, losses, field):
+        want_loss, want_xi = plain.losses_and_field(w)
+        assert loss.tobytes() == want_loss.tobytes(), w
+        assert xi.tobytes() == want_xi.tobytes(), w
