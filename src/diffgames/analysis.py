@@ -192,7 +192,9 @@ def classify_fixed_point(game: Game, w, fixed_point_tol: float = 1e-8,
             f"{fixed_point_tol:.3e}"
         )
 
-    return _classify_point(game, w, xi_norm, fixed_point_tol, config)[2]
+    deciding, nearby = _neighborhood(game, w)
+    splits = [_split(game, p, config) for p in deciding]
+    return _fixed_point_report(game, w, xi_norm, splits, nearby)
 
 
 def _fixed_point_report(game: Game, w: Array, xi_norm: float, splits,

@@ -26,9 +26,9 @@ quadratic game, a third of them in the game's evaluation.  So the loop
 makes no call it can skip.  A rule whose rows all share one adjustment
 sign (0 for the rules without a weight) returns it as one float, not an
 array, and ``run`` spells it out per step only when it records.  The stop
-tests build only the masks that are switched on, and one count of the
-rows that go on decides whether any stops: the masks of who stopped and
-why, and the compaction, are built only on the steps where one does.
+tests build only the masks that are switched on, and a count per test
+decides whether any row stops: the masks of who stopped and why, and the
+compaction, are built only on the steps where one does.
 """
 
 from __future__ import annotations
@@ -359,14 +359,10 @@ def _euler(spec: AdjusterSpec, game: Game, starts, etas, stop: StopCriteria,
     steps, points = [], [w]
     rows = np.arange(len(w))           # cell index of each remaining row
     hessian = _fixed_hessian(game, config)
-    evaluate = game.batch_losses_and_field
     n, span = game.num_players, stop.loss_window
     bound, xi_threshold = stop.divergence_norm, stop.xi_threshold
     loss_threshold = stop.loss_threshold
     finite_bound = math.isfinite(bound)
-    contiguous, vecdot, sqrt = np.ascontiguousarray, np.vecdot, np.sqrt
-    isfinite, absolute, add_reduce = np.isfinite, np.absolute, np.add.reduce
-    count_nonzero = np.count_nonzero
     # Each step's mean absolute loss is written at t % span and t % span +
     # span, so the last k means are always one contiguous, oldest-first
     # slice ending at t % span + span (see ``tail``), and a window mean
@@ -387,51 +383,48 @@ def _euler(spec: AdjusterSpec, game: Game, starts, etas, stop: StopCriteria,
         # A non-finite norm is a non-finite row, unless w @ w overflowed:
         # with a finite bound that is still above it.
         if finite_bound:
-            ok = sqrt(vecdot(w, w)) <= bound
+            ok = np.sqrt(np.vecdot(w, w)) <= bound
         else:
-            ok = isfinite(w).all(axis=1)
-        if count_nonzero(ok) < len(ok):
+            ok = np.isfinite(w).all(axis=1)
+        if np.count_nonzero(ok) < len(ok):
             finish(~ok, DIVERGED, t, tail(t - 1, ~ok))
             w, eta, ring, rows = w[ok], eta[ok], ring[ok], rows[ok]
             prev_xi = None if prev_xi is None else prev_xi[ok]
             if not len(rows):
                 break
-        loss, xi = evaluate(w)
-        loss, xi = contiguous(loss), contiguous(xi)    # as in ``_evaluate``
+        loss, xi = _evaluate(game, w)
         vec, signs = _directions(spec, game, w, xi, prev_xi, config,
                                  hessian)
-        xi_norm = sqrt(vecdot(xi, xi))
-        mean_abs = add_reduce(absolute(loss), axis=1) / n
+        xi_norm = np.sqrt(np.vecdot(xi, xi))
+        mean_abs = np.add.reduce(np.absolute(loss), axis=1) / n
+        # A finite mean and norm imply finite losses and field; only where
+        # their sum is not finite does the exact test decide.  A diverging
+        # row's window is read before this step's mean enters the ring.
+        go = np.isfinite(mean_abs + xi_norm)
+        stopping = np.count_nonzero(go) < len(go)
+        if stopping:
+            diverged = ~(np.isfinite(loss).all(axis=1) & np.isfinite(xi_norm))
+            finish(diverged, DIVERGED, t, tail(t - 1, diverged))
+            go = ~diverged
+        if record and go[0]:
+            steps.append((loss, xi_norm, np.full(1, signs)))
         slot = t % span
-        # The window reads this step's upper copy; the lower one is written
-        # after a diverging row's tail(t - 1), which holds the mean it
-        # overwrites, has been read.
+        ring[:, slot] = mean_abs
         ring[:, slot + span] = mean_abs
+
         converged = None
         if xi_threshold is not None:
             converged = xi_norm < xi_threshold
         if loss_threshold > 0 and t + 1 >= span:
             window = ring[:, slot + 1:slot + span + 1]
-            low = add_reduce(window, axis=1) / span < loss_threshold
+            low = np.add.reduce(window, axis=1) / span < loss_threshold
             converged = low if converged is None else converged | low
-        # A finite mean and norm imply finite losses and field; only where
-        # their sum is not finite does the exact test decide.
-        go = isfinite(mean_abs + xi_norm)
-        if converged is not None:
-            go = go > converged        # finite and not converged
-        stopping = count_nonzero(go) < len(go)
+        if converged is not None and np.count_nonzero(converged):
+            converged &= go
+            finish(converged, CONVERGED, t, tail(t, converged))
+            go &= ~converged
+            stopping = True
         if stopping:
-            diverged = ~(isfinite(loss).all(axis=1) & isfinite(xi_norm))
-            finish(diverged, DIVERGED, t, tail(t - 1, diverged))
-            go = ~diverged
-        ring[:, slot] = mean_abs
-        if record and go[0]:
-            steps.append((loss, xi_norm, np.full(1, signs)))
-        if stopping:
-            if converged is not None:
-                converged &= go
-                finish(converged, CONVERGED, t, tail(t, converged))
-                go &= ~converged
             w, eta, ring, rows = w[go], eta[go], ring[go], rows[go]
             vec, xi = vec[go], xi[go]
             if not len(rows):

@@ -266,8 +266,11 @@ class QuadraticGame(Game):
         # Flat index into (n, d) of xi's entry j: row = j's owner, column j.
         owner = np.repeat(np.arange(n), partition.sizes)
         self._field_index = owner * d + np.arange(d)
-        # Exactly-zero linear terms only add +0.0: the sums of matrix and
-        # dot products never come out -0.0, so skipping them keeps every bit.
+        # Exactly-zero linear terms only add +0.0 at a finite point: the
+        # sums of matrix and dot products never come out -0.0, so skipping
+        # them keeps every bit there.  At a point with an infinite entry
+        # b_i' w is 0 * inf = NaN, so a loss the per-player path makes NaN
+        # may come out inf; the Euler loop evaluates finite points only.
         self._has_linear = bool(np.any(stacked_linear))
 
     def batch_losses_and_field(self, points: Array) -> tuple[Array, Array]:
@@ -276,8 +279,10 @@ class QuadraticGame(Game):
 
         Each row still gets its own ``B_i @ w`` matrix-vector product, and
         each loss its own dot products (``np.vecdot``), in the expressions
-        of the per-player callables, so every row is bit-identical to
-        ``losses_and_field`` of that row.
+        of the per-player callables, so every finite row is bit-identical
+        to ``losses_and_field`` of that row, and so is the field of every
+        row.  When every linear term is zero, a row with an infinite entry
+        may get an infinite loss where ``losses_and_field`` gives NaN.
         """
         prods = np.matmul(self._stacked, points[:, None, :, None])[..., 0]
         rows = points[:, None, :]

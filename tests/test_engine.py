@@ -79,6 +79,37 @@ class TestSweepCellsEqualLoneRuns:
             # One batch holds cells that stop at different iterations.
             assert len(stopped_at) >= 2, (name, kind)
 
+    @pytest.mark.parametrize("span", (1, 2))
+    def test_nonfinite_stop_keeps_the_earlier_window(self, span):
+        # A cell that stops on non-finite losses or field reports the window
+        # of the steps before, also at a step that reuses the ring's oldest
+        # slot (t >= span and t % span == 0).  The windows are compared
+        # unclipped: a sweep caps the trailing loss, which hides most errors.
+        stop = dg.StopCriteria(max_iters=40, loss_window=span,
+                               loss_threshold=1e-3, divergence_norm=1e300,
+                               xi_threshold=1e-2)
+        etas = tuple(np.geomspace(1e-2, 1e250, 24))
+        rng = np.random.default_rng(3)
+        at_wrap = 0
+        for name, params in CATALOG_DEFAULTS:
+            game = dg.catalog_game(name, **params)
+            plain = plain_game(game)
+            starts = rng.standard_normal((len(etas), game.dim))
+            for kind in dg.KINDS:
+                spec = dg.AdjusterSpec(kind, lam=0.5)
+                ends, _ = _euler(spec, game, starts, etas, stop)
+                for end, w0, eta in zip(ends, starts, etas):
+                    where = (name, kind, eta)
+                    ref = dg.run(spec, plain, w0, eta, stop)
+                    assert (end.outcome, end.iteration) == \
+                        (ref.outcome, ref.outcome_iteration), where
+                    assert end.window.tobytes() == \
+                        ref.mean_abs_losses()[-span:].tobytes(), where
+                    t = ref.outcome_iteration
+                    at_wrap += (stop_reason(ref, stop) == "nonfinite"
+                                and t >= span and t % span == 0)
+        assert at_wrap
+
     def test_grid_covers_every_stop_reason(self):
         for name, params in CATALOG_DEFAULTS:
             if name not in self.reasons:

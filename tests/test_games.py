@@ -277,3 +277,30 @@ def test_batch_evaluation_keeps_every_bit(name, params):
         want_loss, want_xi = plain.losses_and_field(w)
         assert loss.tobytes() == want_loss.tobytes(), w
         assert xi.tobytes() == want_xi.tobytes(), w
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_batch_evaluation_of_a_dense_game():
+    """A custom game whose B_i have no zero entry and whose linear terms
+    are zero: every finite row keeps its bits and the field keeps them at
+    every row.  At an infinite entry the skipped ``b_i' w`` would have made
+    the losses NaN; they stay non-finite."""
+    rng = np.random.default_rng(7)
+    coefficients = []
+    for _ in range(2):
+        m = rng.uniform(0.5, 1.5, (3, 3))
+        coefficients.append(m + m.T)
+    game = dg.QuadraticGame(dg.PlayerPartition((2, 1)), coefficients)
+    plain = plain_game(game)
+    points = np.array([np.full(3, v) for v in EDGE_ROWS]
+                      + [[np.inf, 1.0, 2.0], np.linspace(-1.5, 2.5, 3)])
+    losses, field = game.batch_losses_and_field(points)
+    for w, loss, xi in zip(points, losses, field):
+        want_loss, want_xi = plain.losses_and_field(w)
+        assert xi.tobytes() == want_xi.tobytes(), w
+        if np.isfinite(w).all():
+            assert loss.tobytes() == want_loss.tobytes(), w
+        else:
+            assert not np.isfinite(loss).any(), w
+            assert not np.isfinite(want_loss).any(), w
