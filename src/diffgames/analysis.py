@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .derivatives import (DEFAULT_CONFIG, DifferentiationConfig, full_hessian,
-                          simultaneous_gradient, thvp)
+from .derivatives import full_hessian, simultaneous_gradient, thvp
 from .games import Game, QuadraticGame
 
 Array = np.ndarray
@@ -97,8 +96,8 @@ def _inf_norm(m: Array) -> float:
     return float(np.max(np.abs(m), initial=0.0))
 
 
-def classify_game(game: Game, sample_points, tol: float | None = None,
-                  config: DifferentiationConfig = DEFAULT_CONFIG) -> GameClass:
+def classify_game(game: Game, sample_points,
+                  tol: float | None = None) -> GameClass:
     """Classify a game over sample points.
 
     Potential when the antisymmetric Hessian part vanishes at every sample,
@@ -108,11 +107,11 @@ def classify_game(game: Game, sample_points, tol: float | None = None,
     points = [np.asarray(p, dtype=float).reshape(-1) for p in sample_points]
     if not points:
         raise ValueError("need at least one sample point")
-    return _game_class([_split(game, w, config) for w in points], tol)
+    return _game_class([_split(game, w) for w in points], tol)
 
 
-def _split(game: Game, w: Array, config) -> Decomposition:
-    return helmholtz_split(full_hessian(game, w, config))
+def _split(game: Game, w: Array) -> Decomposition:
+    return helmholtz_split(full_hessian(game, w))
 
 
 def _game_class(splits, tol: float | None) -> GameClass:
@@ -133,8 +132,7 @@ def _game_class(splits, tol: float | None) -> GameClass:
     return GameClass(kind=kind, max_antisymmetric=max_a, max_symmetric=max_s)
 
 
-def stability_probe(game: Game, w,
-                    config: DifferentiationConfig = DEFAULT_CONFIG) -> float:
+def stability_probe(game: Game, w) -> float:
     """The scalar <xi, H' xi> = xi' S xi.
 
     For xi != 0 its sign witnesses the definiteness of S: nonnegative where
@@ -142,7 +140,7 @@ def stability_probe(game: Game, w,
     identically zero in games with no symmetric part.
     """
     xi = simultaneous_gradient(game, w).xi
-    return float(xi @ thvp(game, w, xi, config))
+    return float(xi @ thvp(game, w, xi))
 
 
 def _psd_tolerance(eigs: Array) -> float:
@@ -171,8 +169,8 @@ def _neighborhood(game: Game, w: Array) -> tuple[list, list]:
     return ([w] if isinstance(game, QuadraticGame) else [w] + nearby), nearby
 
 
-def classify_fixed_point(game: Game, w, fixed_point_tol: float = 1e-8,
-                         config: DifferentiationConfig = DEFAULT_CONFIG) -> FixedPointReport:
+def classify_fixed_point(game: Game, w,
+                         fixed_point_tol: float = 1e-8) -> FixedPointReport:
     """Stability and local-Nash status of a fixed point.
 
     Raises NotAFixedPointError when ``|xi(w)| > fixed_point_tol``.  Stability
@@ -193,7 +191,7 @@ def classify_fixed_point(game: Game, w, fixed_point_tol: float = 1e-8,
         )
 
     deciding, nearby = _neighborhood(game, w)
-    splits = [_split(game, p, config) for p in deciding]
+    splits = [_split(game, p) for p in deciding]
     return _fixed_point_report(game, w, xi_norm, splits, nearby)
 
 
@@ -233,7 +231,7 @@ def _fixed_point_report(game: Game, w: Array, xi_norm: float, splits,
 
 
 def _classify_point(game: Game, w: Array, xi_norm: float,
-                    fixed_point_tol: float, config=DEFAULT_CONFIG):
+                    fixed_point_tol: float):
     """The game class over w and its neighbourhood, the split at w, and the
     fixed-point report (None unless ``xi_norm`` is within the tolerance),
     with each full Hessian built once.
@@ -242,7 +240,7 @@ def _classify_point(game: Game, w: Array, xi_norm: float,
     ``_neighborhood``; the report is what ``classify_fixed_point`` returns.
     """
     deciding, nearby = _neighborhood(game, w)
-    splits = [_split(game, p, config) for p in deciding]
+    splits = [_split(game, p) for p in deciding]
     report = (_fixed_point_report(game, w, xi_norm, splits, nearby)
               if xi_norm <= fixed_point_tol else None)
     return _game_class(splits, None), splits[0], report

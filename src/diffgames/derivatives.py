@@ -2,10 +2,12 @@
 
 The simultaneous gradient xi stacks each player's own-loss gradient.  Its
 Jacobian, the game Hessian H, is reached only through Hessian-vector
-products: ``hvp`` for H v, ``thvp`` for H' v.  Both have an analytic path
-(used whenever the game carries an analytic Hessian) and a central
-finite-difference path that serves as an independent cross-check and covers
-user-supplied games without second-order information.
+products: ``hvp`` for H v, ``thvp`` for H' v.  Both use the game's analytic
+Hessian when it has one, and central finite differences of the field
+otherwise.  ``fd_game`` rebuilds a game without its Hessian, so every
+product on it is a finite difference: the independent cross-check of an
+analytic Hessian, and what a user-supplied game without second-order
+information gets anyway.
 
 No autodiff framework is involved; every built-in game is closed-form and
 the finite differences are the oracle.
@@ -14,42 +16,17 @@ the finite differences are the oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .games import Game
+from .games import Game, make_game
 
 Array = np.ndarray
 
-_MODES = ("analytic", "fd")
-
-
-@dataclass(frozen=True)
-class DifferentiationConfig:
-    """Knobs for derivative evaluation.
-
-    fd_step_scale : float
-        Central-difference step is ``scale * (1 + |w|_inf)``; must lie in
-        [1e-9, 1e-2].  The default 1e-6 balances truncation and roundoff.
-    hvp_mode : str
-        "analytic" prefers the game's analytic Hessian and falls back to
-        finite differences; "fd" forces finite differences (oracle path).
-    """
-
-    fd_step_scale: float = 1e-6
-    hvp_mode: str = "analytic"
-
-    def __post_init__(self):
-        if not (1e-9 <= self.fd_step_scale <= 1e-2):
-            raise ValueError(
-                f"fd_step_scale must be in [1e-9, 1e-2], got {self.fd_step_scale}"
-            )
-        if self.hvp_mode not in _MODES:
-            raise ValueError(f"hvp_mode must be one of {_MODES}")
-
-
-DEFAULT_CONFIG = DifferentiationConfig()
-FD_CONFIG = DifferentiationConfig(hvp_mode="fd")
+# The central-difference step is this times 1 + |w|_inf, which balances
+# truncation and roundoff error.
+_FD_STEP_SCALE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -77,15 +54,25 @@ def simultaneous_gradient(game: Game, w) -> FieldEvaluation:
     return FieldEvaluation(w=w, xi=xi, norm_sq=float(xi @ xi))
 
 
-def _fd_step(config: DifferentiationConfig, w: Array) -> float:
-    return config.fd_step_scale * (1.0 + float(np.max(np.abs(w), initial=0.0)))
+def fd_game(game: Game) -> Game:
+    """The same losses and gradients without an analytic Hessian, so every
+    Hessian product on the result is a central finite difference of the
+    field: the oracle to check a game's analytic Hessian against."""
+    n = game.num_players
+    return make_game(game.partition,
+                     [partial(game.loss, i) for i in range(n)],
+                     [partial(game.player_gradient, i) for i in range(n)])
 
 
-def fd_gradient(f, w, step_scale: float = 1e-6) -> Array:
+def _fd_step(w: Array) -> float:
+    return _FD_STEP_SCALE * (1.0 + float(np.max(np.abs(w), initial=0.0)))
+
+
+def fd_gradient(f, w) -> Array:
     """Central-difference gradient of a scalar function, the first-order
     oracle used to validate analytic gradients."""
     w = np.asarray(w, dtype=float).reshape(-1)
-    h = step_scale * (1.0 + float(np.max(np.abs(w), initial=0.0)))
+    h = _fd_step(w)
     out = np.empty_like(w)
     for j in range(w.size):
         e = np.zeros_like(w)
@@ -94,7 +81,7 @@ def fd_gradient(f, w, step_scale: float = 1e-6) -> Array:
     return out
 
 
-def hvp(game: Game, w, v, config: DifferentiationConfig = DEFAULT_CONFIG) -> Array:
+def hvp(game: Game, w, v) -> Array:
     """Hessian-vector product H(w) v.
 
     The finite-difference path normalizes v before stepping so the step size
@@ -102,19 +89,19 @@ def hvp(game: Game, w, v, config: DifferentiationConfig = DEFAULT_CONFIG) -> Arr
     """
     w = np.asarray(w, dtype=float).reshape(-1)
     v = np.asarray(v, dtype=float).reshape(-1)
-    if config.hvp_mode == "analytic" and game.has_analytic_hessian:
+    if game.has_analytic_hessian:
         return game.analytic_hessian(w) @ v
     nrm = float(np.linalg.norm(v))
     if nrm == 0.0:
         return np.zeros_like(v)
     vhat = v / nrm
-    h = _fd_step(config, w)
+    h = _fd_step(w)
     xi_plus = simultaneous_gradient(game, w + h * vhat).xi
     xi_minus = simultaneous_gradient(game, w - h * vhat).xi
     return (xi_plus - xi_minus) * (nrm / (2.0 * h))
 
 
-def thvp(game: Game, w, v, config: DifferentiationConfig = DEFAULT_CONFIG) -> Array:
+def thvp(game: Game, w, v) -> Array:
     """Transposed Hessian-vector product H(w)' v.
 
     The finite-difference path differentiates the scalar ``<xi(w), v>``
@@ -122,11 +109,11 @@ def thvp(game: Game, w, v, config: DifferentiationConfig = DEFAULT_CONFIG) -> Ar
     """
     w = np.asarray(w, dtype=float).reshape(-1)
     v = np.asarray(v, dtype=float).reshape(-1)
-    if config.hvp_mode == "analytic" and game.has_analytic_hessian:
+    if game.has_analytic_hessian:
         return game.analytic_hessian(w).T @ v
     if not np.any(v):
         return np.zeros_like(v)
-    h = _fd_step(config, w)
+    h = _fd_step(w)
     out = np.empty_like(w)
     for j in range(w.size):
         e = np.zeros_like(w)
@@ -137,31 +124,26 @@ def thvp(game: Game, w, v, config: DifferentiationConfig = DEFAULT_CONFIG) -> Ar
     return out
 
 
-def sym_adjustment(game: Game, w,
-                   config: DifferentiationConfig = DEFAULT_CONFIG) -> Array:
+def sym_adjustment(game: Game, w) -> Array:
     """The antisymmetric-part product A' xi = (H' xi - H xi) / 2."""
     xi = simultaneous_gradient(game, w).xi
-    return 0.5 * (thvp(game, w, xi, config) - hvp(game, w, xi, config))
+    return 0.5 * (thvp(game, w, xi) - hvp(game, w, xi))
 
 
-def grad_hamiltonian(game: Game, w,
-                     config: DifferentiationConfig = DEFAULT_CONFIG) -> Array:
+def grad_hamiltonian(game: Game, w) -> Array:
     """Gradient of w -> |xi(w)|^2 / 2, which equals H' xi for any game."""
     xi = simultaneous_gradient(game, w).xi
-    return thvp(game, w, xi, config)
+    return thvp(game, w, xi)
 
 
-def full_hessian(game: Game, w,
-                 config: DifferentiationConfig = DEFAULT_CONFIG,
-                 cap: int = 512) -> Array:
+def full_hessian(game: Game, w, cap: int = 512) -> Array:
     """The full d x d game Hessian.
 
-    Uses the analytic Hessian directly when present (and not overridden by
-    fd mode); otherwise assembles column j as ``hvp(game, w, e_j)``, which is
-    why the dimension is capped.
+    Uses the analytic Hessian directly when present; otherwise assembles
+    column j as ``hvp(game, w, e_j)``, which is why the dimension is capped.
     """
     w = np.asarray(w, dtype=float).reshape(-1)
-    if config.hvp_mode == "analytic" and game.has_analytic_hessian:
+    if game.has_analytic_hessian:
         return game.analytic_hessian(w)
     d = game.dim
     if d > cap:
@@ -169,5 +151,5 @@ def full_hessian(game: Game, w,
     cols = np.empty((d, d))
     eye = np.eye(d)
     for j in range(d):
-        cols[:, j] = hvp(game, w, eye[:, j], config)
+        cols[:, j] = hvp(game, w, eye[:, j])
     return cols

@@ -39,8 +39,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .derivatives import DEFAULT_CONFIG, DifferentiationConfig, hvp, thvp
-from .games import Game, QuadraticGame
+from .derivatives import hvp, thvp
+from .games import Game, QuadraticGame, as_point
 
 Array = np.ndarray
 
@@ -144,7 +144,6 @@ class Trajectory:
     outcome: str                  # CONVERGED | DIVERGED | MAX_ITERS
     outcome_iteration: int
     _game: Game = field(repr=False, compare=False)
-    _config: DifferentiationConfig = field(repr=False, compare=False)
     _probes: Array | None = field(default=None, init=False, repr=False,
                                   compare=False)
 
@@ -156,13 +155,14 @@ class Trajectory:
         The loop does not record it: the first read computes it from
         ``points`` with the loop's own field and product code, bit for bit
         what a probe taken during the run would be, and caches it.  On a
-        game without an analytic Hessian that read costs 2d + 1 field
-        evaluations per iteration: the field again, then ``thvp``.
+        game without an analytic Hessian, ``fd_game(game)`` included, that
+        read costs 2d + 1 field evaluations per iteration: the field again,
+        then ``thvp``.
         """
         if self._probes is None:
             points = self.points[:len(self.xi_norms)]
             _, xi = _evaluate(self._game, points)
-            self._probes = _probes(self._game, points, xi, self._config)
+            self._probes = _probes(self._game, points, xi)
         return self._probes
 
     @property
@@ -175,16 +175,15 @@ class Trajectory:
         return np.mean(np.abs(self.losses), axis=1)
 
 
-def _fixed_hessian(game: Game, config: DifferentiationConfig):
-    """The game Hessian when it is one constant matrix on the analytic path
-    (a quadratic game), else None: the products then go row by row."""
-    if config.hvp_mode == "analytic" and isinstance(game, QuadraticGame):
+def _fixed_hessian(game: Game):
+    """The game Hessian when it is one constant matrix (a quadratic game),
+    else None: the products then go row by row."""
+    if isinstance(game, QuadraticGame):
         return game.hessian_matrix
     return None
 
 
-def _products(game: Game, points: Array, xi: Array, both: bool,
-              config: DifferentiationConfig, hessian):
+def _products(game: Game, points: Array, xi: Array, both: bool, hessian):
     """H'xi and (when ``both``) H xi at each row, given the field rows xi.
 
     ``hessian`` is the constant game Hessian, if any (see
@@ -200,33 +199,30 @@ def _products(game: Game, points: Array, xi: Array, both: bool,
         h_xi = np.matmul(hessian, xi[:, :, None])[..., 0] if both else None
         return grad_h, h_xi
     grad_h, h_xi = [], []
-    analytic = config.hvp_mode == "analytic" and game.has_analytic_hessian
     for w, x in zip(points, xi):
-        if analytic:
+        if game.has_analytic_hessian:
             h = game.analytic_hessian(w)
             grad_h.append(h.T @ x)
             if both:
                 h_xi.append(h @ x)
         else:
-            grad_h.append(thvp(game, w, x, config))
+            grad_h.append(thvp(game, w, x))
             if both:
-                h_xi.append(hvp(game, w, x, config))
+                h_xi.append(hvp(game, w, x))
     # reshape: a batch of no rows still has d columns
     return (np.reshape(grad_h, xi.shape),
             np.reshape(h_xi, xi.shape) if both else None)
 
 
-def _probes(game: Game, points: Array, xi: Array,
-            config: DifferentiationConfig) -> Array:
+def _probes(game: Game, points: Array, xi: Array) -> Array:
     """The probe <xi, H' xi> at each row, with the products the rules use,
     so a probe equals the one an aligned rule computes there, bit for bit."""
-    grad_h, _ = _products(game, points, xi, False, config,
-                          _fixed_hessian(game, config))
+    grad_h, _ = _products(game, points, xi, False, _fixed_hessian(game))
     return np.vecdot(xi, grad_h)
 
 
 def _directions(spec: AdjusterSpec, game: Game, points: Array, xi: Array,
-                prev_xi, config: DifferentiationConfig, hessian):
+                prev_xi, hessian):
     """Each row's direction, given the field rows xi there, and the sign of
     the adjustment weight the rule actually applied: one sign per row for
     the aligned rules, else one float for every row (0.0 for the rules
@@ -244,7 +240,7 @@ def _directions(spec: AdjusterSpec, game: Game, points: Array, xi: Array,
     if kind == OMD:
         return 2.0 * xi - (xi if prev_xi is None else prev_xi), 0.0
     both = kind in (SGA, SGA_ALIGNED)
-    grad_h, h_xi = _products(game, points, xi, both, config, hessian)
+    grad_h, h_xi = _products(game, points, xi, both, hessian)
     fixed_sign = 1.0 if spec.lam >= 0 else -1.0
     if both:
         at_xi = 0.5 * (grad_h - h_xi)
@@ -273,8 +269,7 @@ def _evaluate(game: Game, points: Array):
     return np.ascontiguousarray(loss), np.ascontiguousarray(xi)
 
 
-def _at_point(spec: AdjusterSpec, game: Game, w, prev_xi,
-              config: DifferentiationConfig):
+def _at_point(spec: AdjusterSpec, game: Game, w, prev_xi):
     """Losses, field, direction and sign at one point w, each as a one-row
     batch of the engine's arrays (w included)."""
     w = np.asarray(w, dtype=float).reshape(1, -1)
@@ -284,35 +279,32 @@ def _at_point(spec: AdjusterSpec, game: Game, w, prev_xi,
     if prev_xi is not None:
         prev_xi = np.asarray(prev_xi, dtype=float).reshape(1, -1)
     loss, xi = _evaluate(game, w)
-    vec, signs = _directions(spec, game, w, xi, prev_xi, config,
-                             _fixed_hessian(game, config))
+    vec, signs = _directions(spec, game, w, xi, prev_xi, _fixed_hessian(game))
     return w, loss, xi, vec, signs
 
 
-def direction(spec: AdjusterSpec, game: Game, w, prev_xi=None,
-              config: DifferentiationConfig = DEFAULT_CONFIG) -> Array:
+def direction(spec: AdjusterSpec, game: Game, w, prev_xi=None) -> Array:
     """The adjusted update direction at w.
 
     ``prev_xi`` is the previous field value, used only by the omd rule;
     omitting it makes omd fall back to the plain field on its first step.
     """
-    return _at_point(spec, game, w, prev_xi, config)[3][0]
+    return _at_point(spec, game, w, prev_xi)[3][0]
 
 
-def step(spec: AdjusterSpec, game: Game, w, eta: float, prev_xi=None,
-         config: DifferentiationConfig = DEFAULT_CONFIG):
+def step(spec: AdjusterSpec, game: Game, w, eta: float, prev_xi=None):
     """One explicit-Euler step ``w - eta * direction`` with diagnostics.
 
     A non-finite post-step point is reported through ``diagnostics.finite``
     rather than raised; the caller decides how to treat divergence.
     """
     check_eta(eta)
-    w, loss, xi, vec, signs = _at_point(spec, game, w, prev_xi, config)
+    w, loss, xi, vec, signs = _at_point(spec, game, w, prev_xi)
     w_new = (w - eta * vec)[0]
     diag = StepDiagnostics(
         loss=loss[0],
         xi_norm=float(np.sqrt(np.vecdot(xi[0], xi[0]))),
-        probe=float(_probes(game, w, xi, config)[0]),
+        probe=float(_probes(game, w, xi)[0]),
         sign=float(np.full(1, signs)[0]),
         finite=bool(np.isfinite(w_new).all()),
     )
@@ -330,7 +322,6 @@ class _CellEnd(NamedTuple):
 
 
 def _euler(spec: AdjusterSpec, game: Game, starts, etas, stop: StopCriteria,
-           config: DifferentiationConfig = DEFAULT_CONFIG,
            record: bool = False):
     """The Euler loop, for C cells of one rule on one game at once.
 
@@ -358,7 +349,7 @@ def _euler(spec: AdjusterSpec, game: Game, starts, etas, stop: StopCriteria,
     ends = [None] * len(w)
     steps, points = [], [w]
     rows = np.arange(len(w))           # cell index of each remaining row
-    hessian = _fixed_hessian(game, config)
+    hessian = _fixed_hessian(game)
     n, span = game.num_players, stop.loss_window
     bound, xi_threshold = stop.divergence_norm, stop.xi_threshold
     loss_threshold = stop.loss_threshold
@@ -393,8 +384,7 @@ def _euler(spec: AdjusterSpec, game: Game, starts, etas, stop: StopCriteria,
             if not len(rows):
                 break
         loss, xi = _evaluate(game, w)
-        vec, signs = _directions(spec, game, w, xi, prev_xi, config,
-                                 hessian)
+        vec, signs = _directions(spec, game, w, xi, prev_xi, hessian)
         xi_norm = np.sqrt(np.vecdot(xi, xi))
         mean_abs = np.add.reduce(np.absolute(loss), axis=1) / n
         # A finite mean and norm imply finite losses and field; only where
@@ -440,19 +430,18 @@ def _euler(spec: AdjusterSpec, game: Game, starts, etas, stop: StopCriteria,
 
 
 def run(spec: AdjusterSpec, game: Game, w0, eta: float,
-        stop: StopCriteria = StopCriteria(),
-        config: DifferentiationConfig = DEFAULT_CONFIG) -> Trajectory:
+        stop: StopCriteria = StopCriteria()) -> Trajectory:
     """Iterate Euler steps until convergence, divergence, or the budget.
 
-    All failure modes land in ``Trajectory.outcome``; nothing is raised for
-    numerical blow-ups.  This is the batch of one of the engine that steps
-    a sweep's cells together, so a run and the matching sweep cell agree
-    bit for bit.
+    A blow-up during the run lands in ``Trajectory.outcome``; only bad
+    input raises: a start point that is non-finite or of the wrong length,
+    or a bad ``eta``.  This is the batch of one of the engine that steps a
+    sweep's cells together, so a run and the matching sweep cell agree bit
+    for bit.
     """
     check_eta(eta)
-    w = np.asarray(w0, dtype=float).reshape(1, -1)
-    (end,), (steps, points) = _euler(spec, game, w, (eta,), stop, config,
-                                     record=True)
+    w = as_point(game.partition, w0).reshape(1, -1)
+    (end,), (steps, points) = _euler(spec, game, w, (eta,), stop, record=True)
     if steps:
         losses, xi_norms, signs = (
             np.concatenate(column) for column in zip(*steps))
@@ -467,7 +456,6 @@ def run(spec: AdjusterSpec, game: Game, w0, eta: float,
         outcome=end.outcome,
         outcome_iteration=end.iteration,
         _game=game,
-        _config=config,
     )
 
 

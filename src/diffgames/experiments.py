@@ -23,7 +23,7 @@ from . import analysis
 from .derivatives import hvp, simultaneous_gradient, thvp
 from .dynamics import (CONVERGED, AdjusterSpec, StopCriteria, _euler,
                        check_eta, spectral_oracle)
-from .games import catalog_game, default_start
+from .games import as_point, catalog_game, default_start
 
 Array = np.ndarray
 
@@ -43,12 +43,18 @@ class RandomBall:
 
     radius: float = 1.0
 
+    def __post_init__(self):
+        if not 0 <= self.radius < np.inf:
+            raise ValueError(
+                f"radius must be nonnegative and finite, got {self.radius}")
+
 
 @dataclass
 class SweepConfig:
     """One sweep.  Building it builds the game, so an unknown game or
     parameter fails here; ``w0=None`` becomes the game's default start
-    point, and every fixed start point must have the game's dimension."""
+    point, and every fixed start point must be finite and have the game's
+    dimension."""
 
     game: str
     adjusters: tuple[AdjusterSpec, ...]
@@ -65,18 +71,14 @@ class SweepConfig:
             raise ValueError("etas must be a nonempty list of positive rates")
         for eta in self.etas:
             check_eta(eta)
-        dim = catalog_game(self.game, **self.game_params).dim
+        partition = catalog_game(self.game, **self.game_params).partition
         if self.w0 is None:
-            self.w0 = (tuple(default_start(dim)),)
+            self.w0 = (tuple(default_start(partition.total)),)
         if not isinstance(self.w0, RandomBall):
-            self.w0 = tuple(tuple(float(x) for x in p) for p in self.w0)
+            self.w0 = tuple(tuple(as_point(partition, p).tolist())
+                            for p in self.w0)
             if not self.w0:
                 raise ValueError("w0 must list at least one start point")
-            for p in self.w0:
-                if len(p) != dim:
-                    raise ValueError(
-                        f"start point {list(p)} has length {len(p)}, game "
-                        f"{self.game!r} needs {dim}")
 
 
 @dataclass(frozen=True)
@@ -224,9 +226,7 @@ def analyze_point(game, w, epsilon: float = 0.1,
     the game classification, the definiteness probe, and the alignment sign;
     when the point is (numerically) fixed, the stability report is included.
     """
-    w = np.asarray(w, dtype=float).reshape(-1)
-    if w.size != game.dim:
-        raise ValueError(f"point has length {w.size}, game needs {game.dim}")
+    w = as_point(game.partition, w)
     ev = simultaneous_gradient(game, w)
     xi = ev.xi
     grad_h = thvp(game, w, xi)

@@ -78,7 +78,7 @@ def as_point(partition: PlayerPartition, values) -> Array:
     w = np.asarray(values, dtype=float).reshape(-1)
     if w.shape != (partition.total,):
         raise ValueError(
-            f"point has length {w.size}, partition needs {partition.total}"
+            f"point has length {w.size}, game needs {partition.total}"
         )
     if not np.all(np.isfinite(w)):
         raise ValueError("point has non-finite entries")
@@ -218,6 +218,9 @@ class QuadraticGame(Game):
             b = np.array(b, dtype=float)
             if b.shape != (d, d):
                 raise ValueError(f"coefficient matrix {i} is not {d}x{d}")
+            # NaN would pass the symmetry test below.
+            if not np.isfinite(b).all():
+                raise ValueError(f"coefficient matrix {i} is not finite")
             scale = max(1.0, np.max(np.abs(b)))
             if np.max(np.abs(b - b.T)) > _SYM_TOL * scale:
                 raise ValueError(f"coefficient matrix {i} is not symmetric")
@@ -230,6 +233,8 @@ class QuadraticGame(Game):
             lin = [np.array(v, dtype=float).reshape(-1) for v in linear]
             if len(lin) != n or any(v.size != d for v in lin):
                 raise ValueError("linear terms must be n vectors of length d")
+            if not all(np.isfinite(v).all() for v in lin):
+                raise ValueError("linear terms must be finite")
         # One buffer per kind of term; each player's B_i and b_i are views
         # of it, so the batched evaluation keeps no second copy.
         stacked, stacked_linear = np.stack(coeffs), np.stack(lin)
@@ -524,7 +529,8 @@ def catalog_game(name: str, **params) -> QuadraticGame:
     """Build a catalog game by name.
 
     Raises ValueError for unknown names, unknown parameters, or parameter
-    values outside their documented ranges.
+    values outside their documented ranges; ``QuadraticGame`` rejects a
+    non-finite value that reaches the game's coefficients.
     """
     entry = CATALOG.get(name)
     if entry is None:
@@ -536,4 +542,7 @@ def catalog_game(name: str, **params) -> QuadraticGame:
             f"unknown parameter(s) {sorted(unknown)} for game {name!r}; "
             f"accepted: {sorted(entry.defaults)}"
         )
-    return entry.build(**params)
+    # A non-finite parameter may make NaN on its way to the coefficients;
+    # the game rejects it, so NumPy need not warn about it first.
+    with np.errstate(invalid="ignore"):
+        return entry.build(**params)

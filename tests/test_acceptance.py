@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 import diffgames as dg
-from diffgames import FD_CONFIG
 
 from conftest import (CATALOG_DEFAULTS, fd_cos2_derivative,
                       random_antisymmetric, random_orthogonal,
@@ -356,11 +355,12 @@ def test_c11_descent_and_unit_ball():
 def test_c12_fd_adjustment_equivalence():
     for name, params in CATALOG_DEFAULTS:
         game = dg.catalog_game(name, **params)
+        oracle = dg.fd_game(game)
         rng = np.random.default_rng(abs(hash("c12" + name)) % 2**32)
         for _ in range(100):
             w = rng.uniform(-2, 2, size=game.dim)
             exact = dg.sym_adjustment(game, w)
-            fd = dg.sym_adjustment(game, w, FD_CONFIG)
+            fd = dg.sym_adjustment(oracle, w)
             assert rel_err(fd, exact) <= 1e-6, name
 
 

@@ -56,6 +56,13 @@ class TestAnalyze:
         assert code == 1
         assert "unknown game" in err
 
+    @pytest.mark.parametrize("at", ["nan,1", "1,inf"])
+    def test_non_finite_point_is_usage_error(self, capsys, at):
+        code, out, err = invoke(capsys, "analyze", "--game",
+                                "fig3_weak_attractor", "--at", at)
+        assert (code, out) == (1, "")
+        assert "non-finite" in err
+
     def test_wrong_length_point_is_usage_error(self, capsys):
         code, out, err = invoke(capsys, "analyze", "--game", "example1",
                                 "--at", "1,2,3")
@@ -92,6 +99,14 @@ class TestRun:
                               "--w0", "1,2,3")
         assert code == 1
         assert "--w0" in err
+
+    @pytest.mark.parametrize("w0", ["nan,0,0,0", "0,0,-inf,0"])
+    def test_non_finite_w0_is_usage_error(self, capsys, w0):
+        code, out, err = invoke(capsys, "run", "--game", "example1",
+                                "--adjuster", "simgd", "--eta", "0.1",
+                                "--w0", w0)
+        assert (code, out) == (1, "")
+        assert "non-finite" in err
 
     @pytest.mark.parametrize("flags,given", [
         ([], {}),
@@ -248,6 +263,19 @@ class TestSweep:
         helps = {a.dest: a.help for a in sweep._actions}
         assert "only --seed combines" in helps["preset"]
         assert "--seed and the stop flags override" in helps["config"]
+
+    @pytest.mark.parametrize("flags,said", [
+        (["--w0", "inf,1"], "non-finite"), (["--w0", "0.5,nan"], "non-finite"),
+        (["--w0-ball", "nan"], "radius"), (["--w0-ball", "inf"], "radius"),
+        (["--w0-ball", "-1"], "radius"),
+        (["--params", "coupling=nan"], "not finite"),
+        (["--params", "coupling=inf"], "not finite")])
+    def test_non_finite_input_is_usage_error(self, capsys, flags, said):
+        code, out, err = invoke(capsys, "sweep", "--game",
+                                "fig3_weak_attractor", "--adjusters", "sga",
+                                "--etas", "0.1", *flags)
+        assert (code, out) == (1, "")
+        assert said in err
 
     def test_unwritable_output_is_runtime_error(self, capsys):
         code, _, err = invoke(capsys, "sweep", "--preset", "fig3",

@@ -1,10 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 import diffgames as dg
-from diffgames import FD_CONFIG
 
-from conftest import CATALOG_DEFAULTS, POTENTIAL_GAMES, rel_err
+from conftest import CATALOG_DEFAULTS, POTENTIAL_GAMES, TanhGame, rel_err
 
 
 def trig_game():
@@ -29,18 +30,6 @@ def trig_game():
                    lambda w: np.array([np.sin(3 * w[0] - w[1])])],
         hessian=hessian,
     )
-
-
-class TestConfig:
-    def test_step_scale_range_enforced(self):
-        with pytest.raises(ValueError):
-            dg.DifferentiationConfig(fd_step_scale=1e-10)
-        with pytest.raises(ValueError):
-            dg.DifferentiationConfig(fd_step_scale=0.1)
-
-    def test_mode_checked(self):
-        with pytest.raises(ValueError):
-            dg.DifferentiationConfig(hvp_mode="autodiff")
 
 
 class TestSimultaneousGradient:
@@ -81,27 +70,28 @@ class TestHvp:
 
     def test_zero_vector_short_circuits(self):
         game = dg.catalog_game("example7")
-        for config in (dg.DEFAULT_CONFIG, FD_CONFIG):
-            out = dg.hvp(game, [1.0, 2.0], [0.0, 0.0], config)
+        for g in (game, dg.fd_game(game)):
+            out = dg.hvp(g, [1.0, 2.0], [0.0, 0.0])
             assert np.all(out == 0.0)
 
     @pytest.mark.parametrize("name,params", CATALOG_DEFAULTS)
     def test_fd_matches_analytic(self, name, params):
         game = dg.catalog_game(name, **params)
+        oracle = dg.fd_game(game)
         rng = np.random.default_rng(abs(hash(name)) % 2**32)
         for _ in range(100):
             w = rng.uniform(-2, 2, size=game.dim)
             v = rng.standard_normal(game.dim)
             exact = dg.hvp(game, w, v)
-            fd = dg.hvp(game, w, v, FD_CONFIG)
+            fd = dg.hvp(oracle, w, v)
             assert rel_err(fd, exact) <= 1e-6
 
     def test_fd_scale_invariance_in_v(self):
-        game = dg.catalog_game("fig3_weak_attractor")
+        game = dg.fd_game(dg.catalog_game("fig3_weak_attractor"))
         w = np.array([0.5, -0.25])
         v = np.array([1.0, 2.0])
-        big = dg.hvp(game, w, 1e12 * v, FD_CONFIG)
-        tiny = dg.hvp(game, w, 1e-12 * v, FD_CONFIG)
+        big = dg.hvp(game, w, 1e12 * v)
+        tiny = dg.hvp(game, w, 1e-12 * v)
         assert rel_err(big / 1e12, tiny * 1e12) <= 1e-9
 
 
@@ -121,17 +111,18 @@ class TestThvp:
 
     def test_zero_vector(self):
         game = dg.catalog_game("example7")
-        for config in (dg.DEFAULT_CONFIG, FD_CONFIG):
-            assert np.all(dg.thvp(game, [1.0, 2.0], [0.0, 0.0], config) == 0.0)
+        for g in (game, dg.fd_game(game)):
+            assert np.all(dg.thvp(g, [1.0, 2.0], [0.0, 0.0]) == 0.0)
 
     @pytest.mark.parametrize("name,params", CATALOG_DEFAULTS)
     def test_fd_matches_analytic(self, name, params):
         game = dg.catalog_game(name, **params)
+        oracle = dg.fd_game(game)
         rng = np.random.default_rng(abs(hash(name + "t")) % 2**32)
         for _ in range(100):
             w = rng.uniform(-2, 2, size=game.dim)
             v = rng.standard_normal(game.dim)
-            assert rel_err(dg.thvp(game, w, v, FD_CONFIG),
+            assert rel_err(dg.thvp(oracle, w, v),
                            dg.thvp(game, w, v)) <= 1e-6
 
 
@@ -204,7 +195,7 @@ class TestFullHessian:
         game = dg.catalog_game("fig3_weak_attractor")
         expected = np.array([[1.0, 10.0], [-10.0, 1.0]])
         assert np.array_equal(dg.full_hessian(game, [0.0, 0.0]), expected)
-        assert rel_err(dg.full_hessian(game, [0.0, 0.0], FD_CONFIG),
+        assert rel_err(dg.full_hessian(dg.fd_game(game), [0.0, 0.0]),
                        expected) <= 1e-6
 
     def test_equal_payoffs_have_no_rotation(self):
@@ -229,27 +220,28 @@ class TestFullHessian:
     def test_dimension_cap_on_fd_path(self):
         game = dg.catalog_game("fig7_four_player")
         with pytest.raises(ValueError, match="cap"):
-            dg.full_hessian(game, np.zeros(4), FD_CONFIG, cap=3)
+            dg.full_hessian(dg.fd_game(game), np.zeros(4), cap=3)
 
 
 class TestNonQuadraticGame:
     def test_fd_products_track_moving_hessian(self):
         game = trig_game()
+        oracle = dg.fd_game(game)
         rng = np.random.default_rng(23)
         for _ in range(25):
             w = rng.uniform(-1.5, 1.5, size=2)
             v = rng.standard_normal(2)
             h = game.analytic_hessian(w)
-            assert rel_err(dg.hvp(game, w, v, FD_CONFIG), h @ v) <= 1e-6
-            assert rel_err(dg.thvp(game, w, v, FD_CONFIG), h.T @ v) <= 1e-6
+            assert rel_err(dg.hvp(oracle, w, v), h @ v) <= 1e-6
+            assert rel_err(dg.thvp(oracle, w, v), h.T @ v) <= 1e-6
 
     def test_fd_adjustment_orthogonal_to_field(self):
-        game = trig_game()
+        game = dg.fd_game(trig_game())
         rng = np.random.default_rng(29)
         for _ in range(25):
             w = rng.uniform(-1.5, 1.5, size=2)
             ev = dg.simultaneous_gradient(game, w)
-            adj = dg.sym_adjustment(game, w, FD_CONFIG)
+            adj = dg.sym_adjustment(game, w)
             assert abs(ev.xi @ adj) <= 1e-7 * max(ev.norm_sq, 1e-300)
 
     def test_game_without_hessian_falls_back_to_fd(self):
@@ -262,3 +254,116 @@ class TestNonQuadraticGame:
         assert not game.has_analytic_hessian
         h = dg.full_hessian(game, [0.3, 0.7])
         assert rel_err(h, np.array([[0.0, 1.0], [-1.0, 0.0]])) <= 1e-6
+
+
+class TestFdGame:
+    def test_same_losses_and_field_without_a_hessian(self):
+        game = trig_game()
+        oracle = dg.fd_game(game)
+        assert game.has_analytic_hessian and not oracle.has_analytic_hessian
+        assert oracle.partition == game.partition
+        w = np.array([0.3, -0.7])
+        assert np.array_equal(oracle.loss_vector(w), game.loss_vector(w))
+        assert np.array_equal(dg.simultaneous_gradient(oracle, w).xi,
+                              dg.simultaneous_gradient(game, w).xi)
+
+
+# Finite-difference results on every catalog game and on both TanhGame
+# builds, first recorded with the finite-difference mode that ``fd_game``
+# replaced: the rebuild without a Hessian keeps every bit of them.
+PIN_GAMES = {name: (lambda name=name, params=params:
+                    dg.catalog_game(name, **params))
+             for name, params in CATALOG_DEFAULTS}
+PIN_GAMES["tanh"] = lambda: TanhGame().build()
+PIN_GAMES["tanh-no-hessian"] = lambda: TanhGame().build(
+    analytic_hessian=False)
+
+# Per game, the sha256 of ``products_digest`` (hvp, thvp, sym_adjustment,
+# grad_hamiltonian, full_hessian and stability_probe at 3 seeded points) and
+# of ``runs_digest`` (points, losses, signs and probes of one 50-iteration
+# run per rule).
+FD_PINS = {
+    "example1": (
+        "a5dba22f74819a3f0cb61d97ae8da6bccdca2f179de1cae1e1ce537e3f301408",
+        "768a1576fa13c44919a9e041e6797a065d2197df0c4e652ca59e4757be71df99",
+    ),
+    "example2": (
+        "44faea87838757d9ba4314878dabc3c779bc5c7cc155f451bb74a5831bdf5fbc",
+        "db83412872fe484564ac712f22636aa8fb00406ff24b95df91738e4c880d97a5",
+    ),
+    "example3": (
+        "36d3169a8e5a9c4e84f2d9b4cd56c830d92e63637ddf2087f227ec1435088da7",
+        "16191ba0a9053cfba8e2906faefc83e5144e319d69a071e34729def544b0bffc",
+    ),
+    "example4": (
+        "62c4e8b919ada916176f15264d8bec94b693d559d9d98f1f5ded54a389de5e79",
+        "6535150c6838f950db43c6df171cdb7bc7595fc162cace50cdb74cd63375f101",
+    ),
+    "example5": (
+        "1b68cde33966374fd1c847d8305b13d818b79314dc35f626682d278c741e735b",
+        "c774a0755136a91f61707c1e532bf61ba2ea74397c47a87ffecb7db88aab08de",
+    ),
+    "example6": (
+        "c83c96dad9e5aa4ca938966fc99e6b29ab4a040704619d3eda352785f9e82432",
+        "a1fa034c8402b8e927c3082db253c4dd009dc64e57ea46ab47ab76d739391415",
+    ),
+    "example7": (
+        "7f44be98e8056868776ba5c52daa410921e265d086736db98fede38db4cf69ae",
+        "15d796ffbfb13564105dc72970cf257d0eca56bd51afa930d0dde67269839975",
+    ),
+    "fig3_weak_attractor": (
+        "70ac85ac2672b75681566dce36ccf1ec66f794acd60a1722455371cafa086141",
+        "b12ba7752c043665116fd76c571ea00334a00a10c885c63cc135eab5e751ca8b",
+    ),
+    "fig4_bilinear": (
+        "efaf626b4ee53c92004197fd14d10f30d007166049d322730ccabecf46e6ba2b",
+        "acc6ccbfb7268685cc35e1647334155dc3f054f0550fb060f3976edade09e0e1",
+    ),
+    "fig7_four_player": (
+        "be51dc8457d669a3c6a10b6e700bc92d89ed804ee5c43ea9616ef998250ace15",
+        "9793a0a6989e66fa63ac36407ec3a0a0cec55f15b3a1dcc0a13c4fafaecf2a3c",
+    ),
+    "tanh": (
+        "def5e5ed217ad93d5acc23029b4533f84b0779e196db5cb50c6c96dbed2453ef",
+        "8548bd1f1fcb4bd2462cde5fc52a9fe9d5a2a9e00e91de04245ac98a9c0cfd82",
+    ),
+    "tanh-no-hessian": (
+        "def5e5ed217ad93d5acc23029b4533f84b0779e196db5cb50c6c96dbed2453ef",
+        "8548bd1f1fcb4bd2462cde5fc52a9fe9d5a2a9e00e91de04245ac98a9c0cfd82",
+    ),
+}
+
+
+def products_digest(game):
+    rng = np.random.default_rng(11)
+    digest = hashlib.sha256()
+    for _ in range(3):
+        w = rng.uniform(-1.5, 1.5, game.dim)
+        v = rng.standard_normal(game.dim)
+        for out in (dg.hvp(game, w, v), dg.thvp(game, w, v),
+                    dg.sym_adjustment(game, w), dg.grad_hamiltonian(game, w),
+                    dg.full_hessian(game, w), dg.stability_probe(game, w)):
+            digest.update(np.asarray(out, dtype=float).tobytes())
+    return digest.hexdigest()
+
+
+def runs_digest(game):
+    w0 = np.random.default_rng(11).uniform(-1.5, 1.5, game.dim)
+    stop = dg.StopCriteria(max_iters=50)
+    digest = hashlib.sha256()
+    for kind in dg.KINDS:
+        traj = dg.run(dg.AdjusterSpec(kind), game, w0, 0.05, stop)
+        for a in (traj.points, traj.losses, traj.signs, traj.probes):
+            digest.update(a.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(FD_PINS))
+class TestFdGamePins:
+    def test_products(self, name):
+        oracle = dg.fd_game(PIN_GAMES[name]())
+        assert products_digest(oracle) == FD_PINS[name][0]
+
+    def test_runs(self, name):
+        oracle = dg.fd_game(PIN_GAMES[name]())
+        assert runs_digest(oracle) == FD_PINS[name][1]

@@ -129,6 +129,12 @@ class TestEngineBoundary:
         with pytest.raises(ValueError):
             dg.direction(spec, game, [0.5] * 5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_start_point_raises(self, bad):
+        game = dg.catalog_game("example1")
+        with pytest.raises(ValueError, match="non-finite"):
+            dg.run(dg.AdjusterSpec("simgd"), game, [bad, 0.0, 0.0, 0.0], 0.1)
+
     def test_cells_are_independent_of_their_batch(self):
         # A cell's result does not depend on which cells share its batch.
         game = dg.catalog_game("fig7_four_player")

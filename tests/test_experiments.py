@@ -92,6 +92,23 @@ class TestStartPoints:
             dg.SweepConfig(game="example1", adjusters=(dg.AdjusterSpec("sga"),),
                            etas=(0.1,), w0=((0.5, 0.5),))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_start_point(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            dg.SweepConfig(game="example1", adjusters=(dg.AdjusterSpec("sga"),),
+                           etas=(0.1,), w0=((0.5, 0.5, 0.5, 0.5),
+                                            (0.5, bad, 0.5, 0.5)))
+
+    @pytest.mark.parametrize("radius", [np.nan, np.inf, -1.0])
+    def test_rejects_non_finite_or_negative_radius(self, radius):
+        with pytest.raises(ValueError, match="radius"):
+            dg.RandomBall(radius)
+        with pytest.raises(ValueError, match="radius"):
+            dg.config_from_json({"game": "example1",
+                                 "adjusters": [{"kind": "sga"}],
+                                 "etas": [0.1],
+                                 "w0": {"random_ball": radius}})
+
     def test_cell_error_is_raised_not_reported_as_diverged(self):
         config = dg.SweepConfig(game="example1",
                                 adjusters=(dg.AdjusterSpec("sga"),),
@@ -204,6 +221,12 @@ class TestAnalyzePoint:
         assert bundle["game_class"] == "general"
         assert bundle["probe"] == pytest.approx(202.0)
         assert bundle["alignment_sign"] == 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_point(self, bad):
+        game = dg.catalog_game("fig3_weak_attractor")
+        with pytest.raises(ValueError, match="non-finite"):
+            dg.analyze_point(game, [bad, 1.0])
 
     def test_json_ready(self):
         game = dg.catalog_game("example6")

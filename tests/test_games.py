@@ -159,6 +159,14 @@ class TestCatalog:
         with pytest.raises(ValueError, match="dim must be a whole number"):
             dg.catalog_game("example2", dim=-3, p=[[1.0]], q=[[2.0]])
 
+    @pytest.mark.parametrize("name,param", [
+        (e.name, k) for e in dg.catalog_entries()
+        for k, v in e.defaults.items() if isinstance(v, float)])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_parameter_rejected(self, name, param, value):
+        with pytest.raises(ValueError):
+            dg.catalog_game(name, **{param: value})
+
     def test_whole_float_dimension_accepted(self):
         # The command line passes every parameter as a float.
         assert dg.catalog_game("fig4_bilinear", dim=2.0).dim == 4
@@ -212,6 +220,18 @@ class TestQuadraticGame:
         bad = np.array([[0.0, 1.0], [0.5, 0.0]])
         with pytest.raises(ValueError, match="not symmetric"):
             dg.QuadraticGame(p, [bad, bad])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        p = dg.PlayerPartition((1, 1))
+        b = np.array([[bad, 1.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="finite"):
+            dg.QuadraticGame(p, [b, -np.eye(2)])
+        with pytest.raises(ValueError, match="finite"):
+            dg.QuadraticGame(p, [np.eye(2), np.eye(2)],
+                             [[0.0, bad], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="finite"):
+            dg.quadratic_game_from_hessian(p, [[0.0, 1.0], [bad, 0.0]])
 
     def test_hessian_row_blocks_come_from_coefficients(self):
         game = dg.catalog_game("example7")
