@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .derivatives import full_hessian, simultaneous_gradient, thvp
+from .dynamics import AdjusterSpec
 from .games import Game, QuadraticGame
 
 Array = np.ndarray
@@ -246,7 +247,8 @@ def _classify_point(game: Game, w: Array, xi_norm: float,
     return _game_class(splits, None), splits[0], report
 
 
-def alignment_sign(xi, at_xi, grad_h, epsilon: float = 0.1) -> float:
+def alignment_sign(xi, at_xi, grad_h,
+                   epsilon: float = AdjusterSpec.epsilon) -> float:
     """Sign choice for the adjustment weight.
 
     Returns the sign of ``(1/d) <xi, grad_h> <at_xi, grad_h> + epsilon``,

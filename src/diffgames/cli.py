@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import sys
@@ -18,9 +17,9 @@ import sys
 import numpy as np
 
 from .dynamics import KINDS, AdjusterSpec, StopCriteria, run
-from .experiments import (PRESETS, RandomBall, SCHEMA_VERSION, SweepConfig,
+from .experiments import (PRESETS, SCHEMA_VERSION, SweepConfig,
                           analyze_point, config_from_json, run_preset,
-                          serialize, sweep, _trailing_loss)
+                          serialize, sweep, _STOP_FIELDS, _trailing_loss)
 from .games import CATALOG, catalog_game, default_start
 
 
@@ -55,18 +54,18 @@ def _parse_params(items) -> dict:
     return params
 
 
-def _parse_eta_range(text: str):
+def _parse_eta_range(text: str) -> dict:
+    """``KIND:START:STOP:COUNT`` as the config file's eta grid object."""
     parts = text.split(":")
     if len(parts) != 4 or parts[0] not in ("log", "linear"):
         raise _UsageError(
             f"eta range must look like log:start:stop:count, got {text!r}")
     kind, start, stop_, count = parts
     try:
-        start, stop_, count = float(start), float(stop_), int(count)
+        return {"kind": kind, "start": float(start), "stop": float(stop_),
+                "count": int(count)}
     except ValueError:
         raise _UsageError(f"malformed eta range {text!r}") from None
-    space = np.geomspace if kind == "log" else np.linspace
-    return tuple(space(start, stop_, count))
 
 
 def _add_common(parser):
@@ -76,27 +75,22 @@ def _add_common(parser):
                         help="write output here instead of stdout")
     # None marks "not given", so a config file's value survives.
     parser.add_argument("--seed", type=int, default=None,
-                        help="seed for all randomness (default 0)")
-
-
-# Stop-criteria flags; None marks "not given", so StopCriteria's default (or
-# a config file's value) stands.
-_STOP_FLAGS = (("max_iters", int), ("loss_window", int),
-               ("loss_threshold", float), ("divergence_norm", float),
-               ("xi_threshold", float))
+                        help=f"seed for all randomness (default "
+                             f"{SweepConfig.seed})")
 
 
 def _add_stop_flags(parser):
-    defaults = StopCriteria()
-    for name, kind in _STOP_FLAGS:
+    # One flag per StopCriteria field; None marks "not given", so
+    # StopCriteria's default (or a config file's value) stands.
+    for name, kind in _STOP_FIELDS.items():
         parser.add_argument("--" + name.replace("_", "-"), type=kind,
                             default=None,
-                            help=f"default {getattr(defaults, name)}")
+                            help=f"default {getattr(StopCriteria, name)}")
 
 
 def _stop_overrides(args) -> dict:
     """The stop criteria given on the command line, by field name."""
-    return {name: getattr(args, name) for name, _ in _STOP_FLAGS
+    return {name: getattr(args, name) for name in _STOP_FIELDS
             if getattr(args, name) is not None}
 
 
@@ -113,8 +107,8 @@ def build_parser() -> _Parser:
     p.add_argument("--game", required=True)
     p.add_argument("--params", action="append", metavar="K=V")
     p.add_argument("--at", required=True, metavar="X1,X2,...")
-    p.add_argument("--epsilon", type=float, default=0.1,
-                   help="alignment bias (default 0.1)")
+    p.add_argument("--epsilon", type=float, default=AdjusterSpec.epsilon,
+                   help=f"alignment bias (default {AdjusterSpec.epsilon})")
 
     p = sub.add_parser("run", help="run one adjuster from one start point")
     _add_common(p)
@@ -122,8 +116,9 @@ def build_parser() -> _Parser:
     p.add_argument("--params", action="append", metavar="K=V")
     p.add_argument("--adjuster", required=True, choices=KINDS)
     p.add_argument("--eta", type=float, required=True)
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--epsilon", type=float, default=0.1)
+    p.add_argument("--lambda", dest="lam", type=float,
+                   default=AdjusterSpec.lam)
+    p.add_argument("--epsilon", type=float, default=AdjusterSpec.epsilon)
     p.add_argument("--w0", metavar="X1,X2,...",
                    help="start point (default all coordinates 0.5)")
     _add_stop_flags(p)
@@ -142,9 +137,9 @@ def build_parser() -> _Parser:
                    help=f"comma list from {KINDS}")
     # None marks "not given": AdjusterSpec holds the defaults.
     p.add_argument("--lambda", dest="lam", type=float, default=None,
-                   help=f"default {AdjusterSpec().lam}")
+                   help=f"default {AdjusterSpec.lam}")
     p.add_argument("--epsilon", type=float, default=None,
-                   help=f"default {AdjusterSpec().epsilon}")
+                   help=f"default {AdjusterSpec.epsilon}")
     p.add_argument("--etas", metavar="E1,E2,...")
     p.add_argument("--eta-range", metavar="log:START:STOP:COUNT")
     p.add_argument("--w0", action="append", metavar="X1,X2,...")
@@ -202,7 +197,7 @@ def _trajectory_csv(traj, game) -> bytes:
 def _cmd_run(args) -> int:
     game = catalog_game(args.game, **_parse_params(args.params))
     spec = AdjusterSpec(kind=args.adjuster, lam=args.lam, epsilon=args.epsilon)
-    stop = dataclasses.replace(StopCriteria(), **_stop_overrides(args))
+    stop = StopCriteria(**_stop_overrides(args))
     w0 = _parse_vector(args.w0) if args.w0 else default_start(game.dim)
     if len(w0) != game.dim:
         raise _UsageError(
@@ -231,32 +226,45 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _sweep_config_from_flags(args) -> SweepConfig:
+def _sweep_doc_from_flags(args) -> dict:
+    """The flags of a sweep as the JSON document a ``--config`` file holds;
+    a flag not given is left out, so the codec's default stands."""
     if not args.game:
         raise _UsageError("sweep needs --preset, --config, or --game")
     if not args.adjusters:
         raise _UsageError("sweep needs --adjusters with --game")
     if bool(args.etas) == bool(args.eta_range):
         raise _UsageError("give exactly one of --etas or --eta-range")
-    weights = {name: getattr(args, name) for name in ("lam", "epsilon")
-               if getattr(args, name) is not None}
-    adjusters = tuple(AdjusterSpec(kind=k.strip(), **weights)
-                      for k in args.adjusters.split(",") if k.strip())
-    etas = (_parse_eta_range(args.eta_range) if args.eta_range
-            else tuple(_parse_vector(args.etas)))
     if args.w0 and args.w0_ball is not None:
         raise _UsageError("give at most one of --w0 or --w0-ball")
     if args.w0_ball is not None:
-        w0 = RandomBall(args.w0_ball)
+        w0 = {"random_ball": args.w0_ball}
     elif args.w0:
-        w0 = tuple(tuple(_parse_vector(p)) for p in args.w0)
+        w0 = [_parse_vector(p) for p in args.w0]
     else:
         w0 = None
-    stop = dataclasses.replace(StopCriteria(), **_stop_overrides(args))
-    return SweepConfig(
-        game=args.game, game_params=_parse_params(args.params),
-        adjusters=adjusters, etas=etas, w0=w0, stop=stop, seed=args.seed,
-    )
+    return {
+        "game": args.game,
+        "game_params": _parse_params(args.params),
+        "adjusters": [{"kind": k.strip(), "lambda": args.lam,
+                       "epsilon": args.epsilon}
+                      for k in args.adjusters.split(",") if k.strip()],
+        "etas": (_parse_eta_range(args.eta_range) if args.eta_range
+                 else _parse_vector(args.etas)),
+        "w0": w0,
+    }
+
+
+def _overlay(doc, args):
+    """The sweep document with ``--seed`` and the stop flags laid over it;
+    a malformed one is left for ``config_from_json`` to reject."""
+    if isinstance(doc, dict):
+        if args.seed is not None:
+            doc["seed"] = args.seed
+        stop = doc.get("stop")
+        if stop is None or isinstance(stop, dict):
+            doc["stop"] = {**(stop or {}), **_stop_overrides(args)}
+    return doc
 
 
 # The flags that define a sweep from scratch, by argparse dest; a preset or
@@ -274,7 +282,7 @@ def _check_conflicts(args) -> None:
         source = "--preset"
         # A preset's stop criteria are part of what it reproduces.
         fixed = (("config", "--config"),) + _SWEEP_FLAGS + tuple(
-            (name, "--" + name.replace("_", "-")) for name, _ in _STOP_FLAGS)
+            (name, "--" + name.replace("_", "-")) for name in _STOP_FIELDS)
     elif args.config:
         source, fixed = "--config", _SWEEP_FLAGS
     else:
@@ -286,22 +294,17 @@ def _check_conflicts(args) -> None:
 
 def _cmd_sweep(args) -> int:
     _check_conflicts(args)
-    # Explicit flags win over config file values.
-    seed_given = args.seed is not None
-    if args.seed is None:
-        args.seed = 0
     if args.preset:
-        result = run_preset(args.preset, seed=args.seed)
-    elif args.config:
-        with open(args.config) as fh:
-            doc = json.load(fh)
-        config = config_from_json(doc)
-        if seed_given:
-            config.seed = args.seed
-        config.stop = dataclasses.replace(config.stop, **_stop_overrides(args))
-        result = sweep(config)
+        seed = {} if args.seed is None else {"seed": args.seed}
+        result = run_preset(args.preset, **seed)
     else:
-        result = sweep(_sweep_config_from_flags(args))
+        if args.config:
+            with open(args.config) as fh:
+                doc = json.load(fh)
+        else:
+            doc = _sweep_doc_from_flags(args)
+        # Explicit flags win over the document's values.
+        result = sweep(config_from_json(_overlay(doc, args)))
     _emit(serialize(result, args.format), args.out)
     return 0
 

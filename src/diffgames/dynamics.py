@@ -105,8 +105,7 @@ class StopCriteria:
             raise ValueError("max_iters must be positive")
         if not (1 <= self.loss_window <= self.max_iters):
             raise ValueError("need 1 <= loss_window <= max_iters")
-        for name in ("loss_threshold", "divergence_norm", "xi_threshold"):
-            value = getattr(self, name)
+        for name, value in vars(self).items():
             if value is not None and not value >= 0:
                 raise ValueError(f"{name} must be nonnegative, got {value}")
 
@@ -175,28 +174,20 @@ class Trajectory:
         return np.mean(np.abs(self.losses), axis=1)
 
 
-def _fixed_hessian(game: Game):
-    """The game Hessian when it is one constant matrix (a quadratic game),
-    else None: the products then go row by row."""
-    if isinstance(game, QuadraticGame):
-        return game.hessian_matrix
-    return None
-
-
-def _products(game: Game, points: Array, xi: Array, both: bool, hessian):
+def _products(game: Game, points: Array, xi: Array, both: bool):
     """H'xi and (when ``both``) H xi at each row, given the field rows xi.
 
-    ``hessian`` is the constant game Hessian, if any (see
-    ``_fixed_hessian``): both products are then one batched matmul, which
-    makes one matrix-vector product per row and so matches the row-by-row
-    products bit for bit.  Otherwise they go one row at a time: with an
-    analytic Hessian it is fetched once per row and both products use it
-    (the arithmetic of ``thvp`` and ``hvp``), else both are the
-    finite-difference products.
+    On a quadratic game the Hessian is one constant matrix: both products
+    are then one batched matmul, which makes one matrix-vector product per
+    row and so matches the row-by-row products bit for bit.  Otherwise they
+    go one row at a time: with an analytic Hessian it is fetched once per
+    row and both products use it (the arithmetic of ``thvp`` and ``hvp``),
+    else both are the finite-difference products.
     """
-    if hessian is not None:
-        grad_h = np.matmul(hessian.T, xi[:, :, None])[..., 0]
-        h_xi = np.matmul(hessian, xi[:, :, None])[..., 0] if both else None
+    if isinstance(game, QuadraticGame):
+        h = game.hessian_matrix
+        grad_h = np.matmul(h.T, xi[:, :, None])[..., 0]
+        h_xi = np.matmul(h, xi[:, :, None])[..., 0] if both else None
         return grad_h, h_xi
     grad_h, h_xi = [], []
     for w, x in zip(points, xi):
@@ -217,22 +208,22 @@ def _products(game: Game, points: Array, xi: Array, both: bool, hessian):
 def _probes(game: Game, points: Array, xi: Array) -> Array:
     """The probe <xi, H' xi> at each row, with the products the rules use,
     so a probe equals the one an aligned rule computes there, bit for bit."""
-    grad_h, _ = _products(game, points, xi, False, _fixed_hessian(game))
+    grad_h, _ = _products(game, points, xi, False)
     return np.vecdot(xi, grad_h)
 
 
 def _directions(spec: AdjusterSpec, game: Game, points: Array, xi: Array,
-                prev_xi, hessian):
+                prev_xi):
     """Each row's direction, given the field rows xi there, and the sign of
     the adjustment weight the rule actually applied: one sign per row for
     the aligned rules, else one float for every row (0.0 for the rules
     without a weighted adjustment term), so no per-step array is built
     where every row shares it.
 
-    ``prev_xi`` holds omd's previous field rows (None on its first step);
-    ``hessian`` is passed on to ``_products``.  A rule takes only the
-    Hessian products it uses, none for simgd and omd, and only the aligned
-    rules, whose sign depends on it, compute the probe <xi, H' xi>.
+    ``prev_xi`` holds omd's previous field rows (None on its first step).
+    A rule takes only the Hessian products it uses, none for simgd and omd,
+    and only the aligned rules, whose sign depends on it, compute the probe
+    <xi, H' xi>.
     """
     kind = spec.kind
     if kind == SIMGD:
@@ -240,7 +231,7 @@ def _directions(spec: AdjusterSpec, game: Game, points: Array, xi: Array,
     if kind == OMD:
         return 2.0 * xi - (xi if prev_xi is None else prev_xi), 0.0
     both = kind in (SGA, SGA_ALIGNED)
-    grad_h, h_xi = _products(game, points, xi, both, hessian)
+    grad_h, h_xi = _products(game, points, xi, both)
     fixed_sign = 1.0 if spec.lam >= 0 else -1.0
     if both:
         at_xi = 0.5 * (grad_h - h_xi)
@@ -279,7 +270,7 @@ def _at_point(spec: AdjusterSpec, game: Game, w, prev_xi):
     if prev_xi is not None:
         prev_xi = np.asarray(prev_xi, dtype=float).reshape(1, -1)
     loss, xi = _evaluate(game, w)
-    vec, signs = _directions(spec, game, w, xi, prev_xi, _fixed_hessian(game))
+    vec, signs = _directions(spec, game, w, xi, prev_xi)
     return w, loss, xi, vec, signs
 
 
@@ -349,7 +340,6 @@ def _euler(spec: AdjusterSpec, game: Game, starts, etas, stop: StopCriteria,
     ends = [None] * len(w)
     steps, points = [], [w]
     rows = np.arange(len(w))           # cell index of each remaining row
-    hessian = _fixed_hessian(game)
     n, span = game.num_players, stop.loss_window
     bound, xi_threshold = stop.divergence_norm, stop.xi_threshold
     loss_threshold = stop.loss_threshold
@@ -384,7 +374,7 @@ def _euler(spec: AdjusterSpec, game: Game, starts, etas, stop: StopCriteria,
             if not len(rows):
                 break
         loss, xi = _evaluate(game, w)
-        vec, signs = _directions(spec, game, w, xi, prev_xi, hessian)
+        vec, signs = _directions(spec, game, w, xi, prev_xi)
         xi_norm = np.sqrt(np.vecdot(xi, xi))
         mean_abs = np.add.reduce(np.absolute(loss), axis=1) / n
         # A finite mean and norm imply finite losses and field; only where

@@ -83,6 +83,8 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class SweepCell:
+    """One cell of a sweep; its fields are the CSV columns, in order."""
+
     game: str
     adjuster: str
     lam: float
@@ -169,7 +171,8 @@ def sweep(config: SweepConfig) -> SweepResult:
 # Presets
 # ---------------------------------------------------------------------------
 
-def preset_configs(name: str, seed: int = 0) -> tuple[SweepConfig, ...]:
+def preset_configs(name: str,
+                   seed: int = SweepConfig.seed) -> tuple[SweepConfig, ...]:
     """The built-in reproduction presets.
 
     fig3: weak-attractor game, plain descent vs sga (lam 0.1) at three rates.
@@ -207,7 +210,7 @@ def preset_configs(name: str, seed: int = 0) -> tuple[SweepConfig, ...]:
     raise ValueError(f"unknown preset {name!r}; one of {PRESETS}")
 
 
-def run_preset(name: str, seed: int = 0) -> SweepResult:
+def run_preset(name: str, seed: int = SweepConfig.seed) -> SweepResult:
     cells = []
     for config in preset_configs(name, seed=seed):
         cells.extend(sweep(config).cells)
@@ -218,7 +221,7 @@ def run_preset(name: str, seed: int = 0) -> SweepResult:
 # Point analysis
 # ---------------------------------------------------------------------------
 
-def analyze_point(game, w, epsilon: float = 0.1,
+def analyze_point(game, w, epsilon: float = AdjusterSpec.epsilon,
                   fixed_point_tol: float = 1e-8) -> dict:
     """Everything the analysis layer knows about one point, JSON-ready.
 
@@ -268,17 +271,7 @@ def analyze_point(game, w, epsilon: float = 0.1,
 # ---------------------------------------------------------------------------
 
 def _cell_record(cell: SweepCell) -> dict:
-    return {
-        "game": cell.game,
-        "adjuster": cell.adjuster,
-        "lambda": cell.lam,
-        "eta": cell.eta,
-        "seed": cell.seed,
-        "outcome": cell.outcome,
-        "iters": cell.iters,
-        "trailing_loss": cell.trailing_loss,
-        "spectral_radius": cell.spectral_radius,
-    }
+    return dict(zip(CSV_COLUMNS, vars(cell).values(), strict=True))
 
 
 def serialize(result: SweepResult, format: str = "csv") -> bytes:
@@ -291,15 +284,8 @@ def serialize(result: SweepResult, format: str = "csv") -> bytes:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        for cell in result.cells:
-            rec = _cell_record(cell)
-            writer.writerow([
-                rec["game"], rec["adjuster"], repr(rec["lambda"]),
-                repr(rec["eta"]), rec["seed"], rec["outcome"], rec["iters"],
-                repr(rec["trailing_loss"]),
-                "" if rec["spectral_radius"] is None
-                else repr(rec["spectral_radius"]),
-            ])
+        # The writer spells a float as its repr and None as an empty field.
+        writer.writerows(_cell_record(c).values() for c in result.cells)
         return buf.getvalue().encode()
     if format == "json":
         doc = {"schema_version": SCHEMA_VERSION,
@@ -313,49 +299,69 @@ def serialize(result: SweepResult, format: str = "csv") -> bytes:
 # ---------------------------------------------------------------------------
 
 def _etas_from_json(spec) -> tuple[float, ...]:
-    if isinstance(spec, dict):
-        kind = spec.get("kind", "log")
-        start, stop_, count = spec["start"], spec["stop"], int(spec["count"])
-        if kind == "log":
-            return tuple(np.geomspace(start, stop_, count))
-        if kind == "linear":
-            return tuple(np.linspace(start, stop_, count))
+    """An eta list, or a ``log`` (default) or ``linear`` grid object: the
+    one place a sweep's eta grid is built."""
+    if not isinstance(spec, dict):
+        return tuple(float(e) for e in spec)
+    kind = spec.get("kind", "log")
+    space = {"log": np.geomspace, "linear": np.linspace}.get(kind)
+    if space is None:
         raise ValueError(f"unknown eta grid kind {kind!r}")
-    return tuple(float(e) for e in spec)
+    return tuple(space(spec["start"], spec["stop"], int(spec["count"])))
 
 
-# Stop criteria read from JSON as integers; the others are floats.
-_COUNTS = ("max_iters", "loss_window")
+def _adjuster_from_json(doc) -> AdjusterSpec:
+    return AdjusterSpec(kind=doc["kind"], **{
+        name: float(doc[key]) for key, name in (("lambda", "lam"),
+                                                ("epsilon", "epsilon"))
+        if doc.get(key) is not None})
+
+
+# Stop criteria by field name, with the type their JSON values are read as.
+_STOP_FIELDS = {f.name: int if isinstance(f.default, int) else float
+                for f in dataclasses.fields(StopCriteria)}
+
+# How the value of each key of a config's JSON form becomes the
+# SweepConfig field of the same name.
+_DECODERS = {
+    "game": str,
+    "game_params": dict,
+    "adjusters": lambda doc: tuple(map(_adjuster_from_json, doc)),
+    "etas": _etas_from_json,
+    "w0": lambda doc: (RandomBall(float(doc["random_ball"]))
+                       if isinstance(doc, dict) else tuple(doc)),
+    "stop": lambda doc: StopCriteria(**{
+        name: kind(doc[name]) for name, kind in _STOP_FIELDS.items()
+        if doc.get(name) is not None}),
+    "seed": int,
+}
 
 
 def config_from_json(doc: dict) -> SweepConfig:
     """Build a SweepConfig from its JSON form (see README for the schema).
 
-    Unknown keys, such as the ``jobs`` of older configs, are ignored; stop
-    criteria not given (or null) keep their ``StopCriteria`` defaults.
+    This is the one decoder of a sweep description: ``diffgames sweep``
+    turns its flags into this form too.  A key that is missing or null
+    keeps its dataclass default (the ``AdjusterSpec`` weights,
+    ``SweepConfig.seed``, the ``StopCriteria``); unknown keys, such as the
+    ``jobs`` of older configs, are ignored.  A value of a JSON type that
+    cannot serve (a list where an object or a number belongs, a null radius)
+    raises a ValueError that names its key; any other bad value raises the
+    ValueError of the check it fails.
     """
-    adjusters = tuple(
-        AdjusterSpec(kind=a["kind"], lam=float(a.get("lambda", 1.0)),
-                     epsilon=float(a.get("epsilon", 0.1)))
-        for a in doc["adjusters"]
-    )
-    w0 = doc.get("w0")
-    if isinstance(w0, dict):
-        w0 = RandomBall(radius=float(w0["random_ball"]))
-    stop_doc = doc.get("stop", {})
-    stop = dataclasses.replace(StopCriteria(), **{
-        f.name: (int if f.name in _COUNTS else float)(stop_doc[f.name])
-        for f in dataclasses.fields(StopCriteria)
-        if stop_doc.get(f.name) is not None})
-    return SweepConfig(
-        game=doc["game"],
-        game_params=dict(doc.get("game_params", {})),
-        adjusters=adjusters,
-        etas=_etas_from_json(doc["etas"]),
-        w0=w0,
-        stop=stop,
-        seed=int(doc.get("seed", 0)),
-    )
+    if not isinstance(doc, dict):
+        raise ValueError(f"a sweep config is a JSON object, got {doc!r}")
+    for key in ("game", "adjusters", "etas"):
+        if doc.get(key) is None:
+            raise ValueError(f"config key {key!r} is required")
+    fields = {}
+    for key, decode in _DECODERS.items():
+        if doc.get(key) is not None:
+            try:
+                fields[key] = decode(doc[key])
+            except (AttributeError, TypeError) as exc:
+                raise ValueError(f"config key {key!r}: {exc}") from None
+    return SweepConfig(**fields)
 
 
 def config_to_json(config: SweepConfig) -> dict:
@@ -370,12 +376,6 @@ def config_to_json(config: SweepConfig) -> dict:
         "w0": ({"random_ball": config.w0.radius}
                if isinstance(config.w0, RandomBall)
                else [list(p) for p in config.w0]),
-        "stop": {
-            "max_iters": config.stop.max_iters,
-            "loss_window": config.stop.loss_window,
-            "loss_threshold": config.stop.loss_threshold,
-            "divergence_norm": config.stop.divergence_norm,
-            "xi_threshold": config.stop.xi_threshold,
-        },
+        "stop": dataclasses.asdict(config.stop),
         "seed": config.seed,
     }

@@ -332,11 +332,14 @@ def quadratic_game_from_hessian(partition, hessian, offset=None) -> QuadraticGam
     h = np.asarray(hessian, dtype=float)
     if h.shape != (d, d):
         raise ValueError(f"hessian is not {d}x{d}")
+    # inf - inf in the symmetry test below would warn before it failed.
+    if not np.isfinite(h).all():
+        raise ValueError("hessian is not finite")
+    scale = max(1.0, np.max(np.abs(h)))
     coeffs, linear = [], []
     for i in range(partition.num_players):
         blk = partition.block(i)
         diag = h[blk, blk]
-        scale = max(1.0, np.max(np.abs(h)))
         if np.max(np.abs(diag - diag.T)) > _SYM_TOL * scale:
             raise ValueError(
                 f"diagonal block {i} of the hessian must be symmetric"

@@ -283,6 +283,122 @@ class TestSweep:
         assert code == 2
 
 
+def sweep_output(capsys, tmp_path, *argv):
+    """Exit code and output bytes of one ``sweep`` with ``argv``."""
+    out_path = tmp_path / "out.csv"
+    out_path.unlink(missing_ok=True)
+    code, _, err = invoke(capsys, "sweep", *argv, "--format", "csv",
+                          "--out", str(out_path))
+    assert code == 0, err
+    return out_path.read_bytes()
+
+
+def config_file(tmp_path, doc, name="sweep.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+# Sweep flags, each with the config document they stand for.
+FLAG_SWEEPS = [
+    (["--game", "fig4_bilinear", "--params", "dim=1", "--adjusters",
+      "sga,omd", "--etas", "0.1,0.5,1.2", "--w0", "0.5,0.5", "--w0", "1,-1"],
+     {"game": "fig4_bilinear", "game_params": {"dim": 1},
+      "adjusters": [{"kind": "sga"}, {"kind": "omd"}],
+      "etas": [0.1, 0.5, 1.2], "w0": [[0.5, 0.5], [1, -1]]}),
+    (["--game", "example1", "--adjusters", "sga-aligned,consensus",
+      "--eta-range", "log:0.01:1:9", "--lambda", "0.7", "--epsilon", "0.2"],
+     {"game": "example1",
+      "adjusters": [{"kind": "sga-aligned", "lambda": 0.7, "epsilon": 0.2},
+                    {"kind": "consensus", "lambda": 0.7, "epsilon": 0.2}],
+      "etas": {"kind": "log", "start": 0.01, "stop": 1, "count": 9}}),
+    (["--game", "fig7_four_player", "--adjusters", "omd,aligned-consensus",
+      "--eta-range", "linear:0.025:0.5:6", "--w0-ball", "1.5"],
+     {"game": "fig7_four_player",
+      "adjusters": [{"kind": "omd"}, {"kind": "aligned-consensus"}],
+      "etas": {"kind": "linear", "start": 0.025, "stop": 0.5, "count": 6},
+      "w0": {"random_ball": 1.5}}),
+]
+# The flags that overlay a sweep document, and the keys they stand for.
+OVERLAY_FLAGS = ["--seed", "4", "--max-iters", "300", "--loss-window", "5",
+                 "--loss-threshold", "0.02", "--divergence-norm", "1e4",
+                 "--xi-threshold", "1e-5"]
+OVERLAY_KEYS = {"seed": 4, "stop": {"max_iters": 300, "loss_window": 5,
+                                   "loss_threshold": 0.02,
+                                   "divergence_norm": 1e4,
+                                   "xi_threshold": 1e-5}}
+
+
+class TestOneCodec:
+    """Flags and config files decode through the one codec, so a sweep by
+    flags and the same sweep by ``--config`` print the same bytes."""
+
+    @pytest.mark.parametrize("flags,doc", FLAG_SWEEPS)
+    @pytest.mark.parametrize("overlay", [False, True])
+    def test_flags_equal_config_file(self, capsys, tmp_path, flags, doc,
+                                     overlay):
+        tail = OVERLAY_FLAGS if overlay else []
+        by_flags = sweep_output(capsys, tmp_path, *flags, *tail)
+        by_file = sweep_output(capsys, tmp_path, "--config",
+                               config_file(tmp_path, doc), *tail)
+        assert by_flags == by_file
+        if overlay:
+            # The same values written into the file instead of given as flags.
+            path = config_file(tmp_path, {**doc, **OVERLAY_KEYS}, "full.json")
+            assert sweep_output(capsys, tmp_path, "--config", path) == by_file
+            assert by_file != sweep_output(capsys, tmp_path, *flags)
+
+    def test_null_keeps_the_default(self, capsys, tmp_path):
+        doc = {"game": "example1", "adjusters": [{"kind": "sga-aligned"}],
+               "etas": [0.05, 0.2], "stop": {"max_iters": 100}}
+        nulls = {**doc, "seed": None, "stop": {"max_iters": 100,
+                                               "loss_window": None},
+                 "adjusters": [{"kind": "sga-aligned", "lambda": None,
+                                "epsilon": None}]}
+        want = sweep_output(capsys, tmp_path, "--config",
+                            config_file(tmp_path, doc))
+        assert sweep_output(capsys, tmp_path, "--config",
+                            config_file(tmp_path, nulls, "nulls.json")) == want
+
+    @pytest.mark.parametrize("doc,key", [
+        ({"adjusters": ["sga"]}, "adjusters"),
+        ({"adjusters": 5}, "adjusters"),
+        ({"adjusters": [{"kind": "sga", "lambda": [1.0]}]}, "adjusters"),
+        ({"adjusters": [{"kind": "sga", "epsilon": {}}]}, "adjusters"),
+        ({"w0": {"random_ball": None}}, "w0"),
+        ({"w0": 0.5}, "w0"),
+        ({"etas": 5}, "etas"),
+        ({"etas": [0.1, [0.2]]}, "etas"),
+        ({"etas": {"kind": "log", "start": 0.1, "stop": 1, "count": None}},
+         "etas"),
+        ({"game_params": [1]}, "game_params"),
+        ({"stop": [1]}, "stop"),
+        ({"stop": {"max_iters": [10]}}, "stop"),
+        ({"seed": [0]}, "seed"),
+    ])
+    def test_malformed_config_is_usage_error(self, capsys, tmp_path, doc,
+                                             key):
+        base = {"game": "example1", "adjusters": [{"kind": "sga"}],
+                "etas": [0.1]}
+        path = config_file(tmp_path, {**base, **doc})
+        code, out, err = invoke(capsys, "sweep", "--config", path)
+        assert (code, out) == (1, "")
+        assert f"config key {key!r}" in err
+
+    @pytest.mark.parametrize("doc,said", [
+        ([{"game": "example1"}], "a sweep config is a JSON object"),
+        ({"game": "example1", "adjusters": [{"kind": "sga"}], "etas": [0.1],
+          "stop": [1]}, "config key 'stop'")])
+    @pytest.mark.parametrize("overlay", [[], ["--seed", "1", "--max-iters",
+                                              "5"]])
+    def test_non_object_is_usage_error_under_overlay(self, capsys, tmp_path,
+                                                     doc, said, overlay):
+        path = config_file(tmp_path, doc)
+        code, out, err = invoke(capsys, "sweep", "--config", path, *overlay)
+        assert (code, out) == (1, "")
+        assert said in err
+
+
 class TestExitCodes:
     def test_unknown_flag_rejected(self, capsys):
         code, _, err = invoke(capsys, "list-games", "--frobnicate")

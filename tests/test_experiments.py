@@ -337,6 +337,25 @@ class TestConfigCodec:
         assert dg.config_to_json(config) == dg.config_to_json(
             dg.config_from_json(doc))
 
+    @pytest.mark.parametrize("key", ["game", "adjusters", "etas"])
+    def test_required_keys(self, key):
+        doc = {"game": "fig4_bilinear", "adjusters": [{"kind": "omd"}],
+               "etas": [0.1], key: None}
+        with pytest.raises(ValueError, match=f"config key '{key}' is req"):
+            dg.config_from_json(doc)
+        del doc[key]
+        with pytest.raises(ValueError, match=f"config key '{key}' is req"):
+            dg.config_from_json(doc)
+
+    def test_null_is_the_default(self):
+        doc = {"game": "fig4_bilinear", "adjusters": [{"kind": "sga"}],
+               "etas": [0.1]}
+        nulls = dict(doc, game_params=None, w0=None, stop=None, seed=None,
+                     adjusters=[{"kind": "sga", "lambda": None,
+                                 "epsilon": None}])
+        assert dg.config_to_json(dg.config_from_json(nulls)) == \
+            dg.config_to_json(dg.config_from_json(doc))
+
     def test_eta_grid_forms(self):
         doc = {
             "game": "fig4_bilinear",

@@ -1,3 +1,6 @@
+import warnings
+import zlib
+
 import numpy as np
 import pytest
 
@@ -174,7 +177,7 @@ class TestCatalog:
     @pytest.mark.parametrize("name,params", CATALOG_DEFAULTS)
     def test_analytic_gradients_match_finite_differences(self, name, params):
         game = dg.catalog_game(name, **params)
-        rng = np.random.default_rng(hash(name) % 2**32)
+        rng = np.random.default_rng(zlib.crc32(name.encode()))
         for _ in range(100):
             w = rng.uniform(-2, 2, size=game.dim)
             for i in range(game.num_players):
@@ -265,6 +268,17 @@ class TestGameFromHessian:
         h = np.arange(9.0).reshape(3, 3)
         with pytest.raises(ValueError, match="diagonal block"):
             dg.quadratic_game_from_hessian(p, h)
+
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (2, 0)])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_hessian_without_warning(self, entry, bad):
+        p = dg.PlayerPartition((2, 1))
+        h = np.eye(3)
+        h[entry] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="hessian is not finite"):
+                dg.quadratic_game_from_hessian(p, h)
 
     def test_offset_realized_in_field(self):
         rng = np.random.default_rng(2)
