@@ -202,8 +202,8 @@ def _fixed_point_report(game: Game, w: Array, xi_norm: float, splits,
     at the deciding points of ``_neighborhood`` (w first).
 
     The probe at each nearby sample is read off the full Hessian there (a
-    quadratic game's is the one at w): ``xi' (H' xi)``, one field
-    evaluation per sample, what ``stability_probe`` computes with an
+    quadratic game's is the one at w): ``xi' (H' xi)``, with the fields at
+    all samples in one batch, what ``stability_probe`` computes with an
     analytic Hessian.
     """
     dec = splits[0]
@@ -222,10 +222,9 @@ def _fixed_point_report(game: Game, w: Array, xi_norm: float, splits,
             break
 
     at_nearby = splits[1:] or splits * len(nearby)
-    probes = []
-    for p, near in zip(nearby, at_nearby):
-        xi = simultaneous_gradient(game, p).xi
-        probes.append(float(xi @ (near.hessian.T @ xi)))
+    probes = [float(xi @ (near.hessian.T @ xi))
+              for xi, near in zip(game.batch_field(np.array(nearby)),
+                                  at_nearby)]
     return FixedPointReport(w=w, xi_norm=xi_norm, stability=stability,
                             is_local_nash=is_nash,
                             probe_value=float(np.mean(probes)))

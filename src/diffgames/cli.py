@@ -187,7 +187,7 @@ def _trajectory_csv(traj, game) -> bytes:
                     + ["mean_abs_loss", "xi_norm", "probe", "sign"])
     means = traj.mean_abs_losses()
     for t in range(len(means)):
-        writer.writerow([t] + [repr(x) for x in traj.points[t]]
+        writer.writerow([t] + [repr(float(x)) for x in traj.points[t]]
                         + [repr(float(means[t])), repr(float(traj.xi_norms[t])),
                            repr(float(traj.probes[t])),
                            repr(float(traj.signs[t]))])

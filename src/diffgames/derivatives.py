@@ -9,6 +9,10 @@ product on it is a finite difference: the independent cross-check of an
 analytic Hessian, and what a user-supplied game without second-order
 information gets anyway.
 
+Each finite-difference product evaluates all of its perturbed points in one
+``Game.batch_field`` call: ``hvp`` the two points ``w +- h v/|v|``,
+``thvp`` and ``full_hessian`` the 2d points ``w +- h e_j``.
+
 No autodiff framework is involved; every built-in game is closed-form and
 the finite differences are the oracle.
 """
@@ -49,8 +53,7 @@ def simultaneous_gradient(game: Game, w) -> FieldEvaluation:
     handled as divergence by the optimizer loop.
     """
     w = np.asarray(w, dtype=float).reshape(-1)
-    xi = np.concatenate([game.player_gradient(i, w)
-                         for i in range(game.num_players)])
+    xi = game.batch_field(w.reshape(1, -1))[0]
     return FieldEvaluation(w=w, xi=xi, norm_sq=float(xi @ xi))
 
 
@@ -81,11 +84,19 @@ def fd_gradient(f, w) -> Array:
     return out
 
 
+def _axis_field(game: Game, w: Array, h: float) -> Array:
+    """The field at ``w + h e_j`` (row j) and at ``w - h e_j`` (row d + j)
+    for every coordinate j, in one batch of 2d points."""
+    steps = h * np.eye(w.size)
+    return game.batch_field(w + np.concatenate((steps, -steps)))
+
+
 def hvp(game: Game, w, v) -> Array:
     """Hessian-vector product H(w) v.
 
     The finite-difference path normalizes v before stepping so the step size
-    stays meaningful for tiny or huge v; a zero v returns zero directly.
+    stays meaningful for tiny or huge v; a zero v returns zero directly.  It
+    evaluates the field at its two points ``w +- h v/|v|`` in one batch.
     """
     w = np.asarray(w, dtype=float).reshape(-1)
     v = np.asarray(v, dtype=float).reshape(-1)
@@ -94,18 +105,18 @@ def hvp(game: Game, w, v) -> Array:
     nrm = float(np.linalg.norm(v))
     if nrm == 0.0:
         return np.zeros_like(v)
-    vhat = v / nrm
     h = _fd_step(w)
-    xi_plus = simultaneous_gradient(game, w + h * vhat).xi
-    xi_minus = simultaneous_gradient(game, w - h * vhat).xi
-    return (xi_plus - xi_minus) * (nrm / (2.0 * h))
+    step = h * (v / nrm)
+    xi = game.batch_field(np.stack((w + step, w - step)))
+    return (xi[0] - xi[1]) * (nrm / (2.0 * h))
 
 
 def thvp(game: Game, w, v) -> Array:
     """Transposed Hessian-vector product H(w)' v.
 
     The finite-difference path differentiates the scalar ``<xi(w), v>``
-    coordinate by coordinate: 2d field evaluations in total.
+    along every coordinate axis: one batch of 2d field evaluations, then
+    one dot product with v per point.
     """
     w = np.asarray(w, dtype=float).reshape(-1)
     v = np.asarray(v, dtype=float).reshape(-1)
@@ -114,14 +125,8 @@ def thvp(game: Game, w, v) -> Array:
     if not np.any(v):
         return np.zeros_like(v)
     h = _fd_step(w)
-    out = np.empty_like(w)
-    for j in range(w.size):
-        e = np.zeros_like(w)
-        e[j] = h
-        g_plus = float(simultaneous_gradient(game, w + e).xi @ v)
-        g_minus = float(simultaneous_gradient(game, w - e).xi @ v)
-        out[j] = (g_plus - g_minus) / (2.0 * h)
-    return out
+    g = np.vecdot(_axis_field(game, w, h), v)
+    return (g[:w.size] - g[w.size:]) / (2.0 * h)
 
 
 def sym_adjustment(game: Game, w) -> Array:
@@ -139,8 +144,10 @@ def grad_hamiltonian(game: Game, w) -> Array:
 def full_hessian(game: Game, w, cap: int = 512) -> Array:
     """The full d x d game Hessian.
 
-    Uses the analytic Hessian directly when present; otherwise assembles
-    column j as ``hvp(game, w, e_j)``, which is why the dimension is capped.
+    Uses the analytic Hessian directly when present; otherwise column j is
+    the central difference along ``e_j``, what ``hvp(game, w, e_j)``
+    computes, with the 2d points of all columns in one batch.  The batch
+    holds 2d x d entries, which is why the dimension is capped.
     """
     w = np.asarray(w, dtype=float).reshape(-1)
     if game.has_analytic_hessian:
@@ -148,8 +155,6 @@ def full_hessian(game: Game, w, cap: int = 512) -> Array:
     d = game.dim
     if d > cap:
         raise ValueError(f"dimension {d} exceeds the full-Hessian cap {cap}")
-    cols = np.empty((d, d))
-    eye = np.eye(d)
-    for j in range(d):
-        cols[:, j] = hvp(game, w, eye[:, j])
-    return cols
+    h = _fd_step(w)
+    xi = _axis_field(game, w, h)
+    return np.ascontiguousarray(((xi[:d] - xi[d:]) * (1.0 / (2.0 * h))).T)

@@ -13,6 +13,7 @@ single game object can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -51,7 +52,7 @@ class PlayerPartition:
         """Total parameter dimension d."""
         return sum(self.sizes)
 
-    @property
+    @cached_property
     def offsets(self) -> tuple[int, ...]:
         """Start index of each player's block (prefix sums of sizes)."""
         out, acc = [], 0
@@ -148,16 +149,32 @@ class Game:
             )
         return g
 
+    def batch_field(self, points: Array) -> Array:
+        """The stacked field xi at each row of a ``(C, d)`` array of points,
+        as a C-ordered ``(C, d)`` array.
+
+        Row k stacks exactly the ``player_gradient(i, points[k])`` of every
+        player i, so a subclass that overrides that per-player hook is
+        batched correctly.
+        Each gradient is copied into its row before the next call, so a
+        callable that reuses its output buffer still gives correct rows.
+        """
+        blocks = [self.partition.block(i) for i in range(self.num_players)]
+        field = np.empty((len(points), self.dim))
+        for w, row in zip(points, field):
+            for i, blk in enumerate(blocks):
+                row[blk] = self.player_gradient(i, w)
+        return field
+
     def losses_and_field(self, w: Array) -> tuple[Array, Array]:
         """The loss vector and the stacked field xi at w, in one call.
 
-        Returns exactly ``loss_vector(w)`` and the concatenated
+        Returns exactly ``loss_vector(w)`` and the stacked
         ``player_gradient(i, w)``; subclasses override it only to share work
         between the two, never to change a bit of either.
         """
         losses = self.loss_vector(w)
-        return losses, np.concatenate([self.player_gradient(i, w)
-                                       for i in range(self.num_players)])
+        return losses, self.batch_field(np.reshape(w, (1, -1)))[0]
 
     def batch_losses_and_field(self, points: Array) -> tuple[Array, Array]:
         """``losses_and_field`` for each row of a ``(C, d)`` array of points.
@@ -531,9 +548,11 @@ def catalog_entries() -> list[CatalogEntry]:
 def catalog_game(name: str, **params) -> QuadraticGame:
     """Build a catalog game by name.
 
-    Raises ValueError for unknown names, unknown parameters, or parameter
-    values outside their documented ranges; ``QuadraticGame`` rejects a
-    non-finite value that reaches the game's coefficients.
+    Raises ValueError for unknown names, unknown parameters, a value that is
+    not a number for a parameter with a numeric default (``payoff``, ``p``
+    and ``q`` take matrices), or parameter values outside their documented
+    ranges; ``QuadraticGame`` rejects a non-finite value that reaches the
+    game's coefficients.
     """
     entry = CATALOG.get(name)
     if entry is None:
@@ -545,6 +564,15 @@ def catalog_game(name: str, **params) -> QuadraticGame:
             f"unknown parameter(s) {sorted(unknown)} for game {name!r}; "
             f"accepted: {sorted(entry.defaults)}"
         )
+    for key, value in params.items():
+        if isinstance(entry.defaults[key], (int, float)):
+            try:
+                float(value)
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"parameter {key!r} of game {name!r} must be a number, "
+                    f"got {value!r}"
+                ) from None
     # A non-finite parameter may make NaN on its way to the coefficients;
     # the game rejects it, so NumPy need not warn about it first.
     with np.errstate(invalid="ignore"):

@@ -93,6 +93,15 @@ class TestRun:
         assert lines[0] == "iter,w0,w1,mean_abs_loss,xi_norm,probe,sign"
         assert len(lines) > 10
 
+    def test_csv_coordinates_are_plain_floats(self, capsys):
+        code, out, _ = invoke(
+            capsys, "run", "--game", "example2", "--adjuster", "consensus",
+            "--eta", "0.05", "--max-iters", "200", "--format", "csv",
+        )
+        assert code == 0
+        assert "np.float64" not in out
+        assert out.split("\n")[1].startswith("0,0.5,0.5,")
+
     def test_w0_length_checked(self, capsys):
         code, _, err = invoke(capsys, "run", "--game", "example7",
                               "--adjuster", "simgd", "--eta", "0.1",
@@ -385,6 +394,33 @@ class TestOneCodec:
         assert (code, out) == (1, "")
         assert f"config key {key!r}" in err
 
+    @pytest.mark.parametrize("game,params", [
+        ("fig3_weak_attractor", {"coupling": None}),
+        ("fig3_weak_attractor", {"coupling": [10.0]}),
+        ("example5", {"kappa": {"value": 1.0}}),
+        ("fig4_bilinear", {"dim": None}),
+    ])
+    def test_non_numeric_catalog_parameter_is_usage_error(self, capsys,
+                                                          tmp_path, game,
+                                                          params):
+        (key,) = params
+        doc = {"game": game, "game_params": params,
+               "adjusters": [{"kind": "sga"}], "etas": [0.1]}
+        code, out, err = invoke(capsys, "sweep", "--config",
+                                config_file(tmp_path, doc))
+        assert (code, out) == (1, "")
+        assert f"parameter {key!r} of game {game!r} must be a number" in err
+
+    def test_matrix_catalog_parameter_is_accepted(self, capsys, tmp_path):
+        doc = {"game": "example2", "game_params": {"p": [[1.0, 2.0]],
+                                                   "q": [[0.5, -1.0]]},
+               "adjusters": [{"kind": "sga"}], "etas": [0.1],
+               "w0": [[0.5, 0.5, 0.5]], "stop": {"max_iters": 20}}
+        code, out, _ = invoke(capsys, "sweep", "--config",
+                              config_file(tmp_path, doc), "--format", "csv")
+        assert code == 0
+        assert len(out.strip().split("\n")) == 2
+
     @pytest.mark.parametrize("doc,said", [
         ([{"game": "example1"}], "a sweep config is a JSON object"),
         ({"game": "example1", "adjusters": [{"kind": "sga"}], "etas": [0.1],
@@ -419,98 +455,98 @@ class TestExitCodes:
 # order: the one output that prints the probe diagnostic.
 RUN_CSV_DIGESTS = {
     "example1": (
-        "8d0696e3ce1f8fc777e932dc6f6cb9621321e53ed0a50fb2faa163bd2a300a73",
-        "de89f0c20bb84633bfc8c3fe2ae30c34e9a3d7dfd0f3cfbf17b188250fd746fa",
-        "de89f0c20bb84633bfc8c3fe2ae30c34e9a3d7dfd0f3cfbf17b188250fd746fa",
-        "de89f0c20bb84633bfc8c3fe2ae30c34e9a3d7dfd0f3cfbf17b188250fd746fa",
-        "8b9572c6155c28610e5db69838277edf056d9f9a834b90c579e25bb2e0b76db4",
-        "de30216861c62ebaf560a075f3c33f061857778b1ff51a15554e497f103a603d",
-        "5eb8f4c281cb96aa3084092acfcddcd8f7face8f18404deacb3cca4c40dcb176",
+        "1c5c859355dfb943a6e16053a39853cb4cbb99da6f9db50a37103c7760181954",
+        "97f6a5a73ecbdfaa30b99f692df6849e07ce75dd24c19f96cd0dcfc7f4e053c1",
+        "97f6a5a73ecbdfaa30b99f692df6849e07ce75dd24c19f96cd0dcfc7f4e053c1",
+        "97f6a5a73ecbdfaa30b99f692df6849e07ce75dd24c19f96cd0dcfc7f4e053c1",
+        "b575a06fc722067d8c7a56f61675ce957d31ed113fd41af01e89c8803f38a109",
+        "cfbfeae3664091c725e090c90a4745af84946a4f084a820ef1785dc2e4b0e75e",
+        "beeae0bce46dfe3a4896d0aaad3762afa85558b74f932edfedc8914b6f450663",
     ),
     "example2": (
-        "1343b22105d7afca717edc767b939058c84ac3702775b725c0b9ed2806c2efaf",
-        "7011371e20a8ed5fc64e4088c476a2cb8c6d35de925745e16c6c1a41f8391420",
-        "7011371e20a8ed5fc64e4088c476a2cb8c6d35de925745e16c6c1a41f8391420",
-        "d198298d0455d5176e067efdb5fea8cda4b1c0509ab9ae2a54b0e0d1259003e6",
-        "d198298d0455d5176e067efdb5fea8cda4b1c0509ab9ae2a54b0e0d1259003e6",
-        "1343b22105d7afca717edc767b939058c84ac3702775b725c0b9ed2806c2efaf",
-        "cc49da403a2dbd82a8d6c330aeba49713574d2510dc0ad3e6e147b4b021cffc5",
+        "e655b7065619874adffe9a30e1ddb6bb856b0d8694762258bea6f3439616a231",
+        "2c4c002ee3291958c7feeaad6f2199ef20c865b5eb76014a4eeb2eebe371c759",
+        "2c4c002ee3291958c7feeaad6f2199ef20c865b5eb76014a4eeb2eebe371c759",
+        "dd21b42234c2d08ab6f985b8fcdd8bc44366315c021db80e5938c6f4a17089f4",
+        "dd21b42234c2d08ab6f985b8fcdd8bc44366315c021db80e5938c6f4a17089f4",
+        "e655b7065619874adffe9a30e1ddb6bb856b0d8694762258bea6f3439616a231",
+        "c1dcc852e58e1ad7be4d8b0f309e9bc935435db2d4b41a1923297351e1aee2cf",
     ),
     "example3": (
-        "b246845b6794ac5b36e3757dad8f1e3fbd27e00294d59f4cc3e49f39428bef91",
-        "e2c81683d437b9f8e14bdb4c522b3099e9b85e7db99efce2f50015cfa55e3d8a",
-        "e2c81683d437b9f8e14bdb4c522b3099e9b85e7db99efce2f50015cfa55e3d8a",
-        "e2c81683d437b9f8e14bdb4c522b3099e9b85e7db99efce2f50015cfa55e3d8a",
-        "b1258a6105e27ea4d8be726c5abec16e39e34b31532ee7d68c1f18c6c847c689",
-        "7975ed6fb1d38906e7da5b252e008cbfae1437a589a0cc9e167eb43654e52993",
-        "1652572c88a8815f3367a8f08ed09fee801fd2aaa2f1f99b82f8dea7ec1bc66f",
+        "ded0b8bcc39ea0be58d8717c36d77f1f6364320276a61302b99e873769aa293f",
+        "21c5dc3ef74423eb7612d94b7e2b39f225ffe816633668f0412710a9ac4b4f48",
+        "21c5dc3ef74423eb7612d94b7e2b39f225ffe816633668f0412710a9ac4b4f48",
+        "21c5dc3ef74423eb7612d94b7e2b39f225ffe816633668f0412710a9ac4b4f48",
+        "2eae9a1ab519752257db508d09d644ec0308e1b8eb02bd36b2b3b1726056afb1",
+        "26c29356cec149448aeb812f2d4bf5b610291199d3343db2f3464b0e51bac6de",
+        "f2ead51123e396c0a413af92a51dc7f2d32ca69cdbc5dfae449e953df411449f",
     ),
     "example4": (
-        "66d66e07382de3f362ac1ea1d20f7df33498e4332e1770ea81909ab15ee0d43f",
-        "c98bc2fd5a55ce4a409baec0655f323adc3654142d82dc2fd277eb8c6f71a611",
-        "c98bc2fd5a55ce4a409baec0655f323adc3654142d82dc2fd277eb8c6f71a611",
-        "dcf068a43d8442b70423ac36e2a8d26ef219b67b392963e6d3315d3a12edfbc2",
-        "8b630d33a2e7f17af344b02f92c85d789cf5a3289f8a97d6c6af4ad4d8217bdf",
-        "bdaca3af61dad859e4d4fc70085ce9bfe5906a40c3a41d1993b964f304711994",
-        "93002b9180522aa66c64faab76c43c28de4dc0c6bc841b2f74c082798d198c29",
+        "64431cc7814dab410469ea7363a3c4a492814de78064f64997cdef9179e00f62",
+        "110f630659e910dc11245e7263ef15309feec7720b204b7959958b1d2f0da938",
+        "110f630659e910dc11245e7263ef15309feec7720b204b7959958b1d2f0da938",
+        "3938ac70d2d9c775244cbf827916c7260db181dcad50106616f60902505497dd",
+        "f97998f3b1a9f0f8f6cccf656ca460c70b2a2f519c28ee0234b36b85e05681f6",
+        "0edb4f71bf5a6767baf477bc676471c0082946732e73796bfbbae90bd385e71a",
+        "47d3460a08049b779ede7521580d0e2b575aa7f241046b5ec92aa8a34e8d6885",
     ),
     "example5": (
-        "668d13c92f26c1cf58670f9fcce5a5b926d6fbf92fafa104a557b0afb1fd846d",
-        "0ff4b04880fb49e280b09b31a458d26dba3b8e5f38b740a68421f3fe3916da34",
-        "0ff4b04880fb49e280b09b31a458d26dba3b8e5f38b740a68421f3fe3916da34",
-        "8e1b7a39df95118b540389b42a13dc98b5d8e70994dc169f1852d20551d1db6f",
-        "fc5caf55ae5b83eeed8fbbb5489e82f8aaef471d75ca9e2d801251a81e0b3004",
-        "7345c4d7cee34fa58b8ada35545ae0ca3898719d8e0887e185814eebc513a2c9",
-        "c79061a85d12cbf52626025b7f6c62653330ffbbd32610ab2ca86c375660c231",
+        "aa3e1edfc8ee01065f7fbb87481560d5342a4fc635f55f6fab76c6c761d61757",
+        "72456e91f6bd708ee5f6a5f9df497bc972058cb61cf7a47b779fdea761b94953",
+        "72456e91f6bd708ee5f6a5f9df497bc972058cb61cf7a47b779fdea761b94953",
+        "e6829024f9932caae8316cf21f45864c58f0ade020833991e112133430ad48d6",
+        "61194e34a256d44b88c140a9254c123aced9dba404e6bfbfe115229809d102c3",
+        "77528cc124654b6255be4ee5bfe8ee0091095e90eaa24d4ca4e07dca11896c48",
+        "cba367b46de43815075e573faefdadcf6fd35ccaa8d4e3f7dc6ea1ea91d6db39",
     ),
     "example6": (
-        "21a4c920e0be828a5157b97edab5cd46078ddb06d1d6e89f40bf4e527450853c",
-        "61fdfdb08a76cc854a5f4a5741fa9d035af3b938cb06275138ba28efbe17b7d5",
-        "61fdfdb08a76cc854a5f4a5741fa9d035af3b938cb06275138ba28efbe17b7d5",
-        "fa9b19d4494e2cffbf0d47fcd0adc2617032d5c3d24494c390bcdc12e41bd850",
-        "9d7abaee9b6967a64b944e442a86cb6678a3bb453709410187acc9f72d3fd205",
-        "211861eef5bdf30b4ac5ce4a6103b3e5bdfb7901b9a12ea2fb0fd2ccc37f364c",
-        "6c3d6764d6a4bcd2b41a414342f849285bfbc1c57ba65c29e785ab52fa3bad29",
+        "46a49902207bb21b125c1e5df6819fbf30563d7d7d5b1f33d915ce4f553cf473",
+        "9db5be37d1d3c7ead5425f69607f164c905d4ea66f0489883b96218a66c6bf83",
+        "9db5be37d1d3c7ead5425f69607f164c905d4ea66f0489883b96218a66c6bf83",
+        "a98cb2cefcbb479b23f458ad8d067a2ea0e97a3b30c0f74422e1e1c7e60ca699",
+        "92ada9d3ddb2be10231d8962f78144b44a4670646cc7e0cced5a75072fbe2207",
+        "34e9206b1c679eeb1a81ef361fe451aa027cc7491faec1aa39afde1aaa3889e6",
+        "b7c765f6865aed08f24d799baf6bdf8b8f03f9242e8ba40f367a5ae9fa5416d4",
     ),
     "example7": (
-        "0b5c69182c7179496d82563fe568b89b81a0bd2da8ab60aa8d58dc19064b985c",
-        "5d4b4649e634ed36b06a19eb85129faf24fe5333a3d28a392145c5282238e01b",
-        "5d4b4649e634ed36b06a19eb85129faf24fe5333a3d28a392145c5282238e01b",
-        "7338c483381195bafaa985bbf78f40391ab7c8814e71af8390598ee127aa00c8",
-        "7338c483381195bafaa985bbf78f40391ab7c8814e71af8390598ee127aa00c8",
-        "f93cf0c56a45d6811a421a66fae0d1ba07d49f21e73a4c343c3df4066299e316",
-        "09d1ba735418bc8f85ae4064510197d6465c952c69693b42e013d0ba815f3ea8",
+        "7a902ed63aac1d7ed78d304421bbb46a38fc9ed645e79a88e79441d90022579c",
+        "a2f3bc058cda2facc983c4c865d0f554481cd69365c4c02bce3d273bce626c1a",
+        "a2f3bc058cda2facc983c4c865d0f554481cd69365c4c02bce3d273bce626c1a",
+        "505f7631e923693cdeb7742469f3249c6d622efaf203dc2af33c632b8d9934e6",
+        "505f7631e923693cdeb7742469f3249c6d622efaf203dc2af33c632b8d9934e6",
+        "7b89b629daabef6d9a42a7055ab2c4fc0cefcaeb123d0221513f19fe95c4c1c9",
+        "5e7efbd80391b024d29b3b066ec8cf5d0cc4a3d5ca66a1c71fa4ae164eaad973",
     ),
     "fig3_weak_attractor": (
-        "61263363fafd5e54ee729d3b5766ddddbe49d23693900e5211599d3df507afb6",
-        "34a27df550215c93dbde45a54415930a764d34c319362380daf309b0739f1b5b",
-        "34a27df550215c93dbde45a54415930a764d34c319362380daf309b0739f1b5b",
-        "782e9cfd188bf5c8123b5a8995574735dcc4e1e3b0788d862b1decc1fe292393",
-        "782e9cfd188bf5c8123b5a8995574735dcc4e1e3b0788d862b1decc1fe292393",
-        "c7c0c57be0e7964142fe6750fe66eb542227dd16bbf09f9fae216b318fd1c0a7",
-        "f18863339a17431b37a0f7f727b514abe5b8b9a77f7123c36ff8dd2f01a7350d",
+        "1896badaa029ce743954c5380ec8e13087d3365a1689a130ffce02e6b5c37d35",
+        "9ea65f3ec13763ab5d677786bb890a1defa37f3c0c4aff24660edf922c17377d",
+        "9ea65f3ec13763ab5d677786bb890a1defa37f3c0c4aff24660edf922c17377d",
+        "6f6b3c2939b38bd821c065bec7ca54b5dfcc1096c48e0541c77e7d2f26db388c",
+        "6f6b3c2939b38bd821c065bec7ca54b5dfcc1096c48e0541c77e7d2f26db388c",
+        "c8a29eb1eab9452a004bfc0891988d988f642141eaa55c81cc5f2c2d36c30839",
+        "545539125e0a753d2856cb8a6a791265e6d2af3de30f5ddc0520aee94636fdd5",
     ),
     "fig4_bilinear": (
-        "f690b7c8f52aff906e03350abc6b842eec0c038284ec97dcdf2e6ea247a36de4",
-        "b9a04f753155a373c056d41ae6b7fb1f022aa9d0f7cc01523215c9dc96059c36",
-        "b9a04f753155a373c056d41ae6b7fb1f022aa9d0f7cc01523215c9dc96059c36",
-        "b9a04f753155a373c056d41ae6b7fb1f022aa9d0f7cc01523215c9dc96059c36",
-        "8b03e938793343415b75bc98b11ebd4f6826ce5a155445e5d4214e2cedb10c3f",
-        "7b7010fe5a4cd52d0a95034ba91b13d52fa579591b9ad291f61ec661f7200f20",
-        "254f2e162b1cc4fa5d713cf205fb33b5913d9d5b4e268c31f032a7020bbda055",
+        "7989ab8b7c916df4cc84c7f0827daa5f6424fa9afafd2d2576c2558d5dbc4826",
+        "d39f28b2d588da3e87703da19f05ac739d6d699b85ec778415d9a076b7d9b093",
+        "d39f28b2d588da3e87703da19f05ac739d6d699b85ec778415d9a076b7d9b093",
+        "d39f28b2d588da3e87703da19f05ac739d6d699b85ec778415d9a076b7d9b093",
+        "a5c77dd61bebb69987c887e89e4a41885e8312734b835ed5acce94cf81012459",
+        "7cf03534adb2ba548ace293160ba017037808c41dcc17688d678df8b09d13b5e",
+        "80e77ddd8c30f654b457b1b1fcde2e40d7b7c429a09fad9552a6c32b9fdd3043",
     ),
     "fig7_four_player": (
-        "188c217565b3a7a11ef22af8bfb78ffcde75b2f927a47f86fc69af247cf6f242",
-        "8b850dc532d3d9ad0f69466cefa7b037aacc4326d1cc79c97ba703fb56642179",
-        "8b850dc532d3d9ad0f69466cefa7b037aacc4326d1cc79c97ba703fb56642179",
-        "e4161809cca5a7b418d3320112e59f56c562689caa47bed023d00e698b5a69fa",
-        "e4161809cca5a7b418d3320112e59f56c562689caa47bed023d00e698b5a69fa",
-        "319c58bcb1b6931b76c3799bee40921c789017b6eb6399928be3cd661b7187f9",
-        "b17c45d18ecf19fa51bb83ace284cda67c33cd0388d17d5fb455cffead36dd2b",
+        "0d326fbfacece0d3509d76d33a79356d9eadc48889a2713510bcebe04b3885ec",
+        "d79997927eded756d0e6bd920c543cfb3482838a75bd1bde3c07162b362ed398",
+        "d79997927eded756d0e6bd920c543cfb3482838a75bd1bde3c07162b362ed398",
+        "17bf0fc41916029fd1d1190d8b8a01b38901e97048bb09c546a9b570bfd7d720",
+        "17bf0fc41916029fd1d1190d8b8a01b38901e97048bb09c546a9b570bfd7d720",
+        "c253084667a5e3f078abbf3f56224a3500a869f7d664815457727f970d158905",
+        "b82d34b9ce30118e5a0ba5fe079bb823604380ea4258ae302c0f7557b3e2eee9",
     ),
 }
 # sha256 of all 70 outputs above concatenated, catalog order then KINDS.
-RUN_CSV_ALL = "5a5476123c58370ea16ad5746b440ef950fddada87b443db5bdec2a80683ae5a"
+RUN_CSV_ALL = "ac650db8876f26b070b70a667e96c07ade1fb9f12d1721effe83b775ac983418"
 
 
 def test_run_csv_bytes_are_pinned(capsys, tmp_path):

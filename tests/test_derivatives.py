@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import diffgames as dg
+from diffgames.derivatives import _fd_step
 
 from conftest import CATALOG_DEFAULTS, POTENTIAL_GAMES, TanhGame, rel_err
 
@@ -58,6 +59,150 @@ class TestSimultaneousGradient:
         xi = dg.simultaneous_gradient(game, w).xi
         assert np.allclose(xi[:2], game.player_gradient(0, w))
         assert np.allclose(xi[2:], game.player_gradient(1, w))
+
+
+def reusing_trig_game():
+    """``trig_game``'s losses and field without a Hessian, from gradient
+    callables that write the whole field into one shared buffer and return
+    views of it: every call overwrites what earlier calls returned."""
+    buf = np.empty(2)
+
+    def gradient(i):
+        def g(w):
+            buf[0] = np.cos(w[0] + 2 * w[1])
+            buf[1] = np.sin(3 * w[0] - w[1])
+            return buf[i:i + 1]
+        return g
+
+    return dg.make_game(dg.PlayerPartition((1, 1)),
+                        [lambda w: np.sin(w[0] + 2 * w[1]),
+                         lambda w: np.cos(3 * w[0] - w[1])],
+                        [gradient(0), gradient(1)])
+
+
+class LateWrongLength:
+    """Player 1's gradient of the bilinear game with losses w0 w1 and
+    -w0 w1; once ``arm(good)`` is called, the gradient has length 2 from
+    its ``good + 1``-th call on."""
+
+    def __init__(self):
+        self.left = None
+
+    def arm(self, good):
+        self.left = good
+
+    def __call__(self, w):
+        if self.left is not None:
+            if self.left == 0:
+                return np.zeros(2)
+            self.left -= 1
+        return -w[0:1]
+
+
+def late_wrong_length_game():
+    bad = LateWrongLength()
+    game = dg.make_game(dg.PlayerPartition((1, 1)),
+                        [lambda w: w[0] * w[1], lambda w: -w[0] * w[1]],
+                        [lambda w: w[1:2], bad])
+    return game, bad
+
+
+WRONG_LENGTH = "gradient of player 1 has length 2, expected 1"
+
+
+class TestBatchField:
+    """``Game.batch_field``: the field at every row of a batch of points,
+    the one evaluation every finite-difference product makes."""
+
+    GAMES = {
+        "trig": lambda: dg.fd_game(trig_game()),
+        "tanh": lambda: TanhGame().build(analytic_hessian=False),
+        **{name: (lambda name=name, params=params:
+                  dg.catalog_game(name, **params))
+           for name, params in CATALOG_DEFAULTS},
+    }
+
+    @pytest.mark.parametrize("name", sorted(GAMES))
+    def test_rows_are_the_field_bit_for_bit(self, name):
+        game = self.GAMES[name]()
+        points = np.random.default_rng(zlib.crc32(name.encode())).uniform(
+            -1.5, 1.5, (5, game.dim))
+        field = game.batch_field(points)
+        assert field.shape == (5, game.dim) and field.flags.c_contiguous
+        for w, row in zip(points, field):
+            assert row.tobytes() == dg.simultaneous_gradient(
+                game, w).xi.tobytes()
+            assert row.tobytes() == np.concatenate(
+                [game.player_gradient(i, w)
+                 for i in range(game.num_players)]).tobytes()
+        if isinstance(game, dg.QuadraticGame):
+            _, fused = game.batch_losses_and_field(points)
+            assert fused.tobytes() == field.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(GAMES))
+    def test_products_equal_the_per_coordinate_loops(self, name):
+        """thvp and full_hessian keep every bit of the loops they batch:
+        one coordinate's two field evaluations at a time, and one hvp per
+        column."""
+        game = dg.fd_game(self.GAMES[name]())
+        rng = np.random.default_rng(zlib.crc32(name.encode()))
+        w = rng.uniform(-1.5, 1.5, game.dim)
+        v = rng.standard_normal(game.dim)
+        h = _fd_step(w)
+        loop = np.empty(game.dim)
+        for j, e in enumerate(h * np.eye(game.dim)):
+            g_plus = float(dg.simultaneous_gradient(game, w + e).xi @ v)
+            g_minus = float(dg.simultaneous_gradient(game, w - e).xi @ v)
+            loop[j] = (g_plus - g_minus) / (2.0 * h)
+        assert dg.thvp(game, w, v).tobytes() == loop.tobytes()
+        columns = np.column_stack([dg.hvp(game, w, e)
+                                   for e in np.eye(game.dim)])
+        assert dg.full_hessian(game, w).tobytes() == columns.tobytes()
+
+    @pytest.mark.parametrize("name", ["trig", "tanh", "fig7_four_player"])
+    def test_zero_rows(self, name):
+        game = self.GAMES[name]()
+        assert game.batch_field(np.zeros((0, game.dim))).shape == (0,
+                                                                   game.dim)
+
+    def test_reused_output_buffer(self):
+        reusing, fresh = reusing_trig_game(), dg.fd_game(trig_game())
+        rng = np.random.default_rng(31)
+        for _ in range(5):
+            w = rng.uniform(-1.5, 1.5, 2)
+            v = rng.standard_normal(2)
+            for product in (dg.hvp, dg.thvp):
+                assert (product(reusing, w, v).tobytes()
+                        == product(fresh, w, v).tobytes())
+            assert (dg.full_hessian(reusing, w).tobytes()
+                    == dg.full_hessian(fresh, w).tobytes())
+            points = rng.uniform(-1.5, 1.5, (3, 2))
+            assert (reusing.batch_field(points).tobytes()
+                    == fresh.batch_field(points).tobytes())
+
+    def test_wrong_length_later_in_a_thvp_batch(self):
+        game, bad = late_wrong_length_game()
+        bad.arm(2)  # the third of thvp's four points
+        with pytest.raises(ValueError, match=WRONG_LENGTH):
+            dg.thvp(game, [0.3, 0.7], [1.0, 2.0])
+        assert bad.left == 0
+
+    def test_wrong_length_later_in_a_full_hessian_batch(self):
+        game, bad = late_wrong_length_game()
+        bad.arm(3)  # the last of its four points
+        with pytest.raises(ValueError, match=WRONG_LENGTH):
+            dg.full_hessian(game, [0.3, 0.7])
+        assert bad.left == 0
+
+    def test_wrong_length_in_a_run_is_not_divergence(self):
+        game, bad = late_wrong_length_game()
+        oracle = dg.fd_game(game)
+        # Each consensus iteration evaluates the field once, then thvp's
+        # four points: call 8 is the second point of iteration 1's thvp.
+        bad.arm(7)
+        with pytest.raises(ValueError, match=WRONG_LENGTH):
+            dg.run(dg.AdjusterSpec(dg.CONSENSUS), oracle, [0.5, 0.5], 0.05)
+        assert bad.left == 0
 
 
 class TestHvp:

@@ -128,6 +128,24 @@ class TestCatalog:
         e4 = dg.catalog_game("example4")
         assert np.allclose(e4.loss_vector([1.0, 1.0]), [2.0, -2.0])
 
+    @pytest.mark.parametrize("name,key,value", [
+        ("fig3_weak_attractor", "coupling", None),
+        ("fig3_weak_attractor", "coupling", [1.0, 2.0]),
+        ("example3", "a", {"x": 1.0}),
+        ("example1", "dim", None),
+        ("example5", "kappa", "steep"),
+    ])
+    def test_non_numeric_parameter_rejected(self, name, key, value):
+        with pytest.raises(ValueError, match=f"parameter '{key}' of game "
+                                             f"'{name}' must be a number"):
+            dg.catalog_game(name, **{key: value})
+
+    def test_matrix_parameters_keep_taking_matrices(self):
+        game = dg.catalog_game("example1", payoff=[[1.0, 2.0, 0.0]])
+        assert game.partition.sizes == (1, 3)
+        game = dg.catalog_game("example2", p=[[1.0], [2.0]], q=[[0.0], [1.0]])
+        assert game.partition.sizes == (2, 1)
+
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown game"):
             dg.catalog_game("nope")
