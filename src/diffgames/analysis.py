@@ -32,6 +32,9 @@ GENERAL = "general"
 _NEIGHBORHOOD_SAMPLES = 8
 _NEIGHBORHOOD_RADIUS = 1e-3
 
+# A point is fixed when |xi(w)| is at most this.
+_FIXED_POINT_TOL = 1e-8
+
 
 class NotAFixedPointError(ValueError):
     """Raised when a fixed-point query is made away from a zero of the field."""
@@ -170,8 +173,9 @@ def _neighborhood(game: Game, w: Array) -> tuple[list, list]:
     return ([w] if isinstance(game, QuadraticGame) else [w] + nearby), nearby
 
 
-def classify_fixed_point(game: Game, w,
-                         fixed_point_tol: float = 1e-8) -> FixedPointReport:
+def classify_fixed_point(
+        game: Game, w,
+        fixed_point_tol: float = _FIXED_POINT_TOL) -> FixedPointReport:
     """Stability and local-Nash status of a fixed point.
 
     Raises NotAFixedPointError when ``|xi(w)| > fixed_point_tol``.  Stability
@@ -230,11 +234,11 @@ def _fixed_point_report(game: Game, w: Array, xi_norm: float, splits,
                             probe_value=float(np.mean(probes)))
 
 
-def _classify_point(game: Game, w: Array, xi_norm: float,
-                    fixed_point_tol: float):
+def _classify_point(game: Game, w: Array, xi_norm: float):
     """The game class over w and its neighbourhood, the split at w, and the
-    fixed-point report (None unless ``xi_norm`` is within the tolerance),
-    with each full Hessian built once.
+    fixed-point report (None unless ``xi_norm`` is within the default
+    tolerance of ``classify_fixed_point``), with each full Hessian built
+    once.
 
     The class equals ``classify_game``'s on the deciding points of
     ``_neighborhood``; the report is what ``classify_fixed_point`` returns.
@@ -242,7 +246,7 @@ def _classify_point(game: Game, w: Array, xi_norm: float,
     deciding, nearby = _neighborhood(game, w)
     splits = [_split(game, p) for p in deciding]
     report = (_fixed_point_report(game, w, xi_norm, splits, nearby)
-              if xi_norm <= fixed_point_tol else None)
+              if xi_norm <= _FIXED_POINT_TOL else None)
     return _game_class(splits, None), splits[0], report
 
 

@@ -68,15 +68,14 @@ def _parse_eta_range(text: str) -> dict:
         raise _UsageError(f"malformed eta range {text!r}") from None
 
 
-def _add_common(parser):
-    parser.add_argument("--format", choices=("csv", "json"), default="json",
-                        help="output format (default json)")
+def _add_output(parser, formats=True):
+    """``--out``, and ``--format`` where the subcommand prints either."""
+    if formats:
+        parser.add_argument("--format", choices=("csv", "json"),
+                            default="json",
+                            help="output format (default json)")
     parser.add_argument("--out", metavar="PATH",
                         help="write output here instead of stdout")
-    # None marks "not given", so a config file's value survives.
-    parser.add_argument("--seed", type=int, default=None,
-                        help=f"seed for all randomness (default "
-                             f"{SweepConfig.seed})")
 
 
 def _add_stop_flags(parser):
@@ -99,11 +98,11 @@ def build_parser() -> _Parser:
                      description="analyze and solve differentiable games")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("list-games", parents=[], help="print the catalog")
-    _add_common(p)
+    p = sub.add_parser("list-games", help="print the catalog")
+    _add_output(p)
 
-    p = sub.add_parser("analyze", help="analyze a game at one point")
-    _add_common(p)
+    p = sub.add_parser("analyze", help="analyze a game at one point, as JSON")
+    _add_output(p, formats=False)
     p.add_argument("--game", required=True)
     p.add_argument("--params", action="append", metavar="K=V")
     p.add_argument("--at", required=True, metavar="X1,X2,...")
@@ -111,7 +110,7 @@ def build_parser() -> _Parser:
                    help=f"alignment bias (default {AdjusterSpec.epsilon})")
 
     p = sub.add_parser("run", help="run one adjuster from one start point")
-    _add_common(p)
+    _add_output(p)
     p.add_argument("--game", required=True)
     p.add_argument("--params", action="append", metavar="K=V")
     p.add_argument("--adjuster", required=True, choices=KINDS)
@@ -124,7 +123,11 @@ def build_parser() -> _Parser:
     _add_stop_flags(p)
 
     p = sub.add_parser("sweep", help="learning-rate sweep")
-    _add_common(p)
+    _add_output(p)
+    # None marks "not given", so a config file's value survives.
+    p.add_argument("--seed", type=int, default=None,
+                   help=f"seed of the random start points (default "
+                        f"{SweepConfig.seed})")
     p.add_argument("--preset", choices=PRESETS,
                    help="a built-in sweep; of the flags that define a "
                         "sweep, only --seed combines with it")

@@ -180,9 +180,7 @@ def _products(game: Game, points: Array, xi: Array, both: bool):
     On a quadratic game the Hessian is one constant matrix: both products
     are then one batched matmul, which makes one matrix-vector product per
     row and so matches the row-by-row products bit for bit.  Otherwise they
-    go one row at a time: with an analytic Hessian it is fetched once per
-    row and both products use it (the arithmetic of ``thvp`` and ``hvp``),
-    else both are the finite-difference products.
+    are ``thvp`` and ``hvp``, one row at a time.
     """
     if isinstance(game, QuadraticGame):
         h = game.hessian_matrix
@@ -191,15 +189,9 @@ def _products(game: Game, points: Array, xi: Array, both: bool):
         return grad_h, h_xi
     grad_h, h_xi = [], []
     for w, x in zip(points, xi):
-        if game.has_analytic_hessian:
-            h = game.analytic_hessian(w)
-            grad_h.append(h.T @ x)
-            if both:
-                h_xi.append(h @ x)
-        else:
-            grad_h.append(thvp(game, w, x))
-            if both:
-                h_xi.append(hvp(game, w, x))
+        grad_h.append(thvp(game, w, x))
+        if both:
+            h_xi.append(hvp(game, w, x))
     # reshape: a batch of no rows still has d columns
     return (np.reshape(grad_h, xi.shape),
             np.reshape(h_xi, xi.shape) if both else None)
@@ -455,6 +447,18 @@ class SpectralPrediction:
     predicts_convergence: bool
 
 
+def _why_no_oracle(spec: AdjusterSpec, game: Game) -> str | None:
+    """Why the spectral oracle does not apply, or None where it does."""
+    if not isinstance(game, QuadraticGame):
+        return "the spectral oracle needs a quadratic game"
+    if np.any(game.gradient_offset != 0.0):
+        return "the spectral oracle needs zero gradient offsets"
+    if spec.kind not in LINEAR_KINDS:
+        return (f"adjuster {spec.kind!r} is not a fixed linear rule; "
+                f"oracle-eligible kinds: {LINEAR_KINDS}")
+    return None
+
+
 def iteration_matrix(spec: AdjusterSpec, game: QuadraticGame,
                      eta: float) -> Array:
     """Exact linear iteration matrix of a fixed-weight rule.
@@ -463,15 +467,10 @@ def iteration_matrix(spec: AdjusterSpec, game: QuadraticGame,
     non-aligned rule reduces to ``w_next = M w`` (omd needs its companion
     form on the doubled state (w_t, w_{t-1})).
     """
-    if not isinstance(game, QuadraticGame):
-        raise ValueError("the spectral oracle needs a quadratic game")
-    if np.any(game.gradient_offset != 0.0):
-        raise ValueError("the spectral oracle needs zero gradient offsets")
-    if spec.kind not in LINEAR_KINDS:
-        raise ValueError(
-            f"adjuster {spec.kind!r} is not a fixed linear rule; "
-            f"oracle-eligible kinds: {LINEAR_KINDS}"
-        )
+    check_eta(eta)
+    reason = _why_no_oracle(spec, game)
+    if reason is not None:
+        raise ValueError(reason)
     h = game.hessian_matrix
     d = h.shape[0]
     eye = np.eye(d)
@@ -494,8 +493,17 @@ def iteration_matrix(spec: AdjusterSpec, game: QuadraticGame,
 
 def spectral_oracle(spec: AdjusterSpec, game: QuadraticGame,
                     eta: float) -> SpectralPrediction:
-    """Exact convergence prediction from the iteration matrix spectrum."""
-    m = iteration_matrix(spec, game, eta)
-    rho = float(np.max(np.abs(np.linalg.eigvals(m))))
+    """Exact convergence prediction from the iteration matrix spectrum.
+
+    Raises ValueError for a bad eta, where the oracle does not apply, and
+    where the iteration matrix or its spectral radius overflows at eta.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = iteration_matrix(spec, game, eta)
+        rho = (float(np.max(np.abs(np.linalg.eigvals(m))))
+               if np.isfinite(m).all() else math.inf)
+    if not math.isfinite(rho):
+        raise ValueError(f"the spectral oracle of {spec.kind!r} overflows "
+                         f"at eta={eta!r}")
     return SpectralPrediction(spectral_radius=rho,
                               predicts_convergence=rho < 1.0)

@@ -22,7 +22,7 @@ import numpy as np
 from . import analysis
 from .derivatives import hvp, simultaneous_gradient, thvp
 from .dynamics import (CONVERGED, AdjusterSpec, StopCriteria, _euler,
-                       check_eta, spectral_oracle)
+                       _why_no_oracle, check_eta, spectral_oracle)
 from .games import as_point, catalog_game, default_start
 
 Array = np.ndarray
@@ -128,28 +128,25 @@ def _trailing_loss(mean_abs: Array, window: int) -> float:
     return min(value, TRAILING_LOSS_CAP)
 
 
-def _oracle_rho(spec: AdjusterSpec, game, eta: float) -> float | None:
-    try:
-        return spectral_oracle(spec, game, eta).spectral_radius
-    except ValueError:
-        return None
-
-
 def sweep(config: SweepConfig) -> SweepResult:
     """Run every (adjuster, eta, start point) cell of the config.
 
     Each adjuster's cells step together through the Euler engine behind
     ``run``, so every cell equals ``run`` on its own start point and rate,
     bit for bit.  A cell that blows up numerically is recorded as diverged;
-    any exception is a fault and propagates.  Cells come out in the
-    configured order: adjuster, then eta, then start point.
+    any exception is a fault and propagates, the ValueError of a spectral
+    oracle that overflows included.  A rule the oracle does not apply to
+    gets no spectral radius.  Cells come out in the configured order:
+    adjuster, then eta, then start point.
     """
     game = catalog_game(config.game, **config.game_params)
     starts = _start_points(config, game.dim)
 
     cells = []
     for spec in config.adjusters:
-        rhos = [_oracle_rho(spec, game, eta) for eta in config.etas]
+        oracle = _why_no_oracle(spec, game) is None
+        rhos = [spectral_oracle(spec, game, eta).spectral_radius if oracle
+                else None for eta in config.etas]
         grid = [(ei, w0) for ei in range(len(config.etas))
                 for w0 in starts[ei]]
         ends, _ = _euler(spec, game, [w0 for _, w0 in grid],
@@ -221,13 +218,13 @@ def run_preset(name: str, seed: int = SweepConfig.seed) -> SweepResult:
 # Point analysis
 # ---------------------------------------------------------------------------
 
-def analyze_point(game, w, epsilon: float = AdjusterSpec.epsilon,
-                  fixed_point_tol: float = 1e-8) -> dict:
+def analyze_point(game, w, epsilon: float = AdjusterSpec.epsilon) -> dict:
     """Everything the analysis layer knows about one point, JSON-ready.
 
     Bundles the field, the symmetric/antisymmetric split with its eigendata,
     the game classification, the definiteness probe, and the alignment sign;
-    when the point is (numerically) fixed, the stability report is included.
+    when the point is fixed (within the default tolerance of
+    ``classify_fixed_point``), the stability report is included.
     """
     w = as_point(game.partition, w)
     ev = simultaneous_gradient(game, w)
@@ -238,8 +235,7 @@ def analyze_point(game, w, epsilon: float = AdjusterSpec.epsilon,
     xi_norm = float(np.sqrt(ev.norm_sq))
     # Sampled at w and, for a non-quadratic game, 8 points 1e-3 around it:
     # each full Hessian serves the class, the split and the report.
-    game_class, dec, report = analysis._classify_point(game, w, xi_norm,
-                                                       fixed_point_tol)
+    game_class, dec, report = analysis._classify_point(game, w, xi_norm)
 
     bundle = {
         "schema_version": SCHEMA_VERSION,

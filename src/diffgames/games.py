@@ -12,6 +12,7 @@ single game object can be shared freely across threads.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -94,6 +95,10 @@ def default_start(dim: int) -> Array:
 class Game:
     """An n-player game over R^d with analytic per-player gradients.
 
+    ``player_gradient`` is the per-player hook; the base ``batch_field``
+    and ``batch_losses_and_field`` call it.  An override of any of the
+    three must return exactly the bits the base version would.
+
     Parameters
     ----------
     partition : PlayerPartition
@@ -166,29 +171,15 @@ class Game:
                 row[blk] = self.player_gradient(i, w)
         return field
 
-    def losses_and_field(self, w: Array) -> tuple[Array, Array]:
-        """The loss vector and the stacked field xi at w, in one call.
-
-        Returns exactly ``loss_vector(w)`` and the stacked
-        ``player_gradient(i, w)``; subclasses override it only to share work
+    def batch_losses_and_field(self, points: Array) -> tuple[Array, Array]:
+        """The ``(C, n)`` losses and ``(C, d)`` field at the rows of a
+        ``(C, d)`` array of points: ``loss_vector`` of each row and one
+        ``batch_field(points)``.  A subclass overrides it only to share work
         between the two, never to change a bit of either.
         """
-        losses = self.loss_vector(w)
-        return losses, self.batch_field(np.reshape(w, (1, -1)))[0]
-
-    def batch_losses_and_field(self, points: Array) -> tuple[Array, Array]:
-        """``losses_and_field`` for each row of a ``(C, d)`` array of points.
-
-        Returns the ``(C, n)`` losses and the ``(C, d)`` field, row k being
-        exactly ``losses_and_field(points[k])``.  This version loops over the
-        rows, so a game that overrides only ``losses_and_field`` is batched
-        correctly.
-        """
-        rows = [self.losses_and_field(w) for w in points]
-        losses = np.array([loss for loss, _ in rows])
-        field = np.array([xi for _, xi in rows])
+        losses = np.array([self.loss_vector(w) for w in points], dtype=float)
         return (losses.reshape(-1, self.num_players),
-                field.reshape(-1, self.dim))
+                self.batch_field(points))
 
     @property
     def has_analytic_hessian(self) -> bool:
@@ -301,10 +292,11 @@ class QuadraticGame(Game):
 
         Each row still gets its own ``B_i @ w`` matrix-vector product, and
         each loss its own dot products (``np.vecdot``), in the expressions
-        of the per-player callables, so every finite row is bit-identical
-        to ``losses_and_field`` of that row, and so is the field of every
-        row.  When every linear term is zero, a row with an infinite entry
-        may get an infinite loss where ``losses_and_field`` gives NaN.
+        of the per-player callables, so the losses of every finite row are
+        bit-identical to ``loss_vector`` of that row, and the field of
+        every row to the stacked ``player_gradient``.  When every linear
+        term is zero, a row with an infinite entry may get an infinite loss
+        where ``loss_vector`` gives NaN.
         """
         prods = np.matmul(self._stacked, points[:, None, :, None])[..., 0]
         rows = points[:, None, :]
@@ -380,8 +372,14 @@ def quadratic_game_from_hessian(partition, hessian, offset=None) -> QuadraticGam
 class CatalogEntry:
     name: str
     summary: str
-    defaults: dict
     build: Callable[..., QuadraticGame]
+
+    @property
+    def defaults(self) -> dict:
+        """The game's parameters and their defaults, in order: those of
+        its builder's signature, the one place they are written."""
+        return {name: p.default for name, p
+                in inspect.signature(self.build).parameters.items()}
 
 
 def _zeros(k):
@@ -500,43 +498,43 @@ CATALOG: dict[str, CatalogEntry] = {
         CatalogEntry(
             "example1",
             "zero-sum bilinear bimatrix game (cycling field)",
-            {"dim": 2, "payoff": None}, _build_example1),
+            _build_example1),
         CatalogEntry(
             "example2",
             "general bilinear bimatrix game with payoff matrices p, q",
-            {"dim": 1, "p": None, "q": None}, _build_example2),
+            _build_example2),
         CatalogEntry(
             "example3",
             "bilinear game with equilibrium shifted to (a, b); not zero-sum",
-            {"a": 1.0, "b": 1.0}, _build_example3),
+            _build_example3),
         CatalogEntry(
             "example4",
             "zero-sum pair +/-(x^2 + y^2); gradient flow on x^2 - y^2",
-            {}, _build_example4),
+            _build_example4),
         CatalogEntry(
             "example5",
             "both players minimize the concave -kappa/2 (x^2 + y^2)",
-            {"kappa": 10.0}, _build_example5),
+            _build_example5),
         CatalogEntry(
             "example6",
             "weak repellor at the origin with strong rotation",
-            {"epsilon": 0.1}, _build_example6),
+            _build_example6),
         CatalogEntry(
             "example7",
             "per-player minimum that is a saddle of the joint potential",
-            {}, _build_example7),
+            _build_example7),
         CatalogEntry(
             "fig3_weak_attractor",
             "weak attractor coupled to a strong rotational force",
-            {"coupling": 10.0}, _build_fig3),
+            _build_fig3),
         CatalogEntry(
             "fig4_bilinear",
             "zero-sum bilinear game +/- w1'w2, per-player dimension dim",
-            {"dim": 1}, _build_fig4),
+            _build_fig4),
         CatalogEntry(
             "fig7_four_player",
             "four scalar players, pairwise zero-sum couplings, epsilon damping",
-            {"epsilon": 0.01}, _build_fig7),
+            _build_fig7),
     ]
 }
 
@@ -558,14 +556,15 @@ def catalog_game(name: str, **params) -> QuadraticGame:
     if entry is None:
         known = ", ".join(sorted(CATALOG))
         raise ValueError(f"unknown game {name!r}; known games: {known}")
-    unknown = set(params) - set(entry.defaults)
+    defaults = entry.defaults
+    unknown = set(params) - set(defaults)
     if unknown:
         raise ValueError(
             f"unknown parameter(s) {sorted(unknown)} for game {name!r}; "
-            f"accepted: {sorted(entry.defaults)}"
+            f"accepted: {sorted(defaults)}"
         )
     for key, value in params.items():
-        if isinstance(entry.defaults[key], (int, float)):
+        if isinstance(defaults[key], (int, float)):
             try:
                 float(value)
             except (TypeError, ValueError):

@@ -27,6 +27,18 @@ class TestListGames:
         assert "example5" in out
         assert "kappa=10.0" in out
 
+    # The catalog's parameters and defaults, as both listings print them.
+    @pytest.mark.parametrize("fmt,digest", [
+        ("json",
+         "681f6e667ef3e8439650ba098b68b5182ffaab06ab4affb26dc2a1a5c72ae9d7"),
+        ("csv",
+         "b2e0b79db92b0c831693123af4e9dae128be5fe46191031697376ac65539c4d4"),
+    ])
+    def test_listing_bytes_are_pinned(self, capsys, fmt, digest):
+        code, out, _ = invoke(capsys, "list-games", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestAnalyze:
     def test_saddle_point(self, capsys):
@@ -439,6 +451,30 @@ class TestExitCodes:
     def test_unknown_flag_rejected(self, capsys):
         code, _, err = invoke(capsys, "list-games", "--frobnicate")
         assert code == 1
+
+    # No randomness outside a sweep, and analyze prints JSON only: a flag
+    # that nothing would read is not accepted.
+    @pytest.mark.parametrize("argv", [
+        ["list-games", "--seed", "1"],
+        ["analyze", "--game", "example7", "--at", "0,0", "--seed", "1"],
+        ["analyze", "--game", "example7", "--at", "0,0", "--format", "csv"],
+        ["run", "--game", "example1", "--adjuster", "simgd", "--eta", "0.1",
+         "--seed", "1"],
+    ])
+    def test_flag_nothing_reads_is_usage_error(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments" in err
+
+    def test_overflowing_oracle_is_usage_error(self, capsys):
+        code, out, err = invoke(capsys, "sweep", "--game",
+                                "fig3_weak_attractor", "--adjusters",
+                                "consensus", "--etas", "1e307",
+                                "--format", "csv")
+        assert code == 1
+        assert out == ""
+        assert "'consensus' overflows at eta=1e+307" in err
 
     def test_missing_subcommand(self, capsys):
         code, _, _ = invoke(capsys)

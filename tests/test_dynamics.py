@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -233,12 +236,9 @@ class TestFusedEvaluation:
     bit."""
 
     def test_losses_and_field_equal_the_parts(self):
-        game, plain, w = _offset_game(0)
+        game, plain, _ = _offset_game(0)
         rows = np.random.default_rng(9).standard_normal((5, game.dim))
         for g in (game, plain):
-            losses, xi = g.losses_and_field(w)
-            assert np.array_equal(losses, game.loss_vector(w))
-            assert np.array_equal(xi, dg.simultaneous_gradient(game, w).xi)
             losses, xi = g.batch_losses_and_field(rows)
             for k, r in enumerate(rows):
                 assert np.array_equal(losses[k], game.loss_vector(r))
@@ -393,6 +393,25 @@ class TestSpectralOracle:
             dg.spectral_oracle(dg.AdjusterSpec("sga-aligned"), game, 0.1)
         with pytest.raises(ValueError):
             dg.spectral_oracle(dg.AdjusterSpec("aligned-consensus"), game, 0.1)
+
+    @pytest.mark.parametrize("kind,eta", [
+        ("consensus", 1e307), ("hamiltonian-descent", 1e307),
+        ("omd", 1e307),
+        # The matrix is finite, its spectral radius is not.
+        ("simgd", 1.795e307)])
+    def test_overflow_names_the_rule_and_rate(self, kind, eta):
+        game = dg.catalog_game("fig3_weak_attractor")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(
+                    f"'{kind}' overflows at eta={eta!r}")):
+                dg.spectral_oracle(dg.AdjusterSpec(kind), game, eta)
+
+    @pytest.mark.parametrize("eta", [0.0, -0.1, np.nan, np.inf])
+    def test_rejects_a_bad_rate(self, eta):
+        game = dg.catalog_game("fig4_bilinear")
+        with pytest.raises(ValueError, match="eta must be positive"):
+            dg.spectral_oracle(dg.AdjusterSpec("simgd"), game, eta)
 
     def test_rejects_non_quadratic_games(self):
         p = dg.PlayerPartition((1, 1))

@@ -39,6 +39,14 @@ class TestSweep:
         result = dg.sweep(config)
         assert all(c.spectral_radius is None for c in result.cells)
 
+    def test_overflowing_oracle_raises(self):
+        # A rule the oracle applies to gets a radius or an error, never the
+        # empty column of a rule it does not apply to.
+        config = tiny_config(game="fig3_weak_attractor", etas=(1e307,),
+                             adjusters=(dg.AdjusterSpec("consensus"),))
+        with pytest.raises(ValueError, match="'consensus' overflows"):
+            dg.sweep(config)
+
     def test_deterministic_reruns(self):
         a = dg.serialize(dg.sweep(tiny_config()), "json")
         b = dg.serialize(dg.sweep(tiny_config()), "json")
