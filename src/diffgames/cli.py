@@ -166,11 +166,13 @@ def _cmd_list_games(args) -> int:
                for e in CATALOG.values()]
         _emit((json.dumps(doc, indent=2) + "\n").encode(), args.out)
         return 0
-    lines = []
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["name", "parameters", "summary"])
     for e in CATALOG.values():
-        params = ", ".join(f"{k}={v}" for k, v in e.defaults.items()) or "-"
-        lines.append(f"{e.name:22s} {params:30s} {e.summary}")
-    _emit(("\n".join(lines) + "\n").encode(), args.out)
+        params = ", ".join(f"{k}={v}" for k, v in e.defaults.items())
+        writer.writerow([e.name, params, e.summary])
+    _emit(buf.getvalue().encode(), args.out)
     return 0
 
 

@@ -21,18 +21,29 @@ points on first read, with the same field and product code, so it holds
 the bits a probe taken during the run would have.
 
 At the small d of the presets a step costs its NumPy calls, not its
-flops: about 30 calls of up to a microsecond each for simgd or omd on a
-quadratic game, a third of them in the game's evaluation.  So the loop
-makes no call it can skip.  A rule whose rows all share one adjustment
-sign (0 for the rules without a weight) returns it as one float, not an
-array, and ``run`` spells it out per step only when it records.  The stop
-tests build only the masks that are switched on, and a count per test
-decides whether any row stops: the masks of who stopped and why, and the
-compaction, are built only on the steps where one does.
+flops, and testing for a stop after every step (the norm bound, the
+non-finite test, the loss window) would take about half of them.  So on a
+quadratic game the loop takes a block of steps before it tests for a
+stop: a step inside the block makes only the calls of its evaluation,
+its direction and its update, and keeps its point, losses and field; one
+pass over those arrays then makes the tests of every step of the block.
+A cell that stopped inside the block ends at its exact iteration with
+its exact window, and its later steps are discarded, so no result
+depends on the block length.  On a general game those discarded steps
+would run the user's callables past a stop, so there the loop tests
+after every step (``_block_length``).  A blow-up is a stop, so on a
+quadratic game the loop runs with NumPy's overflow and invalid-value
+warnings off; a general game's callables keep the caller's settings.  A
+rule whose rows all share one adjustment sign (0 for the rules without a
+weight) returns it as one float, not an array.  The stop tests build only
+the masks that are switched on, and a count decides whether any row
+stops: who stopped and why, and the compaction, are worked out only in a
+block where one does.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -156,12 +167,14 @@ class Trajectory:
         what a probe taken during the run would be, and caches it.  On a
         game without an analytic Hessian, ``fd_game(game)`` included, that
         read costs 2d + 1 field evaluations per iteration: the field again,
-        then ``thvp``.
+        then ``thvp``.  Near a blow-up a probe may overflow to inf; like
+        the loop, the read does not warn about it.
         """
         if self._probes is None:
             points = self.points[:len(self.xi_norms)]
-            _, xi = _evaluate(self._game, points)
-            self._probes = _probes(self._game, points, xi)
+            with _quiet(self._game):
+                _, xi = _evaluate(self._game, points)
+                self._probes = _probes(self._game, points, xi)
         return self._probes
 
     @property
@@ -244,12 +257,27 @@ def _directions(spec: AdjusterSpec, game: Game, points: Array, xi: Array,
     raise ValueError(f"unknown adjuster {spec.kind!r}")  # AdjusterSpec checks
 
 
+def _quiet(game: Game):
+    """NumPy's overflow and invalid-value warnings off on a quadratic game,
+    whose blow-up the engine reports as a stop; any other game runs the
+    user's callables, so it keeps the caller's settings."""
+    if isinstance(game, QuadraticGame):
+        return np.errstate(over="ignore", invalid="ignore")
+    return contextlib.nullcontext()
+
+
 def _evaluate(game: Game, points: Array):
     """Losses and field at every row of ``points``, as C-ordered arrays:
     a BLAS dot product may sum a strided row in another order than a
     contiguous one, so every row the engine hands on is contiguous."""
     loss, xi = game.batch_losses_and_field(points)
     return np.ascontiguousarray(loss), np.ascontiguousarray(xi)
+
+
+def _adjusted(spec: AdjusterSpec, game: Game, w: Array, prev_xi):
+    """Losses, field, direction and sign at each row of w."""
+    loss, xi = _evaluate(game, w)
+    return (loss, xi) + _directions(spec, game, w, xi, prev_xi)
 
 
 def _at_point(spec: AdjusterSpec, game: Game, w, prev_xi):
@@ -261,9 +289,7 @@ def _at_point(spec: AdjusterSpec, game: Game, w, prev_xi):
                          f"{game.dim}")
     if prev_xi is not None:
         prev_xi = np.asarray(prev_xi, dtype=float).reshape(1, -1)
-    loss, xi = _evaluate(game, w)
-    vec, signs = _directions(spec, game, w, xi, prev_xi)
-    return w, loss, xi, vec, signs
+    return (w,) + _adjusted(spec, game, w, prev_xi)
 
 
 def direction(spec: AdjusterSpec, game: Game, w, prev_xi=None) -> Array:
@@ -304,21 +330,56 @@ class _CellEnd(NamedTuple):
     window: Array
 
 
+# Steps per block on a quadratic game (see ``_block_length``).  A block
+# makes one pass of stop tests for all its steps, which at the small d of
+# the presets halves the NumPy calls per step, while a batch runs at most
+# _BLOCK_STEPS - 1 steps past its last stop.  Blocks of 8 to 64 steps ran
+# the three presets in about the same time; 16 wastes less.
+_BLOCK_STEPS = 16
+
+
+def _block_length(game: Game) -> int:
+    """How many steps the engine takes before it tests for a stop.
+
+    Only a quadratic game steps in blocks.  The evaluation of any other
+    game runs the user's callables, which must not run past a stop: they
+    may raise there, and on a game without an analytic Hessian such a
+    wasted step costs up to 2d + 1 field evaluations.
+    """
+    return _BLOCK_STEPS if isinstance(game, QuadraticGame) else 1
+
+
+def _kept(keep, *arrays):
+    """The kept rows of each per-row array (None stays None)."""
+    return [None if a is None else a[keep] for a in arrays]
+
+
 def _euler(spec: AdjusterSpec, game: Game, starts, etas, stop: StopCriteria,
            record: bool = False):
     """The Euler loop, for C cells of one rule on one game at once.
 
-    Cell k starts at ``starts[k]`` with rate ``etas[k]``.  The state is one
-    ``(C, d)`` array; every step evaluates and moves all cells still
-    running, and a cell that stops leaves the array, so the budget a slow
+    Cell c starts at ``starts[c]`` with rate ``etas[c]``.  The state is one
+    ``(C, d)`` array.  The loop steps every cell still running through a
+    block of k steps (``_block_length``), keeping each step's point, losses
+    and field, and then decides the stop tests of all k steps in one pass.
+    A cell stops at its first step that fires a test, in this order: the
+    norm bound on the point (tested before evaluating there, on the first
+    point of a block before the block runs), non-finite losses or field,
+    convergence.  Its outcome, iteration and trailing window are those of
+    that step; the block's later steps of that cell are discarded, and the
+    cell leaves the array at the end of the block, so the budget a slow
     cell uses costs the others nothing.  Each row's arithmetic is that of a
     lone cell, bit for bit: matrix products are one matrix-vector product
-    per row and reductions run along rows.
+    per row and reductions run along contiguous rows.  A blow-up is a stop,
+    so the loop runs with NumPy's overflow and invalid-value warnings off,
+    except in a general game's evaluation and direction, which run the
+    user's callables under the caller's settings.
 
     Returns one ``_CellEnd`` per cell and, with ``record`` (a batch of one
-    only), the cell's history (else None): a list with (losses, xi norm,
-    sign) per processed iteration and a list with the start point plus one
-    point per step taken, all as the engine's one-row arrays.
+    only), the cell's history (else None): a list of (losses, xi norms,
+    signs) array triples whose rows, joined, hold one entry per processed
+    iteration, and a list of point arrays whose rows, joined, are the start
+    point and one point per step taken.
     Norms are ``sqrt(v @ v)``, what ``np.linalg.norm`` computes for a real
     vector.
     """
@@ -332,82 +393,127 @@ def _euler(spec: AdjusterSpec, game: Game, starts, etas, stop: StopCriteria,
     ends = [None] * len(w)
     steps, points = [], [w]
     rows = np.arange(len(w))           # cell index of each remaining row
-    n, span = game.num_players, stop.loss_window
+    n, d, span = game.num_players, game.dim, stop.loss_window
     bound, xi_threshold = stop.divergence_norm, stop.xi_threshold
-    loss_threshold = stop.loss_threshold
-    finite_bound = math.isfinite(bound)
-    # Each step's mean absolute loss is written at t % span and t % span +
-    # span, so the last k means are always one contiguous, oldest-first
-    # slice ending at t % span + span (see ``tail``), and a window mean
-    # sums them in the order a list of the last ``span`` means would.
-    ring = np.empty((len(w), 2 * span))
+    loss_threshold, max_iters = stop.loss_threshold, stop.max_iters
+    block = _block_length(game)
+    # Row c holds cell c's mean absolute losses, oldest first:
+    # means[:, o:o + span] those of the span steps before the block and
+    # means[:, o + span + j] that of the block's step j, so every window is
+    # one contiguous row slice and sums in the order a list of the last
+    # ``span`` means would.  The window moves k columns right per block and
+    # back to the front only once past span, which copies span means per
+    # row at most once every span steps.
+    means = np.zeros((len(w), 2 * span + block))
+    o = 0
     prev_xi = None
+    # A general game's evaluation and direction run the user's callables:
+    # they keep the caller's NumPy error settings inside the quiet loop.
+    caller = None if isinstance(game, QuadraticGame) else np.geterr()
 
-    def tail(t, mask):
-        """The means recorded up to step t of the masked rows."""
-        end = t % span + span + 1
-        return ring[mask, end - min(t + 1, span):end]
+    def beyond(w):
+        """Rows of w past the norm bound.  A non-finite norm is a
+        non-finite row, unless w @ w overflowed: with a finite bound that
+        is still above it."""
+        if math.isfinite(bound):
+            return ~(np.sqrt(np.vecdot(w, w)) <= bound)
+        return ~np.isfinite(w).all(axis=-1)
 
-    def finish(mask, outcome, t, windows):
-        for cell, window in zip(rows[mask], windows):
-            ends[cell] = _CellEnd(outcome, t, window)
+    def finish(row, outcome, t, last):
+        """Row ``row`` stops at iteration t with a window of the means up
+        to iteration ``last``; t0 is the first iteration of the block."""
+        end = o + span + last - t0 + 1
+        ends[rows[row]] = _CellEnd(
+            outcome, t, means[row, end - min(last + 1, span):end].copy())
 
-    for t in range(stop.max_iters):
-        # A non-finite norm is a non-finite row, unless w @ w overflowed:
-        # with a finite bound that is still above it.
-        if finite_bound:
-            ok = np.sqrt(np.vecdot(w, w)) <= bound
-        else:
-            ok = np.isfinite(w).all(axis=1)
-        if np.count_nonzero(ok) < len(ok):
-            finish(~ok, DIVERGED, t, tail(t - 1, ~ok))
-            w, eta, ring, rows = w[ok], eta[ok], ring[ok], rows[ok]
-            prev_xi = None if prev_xi is None else prev_xi[ok]
-            if not len(rows):
+    t0 = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while t0 < max_iters:
+            far = beyond(w)
+            if np.count_nonzero(far):
+                for row in np.flatnonzero(far):
+                    finish(row, DIVERGED, t0, t0 - 1)
+                w, eta, means, rows, prev_xi = _kept(
+                    ~far, w, eta, means, rows, prev_xi)
+                if not len(rows):
+                    break
+            k, c = min(block, max_iters - t0), len(rows)
+            ws, losses, xis = (np.empty((k, c, d)), np.empty((k, c, n)),
+                               np.empty((k, c, d)))
+            signs = np.empty((k, c)) if record else None
+            for j in range(k):
+                if caller is None:
+                    loss, xi, vec, sign = _adjusted(spec, game, w, prev_xi)
+                else:
+                    with np.errstate(**caller):
+                        loss, xi, vec, sign = _adjusted(spec, game, w,
+                                                        prev_xi)
+                losses[j], xis[j] = loss, xi
+                if record:
+                    signs[j] = sign
+                w = np.subtract(w, eta * vec, out=ws[j])
+                prev_xi = xi
+
+            # The stop tests of all k steps, each an array of shape (k, C).
+            xi_norm = np.sqrt(np.vecdot(xis, xis))
+            mean_abs = np.add.reduce(np.absolute(losses), axis=2) / n
+            means[:, o + span:o + span + k] = mean_abs.T
+            # A finite mean and norm imply finite losses and field; only
+            # where their sum is not finite does the exact test decide.
+            diverged = ~np.isfinite(mean_abs + xi_norm)
+            if np.count_nonzero(diverged):
+                diverged = ~(np.isfinite(losses).all(axis=2)
+                             & np.isfinite(xi_norm))
+            if k > 1:
+                diverged[1:] |= beyond(ws[:-1])
+            stopping = diverged
+            if xi_threshold is not None:
+                stopping = stopping | (xi_norm < xi_threshold)
+            first = max(span - 1 - t0, 0)    # the first full window
+            if loss_threshold > 0 and first < k:
+                sums = np.full((k, c), np.inf)
+                for j in range(first, k):
+                    np.add.reduce(means[:, o + j + 1:o + j + 1 + span],
+                                  axis=1, out=sums[j])
+                stopping = stopping | (sums / span < loss_threshold)
+
+            fired = None
+            if np.count_nonzero(stopping):
+                fired = stopping.any(axis=0)
+                at = stopping.argmax(axis=0)
+                for row in np.flatnonzero(fired):
+                    j = int(at[row])
+                    t = t0 + j
+                    if diverged[j, row]:
+                        finish(row, DIVERGED, t, t - 1)
+                    else:
+                        finish(row, CONVERGED, t, t)
+            done = t0 + k == max_iters
+            if done:
+                for row in (range(c) if fired is None
+                            else np.flatnonzero(~fired)):
+                    finish(row, MAX_ITERS, max_iters, max_iters - 1)
+            if record:
+                # A stopped cell took the steps before its stop, and
+                # processed the step it stops at when it converged there.
+                taken = k if fired is None else at[0]
+                processed = taken + (fired is not None
+                                     and not diverged[taken, 0])
+                steps.append((losses[:processed, 0], xi_norm[:processed, 0],
+                              signs[:processed, 0]))
+                points.append(ws[:taken, 0])
+            if done:
                 break
-        loss, xi = _evaluate(game, w)
-        vec, signs = _directions(spec, game, w, xi, prev_xi)
-        xi_norm = np.sqrt(np.vecdot(xi, xi))
-        mean_abs = np.add.reduce(np.absolute(loss), axis=1) / n
-        # A finite mean and norm imply finite losses and field; only where
-        # their sum is not finite does the exact test decide.  A diverging
-        # row's window is read before this step's mean enters the ring.
-        go = np.isfinite(mean_abs + xi_norm)
-        stopping = np.count_nonzero(go) < len(go)
-        if stopping:
-            diverged = ~(np.isfinite(loss).all(axis=1) & np.isfinite(xi_norm))
-            finish(diverged, DIVERGED, t, tail(t - 1, diverged))
-            go = ~diverged
-        if record and go[0]:
-            steps.append((loss, xi_norm, np.full(1, signs)))
-        slot = t % span
-        ring[:, slot] = mean_abs
-        ring[:, slot + span] = mean_abs
-
-        converged = None
-        if xi_threshold is not None:
-            converged = xi_norm < xi_threshold
-        if loss_threshold > 0 and t + 1 >= span:
-            window = ring[:, slot + 1:slot + span + 1]
-            low = np.add.reduce(window, axis=1) / span < loss_threshold
-            converged = low if converged is None else converged | low
-        if converged is not None and np.count_nonzero(converged):
-            converged &= go
-            finish(converged, CONVERGED, t, tail(t, converged))
-            go &= ~converged
-            stopping = True
-        if stopping:
-            w, eta, ring, rows = w[go], eta[go], ring[go], rows[go]
-            vec, xi = vec[go], xi[go]
-            if not len(rows):
-                break
-        w = w - eta * vec
-        prev_xi = xi
-        if record:
-            points.append(w)
-    else:
-        finish(slice(None), MAX_ITERS, stop.max_iters,
-               tail(stop.max_iters - 1, slice(None)))
+            prev_xi = xis[-1]
+            if fired is not None:
+                w, eta, means, rows, prev_xi = _kept(
+                    ~fired, w, eta, means, rows, prev_xi)
+                if not len(rows):
+                    break
+            t0, o = t0 + k, o + k
+            if o > span:
+                means[:, :span] = means[:, o:o + span]
+                o = 0
     return ends, ((steps, points) if record else None)
 
 

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 
 import pytest
@@ -27,12 +29,23 @@ class TestListGames:
         assert "example5" in out
         assert "kappa=10.0" in out
 
+    def test_csv_listing_reads_back(self, capsys):
+        # The parameter column holds commas; a CSV reader keeps it whole.
+        code, out, _ = invoke(capsys, "list-games", "--format", "csv")
+        assert code == 0
+        header, *rows = csv.reader(io.StringIO(out))
+        assert header == ["name", "parameters", "summary"]
+        assert len(rows) == 10
+        assert all(len(row) == 3 for row in rows)
+        assert rows[0][:2] == ["example1", "dim=2, payoff=None"]
+        assert {row[0] for row in rows} == set(dg.CATALOG)
+
     # The catalog's parameters and defaults, as both listings print them.
     @pytest.mark.parametrize("fmt,digest", [
         ("json",
          "681f6e667ef3e8439650ba098b68b5182ffaab06ab4affb26dc2a1a5c72ae9d7"),
         ("csv",
-         "b2e0b79db92b0c831693123af4e9dae128be5fe46191031697376ac65539c4d4"),
+         "7404826f1de8aea2b6f80a9802a5b8defcff81991ab7e2694f61e9b6d16b0226"),
     ])
     def test_listing_bytes_are_pinned(self, capsys, fmt, digest):
         code, out, _ = invoke(capsys, "list-games", "--format", fmt)
@@ -147,6 +160,25 @@ class TestRun:
                             "--adjuster", "simgd", "--eta", "0.1", *flags)
         assert code == 0
         assert seen == [dg.StopCriteria(**given)]
+
+
+# A blow-up is reported as diverged, with no NumPy warning on the way: under
+# this filter a RuntimeWarning raises, and the CLI turns it into exit 2.
+# The run stops at iteration 1, when the first step's point is past the
+# norm bound, so its CSV holds the start point alone.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv,rows", [
+    (["run", "--game", "fig3_weak_attractor", "--adjuster", "simgd",
+      "--eta", "1e300", "--format", "csv"], ["0,0.5,0.5,"]),
+    (["sweep", "--game", "fig3_weak_attractor", "--adjusters", "sga-aligned",
+      "--etas", "1e300", "--format", "csv"],
+     ["fig3_weak_attractor,sga-aligned,1.0,1e+300,0,diverged,"]),
+])
+def test_blow_up_warns_nothing(capsys, argv, rows):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert [line[:len(row)] for line, row in
+            zip(out.splitlines()[1:], rows, strict=True)] == rows
 
 
 class TestSweep:

@@ -3,15 +3,18 @@ every cell must equal a lone ``run`` bit for bit; on random games its
 outcomes must agree with the exact spectral oracle."""
 
 import math
+import zlib
 
 import numpy as np
 import pytest
 
 import diffgames as dg
+from diffgames import dynamics
 from diffgames.dynamics import _euler
 from diffgames.experiments import _start_points, _trailing_loss
 
-from conftest import CATALOG_DEFAULTS, plain_game, random_realizable_game
+from conftest import (CATALOG_DEFAULTS, plain_game, random_realizable_game,
+                      random_symmetric)
 
 # A finite but huge norm bound: a blow-up is caught by the bound when
 # w @ w overflows first, and as non-finite losses or field when they do.
@@ -35,10 +38,21 @@ def stop_reason(traj, stop):
     return "norm" if beyond else "nonfinite"
 
 
+def run_quietly(spec, game, w0, eta, stop):
+    """``run``, probes read, with NumPy's overflow and invalid-value
+    warnings off: a general game's callables run under the caller's
+    settings, and at the rates below they overflow on purpose."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = dg.run(spec, game, w0, eta, stop)
+        traj.probes
+    return traj
+
+
 # The largest rates overflow on purpose, in the batched and the per-row path
-# alike; the overflow is what the non-finite and norm-bound stops catch.
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
+# alike; the overflow is what the non-finite and norm-bound stops catch, and
+# on a quadratic game the engine reports it as a stop, not as a NumPy
+# warning.  The plain games' references run quietly (``run_quietly``).
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestSweepCellsEqualLoneRuns:
     # Stop reasons seen per game, shared with the coverage test below.
     reasons = {}
@@ -60,7 +74,7 @@ class TestSweepCellsEqualLoneRuns:
             for cell, eta, (w0,) in zip(cells, MIXED_ETAS, starts):
                 spec = config.adjusters[0]
                 where = (name, kind, eta)
-                ref = dg.run(spec, plain, w0, eta, MIXED_STOP)
+                ref = run_quietly(spec, plain, w0, eta, MIXED_STOP)
                 capped = (ref.outcome_iteration if ref.outcome == dg.CONVERGED
                           else MIXED_STOP.max_iters)
                 assert cell.outcome == ref.outcome, where
@@ -100,7 +114,7 @@ class TestSweepCellsEqualLoneRuns:
                 ends, _ = _euler(spec, game, starts, etas, stop)
                 for end, w0, eta in zip(ends, starts, etas):
                     where = (name, kind, eta)
-                    ref = dg.run(spec, plain, w0, eta, stop)
+                    ref = run_quietly(spec, plain, w0, eta, stop)
                     assert (end.outcome, end.iteration) == \
                         (ref.outcome, ref.outcome_iteration), where
                     assert end.window.tobytes() == \
@@ -119,6 +133,20 @@ class TestSweepCellsEqualLoneRuns:
 
 
 class TestEngineBoundary:
+    def test_general_game_keeps_the_callers_error_settings(self):
+        # A blow-up on a quadratic game is a stop whatever the caller's
+        # settings; a general game's callables overflow under them.  With
+        # no norm bound the second step evaluates at a point near 1e300.
+        game = dg.catalog_game("fig3_weak_attractor")
+        spec, w0 = dg.AdjusterSpec("sga-aligned"), np.ones(game.dim)
+        stop = dg.StopCriteria(divergence_norm=math.inf)
+        with np.errstate(over="raise", invalid="raise"):
+            assert dg.run(spec, game, w0, 1e300, stop).outcome == dg.DIVERGED
+            with pytest.raises(FloatingPointError, match="overflow"):
+                dg.run(spec, plain_game(game), w0, 1e300, stop)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            dg.run(spec, plain_game(game), w0, 1e300, stop)
+
     def test_wrong_length_start_point_raises(self):
         game = dg.catalog_game("fig7_four_player")
         spec = dg.AdjusterSpec("omd")
@@ -200,3 +228,159 @@ def test_outcomes_agree_with_the_oracle(d, kind):
             continue
         assert ok, (kind, d, eta, rho, end.outcome)
     assert sides == {"below", "above"}, (kind, d)
+
+
+# Block stepping: the engine decides its stop tests once per block of steps,
+# and a cell's result must not depend on the block length.  Blocks of one
+# step test every step, as a loop without blocks would; each other length k
+# is compared with them, at loss windows and budgets of 1, k - 1, k, k + 1
+# and a few blocks, and at rates from a slow descent to an overflow in one
+# step, so every stop reason falls at several offsets inside a block.
+BLOCKS = (2, 3, 7, dynamics._BLOCK_STEPS)
+BLOCK_ETAS = (tuple(np.geomspace(1e-2, 4.0, 20))
+              + tuple(np.geomspace(10.0, 1e250, 12)))
+BLOCK_SCALES = np.random.default_rng(0).permutation(
+    np.geomspace(1e-2, 1.0, len(BLOCK_ETAS)))
+# The cells also run alone: they stop on the loss window, |xi|, the norm
+# bound and the budget at many offsets, and on non-finite values at two.
+RUN_CELLS = [3, 16, 21, 22]
+
+
+def block_stops(k):
+    """Each loss window with a budget of several blocks and a norm bound
+    of 1e6, and each budget with no norm bound, so that a blow-up stops on
+    the bound at one setting and on non-finite losses or field at the
+    other, and both forms of the bound test run."""
+    windows = sorted({1, k - 1, k, k + 1, 3 * k})
+    budgets = sorted({1, k - 1, k, k + 1, 2 * k + 3})
+    common = dict(loss_threshold=1e-2, xi_threshold=1e-2)
+    return ([dg.StopCriteria(max_iters=max(2 * k + 3, window + k),
+                             loss_window=window, divergence_norm=1e6,
+                             **common)
+             for window in windows]
+            + [dg.StopCriteria(max_iters=budget, loss_window=min(k, budget),
+                               divergence_norm=math.inf, **common)
+               for budget in budgets])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestBlockLength:
+    # Stop offsets (iteration mod k) seen per reason at the default k, and
+    # the games that were run there.
+    offsets = {}
+    covered = set()
+
+    def outcomes(self, monkeypatch, k, spec, game, starts, stop):
+        """The engine's cell ends and the lone runs of the RUN_CELLS, with
+        blocks of k steps."""
+        with monkeypatch.context() as patch:
+            patch.setattr(dynamics, "_BLOCK_STEPS", k)
+            ends, _ = _euler(spec, game, starts, BLOCK_ETAS, stop)
+            runs = [dg.run(spec, game, starts[c], BLOCK_ETAS[c], stop)
+                    for c in RUN_CELLS]
+        return ends, runs
+
+    @pytest.mark.parametrize("k", BLOCKS)
+    @pytest.mark.parametrize("name,params", CATALOG_DEFAULTS)
+    def test_results_do_not_depend_on_the_block_length(self, monkeypatch,
+                                                       name, params, k):
+        game = dg.catalog_game(name, **params)
+        assert dynamics._block_length(game) == dynamics._BLOCK_STEPS
+        rng = np.random.default_rng(zlib.crc32(name.encode()))
+        starts = (rng.standard_normal((len(BLOCK_ETAS), game.dim))
+                  * BLOCK_SCALES[:, None])
+        for stop in block_stops(k):
+            for kind in dg.KINDS:
+                spec = dg.AdjusterSpec(kind, lam=0.5)
+                where = (kind, stop.loss_window, stop.max_iters)
+                ends, runs = self.outcomes(monkeypatch, k, spec, game, starts,
+                                           stop)
+                ref_ends, ref_runs = self.outcomes(monkeypatch, 1, spec, game,
+                                                   starts, stop)
+                for end, ref in zip(ends, ref_ends, strict=True):
+                    assert (end.outcome, end.iteration) == \
+                        (ref.outcome, ref.iteration), where
+                    assert end.window.tobytes() == ref.window.tobytes(), where
+                for traj, ref in zip(runs, ref_runs, strict=True):
+                    for array in TRAJECTORY_ARRAYS:
+                        assert getattr(traj, array).tobytes() == \
+                            getattr(ref, array).tobytes(), (where, array)
+                    assert (traj.outcome, traj.outcome_iteration) == \
+                        (ref.outcome, ref.outcome_iteration), where
+                    if k == dynamics._BLOCK_STEPS:
+                        self.offsets.setdefault(
+                            stop_reason(ref, stop), set()).add(
+                            ref.outcome_iteration % k)
+        if k == dynamics._BLOCK_STEPS:
+            self.covered.add(name)
+
+    def test_grid_puts_every_stop_reason_at_several_offsets(self,
+                                                           monkeypatch):
+        for name, params in CATALOG_DEFAULTS:
+            if name not in self.covered:
+                self.test_results_do_not_depend_on_the_block_length(
+                    monkeypatch, name, params, dynamics._BLOCK_STEPS)
+        assert set(self.offsets) == {"budget", "loss", "xi", "norm",
+                                     "nonfinite"}
+        assert all(len(seen) >= 2 for seen in self.offsets.values())
+
+
+class CountingQuadraticGame(dg.QuadraticGame):
+    """A quadratic game that counts its batched evaluations."""
+
+    def __init__(self, game):
+        super().__init__(game.partition, game.coefficients, game.linear_terms)
+        self.calls = 0
+
+    def batch_losses_and_field(self, points):
+        self.calls += 1
+        return super().batch_losses_and_field(points)
+
+
+def processed(end):
+    """The iterations a cell evaluated: a cell past the norm bound at t
+    was not evaluated there, one that converged at t was.  (The rates
+    below blow up through the norm bound, not to non-finite values.)"""
+    return end.iteration + (end.outcome == dg.CONVERGED)
+
+
+class TestBlockGate:
+    """Only a quadratic game steps in blocks, and there a batch evaluates
+    at most BLOCK_STEPS - 1 iterations past its last stop.  A general game
+    evaluates once per iteration (``test_general_game.py``'s
+    ``TestFieldEvaluationsPerIteration``)."""
+
+    @pytest.mark.parametrize("sizes", [(1, 1), (8, 8, 8, 8), (32,) * 8])
+    def test_quadratic_games_step_in_blocks(self, sizes):
+        game = random_realizable_game(np.random.default_rng(0),
+                                      dg.PlayerPartition(sizes), 0.5, 1.0)
+        assert dynamics._block_length(game) == dynamics._BLOCK_STEPS
+        assert dynamics._block_length(plain_game(game)) == 1
+
+    @staticmethod
+    def potential_game(sizes):
+        """A counting quadratic game with H symmetric, eigenvalues in
+        [0.5, 1], and a start point: every rule converges at rates 0.25
+        and 0.45 and diverges at 3."""
+        partition = dg.PlayerPartition(sizes)
+        rng = np.random.default_rng(len(sizes))
+        h = random_symmetric(rng, partition.total, 0.5, 1.0)
+        return (CountingQuadraticGame(
+                    dg.quadratic_game_from_hessian(partition, h)),
+                rng.standard_normal(partition.total))
+
+    @pytest.mark.parametrize("kind", dg.KINDS)
+    @pytest.mark.parametrize("sizes", [(2, 2), (32,) * 8])
+    def test_evaluates_at_most_a_block_past_its_stop(self, sizes, kind):
+        # (32,) * 8 is the size of the bench's `wide` game.
+        game, w0 = self.potential_game(sizes)
+        spec, stop = dg.AdjusterSpec(kind), dg.StopCriteria(max_iters=300)
+        traj = dg.run(spec, game, w0, 0.25, stop)
+        assert traj.outcome == dg.CONVERGED
+        assert len(traj.xi_norms) <= game.calls \
+            <= len(traj.xi_norms) + dynamics._BLOCK_STEPS - 1
+        game.calls = 0
+        ends, _ = _euler(spec, game, [w0, w0, -w0], (0.25, 0.45, 3.0), stop)
+        assert {end.outcome for end in ends} == {dg.CONVERGED, dg.DIVERGED}
+        last = max(map(processed, ends))
+        assert last <= game.calls <= last + dynamics._BLOCK_STEPS - 1
