@@ -13,9 +13,9 @@ the arithmetic of a lone cell bit for bit (one matrix-vector product and
 one dot product per row, reductions along contiguous rows), so a cell's
 result does not depend on the batch it ran in.
 
-A step pays only for the Hessian products its rule's direction uses: none
-for simgd and omd, H' xi for the consensus rules and hamiltonian descent,
-H' xi and H xi for the sga rules.  The probe diagnostic <xi, H' xi> is not
+A step evaluates only the field and pays only for the Hessian products its
+rule's direction uses: none for simgd and omd, H' xi for the consensus
+rules and hamiltonian descent, H' xi and H xi for the sga rules.  The probe diagnostic <xi, H' xi> is not
 recorded by the loop; ``Trajectory.probes`` computes it from the stored
 points on first read, with the same field and product code, so it holds
 the bits a probe taken during the run would have.
@@ -24,9 +24,10 @@ At the small d of the presets a step costs its NumPy calls, not its
 flops, and testing for a stop after every step (the norm bound, the
 non-finite test, the loss window) would take about half of them.  So on a
 quadratic game the loop takes a block of steps before it tests for a
-stop: a step inside the block makes only the calls of its evaluation,
-its direction and its update, and keeps its point, losses and field; one
-pass over those arrays then makes the tests of every step of the block.
+stop: a step inside the block makes only the calls of its field, its
+direction and its update, and keeps its point and field; the losses, read
+only by the stop tests, are then evaluated at all the block's points in
+one call, and one pass makes the tests of every step of the block.
 A cell that stopped inside the block ends at its exact iteration with
 its exact window, and its later steps are discarded, so no result
 depends on the block length.  On a general game those discarded steps
@@ -173,7 +174,7 @@ class Trajectory:
         if self._probes is None:
             points = self.points[:len(self.xi_norms)]
             with _quiet(self._game):
-                _, xi = _evaluate(self._game, points)
+                xi = _field(self._game, points)
                 self._probes = _probes(self._game, points, xi)
         return self._probes
 
@@ -266,23 +267,22 @@ def _quiet(game: Game):
     return contextlib.nullcontext()
 
 
-def _evaluate(game: Game, points: Array):
-    """Losses and field at every row of ``points``, as C-ordered arrays:
-    a BLAS dot product may sum a strided row in another order than a
-    contiguous one, so every row the engine hands on is contiguous."""
-    loss, xi = game.batch_losses_and_field(points)
-    return np.ascontiguousarray(loss), np.ascontiguousarray(xi)
+def _field(game: Game, points: Array) -> Array:
+    """The field at every row of ``points``, as a C-ordered array: a BLAS
+    dot product may sum a strided row in another order than a contiguous
+    one, so every row the engine hands on is contiguous."""
+    return np.ascontiguousarray(game.batch_field(points))
 
 
 def _adjusted(spec: AdjusterSpec, game: Game, w: Array, prev_xi):
-    """Losses, field, direction and sign at each row of w."""
-    loss, xi = _evaluate(game, w)
-    return (loss, xi) + _directions(spec, game, w, xi, prev_xi)
+    """Field, direction and sign at each row of w."""
+    xi = _field(game, w)
+    return (xi,) + _directions(spec, game, w, xi, prev_xi)
 
 
 def _at_point(spec: AdjusterSpec, game: Game, w, prev_xi):
-    """Losses, field, direction and sign at one point w, each as a one-row
-    batch of the engine's arrays (w included)."""
+    """Field, direction and sign at one point w, each as a one-row batch
+    of the engine's arrays (w included)."""
     w = np.asarray(w, dtype=float).reshape(1, -1)
     if w.shape[1] != game.dim:
         raise ValueError(f"point has length {w.shape[1]}, game needs "
@@ -298,7 +298,7 @@ def direction(spec: AdjusterSpec, game: Game, w, prev_xi=None) -> Array:
     ``prev_xi`` is the previous field value, used only by the omd rule;
     omitting it makes omd fall back to the plain field on its first step.
     """
-    return _at_point(spec, game, w, prev_xi)[3][0]
+    return _at_point(spec, game, w, prev_xi)[2][0]
 
 
 def step(spec: AdjusterSpec, game: Game, w, eta: float, prev_xi=None):
@@ -308,10 +308,10 @@ def step(spec: AdjusterSpec, game: Game, w, eta: float, prev_xi=None):
     rather than raised; the caller decides how to treat divergence.
     """
     check_eta(eta)
-    w, loss, xi, vec, signs = _at_point(spec, game, w, prev_xi)
+    w, xi, vec, signs = _at_point(spec, game, w, prev_xi)
     w_new = (w - eta * vec)[0]
     diag = StepDiagnostics(
-        loss=loss[0],
+        loss=game.batch_losses(w)[0],
         xi_norm=float(np.sqrt(np.vecdot(xi[0], xi[0]))),
         probe=float(_probes(game, w, xi)[0]),
         sign=float(np.full(1, signs)[0]),
@@ -360,8 +360,9 @@ def _euler(spec: AdjusterSpec, game: Game, starts, etas, stop: StopCriteria,
 
     Cell c starts at ``starts[c]`` with rate ``etas[c]``.  The state is one
     ``(C, d)`` array.  The loop steps every cell still running through a
-    block of k steps (``_block_length``), keeping each step's point, losses
-    and field, and then decides the stop tests of all k steps in one pass.
+    block of k steps (``_block_length``), keeping each step's point and
+    field, then takes the losses at the k points (one contiguous run of
+    rows) in one call and decides the stop tests of all k steps at once.
     A cell stops at its first step that fires a test, in this order: the
     norm bound on the point (tested before evaluating there, on the first
     point of a block before the block runs), non-finite losses or field,
@@ -372,7 +373,7 @@ def _euler(spec: AdjusterSpec, game: Game, starts, etas, stop: StopCriteria,
     lone cell, bit for bit: matrix products are one matrix-vector product
     per row and reductions run along contiguous rows.  A blow-up is a stop,
     so the loop runs with NumPy's overflow and invalid-value warnings off,
-    except in a general game's evaluation and direction, which run the
+    except in a general game's evaluations and direction, which run the
     user's callables under the caller's settings.
 
     Returns one ``_CellEnd`` per cell and, with ``record`` (a batch of one
@@ -407,9 +408,13 @@ def _euler(spec: AdjusterSpec, game: Game, starts, etas, stop: StopCriteria,
     means = np.zeros((len(w), 2 * span + block))
     o = 0
     prev_xi = None
-    # A general game's evaluation and direction run the user's callables:
-    # they keep the caller's NumPy error settings inside the quiet loop.
-    caller = None if isinstance(game, QuadraticGame) else np.geterr()
+    adjusted, losses_at = _adjusted, game.batch_losses
+    if not isinstance(game, QuadraticGame):
+        # A general game's evaluations and direction run the user's
+        # callables: they keep the caller's NumPy error settings inside
+        # the quiet loop.
+        user = np.errstate(**np.geterr())
+        adjusted, losses_at = user(_adjusted), user(losses_at)
 
     def beyond(w):
         """Rows of w past the norm bound.  A non-finite norm is a
@@ -438,21 +443,19 @@ def _euler(spec: AdjusterSpec, game: Game, starts, etas, stop: StopCriteria,
                 if not len(rows):
                     break
             k, c = min(block, max_iters - t0), len(rows)
-            ws, losses, xis = (np.empty((k, c, d)), np.empty((k, c, n)),
-                               np.empty((k, c, d)))
+            # ws[j] is the point step j starts from, ws[k] the last result.
+            ws, xis = np.empty((k + 1, c, d)), np.empty((k, c, d))
+            ws[0] = w
             signs = np.empty((k, c)) if record else None
             for j in range(k):
-                if caller is None:
-                    loss, xi, vec, sign = _adjusted(spec, game, w, prev_xi)
-                else:
-                    with np.errstate(**caller):
-                        loss, xi, vec, sign = _adjusted(spec, game, w,
-                                                        prev_xi)
-                losses[j], xis[j] = loss, xi
+                xi, vec, sign = adjusted(spec, game, w, prev_xi)
+                xis[j] = xi
                 if record:
                     signs[j] = sign
-                w = np.subtract(w, eta * vec, out=ws[j])
+                w = np.subtract(w, eta * vec, out=ws[j + 1])
                 prev_xi = xi
+            losses = np.ascontiguousarray(
+                losses_at(ws[:k].reshape(k * c, d))).reshape(k, c, n)
 
             # The stop tests of all k steps, each an array of shape (k, C).
             xi_norm = np.sqrt(np.vecdot(xis, xis))
@@ -465,7 +468,7 @@ def _euler(spec: AdjusterSpec, game: Game, starts, etas, stop: StopCriteria,
                 diverged = ~(np.isfinite(losses).all(axis=2)
                              & np.isfinite(xi_norm))
             if k > 1:
-                diverged[1:] |= beyond(ws[:-1])
+                diverged[1:] |= beyond(ws[1:k])
             stopping = diverged
             if xi_threshold is not None:
                 stopping = stopping | (xi_norm < xi_threshold)
@@ -501,7 +504,7 @@ def _euler(spec: AdjusterSpec, game: Game, starts, etas, stop: StopCriteria,
                                      and not diverged[taken, 0])
                 steps.append((losses[:processed, 0], xi_norm[:processed, 0],
                               signs[:processed, 0]))
-                points.append(ws[:taken, 0])
+                points.append(ws[1:taken + 1, 0])
             if done:
                 break
             prev_xi = xis[-1]

@@ -15,6 +15,7 @@ import csv
 import dataclasses
 import io
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -294,6 +295,16 @@ def serialize(result: SweepResult, format: str = "csv") -> bytes:
 # Config (de)serialization for the command line
 # ---------------------------------------------------------------------------
 
+def _whole(value, *keys) -> int:
+    """A JSON number >= 0 with no fractional part (2.0 is one; 2.5 and
+    true are not), as an int; ``keys`` name it."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not float(value).is_integer() or value < 0):
+        raise ValueError(f"config key {': '.join(map(repr, keys))} must be "
+                         f"a whole number >= 0, got {value!r}")
+    return int(value)
+
+
 def _etas_from_json(spec) -> tuple[float, ...]:
     """An eta list, or a ``log`` (default) or ``linear`` grid object: the
     one place a sweep's eta grid is built."""
@@ -303,7 +314,8 @@ def _etas_from_json(spec) -> tuple[float, ...]:
     space = {"log": np.geomspace, "linear": np.linspace}.get(kind)
     if space is None:
         raise ValueError(f"unknown eta grid kind {kind!r}")
-    return tuple(space(spec["start"], spec["stop"], int(spec["count"])))
+    return tuple(space(spec["start"], spec["stop"],
+                       _whole(spec["count"], "etas", "count")))
 
 
 def _adjuster_from_json(doc) -> AdjusterSpec:
@@ -327,9 +339,10 @@ _DECODERS = {
     "w0": lambda doc: (RandomBall(float(doc["random_ball"]))
                        if isinstance(doc, dict) else tuple(doc)),
     "stop": lambda doc: StopCriteria(**{
-        name: kind(doc[name]) for name, kind in _STOP_FIELDS.items()
-        if doc.get(name) is not None}),
-    "seed": int,
+        name: (_whole(doc[name], "stop", name) if kind is int
+               else float(doc[name]))
+        for name, kind in _STOP_FIELDS.items() if doc.get(name) is not None}),
+    "seed": lambda doc: _whole(doc, "seed"),
 }
 
 
@@ -341,9 +354,11 @@ def config_from_json(doc: dict) -> SweepConfig:
     keeps its dataclass default (the ``AdjusterSpec`` weights,
     ``SweepConfig.seed``, the ``StopCriteria``); unknown keys, such as the
     ``jobs`` of older configs, are ignored.  A value of a JSON type that
-    cannot serve (a list where an object or a number belongs, a null radius)
-    raises a ValueError that names its key; any other bad value raises the
-    ValueError of the check it fails.
+    cannot serve (a list where an object or a number belongs, a null radius),
+    an object without a key it needs, and a count, seed or iteration
+    number that is not a whole number >= 0 raise a ValueError that names
+    the key; any other bad value raises the ValueError of the check it
+    fails.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"a sweep config is a JSON object, got {doc!r}")
@@ -355,8 +370,9 @@ def config_from_json(doc: dict) -> SweepConfig:
         if doc.get(key) is not None:
             try:
                 fields[key] = decode(doc[key])
-            except (AttributeError, TypeError) as exc:
-                raise ValueError(f"config key {key!r}: {exc}") from None
+            except (AttributeError, TypeError, KeyError) as exc:
+                what = f"missing {exc}" if isinstance(exc, KeyError) else exc
+                raise ValueError(f"config key {key!r}: {what}") from None
     return SweepConfig(**fields)
 
 

@@ -95,9 +95,11 @@ def default_start(dim: int) -> Array:
 class Game:
     """An n-player game over R^d with analytic per-player gradients.
 
-    ``player_gradient`` is the per-player hook; the base ``batch_field``
-    and ``batch_losses_and_field`` call it.  An override of any of the
-    three must return exactly the bits the base version would.
+    A game is evaluated through two batched methods: ``batch_field``,
+    which the Euler loop calls once per step, and ``batch_losses``, which
+    it calls once per block of steps.  Their base versions call the
+    per-player hooks ``player_gradient`` and ``loss_vector``; an override
+    of any of them must return exactly the bits the base version would.
 
     Parameters
     ----------
@@ -171,15 +173,11 @@ class Game:
                 row[blk] = self.player_gradient(i, w)
         return field
 
-    def batch_losses_and_field(self, points: Array) -> tuple[Array, Array]:
-        """The ``(C, n)`` losses and ``(C, d)`` field at the rows of a
-        ``(C, d)`` array of points: ``loss_vector`` of each row and one
-        ``batch_field(points)``.  A subclass overrides it only to share work
-        between the two, never to change a bit of either.
-        """
+    def batch_losses(self, points: Array) -> Array:
+        """The ``(C, n)`` losses at the rows of a ``(C, d)`` array of
+        points: row k is ``loss_vector(points[k])``."""
         losses = np.array([self.loss_vector(w) for w in points], dtype=float)
-        return (losses.reshape(-1, self.num_players),
-                self.batch_field(points))
+        return losses.reshape(-1, self.num_players)
 
     @property
     def has_analytic_hessian(self) -> bool:
@@ -243,19 +241,12 @@ class QuadraticGame(Game):
                 raise ValueError("linear terms must be n vectors of length d")
             if not all(np.isfinite(v).all() for v in lin):
                 raise ValueError("linear terms must be finite")
-        # One buffer per kind of term; each player's B_i and b_i are views
-        # of it, so the batched evaluation keeps no second copy.
-        stacked, stacked_linear = np.stack(coeffs), np.stack(lin)
-        for a in (stacked, stacked_linear):
-            a.setflags(write=False)
-        coeffs, lin = list(stacked), list(stacked_linear)
-
         hessian = np.vstack([coeffs[i][partition.block(i), :]
                              for i in range(n)])
-        hessian.setflags(write=False)
         offset = np.concatenate([lin[i][partition.block(i)]
                                  for i in range(n)])
-        offset.setflags(write=False)
+        for a in coeffs + lin + [hessian, offset]:
+            a.setflags(write=False)
 
         def loss_fn(i):
             return lambda w: 0.5 * float(w @ (coeffs[i] @ w)) + float(lin[i] @ w)
@@ -274,40 +265,38 @@ class QuadraticGame(Game):
         self._linear = tuple(lin)
         self._hessian_matrix = hessian
         self._offset = offset
-        self._stacked = stacked
-        self._stacked_linear = stacked_linear
-        # Flat index into (n, d) of xi's entry j: row = j's owner, column j.
-        owner = np.repeat(np.arange(n), partition.sizes)
-        self._field_index = owner * d + np.arange(d)
         # Exactly-zero linear terms only add +0.0 at a finite point: the
         # sums of matrix and dot products never come out -0.0, so skipping
         # them keeps every bit there.  At a point with an infinite entry
         # b_i' w is 0 * inf = NaN, so a loss the per-player path makes NaN
-        # may come out inf; the Euler loop evaluates finite points only.
-        self._has_linear = bool(np.any(stacked_linear))
+        # may come out inf; the Euler loop tests only that it is finite.
+        self._has_linear = any(np.any(v) for v in lin)
 
-    def batch_losses_and_field(self, points: Array) -> tuple[Array, Array]:
-        """All rows at once: one ``np.matmul`` over the stacked ``B_i``,
-        whose ``B_i @ w`` serves both loss i and gradient i.
-
-        Each row still gets its own ``B_i @ w`` matrix-vector product, and
-        each loss its own dot products (``np.vecdot``), in the expressions
-        of the per-player callables, so the losses of every finite row are
-        bit-identical to ``loss_vector`` of that row, and the field of
-        every row to the stacked ``player_gradient``.  When every linear
-        term is zero, a row with an infinite entry may get an infinite loss
-        where ``loss_vector`` gives NaN.
+    def batch_field(self, points: Array) -> Array:
+        """All rows at once: ``H w + c``, one matrix-vector product per row.
+        Row j of H is row j of its owner's ``B_i``, and OpenBLAS sums it as
+        in the per-player ``B_i @ w``, so each row is bit-identical to the
+        stacked ``player_gradient``; no BLAS promises that, so a test does.
         """
-        prods = np.matmul(self._stacked, points[:, None, :, None])[..., 0]
-        rows = points[:, None, :]
-        losses = 0.5 * np.vecdot(rows, prods)
-        # take() returns C-ordered rows: a BLAS dot product of a strided
-        # row may sum in another order than that of a contiguous one.
-        field = prods.reshape(len(points), -1).take(self._field_index, axis=1)
+        field = np.matmul(self._hessian_matrix, points[:, :, None])[..., 0]
         if self._has_linear:
-            losses += np.vecdot(self._stacked_linear, rows)
             field += self._offset
-        return losses, field
+        return field
+
+    def batch_losses(self, points: Array) -> Array:
+        """All rows at once: per player, one ``np.matmul`` of ``B_i`` over
+        every row, then the dot products (``np.vecdot``) of the per-player
+        callable.  Each row still gets its own ``B_i @ w`` matrix-vector
+        product, so every finite row is bit-identical to ``loss_vector``
+        (see ``_has_linear`` for the others).
+        """
+        losses = np.empty((len(points), self.num_players))
+        for i, b in enumerate(self._coefficients):
+            losses[:, i] = 0.5 * np.vecdot(
+                points, np.matmul(b, points[:, :, None])[..., 0])
+            if self._has_linear:
+                losses[:, i] += np.vecdot(self._linear[i], points)
+        return losses
 
     @property
     def coefficients(self) -> tuple[Array, ...]:

@@ -73,7 +73,7 @@ def random_realizable_game(rng, partition, eig_low, eig_high, offset=None):
 
 def plain_game(game):
     """The game rebuilt with ``make_game`` from its own public callables: a
-    plain ``Game`` with no fused or batched override, so every evaluation
+    plain ``Game`` with no batched override, so every evaluation
     takes the per-player, row-by-row path."""
     n = game.num_players
     return dg.make_game(game.partition,

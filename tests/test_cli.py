@@ -438,6 +438,42 @@ class TestOneCodec:
         assert (code, out) == (1, "")
         assert f"config key {key!r}" in err
 
+    @pytest.mark.parametrize("doc,said", [
+        ({"seed": 2.5}, "config key 'seed' must be a whole number >= 0, "
+                        "got 2.5"),
+        ({"seed": -1}, "config key 'seed' must be a whole number >= 0, "
+                       "got -1"),
+        ({"seed": True}, "config key 'seed' must be a whole number >= 0, "
+                         "got True"),
+        ({"etas": {"start": 0.1, "stop": 1.0, "count": 2.9}},
+         "config key 'etas': 'count' must be a whole number >= 0, got 2.9"),
+        ({"stop": {"max_iters": 10.7}},
+         "config key 'stop': 'max_iters' must be a whole number >= 0, "
+         "got 10.7"),
+        ({"stop": {"loss_window": False}},
+         "config key 'stop': 'loss_window' must be a whole number >= 0, "
+         "got False"),
+        ({"etas": {"stop": 1.0, "count": 3}},
+         "config key 'etas': missing 'start'"),
+        ({"adjusters": [{"lambda": 1.0}]},
+         "config key 'adjusters': missing 'kind'"),
+        ({"w0": {"radius": 1.0}}, "config key 'w0': missing 'random_ball'"),
+    ])
+    def test_config_error_names_the_key(self, capsys, tmp_path, doc, said):
+        base = {"game": "example1", "adjusters": [{"kind": "sga"}],
+                "etas": [0.1], "w0": {"random_ball": 1.0}}
+        path = config_file(tmp_path, {**base, **doc})
+        assert invoke(capsys, "sweep", "--config", path) == \
+            (1, "", f"diffgames: {said}\n")
+
+    def test_negative_seed_flag_names_the_key(self, capsys):
+        code, out, err = invoke(capsys, "sweep", "--game", "example1",
+                                "--adjusters", "sga", "--etas", "0.1",
+                                "--w0-ball", "1", "--seed", "-1")
+        assert (code, out) == (1, "")
+        assert err == ("diffgames: config key 'seed' must be a whole "
+                       "number >= 0, got -1\n")
+
     @pytest.mark.parametrize("game,params", [
         ("fig3_weak_attractor", {"coupling": None}),
         ("fig3_weak_attractor", {"coupling": [10.0]}),

@@ -223,7 +223,7 @@ class TestRun:
 def _offset_game(seed):
     """A realizable quadratic game with nonzero offsets, and the same game
     rebuilt as a plain Game from its own public callables, which takes the
-    unfused per-player evaluation path."""
+    per-player evaluation path."""
     rng = np.random.default_rng(seed)
     partition = dg.PlayerPartition((2, 3, 1))
     game = random_realizable_game(rng, partition, 0.2, 1.0,
@@ -232,14 +232,14 @@ def _offset_game(seed):
 
 
 class TestFusedEvaluation:
-    """The quadratic game's fused, batched loss-and-field path changes no
-    bit."""
+    """The quadratic game's batched field (from the game Hessian) and
+    batched losses change no bit."""
 
     def test_losses_and_field_equal_the_parts(self):
         game, plain, _ = _offset_game(0)
         rows = np.random.default_rng(9).standard_normal((5, game.dim))
         for g in (game, plain):
-            losses, xi = g.batch_losses_and_field(rows)
+            losses, xi = g.batch_losses(rows), g.batch_field(rows)
             for k, r in enumerate(rows):
                 assert np.array_equal(losses[k], game.loss_vector(r))
                 assert np.array_equal(xi[k],

@@ -147,6 +147,20 @@ class TestEngineBoundary:
         with pytest.warns(RuntimeWarning, match="overflow"):
             dg.run(spec, plain_game(game), w0, 1e300, stop)
 
+    def test_general_game_losses_keep_the_callers_error_settings(self):
+        # The losses are evaluated once per block, after the steps; a
+        # general game's loss callables still run under the caller's
+        # settings.  Here only the loss overflows, at the start point.
+        game = dg.make_game(dg.PlayerPartition((1, 1)),
+                            [lambda w: np.exp(1e3 * w[0])] * 2,
+                            [lambda w: 0.1 * w[:1], lambda w: 0.1 * w[1:]])
+        spec, w0 = dg.AdjusterSpec("simgd"), np.ones(2)
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError, match="overflow"):
+                dg.run(spec, game, w0, 0.1)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert dg.run(spec, game, w0, 0.1).outcome == dg.DIVERGED
+
     def test_wrong_length_start_point_raises(self):
         game = dg.catalog_game("fig7_four_player")
         spec = dg.AdjusterSpec("omd")
@@ -326,15 +340,16 @@ class TestBlockLength:
 
 
 class CountingQuadraticGame(dg.QuadraticGame):
-    """A quadratic game that counts its batched evaluations."""
+    """A quadratic game that counts its batched field evaluations, one per
+    engine step."""
 
     def __init__(self, game):
         super().__init__(game.partition, game.coefficients, game.linear_terms)
         self.calls = 0
 
-    def batch_losses_and_field(self, points):
+    def batch_field(self, points):
         self.calls += 1
-        return super().batch_losses_and_field(points)
+        return super().batch_field(points)
 
 
 def processed(end):

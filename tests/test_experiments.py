@@ -364,6 +364,16 @@ class TestConfigCodec:
         assert dg.config_to_json(dg.config_from_json(nulls)) == \
             dg.config_to_json(dg.config_from_json(doc))
 
+    def test_whole_floats_are_whole_numbers(self):
+        doc = {"game": "fig4_bilinear", "adjusters": [{"kind": "omd"}],
+               "etas": {"start": 0.01, "stop": 1.0, "count": 5.0},
+               "stop": {"max_iters": 50.0, "loss_window": 5.0},
+               "seed": 3.0}
+        config = dg.config_from_json(doc)
+        assert (len(config.etas), config.seed) == (5, 3)
+        assert config.stop == dg.StopCriteria(max_iters=50, loss_window=5)
+        assert type(config.seed) is type(config.stop.max_iters) is int
+
     def test_eta_grid_forms(self):
         doc = {
             "game": "fig4_bilinear",

@@ -308,8 +308,8 @@ class TestGameFromHessian:
         assert np.allclose(xi, c)
 
 
-# Rows whose bits the fused evaluation must keep: signed zeros, subnormals,
-# huge and non-finite entries, and a ramp.
+# Rows whose bits the batched evaluation must keep: signed zeros,
+# subnormals, huge and non-finite entries, and a ramp.
 EDGE_ROWS = (-0.0, 0.0, 1e-320, -1e-320, 1e300, -np.inf, np.nan)
 
 
@@ -317,14 +317,14 @@ EDGE_ROWS = (-0.0, 0.0, 1e-320, -1e-320, 1e300, -np.inf, np.nan)
                             "ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("name,params", CATALOG_DEFAULTS)
 def test_batch_evaluation_keeps_every_bit(name, params):
-    """``batch_losses_and_field`` equals the per-player callables row by
-    row as bytes: ``np.array_equal`` would take -0.0 for 0.0."""
+    """``batch_losses`` and ``batch_field`` equal the per-player callables
+    row by row as bytes: ``np.array_equal`` would take -0.0 for 0.0."""
     game = dg.catalog_game(name, **params)
     plain = plain_game(game)
     d = game.dim
     points = np.array([np.full(d, v) for v in EDGE_ROWS]
                       + [np.linspace(-1.5, 2.5, d)])
-    losses, field = game.batch_losses_and_field(points)
+    losses, field = game.batch_losses(points), game.batch_field(points)
     for w, loss, xi in zip(points, losses, field):
         want_loss = plain.loss_vector(w)
         want_xi = dg.simultaneous_gradient(plain, w).xi
@@ -348,7 +348,7 @@ def test_batch_evaluation_of_a_dense_game():
     plain = plain_game(game)
     points = np.array([np.full(3, v) for v in EDGE_ROWS]
                       + [[np.inf, 1.0, 2.0], np.linspace(-1.5, 2.5, 3)])
-    losses, field = game.batch_losses_and_field(points)
+    losses, field = game.batch_losses(points), game.batch_field(points)
     for w, loss, xi in zip(points, losses, field):
         want_loss = plain.loss_vector(w)
         want_xi = dg.simultaneous_gradient(plain, w).xi
@@ -358,3 +358,94 @@ def test_batch_evaluation_of_a_dense_game():
         else:
             assert not np.isfinite(loss).any(), w
             assert not np.isfinite(want_loss).any(), w
+
+
+# Partitions of the field-from-H test: d from 2 to 512, odd and even
+# player sizes; (32,) * 8 is the bench's `wide` game.
+HESSIAN_PARTITIONS = [(1, 1), (2, 1), (3, 5, 9), (16,) * 4, (7,) * 9,
+                      (32,) * 8, (100, 28), (128,) * 4]
+
+
+def _dense_game(sizes, offset):
+    """A quadratic game whose B_i have no zero entry, with nonzero linear
+    terms when ``offset``."""
+    partition = dg.PlayerPartition(sizes)
+    d = partition.total
+    rng = np.random.default_rng(zlib.crc32(repr((sizes, offset)).encode()))
+    coefficients = []
+    for _ in sizes:
+        m = rng.uniform(-1.0, 1.0, (d, d))
+        coefficients.append(m + m.T)
+    linear = (list(rng.standard_normal((len(sizes), d))) if offset
+              else None)
+    return dg.QuadraticGame(partition, coefficients, linear), rng
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+class TestFieldFromTheHessian:
+    """``QuadraticGame.batch_field`` computes ``H w + c`` and
+    ``batch_losses`` one ``B_i`` product per player over all rows; both
+    must keep every bit of the per-player callables.
+
+    That the row of H gives the bits of its owner's ``B_i @ w`` is a
+    property of the BLAS kernels (OpenBLAS sums a row of a matrix-vector
+    product in an order set by the matrix shape and the row's index, which
+    the two products share), not a promise of any interface: a BLAS that
+    breaks it fails here.  CI runs this class at one BLAS thread and at the
+    default thread count.
+    """
+
+    @staticmethod
+    def rows(game, rng, count, scale):
+        d = game.dim
+        edge = [np.full(d, v) for v in EDGE_ROWS]
+        one_inf = np.linspace(-1.0, 1.0, d)
+        one_inf[d // 2] = np.inf
+        return np.concatenate([scale * rng.standard_normal((count, d)),
+                               np.array(edge + [one_inf])])
+
+    @staticmethod
+    def stacked_gradients(game, w):
+        return np.concatenate([game.player_gradient(i, w)
+                               for i in range(game.num_players)])
+
+    @pytest.mark.parametrize("offset", [False, True])
+    @pytest.mark.parametrize("sizes", HESSIAN_PARTITIONS)
+    def test_field_equals_the_stacked_player_gradients(self, sizes, offset):
+        game, rng = _dense_game(sizes, offset)
+        for count in (1, 3, 16):
+            for scale in (1e-3, 1.0, 1e3):
+                points = self.rows(game, rng, count, scale)
+                field = game.batch_field(points)
+                assert field.shape == points.shape
+                for w, xi in zip(points, field):
+                    assert xi.tobytes() == \
+                        self.stacked_gradients(game, w).tobytes(), \
+                        (count, scale, w[:3])
+
+    @pytest.mark.parametrize("name,params", CATALOG_DEFAULTS)
+    def test_field_of_the_catalog_games(self, name, params):
+        game = dg.catalog_game(name, **params)
+        rng = np.random.default_rng(zlib.crc32(name.encode()))
+        points = self.rows(game, rng, 8, 10.0)
+        for w, xi in zip(points, game.batch_field(points)):
+            assert xi.tobytes() == self.stacked_gradients(game, w).tobytes()
+
+    @pytest.mark.parametrize("offset", [False, True])
+    @pytest.mark.parametrize("sizes", HESSIAN_PARTITIONS)
+    def test_losses_over_a_block_equal_loss_vector(self, sizes, offset):
+        """The engine's call: the k pre-step points of C cells, k * C rows
+        in one ``batch_losses``."""
+        game, rng = _dense_game(sizes, offset)
+        k, c = 16, 3
+        points = self.rows(game, rng, k * c, 1.0)
+        losses = game.batch_losses(points)
+        assert losses.shape == (len(points), game.num_players)
+        for w, loss in zip(points, losses):
+            want = game.loss_vector(w)
+            if np.isfinite(w).all():
+                assert loss.tobytes() == want.tobytes(), w[:3]
+            else:
+                assert not np.isfinite(loss).any()
+                assert not np.isfinite(want).any()
