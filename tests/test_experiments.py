@@ -293,6 +293,105 @@ class TestAnalyzePoint:
                     == json.dumps(want))
 
 
+# sha256 of the bytes ``diffgames analyze`` prints,
+# ``json.dumps(analyze_point(game, w, epsilon=eps), indent=2) + "\n"``, per
+# game: at the origin with eps = 0 and 0.1, then at 0.5 in every coordinate
+# (never a fixed point) with eps = 0 and 0.1.  "tanh" and "tanh-fd" are the
+# ``TanhGame`` builds with and without the analytic Hessian.
+ANALYZE_DIGESTS = {
+    "example1": (
+        "59bf75e7d25211eb6ace2c6ad2ed4d467c4888c13411dc3f48faba0d48de55fc",
+        "59bf75e7d25211eb6ace2c6ad2ed4d467c4888c13411dc3f48faba0d48de55fc",
+        "8ed5cf847607a6af8774dfbfc151de2e8a217a90dc9d26f51e7b94e124c691cf",
+        "8ed5cf847607a6af8774dfbfc151de2e8a217a90dc9d26f51e7b94e124c691cf",
+    ),
+    "example2": (
+        "0829fa1e0f25a846a9ce4810a1b97a2946a89bcc7175d87d7f738f0928b5da96",
+        "0829fa1e0f25a846a9ce4810a1b97a2946a89bcc7175d87d7f738f0928b5da96",
+        "b05483012fb0765021fd1096bf888af9b1a3b9dea7dfdf804139dec0c43a76ab",
+        "b05483012fb0765021fd1096bf888af9b1a3b9dea7dfdf804139dec0c43a76ab",
+    ),
+    "example3": (
+        "8fc6b57547676a8ffb45a58735bba6bb6fb3775fb6c19ba81fabb5ce09937ee1",
+        "8fc6b57547676a8ffb45a58735bba6bb6fb3775fb6c19ba81fabb5ce09937ee1",
+        "2e7a986a854bb62ff54fdbbcdc740821e0a0623765e64d9f5508d7a820590a46",
+        "2e7a986a854bb62ff54fdbbcdc740821e0a0623765e64d9f5508d7a820590a46",
+    ),
+    "example4": (
+        "cf7eb674d39c7e9157d01ca0a2b67966f03e38c3fec856c59821b2f5840f8009",
+        "cf7eb674d39c7e9157d01ca0a2b67966f03e38c3fec856c59821b2f5840f8009",
+        "05752ab18acaebb77dd50170f78266d7d83f8dc2efe86e0775fc5275efa905bf",
+        "05752ab18acaebb77dd50170f78266d7d83f8dc2efe86e0775fc5275efa905bf",
+    ),
+    "example5": (
+        "fbb55859edf26bc4b5f372baf410a58faa5bd93a1d1f7c255b5a82774755fd5b",
+        "fbb55859edf26bc4b5f372baf410a58faa5bd93a1d1f7c255b5a82774755fd5b",
+        "2200991bc92c7b279f33c3efc57bd265d9e15f790e1e3e2eed35eea20d3e22c8",
+        "2200991bc92c7b279f33c3efc57bd265d9e15f790e1e3e2eed35eea20d3e22c8",
+    ),
+    "example6": (
+        "94099a9a27560f653647fa5f9358bfa3a1d25d0250f02b43e47c59d851ba9624",
+        "94099a9a27560f653647fa5f9358bfa3a1d25d0250f02b43e47c59d851ba9624",
+        "55c40809e1a3da22389460a6fa75ff3b007ab39bc6348f373d1438042f211931",
+        "b646a4b4b58f3a9f4f51357af194c89f1545c6e9fa8795a7f4e4f1ff5eb5f685",
+    ),
+    "example7": (
+        "56c2ca505264ddd9e638d7eb560ce6744b85386bee75e1abf3e1359433822957",
+        "56c2ca505264ddd9e638d7eb560ce6744b85386bee75e1abf3e1359433822957",
+        "efaaf7b61e10edfeb8946c1ededc3e0b0176f3b7b23af5a2d22c6351cb5778e7",
+        "efaaf7b61e10edfeb8946c1ededc3e0b0176f3b7b23af5a2d22c6351cb5778e7",
+    ),
+    "fig3_weak_attractor": (
+        "bf5e825cd70afe35dd52cd65eca6e957095691feb20d045f1685d752ece2434f",
+        "bf5e825cd70afe35dd52cd65eca6e957095691feb20d045f1685d752ece2434f",
+        "36d0421a40efa988e60efed7a3fb874b7ca77d1cce632b6994795073231d8c36",
+        "36d0421a40efa988e60efed7a3fb874b7ca77d1cce632b6994795073231d8c36",
+    ),
+    "fig4_bilinear": (
+        "dfbed48476116d364d5625b35ce9ea1d4eb17597f43563e618a80e68170e4e56",
+        "dfbed48476116d364d5625b35ce9ea1d4eb17597f43563e618a80e68170e4e56",
+        "f97acd19d5b3d108bdb2bbada93165d2962e9e23062ebf4f0170583128625b11",
+        "f97acd19d5b3d108bdb2bbada93165d2962e9e23062ebf4f0170583128625b11",
+    ),
+    "fig7_four_player": (
+        "a5687e1bd7f0a36a3c696e9590e82092c8a23e058219f33c9e37662a31b0a39b",
+        "a5687e1bd7f0a36a3c696e9590e82092c8a23e058219f33c9e37662a31b0a39b",
+        "58bd709060d9ad0c1384e1feb7218811282786b1eddc57bab1f822f64f54b528",
+        "58bd709060d9ad0c1384e1feb7218811282786b1eddc57bab1f822f64f54b528",
+    ),
+    "tanh": (
+        "576e88f624f65533813d81042cf0a869f20e6fa7783924831256b640738d5e51",
+        "576e88f624f65533813d81042cf0a869f20e6fa7783924831256b640738d5e51",
+        "9829258cbee624a1d5718059823be5e8b9d14ac73dc3bb3861efb4bad7ea7440",
+        "9829258cbee624a1d5718059823be5e8b9d14ac73dc3bb3861efb4bad7ea7440",
+    ),
+    "tanh-fd": (
+        "c1fb908d7c741809f0c971a686c37a001d7f41f24288587984252f8fbfaf9118",
+        "c1fb908d7c741809f0c971a686c37a001d7f41f24288587984252f8fbfaf9118",
+        "e4744cfa17e7434dc6405bd707bfa26ef283fc22d628a89cc9799b65cd89b152",
+        "e4744cfa17e7434dc6405bd707bfa26ef283fc22d628a89cc9799b65cd89b152",
+    ),
+}
+
+
+ANALYZE_GAMES = CATALOG_DEFAULTS + [("tanh", {"analytic_hessian": True}),
+                                    ("tanh-fd", {"analytic_hessian": False})]
+
+
+@pytest.mark.parametrize("name,params", ANALYZE_GAMES)
+def test_analyze_bytes_are_pinned(name, params):
+    game = (TanhGame().build(**params) if name.startswith("tanh")
+            else dg.catalog_game(name, **params))
+    digests = []
+    for w in (np.zeros(game.dim), np.full(game.dim, 0.5)):
+        for eps in (0.0, 0.1):
+            bundle = dg.analyze_point(game, w, epsilon=eps)
+            data = (json.dumps(bundle, indent=2) + "\n").encode()
+            digests.append(hashlib.sha256(data).hexdigest())
+    assert not bundle["is_fixed_point"]
+    assert tuple(digests) == ANALYZE_DIGESTS[name]
+
+
 class TestSerialize:
     def test_empty_result_is_header_only(self):
         data = dg.serialize(dg.SweepResult(cells=[]), "csv")
