@@ -22,9 +22,8 @@ from .analysis import (GENERAL, HAMILTONIAN, INDEFINITE, POTENTIAL, STABLE,
 from .dynamics import (ALIGNED_CONSENSUS, CONSENSUS, CONVERGED, DIVERGED,
                        HAMILTONIAN_DESCENT, KINDS, LINEAR_KINDS, MAX_ITERS,
                        OMD, SGA, SGA_ALIGNED, SIMGD, AdjusterSpec,
-                       SpectralPrediction, StepDiagnostics, StopCriteria,
-                       Trajectory, direction, iteration_matrix, run,
-                       spectral_oracle, step)
+                       SpectralPrediction, StopCriteria, Trajectory,
+                       direction, iteration_matrix, run, spectral_oracle)
 from .experiments import (PRESETS, RandomBall, SweepCell, SweepConfig,
                           SweepResult, analyze_point, config_from_json,
                           config_to_json, preset_configs, run_preset,
@@ -46,8 +45,8 @@ __all__ = [
     "ALIGNED_CONSENSUS", "CONSENSUS", "CONVERGED", "DIVERGED",
     "HAMILTONIAN_DESCENT", "KINDS", "LINEAR_KINDS", "MAX_ITERS", "OMD", "SGA",
     "SGA_ALIGNED", "SIMGD", "AdjusterSpec", "SpectralPrediction",
-    "StepDiagnostics", "StopCriteria", "Trajectory", "direction",
-    "iteration_matrix", "run", "spectral_oracle", "step",
+    "StopCriteria", "Trajectory", "direction", "iteration_matrix", "run",
+    "spectral_oracle",
     "PRESETS", "RandomBall", "SweepCell", "SweepConfig", "SweepResult",
     "analyze_point", "config_from_json", "config_to_json", "preset_configs",
     "run_preset", "serialize", "sweep",

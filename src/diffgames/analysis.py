@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .derivatives import full_hessian, simultaneous_gradient, thvp
-from .dynamics import AdjusterSpec
+from .dynamics import AdjusterSpec, _aligned_signs, check_epsilon
 from .games import Game, QuadraticGame
 
 Array = np.ndarray
@@ -252,20 +252,22 @@ def _classify_point(game: Game, w: Array, xi_norm: float):
 
 def alignment_sign(xi, at_xi, grad_h,
                    epsilon: float = AdjusterSpec.epsilon) -> float:
-    """Sign choice for the adjustment weight.
+    """Sign choice for the adjustment weight: the sign the aligned sga rule
+    applies at a point with field xi, antisymmetric adjustment at_xi and
+    grad_h = H' xi, computed by the engine's own per-row code.
 
     Returns the sign of ``(1/d) <xi, grad_h> <at_xi, grad_h> + epsilon``,
     with sign(0) defined as +1.  The epsilon bias breaks ties toward stable
     fixed points; note the product scales like |xi|^4, so a fixed epsilon
     dominates near fixed points (epsilon is exposed for exactly that reason).
+    Raises ValueError for an epsilon that is negative or NaN, as
+    ``AdjusterSpec`` does.
     """
-    xi = np.asarray(xi, dtype=float).reshape(-1)
-    at_xi = np.asarray(at_xi, dtype=float).reshape(-1)
-    grad_h = np.asarray(grad_h, dtype=float).reshape(-1)
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
-    value = float(xi @ grad_h) * float(at_xi @ grad_h) / xi.size + epsilon
-    return 1.0 if value >= 0.0 else -1.0
+    check_epsilon(epsilon)
+    # One contiguous row each: BLAS may sum a strided row in another order.
+    rows = [np.array(v, dtype=float).reshape(1, -1)
+            for v in (xi, at_xi, grad_h)]
+    return float(_aligned_signs(*rows, epsilon)[0])
 
 
 def infinitesimal_alignment(u, v, w) -> float:

@@ -91,8 +91,7 @@ class AdjusterSpec:
             raise ValueError(f"unknown adjuster {self.kind!r}; one of {KINDS}")
         if not np.isfinite(self.lam):
             raise ValueError("lam must be finite")
-        if not self.epsilon >= 0:
-            raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
+        check_epsilon(self.epsilon)
 
 
 @dataclass(frozen=True)
@@ -128,13 +127,10 @@ def check_eta(eta: float) -> None:
         raise ValueError(f"eta must be positive and finite, got {eta}")
 
 
-@dataclass(frozen=True)
-class StepDiagnostics:
-    loss: Array          # per-player losses at the pre-step point
-    xi_norm: float
-    probe: float         # <xi, H' xi>
-    sign: float          # sign of the adjustment weight actually applied
-    finite: bool         # whether the post-step point is finite
+def check_epsilon(epsilon: float) -> None:
+    """Reject an alignment bias that is negative or NaN."""
+    if not epsilon >= 0:
+        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
 
 
 @dataclass
@@ -175,7 +171,8 @@ class Trajectory:
             points = self.points[:len(self.xi_norms)]
             with _quiet(self._game):
                 xi = _field(self._game, points)
-                self._probes = _probes(self._game, points, xi)
+                grad_h, _ = _products(self._game, points, xi, False)
+                self._probes = np.vecdot(xi, grad_h)
         return self._probes
 
     @property
@@ -211,11 +208,15 @@ def _products(game: Game, points: Array, xi: Array, both: bool):
             np.reshape(h_xi, xi.shape) if both else None)
 
 
-def _probes(game: Game, points: Array, xi: Array) -> Array:
-    """The probe <xi, H' xi> at each row, with the products the rules use,
-    so a probe equals the one an aligned rule computes there, bit for bit."""
-    grad_h, _ = _products(game, points, xi, False)
-    return np.vecdot(xi, grad_h)
+def _aligned_signs(xi: Array, at_xi: Array, grad_h: Array,
+                   epsilon: float) -> Array:
+    """The aligned sga rule's sign at each row: that of
+    ``(1/d) <xi, grad_h> <at_xi, grad_h> + epsilon``, with sign(0) = +1
+    (``analysis.alignment_sign`` is its one-row case).  A NaN value gets
+    -1."""
+    value = (np.vecdot(xi, grad_h) * np.vecdot(at_xi, grad_h)
+             / xi.shape[1] + epsilon)
+    return np.where(value >= 0.0, 1.0, -1.0)
 
 
 def _directions(spec: AdjusterSpec, game: Game, points: Array, xi: Array,
@@ -243,10 +244,7 @@ def _directions(spec: AdjusterSpec, game: Game, points: Array, xi: Array,
         at_xi = 0.5 * (grad_h - h_xi)
         if kind == SGA:
             return xi + spec.lam * at_xi, fixed_sign
-        # analysis.alignment_sign, row by row
-        value = (np.vecdot(xi, grad_h) * np.vecdot(at_xi, grad_h)
-                 / xi.shape[1] + spec.epsilon)
-        signs = np.where(value >= 0.0, 1.0, -1.0)
+        signs = _aligned_signs(xi, at_xi, grad_h, spec.epsilon)
         return xi + (abs(spec.lam) * signs)[:, None] * at_xi, signs
     if kind == CONSENSUS:
         return xi + spec.lam * grad_h, fixed_sign
@@ -280,44 +278,23 @@ def _adjusted(spec: AdjusterSpec, game: Game, w: Array, prev_xi):
     return (xi,) + _directions(spec, game, w, xi, prev_xi)
 
 
-def _at_point(spec: AdjusterSpec, game: Game, w, prev_xi):
-    """Field, direction and sign at one point w, each as a one-row batch
-    of the engine's arrays (w included)."""
-    w = np.asarray(w, dtype=float).reshape(1, -1)
-    if w.shape[1] != game.dim:
-        raise ValueError(f"point has length {w.shape[1]}, game needs "
-                         f"{game.dim}")
-    if prev_xi is not None:
-        prev_xi = np.asarray(prev_xi, dtype=float).reshape(1, -1)
-    return (w,) + _adjusted(spec, game, w, prev_xi)
-
-
 def direction(spec: AdjusterSpec, game: Game, w, prev_xi=None) -> Array:
-    """The adjusted update direction at w.
+    """The adjusted update direction at w: the engine's direction for a
+    batch of one row, so ``run``'s first step from w is
+    ``w - eta * direction``.
 
     ``prev_xi`` is the previous field value, used only by the omd rule;
     omitting it makes omd fall back to the plain field on its first step.
+    Raises ValueError for a point that is non-finite or of the wrong
+    length, and for a ``prev_xi`` of the wrong length.
     """
-    return _at_point(spec, game, w, prev_xi)[2][0]
-
-
-def step(spec: AdjusterSpec, game: Game, w, eta: float, prev_xi=None):
-    """One explicit-Euler step ``w - eta * direction`` with diagnostics.
-
-    A non-finite post-step point is reported through ``diagnostics.finite``
-    rather than raised; the caller decides how to treat divergence.
-    """
-    check_eta(eta)
-    w, xi, vec, signs = _at_point(spec, game, w, prev_xi)
-    w_new = (w - eta * vec)[0]
-    diag = StepDiagnostics(
-        loss=game.batch_losses(w)[0],
-        xi_norm=float(np.sqrt(np.vecdot(xi[0], xi[0]))),
-        probe=float(_probes(game, w, xi)[0]),
-        sign=float(np.full(1, signs)[0]),
-        finite=bool(np.isfinite(w_new).all()),
-    )
-    return w_new, diag
+    w = as_point(game.partition, w).reshape(1, -1)
+    if prev_xi is not None:
+        prev_xi = np.asarray(prev_xi, dtype=float).reshape(1, -1)
+        if prev_xi.shape[1] != game.dim:
+            raise ValueError(f"prev_xi has length {prev_xi.shape[1]}, game "
+                             f"needs {game.dim}")
+    return _adjusted(spec, game, w, prev_xi)[1][0]
 
 
 class _CellEnd(NamedTuple):

@@ -50,12 +50,22 @@ class RandomBall:
                 f"radius must be nonnegative and finite, got {self.radius}")
 
 
+def _whole(value, what: str) -> int:
+    """A number >= 0 with no fractional part (2.0 is one; 2.5 and True are
+    not), as an int; ``what`` names it in the error."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not float(value).is_integer() or value < 0):
+        raise ValueError(f"{what} must be a whole number >= 0, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class SweepConfig:
     """One sweep.  Building it builds the game, so an unknown game or
     parameter fails here; ``w0=None`` becomes the game's default start
-    point, and every fixed start point must be finite and have the game's
-    dimension."""
+    point, every fixed start point must be finite and have the game's
+    dimension, and the seed must be a whole number >= 0 (it becomes an
+    int)."""
 
     game: str
     adjusters: tuple[AdjusterSpec, ...]
@@ -66,6 +76,7 @@ class SweepConfig:
     seed: int = 0
 
     def __post_init__(self):
+        self.seed = _whole(self.seed, "seed")
         self.adjusters = tuple(self.adjusters)
         self.etas = tuple(float(e) for e in self.etas)
         if not self.etas:
@@ -295,14 +306,9 @@ def serialize(result: SweepResult, format: str = "csv") -> bytes:
 # Config (de)serialization for the command line
 # ---------------------------------------------------------------------------
 
-def _whole(value, *keys) -> int:
-    """A JSON number >= 0 with no fractional part (2.0 is one; 2.5 and
-    true are not), as an int; ``keys`` name it."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not float(value).is_integer() or value < 0):
-        raise ValueError(f"config key {': '.join(map(repr, keys))} must be "
-                         f"a whole number >= 0, got {value!r}")
-    return int(value)
+def _key(*keys) -> str:
+    """How an error names a config key: ``config key 'stop': 'max_iters'``."""
+    return f"config key {': '.join(map(repr, keys))}"
 
 
 def _etas_from_json(spec) -> tuple[float, ...]:
@@ -315,7 +321,7 @@ def _etas_from_json(spec) -> tuple[float, ...]:
     if space is None:
         raise ValueError(f"unknown eta grid kind {kind!r}")
     return tuple(space(spec["start"], spec["stop"],
-                       _whole(spec["count"], "etas", "count")))
+                       _whole(spec["count"], _key("etas", "count"))))
 
 
 def _adjuster_from_json(doc) -> AdjusterSpec:
@@ -339,10 +345,10 @@ _DECODERS = {
     "w0": lambda doc: (RandomBall(float(doc["random_ball"]))
                        if isinstance(doc, dict) else tuple(doc)),
     "stop": lambda doc: StopCriteria(**{
-        name: (_whole(doc[name], "stop", name) if kind is int
+        name: (_whole(doc[name], _key("stop", name)) if kind is int
                else float(doc[name]))
         for name, kind in _STOP_FIELDS.items() if doc.get(name) is not None}),
-    "seed": lambda doc: _whole(doc, "seed"),
+    "seed": lambda doc: _whole(doc, _key("seed")),
 }
 
 

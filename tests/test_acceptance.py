@@ -174,9 +174,11 @@ def test_c05_consensus_reproduction():
     norms = np.linalg.norm(traj.points, axis=1)
     assert np.all(np.diff(norms) > 0)  # monotone escape below 1/kappa
 
-    w1, _ = dg.step(dg.AdjusterSpec("aligned-consensus", lam=1.0), game,
-                    [1.0, 1.0], 0.01)
-    assert np.linalg.norm(w1) > np.linalg.norm([1.0, 1.0])
+    stop = dg.StopCriteria(max_iters=1, loss_window=1, loss_threshold=0.0,
+                           divergence_norm=np.inf)
+    traj = dg.run(dg.AdjusterSpec("aligned-consensus", lam=1.0), game,
+                  [1.0, 1.0], 0.01, stop)
+    assert np.linalg.norm(traj.points[1]) > np.linalg.norm([1.0, 1.0])
 
 
 @criterion(6, "weak repellor: fixed weight attracts, aligned weight escapes")

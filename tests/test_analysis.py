@@ -226,6 +226,35 @@ class TestAlignmentSign:
         with pytest.raises(ValueError):
             dg.alignment_sign(z, z, z, epsilon=-0.1)
 
+    def test_rejects_nan_epsilon(self):
+        # As AdjusterSpec does: a NaN bias would silently pick -1.
+        z = np.ones(2)
+        with pytest.raises(ValueError,
+                           match="epsilon must be nonnegative, got nan"):
+            dg.alignment_sign(z, z, z, epsilon=np.nan)
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.1])
+    def test_is_the_sign_the_aligned_rule_applies(self, epsilon):
+        spec = dg.AdjusterSpec("sga-aligned", epsilon=epsilon)
+        one_step = dg.StopCriteria(max_iters=1, loss_window=1,
+                                   loss_threshold=0.0,
+                                   divergence_norm=np.inf)
+        rng = np.random.default_rng(17)
+        seen = set()
+        for name in ("example2", "example6", "fig3_weak_attractor",
+                     "fig7_four_player"):
+            game = dg.catalog_game(name)
+            for _ in range(10):
+                w = rng.uniform(-2.0, 2.0, game.dim)
+                xi = dg.simultaneous_gradient(game, w).xi
+                grad_h = dg.thvp(game, w, xi)
+                at_xi = 0.5 * (grad_h - dg.hvp(game, w, xi))
+                sign = dg.alignment_sign(xi, at_xi, grad_h, epsilon)
+                assert dg.run(spec, game, w, 0.01,
+                              one_step).signs[0] == sign, (name, w)
+                seen.add(sign)
+        assert seen == {1.0, -1.0}
+
 
 class TestInfinitesimalAlignment:
     def test_bending_toward_target(self):

@@ -94,6 +94,13 @@ class TestAnalyze:
         assert (code, out) == (1, "")
         assert "point has length 3, game needs 4" in err
 
+    def test_nan_epsilon_is_usage_error(self, capsys):
+        # As run --epsilon nan: the bias is checked, not turned into a sign.
+        code, out, err = invoke(capsys, "analyze", "--game", "example6",
+                                "--at", "2,0", "--epsilon", "nan")
+        assert (code, out) == (1, "")
+        assert err == "diffgames: epsilon must be nonnegative, got nan\n"
+
 
 class TestRun:
     def test_descent_on_squared_field(self, capsys):

@@ -97,6 +97,24 @@ class TestDirection:
         assert dg.stability_probe(game, w) < 0
         assert np.allclose(dg.direction(spec, game, w), xi - 0.5 * gh)
 
+    def test_rejects_a_wrong_length_prev_xi(self):
+        game = dg.catalog_game("fig3_weak_attractor")
+        with pytest.raises(ValueError,
+                           match="prev_xi has length 1, game needs 2"):
+            dg.direction(dg.AdjusterSpec("omd"), game, [1, 1], prev_xi=[1.0])
+
+    @pytest.mark.parametrize("w,message", [
+        ([1.0, 1.0, 1.0], "point has length 3, game needs 2"),
+        ([np.nan, 1.0], "non-finite"),
+    ])
+    def test_checks_the_point_as_run_does(self, w, message):
+        game = dg.catalog_game("fig3_weak_attractor")
+        spec = dg.AdjusterSpec("simgd")
+        with pytest.raises(ValueError, match=message):
+            dg.direction(spec, game, w)
+        with pytest.raises(ValueError, match=message):
+            dg.run(spec, game, w, 0.1)
+
     def test_sga_aligned_uses_sign(self):
         game = dg.catalog_game("example6", epsilon=0.1)
         spec = dg.AdjusterSpec("sga-aligned", lam=1.0, epsilon=0.1)
@@ -106,35 +124,42 @@ class TestDirection:
         assert np.allclose(dg.direction(spec, game, w), xi - adj)
 
 
+# One Euler step of ``run``, with every stop test but the budget off.
+ONE_STEP = dg.StopCriteria(max_iters=1, loss_window=1, loss_threshold=0,
+                           divergence_norm=np.inf)
+
+
 class TestStep:
     def test_euler_arithmetic(self):
         game = dg.catalog_game("fig3_weak_attractor")
-        w_new, diag = dg.step(dg.AdjusterSpec("simgd"), game, [1.0, 1.0], 0.01)
-        assert np.allclose(w_new, [0.89, 1.09])
-        assert diag.xi_norm == pytest.approx(np.sqrt(11.0 ** 2 + 81.0))
-        assert diag.finite
+        traj = dg.run(dg.AdjusterSpec("simgd"), game, [1.0, 1.0], 0.01,
+                      ONE_STEP)
+        assert np.allclose(traj.points[1], [0.89, 1.09])
+        assert traj.xi_norms[0] == pytest.approx(np.sqrt(11.0 ** 2 + 81.0))
+        assert np.isfinite(traj.points[1]).all()
 
     def test_fixed_point_is_stationary(self):
         game = dg.catalog_game("example5")
         for kind in dg.KINDS:
             spec = dg.AdjusterSpec(kind)
-            w_new, _ = dg.step(spec, game, [0.0, 0.0], 0.1)
-            assert np.all(w_new == 0.0)
+            traj = dg.run(spec, game, [0.0, 0.0], 0.1, ONE_STEP)
+            assert np.all(traj.points[1] == 0.0)
 
     def test_omd_first_step(self):
         game = dg.catalog_game("fig4_bilinear")
-        w_new, _ = dg.step(dg.AdjusterSpec("omd"), game, [1.0, 0.0], 0.5)
-        assert np.allclose(w_new, [1.0, 0.5])
+        traj = dg.run(dg.AdjusterSpec("omd"), game, [1.0, 0.0], 0.5, ONE_STEP)
+        assert np.allclose(traj.points[1], [1.0, 0.5])
 
     def test_rejects_nonpositive_eta(self):
         game = dg.catalog_game("example5")
         with pytest.raises(ValueError):
-            dg.step(dg.AdjusterSpec("simgd"), game, [1.0, 1.0], 0.0)
+            dg.run(dg.AdjusterSpec("simgd"), game, [1.0, 1.0], 0.0, ONE_STEP)
 
     def test_rejects_nan_eta(self):
         game = dg.catalog_game("example5")
         with pytest.raises(ValueError):
-            dg.step(dg.AdjusterSpec("simgd"), game, [1.0, 1.0], np.nan)
+            dg.run(dg.AdjusterSpec("simgd"), game, [1.0, 1.0], np.nan,
+                   ONE_STEP)
 
 
 class TestRun:
@@ -266,13 +291,14 @@ class TestFusedEvaluation:
         game, _, w0 = _offset_game(2)
         spec = dg.AdjusterSpec(kind, lam=0.8)
         eta = 0.05
-        w1, diag = dg.step(spec, game, w0, eta)
+        one = dg.run(spec, game, w0, eta, ONE_STEP)
         traj = dg.run(spec, game, w0, eta,
                       dg.StopCriteria(max_iters=2, loss_window=1))
-        assert np.array_equal(diag.loss, traj.losses[0])
-        assert diag.xi_norm == traj.xi_norms[0]
-        assert diag.probe == traj.probes[0]
-        assert diag.sign == traj.signs[0]
+        assert np.array_equal(one.losses[0], traj.losses[0])
+        assert one.xi_norms[0] == traj.xi_norms[0]
+        assert one.probes[0] == traj.probes[0]
+        assert one.signs[0] == traj.signs[0]
+        w1 = one.points[1]
         assert np.array_equal(w1, traj.points[1])
         assert np.array_equal(w0 - eta * dg.direction(spec, game, w0), w1)
 
@@ -287,7 +313,8 @@ class TestFusedEvaluation:
         for kind, want in expected.items():
             spec = dg.AdjusterSpec(kind, lam=lam)
             assert np.array_equal(dg.direction(spec, game, w), want)
-            assert dg.step(spec, game, w, 0.1)[1].probe == float(xi @ grad_h)
+            traj = dg.run(spec, game, w, 0.1, ONE_STEP)
+            assert traj.probes[0] == float(xi @ grad_h)
 
 
 class TestCompatibilityProperties:

@@ -78,6 +78,23 @@ class TestSweep:
             tiny_config(etas=(0.1, np.nan))
 
 
+class TestSeed:
+    @pytest.mark.parametrize("seed", [2.5, -1, True, "3", None, np.nan])
+    def test_rejects_anything_but_a_whole_number(self, seed):
+        with pytest.raises(ValueError, match="seed must be a whole number"):
+            tiny_config(seed=seed)
+
+    def test_preset_rejects_a_negative_seed(self):
+        with pytest.raises(ValueError,
+                           match="seed must be a whole number >= 0, got -1"):
+            dg.run_preset("fig7", seed=-1)
+
+    @pytest.mark.parametrize("seed", [3, 3.0, np.int64(3)])
+    def test_a_whole_number_becomes_an_int(self, seed):
+        config = tiny_config(seed=seed)
+        assert type(config.seed) is int and config.seed == 3
+
+
 class TestStartPoints:
     def test_default_start_has_the_game_dimension(self):
         # example1 has d = 4; the oracle says rho = 0.906 < 1 at eta 0.1

@@ -82,11 +82,10 @@ class TestProbesOnFirstRead:
 
     def test_step_probe_is_the_first(self, builds):
         for game in builds:
+            want = dg.stability_probe(game, W0)
             for kind in dg.KINDS:
-                spec = dg.AdjusterSpec(kind)
-                _, diag = dg.step(spec, game, W0, ETA)
-                traj = dg.run(spec, game, W0, ETA, BUDGET)
-                assert diag.probe == traj.probes[0]
+                traj = dg.run(dg.AdjusterSpec(kind), game, W0, ETA, BUDGET)
+                assert traj.probes[0] == want
 
     def test_read_once_and_read_only(self, builds):
         game = CountingGame(builds[1])
