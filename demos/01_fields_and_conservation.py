@@ -17,13 +17,13 @@ w0 = rng.standard_normal(4)
 w0 /= np.linalg.norm(w0)
 
 print("start point        :", np.round(w0, 4))
-print("field at start     :", np.round(dg.simultaneous_gradient(game, w0).xi, 4))
+print("field at start     :", np.round(dg.simultaneous_gradient(game, w0), 4))
 
 # The conservation law, numerically: xi is orthogonal to the gradient of
 # 1/2 |xi|^2 at every point.
 for _ in range(3):
     w = rng.uniform(-2, 2, size=4)
-    xi = dg.simultaneous_gradient(game, w).xi
+    xi = dg.simultaneous_gradient(game, w)
     gh = dg.grad_hamiltonian(game, w)
     print(f"<xi, grad 1/2|xi|^2> at {np.round(w, 2)} = {xi @ gh:+.2e}")
 

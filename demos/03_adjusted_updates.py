@@ -29,7 +29,7 @@ for label, spec in rules:
 print()
 print("the adjustment leaves progress along the field untouched:")
 w = np.array([0.5, 0.5])
-xi = dg.simultaneous_gradient(game, w).xi
+xi = dg.simultaneous_gradient(game, w)
 for lam in (0.0, 0.1, 1.0, -1.0):
     vec = dg.direction(dg.AdjusterSpec("sga", lam=lam), game, w)
     print(f"  lam={lam:+.1f}: <direction, xi> = {vec @ xi:.4f}"

@@ -14,7 +14,7 @@ import diffgames as dg
 game = dg.catalog_game("example6", epsilon=0.1)
 w0 = [2.0, 0.0]
 
-xi = dg.simultaneous_gradient(game, w0).xi
+xi = dg.simultaneous_gradient(game, w0)
 adj = dg.sym_adjustment(game, w0)
 gh = dg.grad_hamiltonian(game, w0)
 print("at the start point (2, 0):")

@@ -11,9 +11,9 @@ spectral oracle and a learning-rate sweep harness for quadratic games.
 from .games import (CATALOG, CatalogEntry, Game, PlayerPartition,
                     QuadraticGame, as_point, catalog_entries, catalog_game,
                     make_game, quadratic_game_from_hessian)
-from .derivatives import (FieldEvaluation, fd_game, fd_gradient,
-                          full_hessian, grad_hamiltonian, hvp,
-                          simultaneous_gradient, sym_adjustment, thvp)
+from .derivatives import (fd_game, fd_gradient, full_hessian,
+                          grad_hamiltonian, hvp, simultaneous_gradient,
+                          sym_adjustment, thvp)
 from .analysis import (GENERAL, HAMILTONIAN, INDEFINITE, POTENTIAL, STABLE,
                        UNSTABLE, Decomposition, FixedPointReport, GameClass,
                        NotAFixedPointError, alignment_sign, classify_game,
@@ -35,9 +35,8 @@ __all__ = [
     "CATALOG", "CatalogEntry", "Game", "PlayerPartition", "QuadraticGame",
     "as_point", "catalog_entries", "catalog_game", "make_game",
     "quadratic_game_from_hessian",
-    "FieldEvaluation", "fd_game", "fd_gradient", "full_hessian",
-    "grad_hamiltonian", "hvp", "simultaneous_gradient", "sym_adjustment",
-    "thvp",
+    "fd_game", "fd_gradient", "full_hessian", "grad_hamiltonian", "hvp",
+    "simultaneous_gradient", "sym_adjustment", "thvp",
     "GENERAL", "HAMILTONIAN", "INDEFINITE", "POTENTIAL", "STABLE", "UNSTABLE",
     "Decomposition", "FixedPointReport", "GameClass", "NotAFixedPointError",
     "alignment_sign", "classify_game", "classify_fixed_point",

@@ -15,7 +15,7 @@ import numpy as np
 
 from .derivatives import full_hessian, simultaneous_gradient, thvp
 from .dynamics import AdjusterSpec, _aligned_signs, check_epsilon
-from .games import Game, QuadraticGame
+from .games import Game, QuadraticGame, as_point
 
 Array = np.ndarray
 
@@ -100,33 +100,32 @@ def _inf_norm(m: Array) -> float:
     return float(np.max(np.abs(m), initial=0.0))
 
 
-def classify_game(game: Game, sample_points,
-                  tol: float | None = None) -> GameClass:
+def classify_game(game: Game, sample_points) -> GameClass:
     """Classify a game over sample points.
 
     Potential when the antisymmetric Hessian part vanishes at every sample,
-    hamiltonian when the symmetric part does, general otherwise.  The default
-    tolerance is 1e-9 times the largest Hessian entry seen.
+    hamiltonian when the symmetric part does, general otherwise, each
+    within 1e-9 times the largest Hessian entry seen.  Raises ValueError
+    for a sample that is non-finite or of the wrong length.
     """
-    points = [np.asarray(p, dtype=float).reshape(-1) for p in sample_points]
+    points = [as_point(game.partition, p) for p in sample_points]
     if not points:
         raise ValueError("need at least one sample point")
-    return _game_class([_split(game, w) for w in points], tol)
+    return _game_class([_split(game, w) for w in points])
 
 
 def _split(game: Game, w: Array) -> Decomposition:
     return helmholtz_split(full_hessian(game, w))
 
 
-def _game_class(splits, tol: float | None) -> GameClass:
+def _game_class(splits) -> GameClass:
     """``classify_game`` from the splits at its sample points."""
     max_a = max_s = max_h = 0.0
     for dec in splits:
         max_a = max(max_a, _inf_norm(dec.antisymmetric))
         max_s = max(max_s, _inf_norm(dec.symmetric))
         max_h = max(max_h, _inf_norm(dec.hessian))
-    if tol is None:
-        tol = 1e-9 * max(max_h, 1e-300)
+    tol = 1e-9 * max(max_h, 1e-300)
     if max_a <= tol:
         kind = POTENTIAL
     elif max_s <= tol:
@@ -143,7 +142,7 @@ def stability_probe(game: Game, w) -> float:
     S is positive semidefinite, negative where S is negative definite, and
     identically zero in games with no symmetric part.
     """
-    xi = simultaneous_gradient(game, w).xi
+    xi = simultaneous_gradient(game, w)
     return float(xi @ thvp(game, w, xi))
 
 
@@ -178,7 +177,9 @@ def classify_fixed_point(
         fixed_point_tol: float = _FIXED_POINT_TOL) -> FixedPointReport:
     """Stability and local-Nash status of a fixed point.
 
-    Raises NotAFixedPointError when ``|xi(w)| > fixed_point_tol``.  Stability
+    Raises ValueError for a point that is non-finite or of the wrong
+    length, and NotAFixedPointError unless ``|xi(w)| <= fixed_point_tol``
+    (a NaN field included).  Stability
     comes from the eigenvalues of S: all nonnegative (within a spread-scaled
     tolerance) is stable, all negative is unstable, otherwise indefinite.
     Quadratic games have a constant S, so the point itself decides; other
@@ -186,10 +187,10 @@ def classify_fixed_point(
     must agree on all of them.  ``is_local_nash`` checks that each player's
     own diagonal block of S is positive semidefinite.
     """
-    w = np.asarray(w, dtype=float).reshape(-1)
-    ev = simultaneous_gradient(game, w)
-    xi_norm = float(np.sqrt(ev.norm_sq))
-    if xi_norm > fixed_point_tol:
+    w = as_point(game.partition, w)
+    xi = simultaneous_gradient(game, w)
+    xi_norm = float(np.sqrt(xi @ xi))
+    if not xi_norm <= fixed_point_tol:
         raise NotAFixedPointError(
             f"|xi(w)| = {xi_norm:.3e} exceeds the fixed-point tolerance "
             f"{fixed_point_tol:.3e}"
@@ -247,7 +248,7 @@ def _classify_point(game: Game, w: Array, xi_norm: float):
     splits = [_split(game, p) for p in deciding]
     report = (_fixed_point_report(game, w, xi_norm, splits, nearby)
               if xi_norm <= _FIXED_POINT_TOL else None)
-    return _game_class(splits, None), splits[0], report
+    return _game_class(splits), splits[0], report
 
 
 def alignment_sign(xi, at_xi, grad_h,

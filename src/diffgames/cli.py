@@ -204,9 +204,6 @@ def _cmd_run(args) -> int:
     spec = AdjusterSpec(kind=args.adjuster, lam=args.lam, epsilon=args.epsilon)
     stop = StopCriteria(**_stop_overrides(args))
     w0 = _parse_vector(args.w0) if args.w0 else default_start(game.dim)
-    if len(w0) != game.dim:
-        raise _UsageError(
-            f"--w0 has length {len(w0)}, game {args.game!r} needs {game.dim}")
     traj = run(spec, game, w0, args.eta, stop)
     if args.format == "csv":
         _emit(_trajectory_csv(traj, game), args.out)

@@ -13,18 +13,22 @@ Each finite-difference product evaluates all of its perturbed points in one
 ``Game.batch_field`` call: ``hvp`` the two points ``w +- h v/|v|``,
 ``thvp`` and ``full_hessian`` the 2d points ``w +- h e_j``.
 
+Every function here that takes a point of a game checks it with
+``as_point``, as ``run`` does: a point that is non-finite or of the wrong
+length raises ValueError.  The vector v of a product is not a point; it
+may be non-finite.
+
 No autodiff framework is involved; every built-in game is closed-form and
 the finite differences are the oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .games import Game, make_game
+from .games import Game, as_point, make_game
 
 Array = np.ndarray
 
@@ -33,28 +37,14 @@ Array = np.ndarray
 _FD_STEP_SCALE = 1e-6
 
 
-@dataclass(frozen=True)
-class FieldEvaluation:
-    """The simultaneous gradient at a point, with its squared norm.
-
-    ``norm_sq / 2`` is the scalar the dynamics may or may not conserve;
-    its gradient is ``thvp(game, w, xi)``.
-    """
-
-    w: Array
-    xi: Array
-    norm_sq: float
-
-
-def simultaneous_gradient(game: Game, w) -> FieldEvaluation:
+def simultaneous_gradient(game: Game, w) -> Array:
     """Stack the per-player gradients into the field xi(w).
 
-    Non-finite entries are passed through; they signal overflow and are
-    handled as divergence by the optimizer loop.
+    Half its squared norm is the Hamiltonian the dynamics may or may not
+    conserve; its gradient is ``grad_hamiltonian``.  A field that overflows
+    at a finite point comes back non-finite, as the optimizer loop sees it.
     """
-    w = np.asarray(w, dtype=float).reshape(-1)
-    xi = game.batch_field(w.reshape(1, -1))[0]
-    return FieldEvaluation(w=w, xi=xi, norm_sq=float(xi @ xi))
+    return game.batch_field(as_point(game.partition, w).reshape(1, -1))[0]
 
 
 def fd_game(game: Game) -> Game:
@@ -98,7 +88,7 @@ def hvp(game: Game, w, v) -> Array:
     stays meaningful for tiny or huge v; a zero v returns zero directly.  It
     evaluates the field at its two points ``w +- h v/|v|`` in one batch.
     """
-    w = np.asarray(w, dtype=float).reshape(-1)
+    w = as_point(game.partition, w)
     v = np.asarray(v, dtype=float).reshape(-1)
     if game.has_analytic_hessian:
         return game.analytic_hessian(w) @ v
@@ -118,7 +108,7 @@ def thvp(game: Game, w, v) -> Array:
     along every coordinate axis: one batch of 2d field evaluations, then
     one dot product with v per point.
     """
-    w = np.asarray(w, dtype=float).reshape(-1)
+    w = as_point(game.partition, w)
     v = np.asarray(v, dtype=float).reshape(-1)
     if game.has_analytic_hessian:
         return game.analytic_hessian(w).T @ v
@@ -131,13 +121,13 @@ def thvp(game: Game, w, v) -> Array:
 
 def sym_adjustment(game: Game, w) -> Array:
     """The antisymmetric-part product A' xi = (H' xi - H xi) / 2."""
-    xi = simultaneous_gradient(game, w).xi
+    xi = simultaneous_gradient(game, w)
     return 0.5 * (thvp(game, w, xi) - hvp(game, w, xi))
 
 
 def grad_hamiltonian(game: Game, w) -> Array:
     """Gradient of w -> |xi(w)|^2 / 2, which equals H' xi for any game."""
-    xi = simultaneous_gradient(game, w).xi
+    xi = simultaneous_gradient(game, w)
     return thvp(game, w, xi)
 
 
@@ -149,7 +139,7 @@ def full_hessian(game: Game, w, cap: int = 512) -> Array:
     computes, with the 2d points of all columns in one batch.  The batch
     holds 2d x d entries, which is why the dimension is capped.
     """
-    w = np.asarray(w, dtype=float).reshape(-1)
+    w = as_point(game.partition, w)
     if game.has_analytic_hessian:
         return game.analytic_hessian(w)
     d = game.dim

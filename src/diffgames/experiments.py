@@ -59,6 +59,14 @@ def _whole(value, what: str) -> int:
     return int(value)
 
 
+def _number(value, what: str) -> float:
+    """A real number (True is not one), as a float; ``what`` names it in
+    the error."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass
 class SweepConfig:
     """One sweep.  Building it builds the game, so an unknown game or
@@ -120,14 +128,13 @@ def _ball_point(rng: np.random.Generator, dim: int, radius: float) -> Array:
 
 
 def _start_points(config: SweepConfig, dim: int):
-    """Start points per eta index; each is a list (many for fixed w0 lists,
-    exactly one for the random-ball policy)."""
+    """Start points per eta index; each is a sequence (many for fixed w0
+    lists, exactly one for the random-ball policy)."""
     if isinstance(config.w0, RandomBall):
         rng = np.random.default_rng(config.seed)
         return [[_ball_point(rng, dim, config.w0.radius)]
                 for _ in config.etas]
-    fixed = [np.asarray(p, dtype=float) for p in config.w0]
-    return [fixed for _ in config.etas]
+    return [config.w0 for _ in config.etas]
 
 
 def _trailing_loss(mean_abs: Array, window: int) -> float:
@@ -239,12 +246,12 @@ def analyze_point(game, w, epsilon: float = AdjusterSpec.epsilon) -> dict:
     ``classify_fixed_point``), the stability report is included.
     """
     w = as_point(game.partition, w)
-    ev = simultaneous_gradient(game, w)
-    xi = ev.xi
+    xi = simultaneous_gradient(game, w)
     grad_h = thvp(game, w, xi)
     at_xi = 0.5 * (grad_h - hvp(game, w, xi))
 
-    xi_norm = float(np.sqrt(ev.norm_sq))
+    norm_sq = float(xi @ xi)
+    xi_norm = float(np.sqrt(norm_sq))
     # Sampled at w and, for a non-quadratic game, 8 points 1e-3 around it:
     # each full Hessian serves the class, the split and the report.
     game_class, dec, report = analysis._classify_point(game, w, xi_norm)
@@ -254,7 +261,7 @@ def analyze_point(game, w, epsilon: float = AdjusterSpec.epsilon) -> dict:
         "at": w.tolist(),
         "xi": xi.tolist(),
         "xi_norm": xi_norm,
-        "hamiltonian": 0.5 * ev.norm_sq,
+        "hamiltonian": 0.5 * norm_sq,
         "losses": game.loss_vector(w).tolist(),
         "game_class": game_class.kind,
         "max_antisymmetric": game_class.max_antisymmetric,
@@ -315,19 +322,20 @@ def _etas_from_json(spec) -> tuple[float, ...]:
     """An eta list, or a ``log`` (default) or ``linear`` grid object: the
     one place a sweep's eta grid is built."""
     if not isinstance(spec, dict):
-        return tuple(float(e) for e in spec)
+        return tuple(_number(e, _key("etas")) for e in spec)
     kind = spec.get("kind", "log")
     space = {"log": np.geomspace, "linear": np.linspace}.get(kind)
     if space is None:
         raise ValueError(f"unknown eta grid kind {kind!r}")
-    return tuple(space(spec["start"], spec["stop"],
+    return tuple(space(*(_number(spec[end], _key("etas", end))
+                         for end in ("start", "stop")),
                        _whole(spec["count"], _key("etas", "count"))))
 
 
 def _adjuster_from_json(doc) -> AdjusterSpec:
     return AdjusterSpec(kind=doc["kind"], **{
-        name: float(doc[key]) for key, name in (("lambda", "lam"),
-                                                ("epsilon", "epsilon"))
+        name: _number(doc[key], _key("adjusters", key))
+        for key, name in (("lambda", "lam"), ("epsilon", "epsilon"))
         if doc.get(key) is not None})
 
 
@@ -342,11 +350,12 @@ _DECODERS = {
     "game_params": dict,
     "adjusters": lambda doc: tuple(map(_adjuster_from_json, doc)),
     "etas": _etas_from_json,
-    "w0": lambda doc: (RandomBall(float(doc["random_ball"]))
+    "w0": lambda doc: (RandomBall(_number(doc["random_ball"],
+                                          _key("w0", "random_ball")))
                        if isinstance(doc, dict) else tuple(doc)),
     "stop": lambda doc: StopCriteria(**{
-        name: (_whole(doc[name], _key("stop", name)) if kind is int
-               else float(doc[name]))
+        name: (_whole if kind is int else _number)(doc[name],
+                                                   _key("stop", name))
         for name, kind in _STOP_FIELDS.items() if doc.get(name) is not None}),
     "seed": lambda doc: _whole(doc, _key("seed")),
 }
@@ -360,11 +369,11 @@ def config_from_json(doc: dict) -> SweepConfig:
     keeps its dataclass default (the ``AdjusterSpec`` weights,
     ``SweepConfig.seed``, the ``StopCriteria``); unknown keys, such as the
     ``jobs`` of older configs, are ignored.  A value of a JSON type that
-    cannot serve (a list where an object or a number belongs, a null radius),
-    an object without a key it needs, and a count, seed or iteration
-    number that is not a whole number >= 0 raise a ValueError that names
-    the key; any other bad value raises the ValueError of the check it
-    fails.
+    cannot serve (a list where an object or a number belongs, a null radius,
+    a string or a boolean for a real number), an object without a key it
+    needs, and a count, seed or iteration number that is not a whole
+    number >= 0 raise a ValueError that names the key; any other bad value
+    raises the ValueError of the check it fails.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"a sweep config is a JSON object, got {doc!r}")

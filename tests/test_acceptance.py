@@ -75,7 +75,7 @@ def test_c02_conservation():
     for game in games:
         for _ in range(1000):
             w = rng.uniform(-5, 5, size=game.dim)
-            xi = dg.simultaneous_gradient(game, w).xi
+            xi = dg.simultaneous_gradient(game, w)
             gh = dg.grad_hamiltonian(game, w)
             bound = 1e-10 * np.linalg.norm(xi) * np.linalg.norm(gh)
             assert abs(float(xi @ gh)) <= max(bound, 1e-300)
@@ -192,7 +192,7 @@ def test_c06_repellor_reproduction():
     assert np.linalg.norm(traj.final_point) < 1e-3  # the unstable point
 
     w = [2.0, 0.0]
-    xi = dg.simultaneous_gradient(game, w).xi
+    xi = dg.simultaneous_gradient(game, w)
     adj = dg.sym_adjustment(game, w)
     gh = dg.grad_hamiltonian(game, w)
     assert dg.alignment_sign(xi, adj, gh, epsilon=0.1) == -1.0
@@ -221,7 +221,7 @@ def test_c07_stability_vs_nash():
     for x in grid:
         for y in grid:
             w = np.array([x, y])
-            if np.linalg.norm(dg.simultaneous_gradient(game, w).xi) > 1e-12:
+            if np.linalg.norm(dg.simultaneous_gradient(game, w)) > 1e-12:
                 continue
             rep = dg.classify_fixed_point(game, w)
             found += 1

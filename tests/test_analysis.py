@@ -120,7 +120,7 @@ class TestStabilityProbe:
         game = dg.catalog_game("example1", payoff=rng.standard_normal((2, 2)))
         for _ in range(50):
             w = rng.uniform(-3, 3, size=4)
-            xi = dg.simultaneous_gradient(game, w).xi
+            xi = dg.simultaneous_gradient(game, w)
             gh = dg.grad_hamiltonian(game, w)
             bound = 1e-10 * np.linalg.norm(xi) * np.linalg.norm(gh)
             assert abs(dg.stability_probe(game, w)) <= max(bound, 1e-300)
@@ -134,7 +134,8 @@ class TestStabilityProbe:
                 anti = random_block_antisymmetric(rng, partition)
                 game = dg.quadratic_game_from_hessian(partition, sym + anti)
                 w = rng.standard_normal(5)
-                if dg.simultaneous_gradient(game, w).norm_sq == 0.0:
+                xi = dg.simultaneous_gradient(game, w)
+                if xi @ xi == 0.0:
                     continue
                 probe = dg.stability_probe(game, w)
                 assert np.sign(probe) == definite
@@ -189,7 +190,7 @@ class TestAlignmentSign:
     def test_repelled_from_unstable_point(self):
         game = dg.catalog_game("example6", epsilon=0.1)
         w = [2.0, 0.0]
-        xi = dg.simultaneous_gradient(game, w).xi
+        xi = dg.simultaneous_gradient(game, w)
         gh = dg.grad_hamiltonian(game, w)
         adj = dg.sym_adjustment(game, w)
         assert xi @ gh == pytest.approx(-0.404)
@@ -199,7 +200,7 @@ class TestAlignmentSign:
     def test_attracted_to_stable_point(self):
         game = dg.catalog_game("fig3_weak_attractor")
         w = [1.0, 1.0]
-        xi = dg.simultaneous_gradient(game, w).xi
+        xi = dg.simultaneous_gradient(game, w)
         gh = dg.grad_hamiltonian(game, w)
         adj = dg.sym_adjustment(game, w)
         assert adj @ gh == pytest.approx(20200.0)
@@ -215,7 +216,7 @@ class TestAlignmentSign:
         # fixed epsilon forces +1 even though the true sign there is -1
         game = dg.catalog_game("example6", epsilon=0.1)
         w = [1.0, 0.0]
-        xi = dg.simultaneous_gradient(game, w).xi
+        xi = dg.simultaneous_gradient(game, w)
         gh = dg.grad_hamiltonian(game, w)
         adj = dg.sym_adjustment(game, w)
         assert dg.alignment_sign(xi, adj, gh, epsilon=0.1) == 1.0
@@ -246,7 +247,7 @@ class TestAlignmentSign:
             game = dg.catalog_game(name)
             for _ in range(10):
                 w = rng.uniform(-2.0, 2.0, game.dim)
-                xi = dg.simultaneous_gradient(game, w).xi
+                xi = dg.simultaneous_gradient(game, w)
                 grad_h = dg.thvp(game, w, xi)
                 at_xi = 0.5 * (grad_h - dg.hvp(game, w, xi))
                 sign = dg.alignment_sign(xi, at_xi, grad_h, epsilon)
@@ -348,3 +349,14 @@ class TestAdjustedFieldInequalities:
             grad_h = (sym + anti).T @ xi
             adjusted = xi - lam * (anti.T @ xi)
             assert adjusted @ grad_h <= 1e-9
+
+
+def test_nan_field_is_not_a_fixed_point():
+    """A finite point where the field is NaN is not fixed, though an
+    analytic Hessian makes every other part of the report finite."""
+    game = dg.make_game(dg.PlayerPartition((1, 1)),
+                        [lambda w: 0.0, lambda w: 0.0],
+                        [lambda w: np.full(1, np.nan), lambda w: w[:1]],
+                        hessian=lambda w: np.eye(2))
+    with pytest.raises(dg.NotAFixedPointError, match="nan"):
+        dg.classify_fixed_point(game, [0.0, 0.0])

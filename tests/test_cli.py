@@ -135,11 +135,12 @@ class TestRun:
         assert out.split("\n")[1].startswith("0,0.5,0.5,")
 
     def test_w0_length_checked(self, capsys):
-        code, _, err = invoke(capsys, "run", "--game", "example7",
-                              "--adjuster", "simgd", "--eta", "0.1",
-                              "--w0", "1,2,3")
-        assert code == 1
-        assert "--w0" in err
+        # The message analyze --at gives: both check through as_point.
+        code, out, err = invoke(capsys, "run", "--game", "example7",
+                                "--adjuster", "simgd", "--eta", "0.1",
+                                "--w0", "1,2,3")
+        assert (code, out) == (1, "")
+        assert err == "diffgames: point has length 3, game needs 2\n"
 
     @pytest.mark.parametrize("w0", ["nan,0,0,0", "0,0,-inf,0"])
     def test_non_finite_w0_is_usage_error(self, capsys, w0):
@@ -465,6 +466,30 @@ class TestOneCodec:
         ({"adjusters": [{"lambda": 1.0}]},
          "config key 'adjusters': missing 'kind'"),
         ({"w0": {"radius": 1.0}}, "config key 'w0': missing 'random_ball'"),
+        # A boolean is no more a number here than a whole number for the
+        # seed, and a string is named by its key, not by float().
+        ({"adjusters": [{"kind": "sga", "lambda": True}]},
+         "config key 'adjusters': 'lambda' must be a number, got True"),
+        ({"adjusters": [{"kind": "sga", "lambda": "x"}]},
+         "config key 'adjusters': 'lambda' must be a number, got 'x'"),
+        ({"adjusters": [{"kind": "sga", "epsilon": False}]},
+         "config key 'adjusters': 'epsilon' must be a number, got False"),
+        ({"etas": [True]}, "config key 'etas' must be a number, got True"),
+        ({"etas": ["fast"]},
+         "config key 'etas' must be a number, got 'fast'"),
+        ({"etas": {"start": "x", "stop": 1.0, "count": 3}},
+         "config key 'etas': 'start' must be a number, got 'x'"),
+        ({"etas": {"kind": "linear", "start": 0.1, "stop": True,
+                   "count": 3}},
+         "config key 'etas': 'stop' must be a number, got True"),
+        ({"w0": {"random_ball": True}},
+         "config key 'w0': 'random_ball' must be a number, got True"),
+        ({"w0": {"random_ball": "big"}},
+         "config key 'w0': 'random_ball' must be a number, got 'big'"),
+        ({"stop": {"loss_threshold": "x"}},
+         "config key 'stop': 'loss_threshold' must be a number, got 'x'"),
+        ({"stop": {"divergence_norm": True}},
+         "config key 'stop': 'divergence_norm' must be a number, got True"),
     ])
     def test_config_error_names_the_key(self, capsys, tmp_path, doc, said):
         base = {"game": "example1", "adjusters": [{"kind": "sga"}],

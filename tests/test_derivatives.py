@@ -37,26 +37,26 @@ def trig_game():
 class TestSimultaneousGradient:
     def test_scalar_bilinear(self):
         game = dg.catalog_game("example1", payoff=[[1.0]])
-        ev = dg.simultaneous_gradient(game, [1.0, 1.0])
-        assert ev.xi.tolist() == [1.0, -1.0]
-        assert ev.norm_sq == pytest.approx(2.0)
+        xi = dg.simultaneous_gradient(game, [1.0, 1.0])
+        assert xi.tolist() == [1.0, -1.0]
+        assert xi @ xi == pytest.approx(2.0)
 
     def test_weak_attractor(self):
         game = dg.catalog_game("fig3_weak_attractor")
-        assert dg.simultaneous_gradient(game, [1.0, 1.0]).xi.tolist() == [11.0, -9.0]
+        assert dg.simultaneous_gradient(game, [1.0, 1.0]).tolist() == [11.0, -9.0]
 
     @pytest.mark.parametrize("name,params", CATALOG_DEFAULTS)
     def test_vanishes_at_unshifted_fixed_point(self, name, params):
         game = dg.catalog_game(name, **params)
         if np.any(game.gradient_offset):
             return  # shifted equilibrium, origin is not fixed
-        xi = dg.simultaneous_gradient(game, np.zeros(game.dim)).xi
+        xi = dg.simultaneous_gradient(game, np.zeros(game.dim))
         assert np.all(xi == 0.0)
 
     def test_concatenation_order(self):
         game = dg.catalog_game("example1", payoff=np.eye(2))
         w = np.array([1.0, 2.0, 3.0, 4.0])
-        xi = dg.simultaneous_gradient(game, w).xi
+        xi = dg.simultaneous_gradient(game, w)
         assert np.allclose(xi[:2], game.player_gradient(0, w))
         assert np.allclose(xi[2:], game.player_gradient(1, w))
 
@@ -131,7 +131,7 @@ class TestBatchField:
         assert field.shape == (5, game.dim) and field.flags.c_contiguous
         for w, row in zip(points, field):
             assert row.tobytes() == dg.simultaneous_gradient(
-                game, w).xi.tobytes()
+                game, w).tobytes()
             assert row.tobytes() == np.concatenate(
                 [game.player_gradient(i, w)
                  for i in range(game.num_players)]).tobytes()
@@ -152,8 +152,8 @@ class TestBatchField:
         h = _fd_step(w)
         loop = np.empty(game.dim)
         for j, e in enumerate(h * np.eye(game.dim)):
-            g_plus = float(dg.simultaneous_gradient(game, w + e).xi @ v)
-            g_minus = float(dg.simultaneous_gradient(game, w - e).xi @ v)
+            g_plus = float(dg.simultaneous_gradient(game, w + e) @ v)
+            g_minus = float(dg.simultaneous_gradient(game, w - e) @ v)
             loop[j] = (g_plus - g_minus) / (2.0 * h)
         assert dg.thvp(game, w, v).tobytes() == loop.tobytes()
         columns = np.column_stack([dg.hvp(game, w, e)
@@ -302,9 +302,9 @@ class TestSymAdjustment:
         rng = np.random.default_rng(13)
         for _ in range(50):
             w = rng.uniform(-3, 3, size=game.dim)
-            ev = dg.simultaneous_gradient(game, w)
+            xi = dg.simultaneous_gradient(game, w)
             adj = dg.sym_adjustment(game, w)
-            assert abs(ev.xi @ adj) <= 1e-9 * max(ev.norm_sq, 1e-300)
+            assert abs(xi @ adj) <= 1e-9 * max(xi @ xi, 1e-300)
 
 
 class TestGradHamiltonian:
@@ -316,7 +316,7 @@ class TestGradHamiltonian:
         game = dg.catalog_game("example1", payoff=[[1.0]])
         gh = dg.grad_hamiltonian(game, [1.0, 1.0])
         assert np.allclose(gh, [1.0, 1.0])
-        xi = dg.simultaneous_gradient(game, [1.0, 1.0]).xi
+        xi = dg.simultaneous_gradient(game, [1.0, 1.0])
         assert xi @ gh == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_at_fixed_point(self):
@@ -328,7 +328,8 @@ class TestGradHamiltonian:
         game = dg.catalog_game(name, **params)
 
         def half_norm_sq(w):
-            return 0.5 * dg.simultaneous_gradient(game, w).norm_sq
+            xi = dg.simultaneous_gradient(game, w)
+            return 0.5 * float(xi @ xi)
 
         rng = np.random.default_rng(17)
         for _ in range(20):
@@ -387,9 +388,9 @@ class TestNonQuadraticGame:
         rng = np.random.default_rng(29)
         for _ in range(25):
             w = rng.uniform(-1.5, 1.5, size=2)
-            ev = dg.simultaneous_gradient(game, w)
+            xi = dg.simultaneous_gradient(game, w)
             adj = dg.sym_adjustment(game, w)
-            assert abs(ev.xi @ adj) <= 1e-7 * max(ev.norm_sq, 1e-300)
+            assert abs(xi @ adj) <= 1e-7 * max(xi @ xi, 1e-300)
 
     def test_game_without_hessian_falls_back_to_fd(self):
         p = dg.PlayerPartition((1, 1))
@@ -411,8 +412,8 @@ class TestFdGame:
         assert oracle.partition == game.partition
         w = np.array([0.3, -0.7])
         assert np.array_equal(oracle.loss_vector(w), game.loss_vector(w))
-        assert np.array_equal(dg.simultaneous_gradient(oracle, w).xi,
-                              dg.simultaneous_gradient(game, w).xi)
+        assert np.array_equal(dg.simultaneous_gradient(oracle, w),
+                              dg.simultaneous_gradient(game, w))
 
 
 # Finite-difference results on every catalog game and on both TanhGame
@@ -514,3 +515,51 @@ class TestFdGamePins:
     def test_runs(self, name):
         oracle = dg.fd_game(PIN_GAMES[name]())
         assert runs_digest(oracle) == FD_PINS[name][1]
+
+
+# Every public function that takes a point of a game, called at w.
+POINT_TAKERS = {
+    "simultaneous_gradient": dg.simultaneous_gradient,
+    "hvp": lambda game, w: dg.hvp(game, w, np.ones(game.dim)),
+    "thvp": lambda game, w: dg.thvp(game, w, np.ones(game.dim)),
+    "full_hessian": dg.full_hessian,
+    "sym_adjustment": dg.sym_adjustment,
+    "grad_hamiltonian": dg.grad_hamiltonian,
+    "stability_probe": dg.stability_probe,
+    "classify_game": lambda game, w: dg.classify_game(
+        game, [np.zeros(game.dim), w]),
+    "classify_fixed_point": dg.classify_fixed_point,
+    "analyze_point": dg.analyze_point,
+    "direction": lambda game, w: dg.direction(dg.AdjusterSpec("sga"),
+                                              game, w),
+    "run": lambda game, w: dg.run(
+        dg.AdjusterSpec("sga"), game, w, 0.1,
+        dg.StopCriteria(max_iters=1, loss_window=1)),
+}
+
+BOUNDARY_GAMES = {
+    "fig3_weak_attractor": lambda: dg.catalog_game("fig3_weak_attractor"),
+    "tanh": lambda: TanhGame().build(),
+    "tanh-fd": lambda: dg.fd_game(TanhGame().build()),
+}
+
+
+def bad_point(game, case):
+    """A point of the game with one NaN or inf entry, or a finite one with
+    a coordinate too many, and the message ``as_point`` gives for it."""
+    if case == "one too many":
+        d = game.dim
+        return np.zeros(d + 1), f"point has length {d + 1}, game needs {d}"
+    w = np.zeros(game.dim)
+    w[-1] = {"nan": np.nan, "inf": np.inf}[case]
+    return w, "point has non-finite entries"
+
+
+@pytest.mark.parametrize("game_name", sorted(BOUNDARY_GAMES))
+@pytest.mark.parametrize("case", ["nan", "inf", "one too many"])
+@pytest.mark.parametrize("name", list(POINT_TAKERS))
+def test_every_point_is_checked_as_run_checks_it(name, case, game_name):
+    game = BOUNDARY_GAMES[game_name]()
+    w, message = bad_point(game, case)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        POINT_TAKERS[name](game, w)

@@ -52,7 +52,7 @@ class TestMakeGame:
             gradients=[lambda w: w[1:2], lambda w: -w[0:1]],
         )
         assert game.dim == 2
-        assert dg.simultaneous_gradient(game, [1.0, 1.0]).xi.tolist() == [1.0, -1.0]
+        assert dg.simultaneous_gradient(game, [1.0, 1.0]).tolist() == [1.0, -1.0]
 
     def test_identity_payoff_two_by_two(self):
         p = dg.PlayerPartition((2, 2))
@@ -88,8 +88,8 @@ class TestMakeGame:
         for _ in range(20):
             w = rng.standard_normal(4)
             assert np.allclose(game.loss_vector(w), catalog.loss_vector(w))
-            assert np.allclose(dg.simultaneous_gradient(game, w).xi,
-                               dg.simultaneous_gradient(catalog, w).xi)
+            assert np.allclose(dg.simultaneous_gradient(game, w),
+                               dg.simultaneous_gradient(catalog, w))
 
     def test_gradient_size_mismatch_rejected(self):
         p = dg.PlayerPartition((1, 1))
@@ -110,7 +110,7 @@ class TestCatalog:
 
     def test_example6_field_value(self):
         game = dg.catalog_game("example6", epsilon=0.1)
-        xi = dg.simultaneous_gradient(game, [1.0, 0.0]).xi
+        xi = dg.simultaneous_gradient(game, [1.0, 0.0])
         assert np.allclose(xi, [-0.1, 1.0])
 
     def test_example7_constant_hessian(self):
@@ -265,7 +265,7 @@ class TestQuadraticGame:
         game = dg.catalog_game("example3", a=2.0, b=3.0)
         # xi = H w + c must vanish at the shifted equilibrium (a, b)
         assert np.allclose(game.gradient_offset, [-3.0, 2.0])
-        xi = dg.simultaneous_gradient(game, [2.0, 3.0]).xi
+        xi = dg.simultaneous_gradient(game, [2.0, 3.0])
         assert np.allclose(xi, 0.0)
 
 
@@ -304,7 +304,7 @@ class TestGameFromHessian:
         h = np.diag([1.0, 2.0, 3.0])
         c = rng.standard_normal(3)
         game = dg.quadratic_game_from_hessian(p, h, offset=c)
-        xi = dg.simultaneous_gradient(game, np.zeros(3)).xi
+        xi = dg.simultaneous_gradient(game, np.zeros(3))
         assert np.allclose(xi, c)
 
 
@@ -327,7 +327,7 @@ def test_batch_evaluation_keeps_every_bit(name, params):
     losses, field = game.batch_losses(points), game.batch_field(points)
     for w, loss, xi in zip(points, losses, field):
         want_loss = plain.loss_vector(w)
-        want_xi = dg.simultaneous_gradient(plain, w).xi
+        want_xi = dg.Game.batch_field(plain, w[None])[0]
         assert loss.tobytes() == want_loss.tobytes(), w
         assert xi.tobytes() == want_xi.tobytes(), w
 
@@ -351,7 +351,7 @@ def test_batch_evaluation_of_a_dense_game():
     losses, field = game.batch_losses(points), game.batch_field(points)
     for w, loss, xi in zip(points, losses, field):
         want_loss = plain.loss_vector(w)
-        want_xi = dg.simultaneous_gradient(plain, w).xi
+        want_xi = dg.Game.batch_field(plain, w[None])[0]
         assert xi.tobytes() == want_xi.tobytes(), w
         if np.isfinite(w).all():
             assert loss.tobytes() == want_loss.tobytes(), w

@@ -36,7 +36,7 @@ def test_library_tour_gives_the_stated_values():
     text = tour()
     namespace, values = run_tour()
     assert "xi = (11, -9)" in text
-    assert namespace["ev"].xi.tolist() == [11.0, -9.0]
+    assert namespace["xi"].tolist() == [11.0, -9.0]
     assert "202.0" in text
     assert values["dg.stability_probe(game, [1.0, 1.0])"] == 202.0
     assert "rho = 0.906" in text
