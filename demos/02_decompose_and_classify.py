@@ -15,7 +15,7 @@ import diffgames as dg
 rng = np.random.default_rng(1)
 
 print("classifying the catalog (5 random sample points each):")
-for entry in dg.catalog_entries():
+for entry in dg.CATALOG.values():
     game = dg.catalog_game(entry.name)
     points = [rng.uniform(-2, 2, size=game.dim) for _ in range(5)]
     cls = dg.classify_game(game, points)

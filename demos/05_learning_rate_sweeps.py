@@ -12,14 +12,13 @@ import numpy as np
 import diffgames as dg
 
 # The scalar bilinear saddle: adjusted updates vs extrapolated updates.
-result = dg.run_preset("fig4", seed=0)
+cells = dg.run_preset("fig4", seed=0)
 
 def window(cells, kind):
     etas = sorted(c.eta for c in cells if c.adjuster == kind
                   and c.outcome == "converged")
     return (min(etas), max(etas), len(etas)) if etas else (None, None, 0)
 
-cells = result.cells
 for kind in ("sga", "omd"):
     lo, hi, n = window(cells, kind)
     print(f"{kind:4s}: {n:2d}/50 grid rates converge, window "
@@ -35,7 +34,7 @@ for kind in ("sga", "omd"):
               f"  outcome={cell.outcome}")
 
 # Sweeps serialize to plot-ready CSV/JSON; rows follow the configured order.
-data = dg.serialize(result, "csv")
+data = dg.serialize(cells, "csv")
 path = "fig4_sweep.csv"
 with open(path, "wb") as fh:
     fh.write(data)
@@ -58,7 +57,7 @@ assert dg.serialize(dg.sweep(config), "csv") == \
     dg.serialize(dg.sweep(config), "csv")
 print()
 print("four-player game, iterations to convergence (sga vs omd):")
-four = dg.sweep(config).cells
+four = dg.sweep(config)
 for eta in sorted({c.eta for c in four}):
     by_kind = {c.adjuster: c for c in four if c.eta == eta}
     sga, omd = by_kind["sga"], by_kind["omd"]

@@ -9,8 +9,8 @@ spectral oracle and a learning-rate sweep harness for quadratic games.
 """
 
 from .games import (CATALOG, CatalogEntry, Game, PlayerPartition,
-                    QuadraticGame, as_point, catalog_entries, catalog_game,
-                    make_game, quadratic_game_from_hessian)
+                    QuadraticGame, as_point, catalog_game, make_game,
+                    quadratic_game_from_hessian)
 from .derivatives import (fd_game, fd_gradient, full_hessian,
                           grad_hamiltonian, hvp, simultaneous_gradient,
                           sym_adjustment, thvp)
@@ -25,16 +25,14 @@ from .dynamics import (ALIGNED_CONSENSUS, CONSENSUS, CONVERGED, DIVERGED,
                        SpectralPrediction, StopCriteria, Trajectory,
                        direction, iteration_matrix, run, spectral_oracle)
 from .experiments import (PRESETS, RandomBall, SweepCell, SweepConfig,
-                          SweepResult, analyze_point, config_from_json,
-                          config_to_json, preset_configs, run_preset,
-                          serialize, sweep)
+                          analyze_point, config_from_json, preset_configs,
+                          run_preset, serialize, sweep)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CATALOG", "CatalogEntry", "Game", "PlayerPartition", "QuadraticGame",
-    "as_point", "catalog_entries", "catalog_game", "make_game",
-    "quadratic_game_from_hessian",
+    "as_point", "catalog_game", "make_game", "quadratic_game_from_hessian",
     "fd_game", "fd_gradient", "full_hessian", "grad_hamiltonian", "hvp",
     "simultaneous_gradient", "sym_adjustment", "thvp",
     "GENERAL", "HAMILTONIAN", "INDEFINITE", "POTENTIAL", "STABLE", "UNSTABLE",
@@ -46,7 +44,6 @@ __all__ = [
     "SGA_ALIGNED", "SIMGD", "AdjusterSpec", "SpectralPrediction",
     "StopCriteria", "Trajectory", "direction", "iteration_matrix", "run",
     "spectral_oracle",
-    "PRESETS", "RandomBall", "SweepCell", "SweepConfig", "SweepResult",
-    "analyze_point", "config_from_json", "config_to_json", "preset_configs",
-    "run_preset", "serialize", "sweep",
+    "PRESETS", "RandomBall", "SweepCell", "SweepConfig", "analyze_point",
+    "config_from_json", "preset_configs", "run_preset", "serialize", "sweep",
 ]

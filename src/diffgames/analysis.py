@@ -68,7 +68,6 @@ class GameClass:
 
 @dataclass(frozen=True)
 class FixedPointReport:
-    w: Array
     xi_norm: float
     stability: str  # STABLE | UNSTABLE | INDEFINITE
     is_local_nash: bool
@@ -159,27 +158,12 @@ def _verdict(dec: Decomposition) -> str:
     return INDEFINITE
 
 
-def _neighborhood(game: Game, w: Array) -> tuple[list, list]:
-    """The points whose S decides the stability of w, and the nearby
-    samples that average the probe (the same draws at every call).
-
-    Quadratic games have a constant S, so w alone decides; other games are
-    probed at w and at each nearby sample.
-    """
-    rng = np.random.default_rng(0)
-    nearby = [w + _NEIGHBORHOOD_RADIUS * rng.standard_normal(w.size)
-              for _ in range(_NEIGHBORHOOD_SAMPLES)]
-    return ([w] if isinstance(game, QuadraticGame) else [w] + nearby), nearby
-
-
-def classify_fixed_point(
-        game: Game, w,
-        fixed_point_tol: float = _FIXED_POINT_TOL) -> FixedPointReport:
+def classify_fixed_point(game: Game, w) -> FixedPointReport:
     """Stability and local-Nash status of a fixed point.
 
     Raises ValueError for a point that is non-finite or of the wrong
-    length, and NotAFixedPointError unless ``|xi(w)| <= fixed_point_tol``
-    (a NaN field included).  Stability
+    length, and NotAFixedPointError unless ``|xi(w)| <= 1e-8`` (a NaN
+    field included).  Stability
     comes from the eigenvalues of S: all nonnegative (within a spread-scaled
     tolerance) is stable, all negative is unstable, otherwise indefinite.
     Quadratic games have a constant S, so the point itself decides; other
@@ -190,65 +174,51 @@ def classify_fixed_point(
     w = as_point(game.partition, w)
     xi = simultaneous_gradient(game, w)
     xi_norm = float(np.sqrt(xi @ xi))
-    if not xi_norm <= fixed_point_tol:
+    if not xi_norm <= _FIXED_POINT_TOL:
         raise NotAFixedPointError(
             f"|xi(w)| = {xi_norm:.3e} exceeds the fixed-point tolerance "
-            f"{fixed_point_tol:.3e}"
+            f"{_FIXED_POINT_TOL:.3e}"
         )
-
-    deciding, nearby = _neighborhood(game, w)
-    splits = [_split(game, p) for p in deciding]
-    return _fixed_point_report(game, w, xi_norm, splits, nearby)
+    return _classify_point(game, w, xi_norm)[2]
 
 
-def _fixed_point_report(game: Game, w: Array, xi_norm: float, splits,
-                        nearby) -> FixedPointReport:
-    """``classify_fixed_point`` at a checked fixed point w, from the splits
-    at the deciding points of ``_neighborhood`` (w first).
+def _classify_point(game: Game, w: Array, xi_norm: float):
+    """The game class over w and its neighbourhood, the split at w, and the
+    report of ``classify_fixed_point`` (None unless ``xi_norm`` is within
+    ``_FIXED_POINT_TOL``), with each full Hessian built once.
 
+    The class equals ``classify_game``'s on the points whose S decides the
+    stability of w: w alone in a quadratic game, whose S is constant, and
+    w with each nearby sample (the same draws at every call) otherwise.
     The probe at each nearby sample is read off the full Hessian there (a
     quadratic game's is the one at w): ``xi' (H' xi)``, with the fields at
     all samples in one batch, what ``stability_probe`` computes with an
     analytic Hessian.
     """
+    rng = np.random.default_rng(0)
+    nearby = [w + _NEIGHBORHOOD_RADIUS * rng.standard_normal(w.size)
+              for _ in range(_NEIGHBORHOOD_SAMPLES)]
+    deciding = [w] if isinstance(game, QuadraticGame) else [w] + nearby
+    splits = [_split(game, p) for p in deciding]
     dec = splits[0]
+    if not xi_norm <= _FIXED_POINT_TOL:
+        return _game_class(splits), dec, None
+
     stability = _verdict(dec)
     # S varies with w: the verdict must hold throughout the neighborhood.
     if any(_verdict(other) != stability for other in splits[1:]):
         stability = INDEFINITE
-
     tol = _psd_tolerance(dec.s_eigenvalues)
-    is_nash = True
-    for i in range(game.num_players):
-        blk = game.partition.block(i)
-        block_eigs = np.linalg.eigvalsh(dec.symmetric[blk, blk])
-        if block_eigs[0] < -tol:
-            is_nash = False
-            break
-
+    is_nash = all(np.linalg.eigvalsh(dec.symmetric[blk, blk])[0] >= -tol
+                  for blk in map(game.partition.block,
+                                 range(game.num_players)))
     at_nearby = splits[1:] or splits * len(nearby)
     probes = [float(xi @ (near.hessian.T @ xi))
               for xi, near in zip(game.batch_field(np.array(nearby)),
                                   at_nearby)]
-    return FixedPointReport(w=w, xi_norm=xi_norm, stability=stability,
-                            is_local_nash=is_nash,
-                            probe_value=float(np.mean(probes)))
-
-
-def _classify_point(game: Game, w: Array, xi_norm: float):
-    """The game class over w and its neighbourhood, the split at w, and the
-    fixed-point report (None unless ``xi_norm`` is within the default
-    tolerance of ``classify_fixed_point``), with each full Hessian built
-    once.
-
-    The class equals ``classify_game``'s on the deciding points of
-    ``_neighborhood``; the report is what ``classify_fixed_point`` returns.
-    """
-    deciding, nearby = _neighborhood(game, w)
-    splits = [_split(game, p) for p in deciding]
-    report = (_fixed_point_report(game, w, xi_norm, splits, nearby)
-              if xi_norm <= _FIXED_POINT_TOL else None)
-    return _game_class(splits), splits[0], report
+    return _game_class(splits), dec, FixedPointReport(
+        xi_norm=xi_norm, stability=stability, is_local_nash=is_nash,
+        probe_value=float(np.mean(probes)))
 
 
 def alignment_sign(xi, at_xi, grad_h,

@@ -298,7 +298,7 @@ def _cmd_sweep(args) -> int:
     _check_conflicts(args)
     if args.preset:
         seed = {} if args.seed is None else {"seed": args.seed}
-        result = run_preset(args.preset, **seed)
+        cells = run_preset(args.preset, **seed)
     else:
         if args.config:
             with open(args.config) as fh:
@@ -306,8 +306,8 @@ def _cmd_sweep(args) -> int:
         else:
             doc = _sweep_doc_from_flags(args)
         # Explicit flags win over the document's values.
-        result = sweep(config_from_json(_overlay(doc, args)))
-    _emit(serialize(result, args.format), args.out)
+        cells = sweep(config_from_json(_overlay(doc, args)))
+    _emit(serialize(cells, args.format), args.out)
     return 0
 
 

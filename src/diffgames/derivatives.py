@@ -36,6 +36,9 @@ Array = np.ndarray
 # truncation and roundoff error.
 _FD_STEP_SCALE = 1e-6
 
+# The finite-difference full_hessian holds 2d x d entries; d is capped.
+_FULL_HESSIAN_CAP = 512
+
 
 def simultaneous_gradient(game: Game, w) -> Array:
     """Stack the per-player gradients into the field xi(w).
@@ -131,20 +134,21 @@ def grad_hamiltonian(game: Game, w) -> Array:
     return thvp(game, w, xi)
 
 
-def full_hessian(game: Game, w, cap: int = 512) -> Array:
+def full_hessian(game: Game, w) -> Array:
     """The full d x d game Hessian.
 
     Uses the analytic Hessian directly when present; otherwise column j is
     the central difference along ``e_j``, what ``hvp(game, w, e_j)``
-    computes, with the 2d points of all columns in one batch.  The batch
-    holds 2d x d entries, which is why the dimension is capped.
+    computes, with the 2d points of all columns in one batch; a dimension
+    above ``_FULL_HESSIAN_CAP`` raises ValueError there.
     """
     w = as_point(game.partition, w)
     if game.has_analytic_hessian:
         return game.analytic_hessian(w)
     d = game.dim
-    if d > cap:
-        raise ValueError(f"dimension {d} exceeds the full-Hessian cap {cap}")
+    if d > _FULL_HESSIAN_CAP:
+        raise ValueError(f"dimension {d} exceeds the full-Hessian cap "
+                         f"{_FULL_HESSIAN_CAP}")
     h = _fd_step(w)
     xi = _axis_field(game, w, h)
     return np.ascontiguousarray(((xi[:d] - xi[d:]) * (1.0 / (2.0 * h))).T)

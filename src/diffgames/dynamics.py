@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -89,7 +90,7 @@ class AdjusterSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown adjuster {self.kind!r}; one of {KINDS}")
-        if not np.isfinite(self.lam):
+        if not np.isfinite(_number(self.lam, "lam")):
             raise ValueError("lam must be finite")
         check_epsilon(self.epsilon)
 
@@ -121,15 +122,25 @@ class StopCriteria:
                 raise ValueError(f"{name} must be nonnegative, got {value}")
 
 
-def check_eta(eta: float) -> None:
-    """Reject a learning rate that is not positive and finite (NaN too)."""
-    if not 0 < eta < math.inf:
+def _number(value, what: str) -> float:
+    """A real number (True is not one), as a float; ``what`` names it in
+    the error."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def check_eta(eta: float) -> float:
+    """A learning rate as a float; rejects one that is not a positive and
+    finite number (NaN and True too)."""
+    if not 0 < _number(eta, "eta") < math.inf:
         raise ValueError(f"eta must be positive and finite, got {eta}")
+    return float(eta)
 
 
 def check_epsilon(epsilon: float) -> None:
-    """Reject an alignment bias that is negative or NaN."""
-    if not epsilon >= 0:
+    """Reject an alignment bias that is not a number, negative or NaN."""
+    if not _number(epsilon, "epsilon") >= 0:
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
 
 

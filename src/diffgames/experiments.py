@@ -23,7 +23,7 @@ import numpy as np
 from . import analysis
 from .derivatives import hvp, simultaneous_gradient, thvp
 from .dynamics import (CONVERGED, AdjusterSpec, StopCriteria, _euler,
-                       _why_no_oracle, check_eta, spectral_oracle)
+                       _number, _why_no_oracle, check_eta, spectral_oracle)
 from .games import as_point, catalog_game, default_start
 
 Array = np.ndarray
@@ -45,7 +45,7 @@ class RandomBall:
     radius: float = 1.0
 
     def __post_init__(self):
-        if not 0 <= self.radius < np.inf:
+        if not 0 <= _number(self.radius, "radius") < np.inf:
             raise ValueError(
                 f"radius must be nonnegative and finite, got {self.radius}")
 
@@ -57,14 +57,6 @@ def _whole(value, what: str) -> int:
             or not float(value).is_integer() or value < 0):
         raise ValueError(f"{what} must be a whole number >= 0, got {value!r}")
     return int(value)
-
-
-def _number(value, what: str) -> float:
-    """A real number (True is not one), as a float; ``what`` names it in
-    the error."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{what} must be a number, got {value!r}")
-    return float(value)
 
 
 @dataclass
@@ -86,11 +78,9 @@ class SweepConfig:
     def __post_init__(self):
         self.seed = _whole(self.seed, "seed")
         self.adjusters = tuple(self.adjusters)
-        self.etas = tuple(float(e) for e in self.etas)
+        self.etas = tuple(map(check_eta, self.etas))
         if not self.etas:
             raise ValueError("etas must be a nonempty list of positive rates")
-        for eta in self.etas:
-            check_eta(eta)
         partition = catalog_game(self.game, **self.game_params).partition
         if self.w0 is None:
             self.w0 = (tuple(default_start(partition.total)),)
@@ -114,11 +104,6 @@ class SweepCell:
     iters: int
     trailing_loss: float
     spectral_radius: float | None
-
-
-@dataclass
-class SweepResult:
-    cells: list[SweepCell]
 
 
 def _ball_point(rng: np.random.Generator, dim: int, radius: float) -> Array:
@@ -147,7 +132,7 @@ def _trailing_loss(mean_abs: Array, window: int) -> float:
     return min(value, TRAILING_LOSS_CAP)
 
 
-def sweep(config: SweepConfig) -> SweepResult:
+def sweep(config: SweepConfig) -> list[SweepCell]:
     """Run every (adjuster, eta, start point) cell of the config.
 
     Each adjuster's cells step together through the Euler engine behind
@@ -180,7 +165,7 @@ def sweep(config: SweepConfig) -> SweepResult:
                                              config.stop.loss_window),
                 spectral_radius=rhos[ei],
             ))
-    return SweepResult(cells=cells)
+    return cells
 
 
 # ---------------------------------------------------------------------------
@@ -226,11 +211,9 @@ def preset_configs(name: str,
     raise ValueError(f"unknown preset {name!r}; one of {PRESETS}")
 
 
-def run_preset(name: str, seed: int = SweepConfig.seed) -> SweepResult:
-    cells = []
-    for config in preset_configs(name, seed=seed):
-        cells.extend(sweep(config).cells)
-    return SweepResult(cells=cells)
+def run_preset(name: str, seed: int = SweepConfig.seed) -> list[SweepCell]:
+    return [cell for config in preset_configs(name, seed=seed)
+            for cell in sweep(config)]
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +225,7 @@ def analyze_point(game, w, epsilon: float = AdjusterSpec.epsilon) -> dict:
 
     Bundles the field, the symmetric/antisymmetric split with its eigendata,
     the game classification, the definiteness probe, and the alignment sign;
-    when the point is fixed (within the default tolerance of
+    when the point is fixed (within the tolerance of
     ``classify_fixed_point``), the stability report is included.
     """
     w = as_point(game.partition, w)
@@ -289,8 +272,8 @@ def _cell_record(cell: SweepCell) -> dict:
     return dict(zip(CSV_COLUMNS, vars(cell).values(), strict=True))
 
 
-def serialize(result: SweepResult, format: str = "csv") -> bytes:
-    """Encode a sweep result as CSV or JSON bytes.
+def serialize(cells: list[SweepCell], format: str = "csv") -> bytes:
+    """Encode sweep cells as CSV or JSON bytes.
 
     The CSV column order is fixed; spectral_radius is empty where no oracle
     applies.  The JSON mirrors the same records under a schema version.
@@ -300,11 +283,11 @@ def serialize(result: SweepResult, format: str = "csv") -> bytes:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         # The writer spells a float as its repr and None as an empty field.
-        writer.writerows(_cell_record(c).values() for c in result.cells)
+        writer.writerows(_cell_record(c).values() for c in cells)
         return buf.getvalue().encode()
     if format == "json":
         doc = {"schema_version": SCHEMA_VERSION,
-               "cells": [_cell_record(c) for c in result.cells]}
+               "cells": [_cell_record(c) for c in cells]}
         return (json.dumps(doc, indent=2) + "\n").encode()
     raise ValueError(f"unknown format {format!r}; use 'csv' or 'json'")
 
@@ -352,7 +335,9 @@ _DECODERS = {
     "etas": _etas_from_json,
     "w0": lambda doc: (RandomBall(_number(doc["random_ball"],
                                           _key("w0", "random_ball")))
-                       if isinstance(doc, dict) else tuple(doc)),
+                       if isinstance(doc, dict) else
+                       tuple(tuple(_number(x, _key("w0")) for x in p)
+                             for p in doc)),
     "stop": lambda doc: StopCriteria(**{
         name: (_whole if kind is int else _number)(doc[name],
                                                    _key("stop", name))
@@ -389,20 +374,3 @@ def config_from_json(doc: dict) -> SweepConfig:
                 what = f"missing {exc}" if isinstance(exc, KeyError) else exc
                 raise ValueError(f"config key {key!r}: {what}") from None
     return SweepConfig(**fields)
-
-
-def config_to_json(config: SweepConfig) -> dict:
-    return {
-        "game": config.game,
-        "game_params": dict(config.game_params),
-        "adjusters": [
-            {"kind": a.kind, "lambda": a.lam, "epsilon": a.epsilon}
-            for a in config.adjusters
-        ],
-        "etas": list(config.etas),
-        "w0": ({"random_ball": config.w0.radius}
-               if isinstance(config.w0, RandomBall)
-               else [list(p) for p in config.w0]),
-        "stop": dataclasses.asdict(config.stop),
-        "seed": config.seed,
-    }

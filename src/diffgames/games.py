@@ -530,10 +530,6 @@ CATALOG: dict[str, CatalogEntry] = {
 }
 
 
-def catalog_entries() -> list[CatalogEntry]:
-    return list(CATALOG.values())
-
-
 def catalog_game(name: str, **params) -> QuadraticGame:
     """Build a catalog game by name.
 

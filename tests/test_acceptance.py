@@ -33,12 +33,12 @@ def criterion(num, description):
 
 @pytest.fixture(scope="module")
 def fig4_cells():
-    return dg.run_preset("fig4").cells
+    return dg.run_preset("fig4")
 
 
 @pytest.fixture(scope="module")
 def fig7_cells():
-    return dg.run_preset("fig7").cells
+    return dg.run_preset("fig7")
 
 
 @criterion(1, "decomposition exactness and equivariance")

@@ -181,7 +181,7 @@ class TestClassifyFixedPoint:
             gradients=[lambda w: np.array([w[0] + w[0] ** 3]),
                        lambda w: np.array([w[1] + w[1] ** 3])],
         )
-        report = dg.classify_fixed_point(game, [0.0, 0.0], fixed_point_tol=1e-6)
+        report = dg.classify_fixed_point(game, [0.0, 0.0])
         assert report.stability == dg.STABLE
         assert report.is_local_nash is True
 

@@ -486,6 +486,8 @@ class TestOneCodec:
          "config key 'w0': 'random_ball' must be a number, got True"),
         ({"w0": {"random_ball": "big"}},
          "config key 'w0': 'random_ball' must be a number, got 'big'"),
+        ({"w0": [[True, 1]]}, "config key 'w0' must be a number, got True"),
+        ({"w0": [["a", 1]]}, "config key 'w0' must be a number, got 'a'"),
         ({"stop": {"loss_threshold": "x"}},
          "config key 'stop': 'loss_threshold' must be a number, got 'x'"),
         ({"stop": {"divergence_norm": True}},
@@ -686,7 +688,7 @@ RUN_CSV_ALL = "ac650db8876f26b070b70a667e96c07ade1fb9f12d1721effe83b775ac983418"
 
 
 def test_run_csv_bytes_are_pinned(capsys, tmp_path):
-    assert list(RUN_CSV_DIGESTS) == [e.name for e in dg.catalog_entries()]
+    assert list(RUN_CSV_DIGESTS) == [e.name for e in dg.CATALOG.values()]
     out_path = tmp_path / "run.csv"
     everything = hashlib.sha256()
     for name, digests in RUN_CSV_DIGESTS.items():

@@ -366,9 +366,9 @@ class TestFullHessian:
         assert np.array_equal(dg.full_hessian(game, np.zeros(4)), expected)
 
     def test_dimension_cap_on_fd_path(self):
-        game = dg.catalog_game("fig7_four_player")
-        with pytest.raises(ValueError, match="cap"):
-            dg.full_hessian(dg.fd_game(game), np.zeros(4), cap=3)
+        game = dg.fd_game(dg.catalog_game("example1", dim=257))
+        with pytest.raises(ValueError, match="cap 512"):
+            dg.full_hessian(game, np.zeros(514))
 
 
 class TestNonQuadraticGame:

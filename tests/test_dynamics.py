@@ -28,6 +28,25 @@ class TestSpecs:
         with pytest.raises(ValueError):
             dg.AdjusterSpec("sga-aligned", epsilon=np.nan)
 
+    # A boolean is not a number, and a string is named by its parameter,
+    # not by float().
+    @pytest.mark.parametrize("value", [True, "x"])
+    @pytest.mark.parametrize("call,name", [
+        (lambda v: dg.AdjusterSpec("sga", lam=v), "lam"),
+        (lambda v: dg.AdjusterSpec("sga-aligned", epsilon=v), "epsilon"),
+        (lambda v: dg.alignment_sign([1.0], [1.0], [1.0], epsilon=v),
+         "epsilon"),
+        (lambda v: dg.run(dg.AdjusterSpec("simgd"),
+                          dg.catalog_game("example7"), [0.5, 0.5], v), "eta"),
+        (lambda v: dg.spectral_oracle(dg.AdjusterSpec("simgd"),
+                                      dg.catalog_game("example7"), v), "eta"),
+    ], ids=["AdjusterSpec.lam", "AdjusterSpec.epsilon", "alignment_sign",
+            "run", "spectral_oracle"])
+    def test_number_is_not_a_boolean_or_string(self, call, name, value):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name} must be a number, got {value!r}")):
+            call(value)
+
     def test_stop_window_within_budget(self):
         with pytest.raises(ValueError):
             dg.StopCriteria(max_iters=5, loss_window=10)

@@ -68,7 +68,7 @@ class TestSweepCellsEqualLoneRuns:
                 adjusters=(dg.AdjusterSpec(kind, lam=0.5),),
                 etas=MIXED_ETAS, w0=dg.RandomBall(1.0), stop=MIXED_STOP,
                 seed=11)
-            cells = dg.sweep(config).cells
+            cells = dg.sweep(config)
             starts = _start_points(config, game.dim)
             stopped_at = set()
             for cell, eta, (w0,) in zip(cells, MIXED_ETAS, starts):

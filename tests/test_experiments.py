@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -24,20 +26,20 @@ def tiny_config(**overrides):
 
 class TestSweep:
     def test_every_cell_present_once(self):
-        result = dg.sweep(tiny_config())
-        assert len(result.cells) == 6
-        keys = [(c.adjuster, c.eta) for c in result.cells]
+        cells = dg.sweep(tiny_config())
+        assert len(cells) == 6
+        keys = [(c.adjuster, c.eta) for c in cells]
         assert len(set(keys)) == 6
 
     def test_oracle_attached_to_linear_rules(self):
-        result = dg.sweep(tiny_config())
-        for cell in result.cells:
+        cells = dg.sweep(tiny_config())
+        for cell in cells:
             assert cell.spectral_radius is not None
 
     def test_no_oracle_for_aligned_rules(self):
         config = tiny_config(adjusters=(dg.AdjusterSpec("sga-aligned"),))
-        result = dg.sweep(config)
-        assert all(c.spectral_radius is None for c in result.cells)
+        cells = dg.sweep(config)
+        assert all(c.spectral_radius is None for c in cells)
 
     def test_overflowing_oracle_raises(self):
         # A rule the oracle applies to gets a radius or an error, never the
@@ -64,8 +66,8 @@ class TestSweep:
 
     def test_trailing_loss_capped(self):
         config = tiny_config(etas=(1.7,))  # diverges, losses blow up
-        result = dg.sweep(config)
-        assert all(c.trailing_loss <= 5.0 for c in result.cells)
+        cells = dg.sweep(config)
+        assert all(c.trailing_loss <= 5.0 for c in cells)
 
     def test_rejects_empty_or_negative_grid(self):
         with pytest.raises(ValueError):
@@ -102,7 +104,7 @@ class TestStartPoints:
                                 adjusters=(dg.AdjusterSpec("sga"),),
                                 etas=(0.1,))
         assert config.w0 == ((0.5, 0.5, 0.5, 0.5),)
-        (cell,) = dg.sweep(config).cells
+        (cell,) = dg.sweep(config)
         assert cell.spectral_radius < 1
         assert cell.outcome == "converged"
 
@@ -134,6 +136,15 @@ class TestStartPoints:
                                  "etas": [0.1],
                                  "w0": {"random_ball": radius}})
 
+    @pytest.mark.parametrize("value", [True, "x"])
+    def test_radius_and_etas_are_not_booleans_or_strings(self, value):
+        with pytest.raises(ValueError, match=re.escape(
+                f"radius must be a number, got {value!r}")):
+            dg.RandomBall(value)
+        with pytest.raises(ValueError, match=re.escape(
+                f"eta must be a number, got {value!r}")):
+            tiny_config(etas=(0.1, value))
+
     def test_cell_error_is_raised_not_reported_as_diverged(self):
         config = dg.SweepConfig(game="example1",
                                 adjusters=(dg.AdjusterSpec("sga"),),
@@ -151,8 +162,8 @@ class TestPresets:
         assert len(configs[0].adjusters) == 2
 
     def test_fig3_regimes(self):
-        result = dg.run_preset("fig3")
-        by_key = {(c.adjuster, round(c.eta, 4)): c for c in result.cells}
+        cells = dg.run_preset("fig3")
+        by_key = {(c.adjuster, round(c.eta, 4)): c for c in cells}
         slow = by_key[("simgd", 0.01)]
         mid = by_key[("simgd", 0.032)]
         fast = by_key[("simgd", 0.1)]
@@ -162,8 +173,8 @@ class TestPresets:
         assert slow.spectral_radius < 1 < mid.spectral_radius < fast.spectral_radius
 
     def test_fig3_adjusted_rule_converges_everywhere(self):
-        result = dg.run_preset("fig3")
-        sga_cells = [c for c in result.cells if c.adjuster == "sga"]
+        cells = dg.run_preset("fig3")
+        sga_cells = [c for c in cells if c.adjuster == "sga"]
         assert len(sga_cells) == 3
         assert all(c.outcome == "converged" for c in sga_cells)
 
@@ -179,8 +190,8 @@ class TestPresets:
     def test_oracle_consistency_no_contradictions(self):
         # under a finite budget a predicted-converge cell may time out, but a
         # converged cell must never contradict the oracle and vice versa
-        result = dg.run_preset("fig4")
-        for cell in result.cells:
+        cells = dg.run_preset("fig4")
+        for cell in cells:
             if cell.outcome == "converged":
                 assert cell.spectral_radius < 1.001
             if cell.outcome == "diverged":
@@ -198,7 +209,7 @@ class TestPresets:
             stop=game_stop,
         )
         threshold = 2.0 / 101.0
-        for cell in dg.sweep(config).cells:
+        for cell in dg.sweep(config):
             assert (cell.outcome == "converged") == (cell.eta < threshold)
 
 
@@ -216,8 +227,8 @@ PRESET_DIGESTS = {
 
 @pytest.mark.parametrize("name", sorted(PRESET_DIGESTS))
 def test_preset_bytes_are_pinned(name):
-    result = dg.run_preset(name, seed=0)
-    digests = tuple(hashlib.sha256(dg.serialize(result, fmt)).hexdigest()
+    cells = dg.run_preset(name, seed=0)
+    digests = tuple(hashlib.sha256(dg.serialize(cells, fmt)).hexdigest()
                     for fmt in ("csv", "json"))
     assert digests == PRESET_DIGESTS[name]
 
@@ -411,13 +422,13 @@ def test_analyze_bytes_are_pinned(name, params):
 
 class TestSerialize:
     def test_empty_result_is_header_only(self):
-        data = dg.serialize(dg.SweepResult(cells=[]), "csv")
+        data = dg.serialize([], "csv")
         assert data.decode().strip() == ",".join(CSV_COLUMNS)
 
     def test_single_cell_row(self):
-        result = dg.sweep(tiny_config(etas=(0.5,),
-                                      adjusters=(dg.AdjusterSpec("sga", lam=1.0),)))
-        lines = dg.serialize(result, "csv").decode().strip().split("\n")
+        cells = dg.sweep(tiny_config(etas=(0.5,),
+                                     adjusters=(dg.AdjusterSpec("sga", lam=1.0),)))
+        lines = dg.serialize(cells, "csv").decode().strip().split("\n")
         assert len(lines) == 2
         fields = lines[1].split(",")
         assert fields[0] == "fig4_bilinear"
@@ -425,22 +436,27 @@ class TestSerialize:
         assert fields[5] == "converged"
 
     def test_json_mirrors_csv_schema(self):
-        result = dg.sweep(tiny_config())
-        doc = json.loads(dg.serialize(result, "json"))
+        cells = dg.sweep(tiny_config())
+        doc = json.loads(dg.serialize(cells, "json"))
         assert doc["schema_version"] == 1
-        assert len(doc["cells"]) == len(result.cells)
+        assert len(doc["cells"]) == len(cells)
         assert set(doc["cells"][0]) == set(CSV_COLUMNS)
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):
-            dg.serialize(dg.SweepResult(cells=[]), "yaml")
+            dg.serialize([], "yaml")
 
 
 class TestConfigCodec:
     def test_round_trip(self):
         config = tiny_config(w0=dg.RandomBall(2.0))
-        doc = dg.config_to_json(config)
+        doc = {"game": "fig4_bilinear", "game_params": {},
+               "adjusters": [{"kind": a.kind, "lambda": a.lam,
+                              "epsilon": a.epsilon} for a in config.adjusters],
+               "etas": [0.1, 0.5, 1.2], "w0": {"random_ball": 2.0},
+               "stop": dataclasses.asdict(config.stop), "seed": 7}
         back = dg.config_from_json(json.loads(json.dumps(doc)))
+        assert back == config
         assert dg.serialize(dg.sweep(config), "csv") == \
             dg.serialize(dg.sweep(back), "csv")
 
@@ -456,10 +472,9 @@ class TestConfigCodec:
         doc = {"game": "fig4_bilinear", "adjusters": [{"kind": "omd"}],
                "etas": [0.1], "jobs": 4}
         config = dg.config_from_json(doc)
-        assert "jobs" not in dg.config_to_json(config)
+        assert "jobs" not in vars(config)
         del doc["jobs"]
-        assert dg.config_to_json(config) == dg.config_to_json(
-            dg.config_from_json(doc))
+        assert config == dg.config_from_json(doc)
 
     @pytest.mark.parametrize("key", ["game", "adjusters", "etas"])
     def test_required_keys(self, key):
@@ -477,8 +492,7 @@ class TestConfigCodec:
         nulls = dict(doc, game_params=None, w0=None, stop=None, seed=None,
                      adjusters=[{"kind": "sga", "lambda": None,
                                  "epsilon": None}])
-        assert dg.config_to_json(dg.config_from_json(nulls)) == \
-            dg.config_to_json(dg.config_from_json(doc))
+        assert dg.config_from_json(nulls) == dg.config_from_json(doc)
 
     def test_whole_floats_are_whole_numbers(self):
         doc = {"game": "fig4_bilinear", "adjusters": [{"kind": "omd"}],

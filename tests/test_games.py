@@ -181,7 +181,7 @@ class TestCatalog:
             dg.catalog_game("example2", dim=-3, p=[[1.0]], q=[[2.0]])
 
     @pytest.mark.parametrize("name,param", [
-        (e.name, k) for e in dg.catalog_entries()
+        (e.name, k) for e in dg.CATALOG.values()
         for k, v in e.defaults.items() if isinstance(v, float)])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_parameter_rejected(self, name, param, value):
