@@ -36,10 +36,19 @@ after every step (``_block_length``).  A blow-up is a stop, so on a
 quadratic game the loop runs with NumPy's overflow and invalid-value
 warnings off; a general game's callables keep the caller's settings.  A
 rule whose rows all share one adjustment sign (0 for the rules without a
-weight) returns it as one float, not an array.  The stop tests build only
-the masks that are switched on, and a count decides whether any row
-stops: who stopped and why, and the compaction, are worked out only in a
-block where one does.
+weight) returns it as one float, not an array.
+
+A block first screens its stop tests, each with a few calls over all
+its steps and rows: the largest norm against the bound (or one test that
+every entry is finite, with no bound), one finiteness test of the sum of
+the mean losses and field norms, the least field norm against its
+threshold, and, against the loss threshold, a lower bound on every
+window mean: the least mean the windows read, summed as a window of that
+length sums.  Each screen fails wherever its test fires at some step of
+some row, rounding and NaN included, so a block that passes them all
+builds no mask.  Otherwise the masks of the tests that are switched on
+decide, and who stopped and why, and the compaction, are worked out only
+in a block where one does.
 """
 
 from __future__ import annotations
@@ -103,7 +112,9 @@ class StopCriteria:
     per-iteration mean absolute loss drops below ``loss_threshold`` (set the
     threshold to 0 to disable), or ``|xi|`` drops below ``xi_threshold`` when
     that is set.  Diverged: the iterate norm exceeds ``divergence_norm`` or
-    goes non-finite.
+    goes non-finite.  Every field is a number >= 0, not a boolean, and
+    ``max_iters`` and ``loss_window`` are whole numbers (stored as ints);
+    anything else raises a ValueError that names the field.
     """
 
     max_iters: int = 10000
@@ -113,13 +124,17 @@ class StopCriteria:
     xi_threshold: float | None = None
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if value is None and name == "xi_threshold":
+                continue
+            if not _number(value, name) >= 0:
+                raise ValueError(f"{name} must be nonnegative, got {value}")
+        for name in ("max_iters", "loss_window"):
+            object.__setattr__(self, name, _whole(getattr(self, name), name))
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
         if not (1 <= self.loss_window <= self.max_iters):
             raise ValueError("need 1 <= loss_window <= max_iters")
-        for name, value in vars(self).items():
-            if value is not None and not value >= 0:
-                raise ValueError(f"{name} must be nonnegative, got {value}")
 
 
 def _number(value, what: str) -> float:
@@ -128,6 +143,15 @@ def _number(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{what} must be a number, got {value!r}")
     return float(value)
+
+
+def _whole(value, what: str) -> int:
+    """A number >= 0 with no fractional part (2.0 is one; 2.5 and True are
+    not), as an int; ``what`` names it in the error."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not float(value).is_integer() or value < 0):
+        raise ValueError(f"{what} must be a whole number >= 0, got {value!r}")
+    return int(value)
 
 
 def check_eta(eta: float) -> float:
@@ -357,12 +381,14 @@ def _euler(spec: AdjusterSpec, game: Game, starts, etas, stop: StopCriteria,
     convergence.  Its outcome, iteration and trailing window are those of
     that step; the block's later steps of that cell are discarded, and the
     cell leaves the array at the end of the block, so the budget a slow
-    cell uses costs the others nothing.  Each row's arithmetic is that of a
-    lone cell, bit for bit: matrix products are one matrix-vector product
-    per row and reductions run along contiguous rows.  A blow-up is a stop,
-    so the loop runs with NumPy's overflow and invalid-value warnings off,
-    except in a general game's evaluations and direction, which run the
-    user's callables under the caller's settings.
+    cell uses costs the others nothing.  The tests are screened first (see
+    the module docstring), so a block in which no row can stop builds no
+    per-step mask.  Each row's arithmetic is that of a lone cell, bit for
+    bit: matrix products are one matrix-vector product per row and
+    reductions run along contiguous rows.  A blow-up is a stop, so the
+    loop runs with NumPy's overflow and invalid-value warnings off, except
+    in a general game's evaluations and direction, which run the user's
+    callables under the caller's settings.
 
     Returns one ``_CellEnd`` per cell and, with ``record`` (a batch of one
     only), the cell's history (else None): a list of (losses, xi norms,
@@ -412,6 +438,26 @@ def _euler(spec: AdjusterSpec, game: Game, starts, etas, stop: StopCriteria,
             return ~(np.sqrt(np.vecdot(w, w)) <= bound)
         return ~np.isfinite(w).all(axis=-1)
 
+    def within(w) -> bool:
+        """Whether no row of w is past the norm bound, exactly when
+        ``beyond(w)`` is all False, without the mask: a square root that
+        is correctly rounded is monotone, so the largest norm is the root
+        of the largest w @ w, and a NaN fails the test."""
+        if math.isfinite(bound):
+            return math.sqrt(np.vecdot(w, w).max()) <= bound
+        return bool(np.isfinite(w).all())
+
+    def window_floor(first, k):
+        """A lower bound on the computed mean of the window of each step
+        first to k - 1 of the block: span copies of the least mean those
+        windows read, summed as a window sums (a one-row ``np.add.reduce``
+        of the same length adds in the same order), over span.  Rounded
+        addition and division are monotone, so a window of means that are
+        each at least that one comes out at least as large.  A NaN mean
+        makes the bound NaN, which fails every comparison."""
+        least = means[:, o + first + 1:o + span + k].min()
+        return np.add.reduce(np.full(span, least)) / span
+
     def finish(row, outcome, t, last):
         """Row ``row`` stops at iteration t with a window of the means up
         to iteration ``last``; t0 is the first iteration of the block."""
@@ -422,8 +468,8 @@ def _euler(spec: AdjusterSpec, game: Game, starts, etas, stop: StopCriteria,
     t0 = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while t0 < max_iters:
-            far = beyond(w)
-            if np.count_nonzero(far):
+            if not within(w):
+                far = beyond(w)
                 for row in np.flatnonzero(far):
                     finish(row, DIVERGED, t0, t0 - 1)
                 w, eta, means, rows, prev_xi = _kept(
@@ -445,40 +491,47 @@ def _euler(spec: AdjusterSpec, game: Game, starts, etas, stop: StopCriteria,
             losses = np.ascontiguousarray(
                 losses_at(ws[:k].reshape(k * c, d))).reshape(k, c, n)
 
-            # The stop tests of all k steps, each an array of shape (k, C).
             xi_norm = np.sqrt(np.vecdot(xis, xis))
             mean_abs = np.add.reduce(np.absolute(losses), axis=2) / n
             means[:, o + span:o + span + k] = mean_abs.T
-            # A finite mean and norm imply finite losses and field; only
-            # where their sum is not finite does the exact test decide.
-            diverged = ~np.isfinite(mean_abs + xi_norm)
-            if np.count_nonzero(diverged):
+            first = max(span - 1 - t0, 0)    # the first full window
+            windows = loss_threshold > 0 and first < k
+            fired = None
+            # Each screen fails exactly when its test may fire at some step
+            # of some row, so a block that passes them all builds no mask.
+            # A finite sum of the means and norms (all >= 0) implies finite
+            # losses and field.
+            if (not math.isfinite((mean_abs + xi_norm).sum())
+                    or k > 1 and not within(ws[1:k])
+                    or xi_threshold is not None
+                    and not xi_norm.min() >= xi_threshold
+                    or windows
+                    and not window_floor(first, k) >= loss_threshold):
+                # The stop tests of all k steps, each an array of shape
+                # (k, C).
                 diverged = ~(np.isfinite(losses).all(axis=2)
                              & np.isfinite(xi_norm))
-            if k > 1:
-                diverged[1:] |= beyond(ws[1:k])
-            stopping = diverged
-            if xi_threshold is not None:
-                stopping = stopping | (xi_norm < xi_threshold)
-            first = max(span - 1 - t0, 0)    # the first full window
-            if loss_threshold > 0 and first < k:
-                sums = np.full((k, c), np.inf)
-                for j in range(first, k):
-                    np.add.reduce(means[:, o + j + 1:o + j + 1 + span],
-                                  axis=1, out=sums[j])
-                stopping = stopping | (sums / span < loss_threshold)
-
-            fired = None
-            if np.count_nonzero(stopping):
-                fired = stopping.any(axis=0)
-                at = stopping.argmax(axis=0)
-                for row in np.flatnonzero(fired):
-                    j = int(at[row])
-                    t = t0 + j
-                    if diverged[j, row]:
-                        finish(row, DIVERGED, t, t - 1)
-                    else:
-                        finish(row, CONVERGED, t, t)
+                if k > 1:
+                    diverged[1:] |= beyond(ws[1:k])
+                stopping = diverged
+                if xi_threshold is not None:
+                    stopping = stopping | (xi_norm < xi_threshold)
+                if windows:
+                    sums = np.full((k, c), np.inf)
+                    for j in range(first, k):
+                        np.add.reduce(means[:, o + j + 1:o + j + 1 + span],
+                                      axis=1, out=sums[j])
+                    stopping = stopping | (sums / span < loss_threshold)
+                if np.count_nonzero(stopping):
+                    fired = stopping.any(axis=0)
+                    at = stopping.argmax(axis=0)
+                    for row in np.flatnonzero(fired):
+                        j = int(at[row])
+                        t = t0 + j
+                        if diverged[j, row]:
+                            finish(row, DIVERGED, t, t - 1)
+                        else:
+                            finish(row, CONVERGED, t, t)
             done = t0 + k == max_iters
             if done:
                 for row in (range(c) if fired is None

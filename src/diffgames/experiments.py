@@ -15,7 +15,6 @@ import csv
 import dataclasses
 import io
 import json
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +22,8 @@ import numpy as np
 from . import analysis
 from .derivatives import hvp, simultaneous_gradient, thvp
 from .dynamics import (CONVERGED, AdjusterSpec, StopCriteria, _euler,
-                       _number, _why_no_oracle, check_eta, spectral_oracle)
+                       _number, _whole, _why_no_oracle, check_eta,
+                       spectral_oracle)
 from .games import as_point, catalog_game, default_start
 
 Array = np.ndarray
@@ -48,15 +48,6 @@ class RandomBall:
         if not 0 <= _number(self.radius, "radius") < np.inf:
             raise ValueError(
                 f"radius must be nonnegative and finite, got {self.radius}")
-
-
-def _whole(value, what: str) -> int:
-    """A number >= 0 with no fractional part (2.0 is one; 2.5 and True are
-    not), as an int; ``what`` names it in the error."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not float(value).is_integer() or value < 0):
-        raise ValueError(f"{what} must be a whole number >= 0, got {value!r}")
-    return int(value)
 
 
 @dataclass

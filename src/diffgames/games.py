@@ -75,8 +75,13 @@ class PlayerPartition:
 def as_point(partition: PlayerPartition, values) -> Array:
     """Validate and return a parameter vector for the given partition.
 
-    Raises ValueError on wrong length or non-finite entries.
+    Raises ValueError on wrong length, non-finite or boolean entries (True
+    is not a coordinate).  A numeric array pays only a check of its dtype.
     """
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "fiu"):
+        for x in np.asarray(values, dtype=object).reshape(-1):
+            if isinstance(x, (bool, np.bool_)):
+                raise ValueError(f"point must hold numbers, got {x!r}")
     w = np.asarray(values, dtype=float).reshape(-1)
     if w.shape != (partition.total,):
         raise ValueError(
@@ -221,7 +226,7 @@ class QuadraticGame(Game):
         n, d = partition.num_players, partition.total
         coeffs = []
         for i, b in enumerate(coefficients):
-            b = np.array(b, dtype=float)
+            b = np.asarray(b, dtype=float)
             if b.shape != (d, d):
                 raise ValueError(f"coefficient matrix {i} is not {d}x{d}")
             # NaN would pass the symmetry test below.
@@ -234,19 +239,24 @@ class QuadraticGame(Game):
         if len(coeffs) != n:
             raise ValueError(f"expected {n} coefficient matrices")
         if linear is None:
-            lin = [np.zeros(d) for _ in range(n)]
+            lin = [np.zeros(d)] * n
         else:
-            lin = [np.array(v, dtype=float).reshape(-1) for v in linear]
+            lin = [np.asarray(v, dtype=float).reshape(-1) for v in linear]
             if len(lin) != n or any(v.size != d for v in lin):
                 raise ValueError("linear terms must be n vectors of length d")
             if not all(np.isfinite(v).all() for v in lin):
                 raise ValueError("linear terms must be finite")
-        hessian = np.vstack([coeffs[i][partition.block(i), :]
+        # The game's one copy of its terms: (n, d, d) and (n, d) stacks,
+        # made read-only before each player's B_i and b_i are taken as
+        # views of them, so that the views are read-only too.
+        stack, lin_stack = np.array(coeffs), np.array(lin)
+        hessian = np.vstack([stack[i, partition.block(i), :]
                              for i in range(n)])
-        offset = np.concatenate([lin[i][partition.block(i)]
+        offset = np.concatenate([lin_stack[i, partition.block(i)]
                                  for i in range(n)])
-        for a in coeffs + lin + [hessian, offset]:
+        for a in (stack, lin_stack, hessian, offset):
             a.setflags(write=False)
+        coeffs, lin = list(stack), list(lin_stack)
 
         def loss_fn(i):
             return lambda w: 0.5 * float(w @ (coeffs[i] @ w)) + float(lin[i] @ w)
@@ -263,6 +273,7 @@ class QuadraticGame(Game):
         )
         self._coefficients = tuple(coeffs)
         self._linear = tuple(lin)
+        self._stack, self._linear_stack = stack, lin_stack
         self._hessian_matrix = hessian
         self._offset = offset
         # Exactly-zero linear terms only add +0.0 at a finite point: the
@@ -272,7 +283,7 @@ class QuadraticGame(Game):
         # may come out inf; the Euler loop tests only that it is finite.
         # The skip pays: adding the zero terms cost the presets bench 10-13%
         # of its iterations per second (2-core Xeon, one BLAS thread).
-        self._has_linear = any(np.any(v) for v in lin)
+        self._has_linear = bool(lin_stack.any())
 
     def batch_field(self, points: Array) -> Array:
         """All rows at once: ``H w + c``, one matrix-vector product per row.
@@ -286,19 +297,19 @@ class QuadraticGame(Game):
         return field
 
     def batch_losses(self, points: Array) -> Array:
-        """All rows at once: per player, one ``np.matmul`` of ``B_i`` over
-        every row, then the dot products (``np.vecdot``) of the per-player
-        callable.  Each row still gets its own ``B_i @ w`` matrix-vector
-        product, so every finite row is bit-identical to ``loss_vector``
-        (see ``_has_linear`` for the others).
+        """All rows at once: one ``np.matmul`` of the stacked ``B_i`` over
+        every row, player-major (each ``B_i`` serves every row before the
+        next is read), then the dot products (``np.vecdot``) of the
+        per-player callable.  Each row still gets its own ``B_i @ w``
+        matrix-vector product, so every finite row is bit-identical to
+        ``loss_vector`` (see ``_has_linear`` for the others).  The result
+        is the transpose of a ``(n, C)`` array.
         """
-        losses = np.empty((len(points), self.num_players))
-        for i, b in enumerate(self._coefficients):
-            losses[:, i] = 0.5 * np.vecdot(
-                points, np.matmul(b, points[:, :, None])[..., 0])
-            if self._has_linear:
-                losses[:, i] += np.vecdot(self._linear[i], points)
-        return losses
+        products = np.matmul(self._stack[:, None], points[:, :, None])
+        losses = 0.5 * np.vecdot(points, products[..., 0])
+        if self._has_linear:
+            losses += np.vecdot(self._linear_stack[:, None], points)
+        return losses.T
 
     @property
     def coefficients(self) -> tuple[Array, ...]:

@@ -11,6 +11,10 @@ from conftest import (HAMILTONIAN_GAMES, POTENTIAL_GAMES, plain_game,
                       random_symmetric, rel_err)
 
 
+STOP_FIELDS = ("max_iters", "loss_window", "loss_threshold",
+               "divergence_norm", "xi_threshold")
+
+
 class TestSpecs:
     def test_kind_checked(self):
         with pytest.raises(ValueError):
@@ -40,12 +44,27 @@ class TestSpecs:
                           dg.catalog_game("example7"), [0.5, 0.5], v), "eta"),
         (lambda v: dg.spectral_oracle(dg.AdjusterSpec("simgd"),
                                       dg.catalog_game("example7"), v), "eta"),
-    ], ids=["AdjusterSpec.lam", "AdjusterSpec.epsilon", "alignment_sign",
-            "run", "spectral_oracle"])
+    ] + [(lambda v, name=name: dg.StopCriteria(**{name: v}), name)
+         for name in STOP_FIELDS],
+        ids=["AdjusterSpec.lam", "AdjusterSpec.epsilon", "alignment_sign",
+             "run", "spectral_oracle"]
+        + [f"StopCriteria.{name}" for name in STOP_FIELDS])
     def test_number_is_not_a_boolean_or_string(self, call, name, value):
         with pytest.raises(ValueError, match=re.escape(
                 f"{name} must be a number, got {value!r}")):
             call(value)
+
+    @pytest.mark.parametrize("value", [2.5, np.inf])
+    @pytest.mark.parametrize("name", ["max_iters", "loss_window"])
+    def test_stop_counts_are_whole_numbers(self, name, value):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name} must be a whole number >= 0, got {value!r}")):
+            dg.StopCriteria(**{name: value})
+
+    def test_whole_stop_counts_become_ints(self):
+        stop = dg.StopCriteria(max_iters=20.0, loss_window=np.int64(5))
+        assert (type(stop.max_iters), type(stop.loss_window)) == (int, int)
+        assert stop == dg.StopCriteria(max_iters=20, loss_window=5)
 
     def test_stop_window_within_budget(self):
         with pytest.raises(ValueError):

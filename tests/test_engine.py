@@ -399,3 +399,125 @@ class TestBlockGate:
         assert {end.outcome for end in ends} == {dg.CONVERGED, dg.DIVERGED}
         last = max(map(processed, ends))
         assert last <= game.calls <= last + dynamics._BLOCK_STEPS - 1
+
+
+def plain_simgd(game, w0, eta, stop):
+    """Simultaneous gradient descent from w0, one step at a time, with each
+    stop test written out after every step in the engine's order.  Returns
+    the outcome, the deciding iteration, the window (a list) and the point
+    the cell stopped at."""
+    w, means, span = np.array(w0, dtype=float), [], stop.loss_window
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(stop.max_iters):
+            if math.isfinite(stop.divergence_norm):
+                beyond = not math.sqrt(w @ w) <= stop.divergence_norm
+            else:
+                beyond = not np.isfinite(w).all()
+            if beyond:
+                return dg.DIVERGED, t, means[-span:], w
+            losses = game.loss_vector(w)
+            xi = np.concatenate([game.player_gradient(i, w)
+                                 for i in range(game.num_players)])
+            if not (np.isfinite(losses).all() and np.isfinite(xi).all()):
+                return dg.DIVERGED, t, means[-span:], w
+            means.append(np.add.reduce(np.absolute(losses)) / len(losses))
+            if (stop.xi_threshold is not None
+                    and math.sqrt(xi @ xi) < stop.xi_threshold):
+                return dg.CONVERGED, t, means[-span:], w
+            if (len(means) >= span
+                    and np.add.reduce(means[-span:]) / span
+                    < stop.loss_threshold):
+                return dg.CONVERGED, t, means[-span:], w
+            w = w - eta * xi
+    return dg.MAX_ITERS, stop.max_iters, means[-span:], w
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestStopScreens:
+    """A block in which no row can stop builds no stop mask: a screen per
+    test (the least loss mean of the block's windows, the largest norm,
+    one all-finite test) says so.  Each case sits on the edge of one test,
+    where a screen that was not exact would skip a stop, and the engine
+    must then match a plain per-step loop at blocks of one step and of
+    ``_BLOCK_STEPS``."""
+
+    def check(self, monkeypatch, game, starts, etas, stop):
+        """The plain loop's result for each cell, after checking that the
+        engine's equals it."""
+        refs = [plain_simgd(game, w0, eta, stop)
+                for w0, eta in zip(starts, etas)]
+        for k in (1, dynamics._BLOCK_STEPS):
+            with monkeypatch.context() as patch:
+                patch.setattr(dynamics, "_BLOCK_STEPS", k)
+                ends, _ = _euler(dg.AdjusterSpec("simgd"), game, starts,
+                                 etas, stop)
+            for end, (outcome, t, window, _) in zip(ends, refs, strict=True):
+                where = (k, stop, outcome, t)
+                assert (end.outcome, end.iteration) == (outcome, t), where
+                assert end.window.tobytes() == \
+                    np.array(window, dtype=float).tobytes(), where
+        return refs
+
+    def test_loss_window_at_a_constant_mean(self, monkeypatch):
+        # Player 1's loss is 0.6 w_2^2 and player 2's is 0, so the field
+        # is 0 everywhere: each cell stays at its start, where the mean
+        # absolute loss is m = 0.3 at every step.
+        game = dg.QuadraticGame(dg.PlayerPartition((1, 1)),
+                                [np.diag([0.0, 1.2]), np.zeros((2, 2))])
+        starts, etas = [[0.0, 1.0], [2.0, 1.0], [-3.0, -1.0]], (0.1, 0.5, 1.0)
+        m = np.add.reduce(np.absolute(game.loss_vector(np.ones(2)))) / 2
+        below = 0
+        for span in range(1, 21):
+            mean = np.add.reduce([m] * span) / span
+            below += mean < m
+            for threshold in (np.nextafter(mean, -np.inf), mean,
+                              np.nextafter(mean, np.inf)):
+                stop = dg.StopCriteria(max_iters=40, loss_window=span,
+                                       loss_threshold=threshold)
+                refs = self.check(monkeypatch, game, starts, etas, stop)
+                assert {ref[:2] for ref in refs} == (
+                    {(dg.CONVERGED, span - 1)} if threshold > mean
+                    else {(dg.MAX_ITERS, 40)})
+        # Some windows of m sum to less than span * m: there the least
+        # mean alone is no lower bound on the window mean.
+        assert below
+
+    def test_norm_bound_at_an_observed_norm(self, monkeypatch):
+        # Simultaneous descent on x^2 - y^2 (example4) grows |w| at every
+        # step from (0.5, 0.5); the bound is the norm of its point t, so
+        # that cell stops at t + 1, or at t when the bound is a float
+        # less.  t = 16 and 32 are tested before a block of 16.
+        game = dg.catalog_game("example4")
+        starts, etas = [[0.5, 0.5], [0.3, -0.4], [1.0, 0.01]], (0.1, 0.1, 0.05)
+        free = dg.StopCriteria(max_iters=40, loss_threshold=0.0,
+                               divergence_norm=math.inf)
+        points = dg.run(dg.AdjusterSpec("simgd"), game, starts[0], etas[0],
+                        free).points
+        for t in (1, 5, 15, 16, 17, 32, 33):
+            norm = math.sqrt(points[t] @ points[t])
+            for bound in (norm, np.nextafter(norm, 0.0)):
+                stop = dg.StopCriteria(max_iters=40, loss_threshold=0.0,
+                                       divergence_norm=bound)
+                refs = self.check(monkeypatch, game, starts, etas, stop)
+                assert refs[0][:2] == (dg.DIVERGED, t + (bound == norm))
+
+    def test_a_row_turns_nan_mid_block(self, monkeypatch):
+        # Player 1's loss is x^2 / 2 - 1e150 y and player 2's y^2 / 2, so
+        # the field is w and a step scales w by 1 - eta.  From (1, 1) at a
+        # huge eta, x = y reaches about 1e160 after an even number of
+        # steps; there player 1's loss is inf - inf: NaN at a finite point,
+        # mid-block for all but the first rate.  The last cell runs on.
+        game = dg.QuadraticGame(dg.PlayerPartition((1, 1)),
+                                [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])],
+                                [[0.0, -1e150], [0.0, 0.0]])
+        starts = [[1.0, 1.0]] * 4 + [[1.0, 0.5]]
+        etas = (1e10, 3e11, 1e20, 1e30, 0.05)
+        stop = dg.StopCriteria(max_iters=40, loss_window=3,
+                               divergence_norm=math.inf)
+        refs = self.check(monkeypatch, game, starts, etas, stop)
+        with np.errstate(over="ignore", invalid="ignore"):
+            nan_at = [t for _, t, _, w in refs
+                      if np.isnan(game.loss_vector(w)).any()
+                      and np.isfinite(w).all()]
+        assert nan_at == [16, 14, 8, 6]
+        assert refs[4][0] == dg.MAX_ITERS

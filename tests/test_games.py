@@ -1,3 +1,4 @@
+import re
 import warnings
 import zlib
 
@@ -41,6 +42,24 @@ class TestPoint:
         p = dg.PlayerPartition((1, 1))
         with pytest.raises(ValueError):
             dg.as_point(p, [1.0, np.inf])
+
+    @pytest.mark.parametrize("values,named", [
+        ([True, 1], "True"), ([1.0, np.False_], "np.False_"),
+        (((1.0, True),), "True"), (np.array([True, 1], dtype=object), "True"),
+        (np.array([False, True]), "False")])
+    def test_booleans_rejected(self, values, named):
+        with pytest.raises(ValueError, match=re.escape(
+                f"point must hold numbers, got {named}")):
+            dg.as_point(dg.PlayerPartition((1, 1)), values)
+
+    def test_run_and_sweep_reject_boolean_starts(self):
+        # Both took True as 1.0 and ran from (1.0, 1.0).
+        spec = dg.AdjusterSpec("sga")
+        with pytest.raises(ValueError, match="got True"):
+            dg.run(spec, dg.catalog_game("example7"), [True, 1], 0.1)
+        with pytest.raises(ValueError, match="got True"):
+            dg.SweepConfig(game="example7", adjusters=(spec,), etas=(0.1,),
+                           w0=((True, 1),))
 
 
 class TestMakeGame:
@@ -253,6 +272,12 @@ class TestQuadraticGame:
                              [[0.0, bad], [0.0, 0.0]])
         with pytest.raises(ValueError, match="finite"):
             dg.quadratic_game_from_hessian(p, [[0.0, 1.0], [bad, 0.0]])
+
+    def test_terms_are_read_only_views_of_one_stack(self):
+        game = dg.catalog_game("example3")
+        for terms in (game.coefficients, game.linear_terms):
+            assert all(t.base is terms[0].base is not None for t in terms)
+            assert not any(t.flags.writeable for t in terms)
 
     def test_hessian_row_blocks_come_from_coefficients(self):
         game = dg.catalog_game("example7")
