@@ -28,15 +28,19 @@ stop: a step inside the block makes only the calls of its field, its
 direction and its update, and keeps its point and field; the losses, read
 only by the stop tests, are then evaluated at all the block's points in
 one call, and one pass makes the tests of every step of the block.
-A cell that stopped inside the block ends at its exact iteration with
-its exact window, and its later steps are discarded, so no result
-depends on the block length.  On a general game those discarded steps
-would run the user's callables past a stop, so there the loop tests
-after every step (``_block_length``).  A blow-up is a stop, so on a
-quadratic game the loop runs with NumPy's overflow and invalid-value
-warnings off; a general game's callables keep the caller's settings.  A
-rule whose rows all share one adjustment sign (0 for the rules without a
-weight) returns it as one float, not an array.
+The norm bound is tested on each point as the step that made it
+finishes: the pass tests every point the block made, the block's last
+one as the first iteration of the next block, and the start points are
+tested once before the first block.  A cell that stopped inside the
+block ends at its exact iteration with its exact window, and its later
+steps are discarded, so no result depends on the block length.  On a
+general game those discarded steps would run the user's callables past
+a stop, so there the loop tests after every step (``_block_length``).
+A blow-up is a stop, so on a quadratic game the loop runs with NumPy's
+overflow and invalid-value warnings off; a general game's callables keep
+the caller's settings.  A rule whose rows all share one adjustment sign
+(0 for the rules without a weight) returns it as one float, not an
+array.
 
 A block first screens its stop tests, each with a few calls over all
 its steps and rows: the largest norm against the bound (or one test that
@@ -49,6 +53,14 @@ some row, rounding and NaN included, so a block that passes them all
 builds no mask.  Otherwise the masks of the tests that are switched on
 decide, and who stopped and why, and the compaction, are worked out only
 in a block where one does.
+
+The loop itself keeps only the block loop, the in-block step and that
+pass.  The per-row stop state is one ``_Ledger``: each row's cell index
+and rate, the buffer of its trailing loss means, and the ends of the
+cells that stopped.  The ledger takes a block's means, answers the
+screen's window floor and the per-step window means, records a stop,
+and drops the stopped rows from every per-row array at once, so state
+added to it follows the batch without another compaction site.
 """
 
 from __future__ import annotations
@@ -62,7 +74,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .derivatives import hvp, thvp
-from .games import Game, QuadraticGame, as_point
+from .games import Game, QuadraticGame, _as_vector, as_point
 
 Array = np.ndarray
 
@@ -215,8 +227,6 @@ class Trajectory:
         return self.points[-1]
 
     def mean_abs_losses(self) -> Array:
-        if self.losses.size == 0:
-            return np.zeros(0)
         return np.mean(np.abs(self.losses), axis=1)
 
 
@@ -320,15 +330,13 @@ def direction(spec: AdjusterSpec, game: Game, w, prev_xi=None) -> Array:
 
     ``prev_xi`` is the previous field value, used only by the omd rule;
     omitting it makes omd fall back to the plain field on its first step.
-    Raises ValueError for a point that is non-finite or of the wrong
-    length, and for a ``prev_xi`` of the wrong length.
+    Raises ValueError for a point or a ``prev_xi`` that ``as_point`` would
+    reject: of the wrong length, or with an entry that is non-finite or
+    not a number.
     """
     w = as_point(game.partition, w).reshape(1, -1)
     if prev_xi is not None:
-        prev_xi = np.asarray(prev_xi, dtype=float).reshape(1, -1)
-        if prev_xi.shape[1] != game.dim:
-            raise ValueError(f"prev_xi has length {prev_xi.shape[1]}, game "
-                             f"needs {game.dim}")
+        prev_xi = _as_vector(prev_xi, game.dim, "prev_xi").reshape(1, -1)
     return _adjusted(spec, game, w, prev_xi)[1][0]
 
 
@@ -361,9 +369,103 @@ def _block_length(game: Game) -> int:
     return _BLOCK_STEPS if isinstance(game, QuadraticGame) else 1
 
 
-def _kept(keep, *arrays):
-    """The kept rows of each per-row array (None stays None)."""
-    return [None if a is None else a[keep] for a in arrays]
+def _beyond(w, bound: float) -> Array:
+    """Rows of w past the norm bound.  A non-finite norm is a non-finite
+    row, unless w @ w overflowed: with a finite bound that is still above
+    it."""
+    if math.isfinite(bound):
+        return ~(np.sqrt(np.vecdot(w, w)) <= bound)
+    return ~np.isfinite(w).all(axis=-1)
+
+
+def _within(w, bound: float) -> bool:
+    """Whether no row of w is past the norm bound, exactly when
+    ``_beyond(w, bound)`` is all False, without the mask: a square root
+    that is correctly rounded is monotone, so the largest norm is the root
+    of the largest w @ w, and a NaN fails the test."""
+    if math.isfinite(bound):
+        return math.sqrt(np.vecdot(w, w).max()) <= bound
+    return bool(np.isfinite(w).all())
+
+
+class _Ledger:
+    """The per-row stop state of the engine's running cells, and the end of
+    each cell that stopped.
+
+    Row i of the batch is cell ``rows[i]``, stepping at rate ``eta[i]``;
+    ``ends[c]`` is cell c's ``_CellEnd`` once it stops.  ``t0`` is the
+    first iteration of the current block.  Row i of the means buffer holds
+    the row's mean absolute losses, oldest first: those of the span steps
+    before the block, then that of each step of the block, so every window
+    is one contiguous row slice and sums in the order a list of the last
+    span means would.  The window moves k columns right per block and back
+    to the front only once past span, which copies span means per row at
+    most once every span steps.  ``compact`` drops the stopped rows from
+    every per-row array at once, the caller's too, so state added here
+    follows the batch for free.
+    """
+
+    def __init__(self, count: int, etas, span: int, block: int):
+        self.eta = np.asarray(etas, dtype=float).reshape(-1, 1)
+        self.rows = np.arange(count)
+        self.ends = [None] * count
+        self.span, self.t0 = span, 0
+        self._means = np.zeros((count, 2 * span + block))
+        self._o = 0     # the column of the oldest mean before the block
+
+    def store(self, mean_abs: Array) -> None:
+        """Store the block's mean absolute losses, shape (k, C)."""
+        at = self._o + self.span
+        self._means[:, at:at + len(mean_abs)] = mean_abs.T
+
+    def _first(self) -> int:
+        """The first step of the block with a full window."""
+        return max(self.span - 1 - self.t0, 0)
+
+    def floor(self, k: int) -> float:
+        """A lower bound on the computed mean of every full window of the
+        block's k steps: span copies of the least mean those windows read,
+        summed as a window sums (a one-row ``np.add.reduce`` of the same
+        length adds in the same order), over span.  Rounded addition and
+        division are monotone, so a window of means that are each at least
+        that one comes out at least as large.  A NaN mean makes the bound
+        NaN, which fails every comparison."""
+        o = self._o
+        least = self._means[:, o + self._first() + 1:o + self.span + k].min()
+        return np.add.reduce(np.full(self.span, least)) / self.span
+
+    def window_means(self, k: int) -> Array:
+        """The mean of each step's window, shape (k, C), inf at a step
+        whose window is not yet full."""
+        sums = np.full((k, len(self.rows)), np.inf)
+        for j in range(self._first(), k):
+            start = self._o + j + 1
+            np.add.reduce(self._means[:, start:start + self.span], axis=1,
+                          out=sums[j])
+        return sums / self.span
+
+    def finish(self, row: int, outcome: str, t: int, last: int) -> None:
+        """Row ``row`` stops at iteration t with the window of its means
+        up to iteration ``last``."""
+        end = self._o + self.span + last - self.t0 + 1
+        self.ends[self.rows[row]] = _CellEnd(
+            outcome, t,
+            self._means[row, end - min(last + 1, self.span):end].copy())
+
+    def compact(self, keep: Array, *arrays) -> list:
+        """Keep only the rows ``keep`` of the ledger and of each per-row
+        array given (None stays None), which it returns."""
+        self.rows, self.eta = self.rows[keep], self.eta[keep]
+        self._means = self._means[keep]
+        return [None if a is None else a[keep] for a in arrays]
+
+    def advance(self, k: int) -> None:
+        """Close a block of k steps."""
+        self.t0, o = self.t0 + k, self._o + k
+        if o > self.span:
+            self._means[:, :self.span] = self._means[:, o:o + self.span]
+            o = 0
+        self._o = o
 
 
 def _euler(spec: AdjusterSpec, game: Game, starts, etas, stop: StopCriteria,
@@ -371,16 +473,20 @@ def _euler(spec: AdjusterSpec, game: Game, starts, etas, stop: StopCriteria,
     """The Euler loop, for C cells of one rule on one game at once.
 
     Cell c starts at ``starts[c]`` with rate ``etas[c]``.  The state is one
-    ``(C, d)`` array.  The loop steps every cell still running through a
-    block of k steps (``_block_length``), keeping each step's point and
-    field, then takes the losses at the k points (one contiguous run of
-    rows) in one call and decides the stop tests of all k steps at once.
-    A cell stops at its first step that fires a test, in this order: the
-    norm bound on the point (tested before evaluating there, on the first
-    point of a block before the block runs), non-finite losses or field,
-    convergence.  Its outcome, iteration and trailing window are those of
-    that step; the block's later steps of that cell are discarded, and the
-    cell leaves the array at the end of the block, so the budget a slow
+    ``(C, d)`` array; the per-row stop state (cell index, rate, loss means)
+    and the ends of the stopped cells are a ``_Ledger``.  The loop steps
+    every cell still running through a block of k steps (``_block_length``),
+    keeping each step's point and field, then takes the losses at the k
+    points it started from (one contiguous run of rows) in one call and
+    decides the stop tests of all k steps at once.  A cell stops at its
+    first step that fires a test, in this order: the norm bound on the
+    point, non-finite losses or field, convergence.  The bound is tested
+    on each point as the step that made it finishes (the starts once
+    before the loop; a block's last point as the first iteration of the
+    next block, except at the end of the budget), so no point past it is
+    evaluated.  A cell's outcome, iteration and trailing window are those
+    of its stop; the block's later steps of that cell are discarded, and
+    the cell leaves the array at the end of the block, so the budget a slow
     cell uses costs the others nothing.  The tests are screened first (see
     the module docstring), so a block in which no row can stop builds no
     per-step mask.  Each row's arithmetic is that of a lone cell, bit for
@@ -404,24 +510,13 @@ def _euler(spec: AdjusterSpec, game: Game, starts, etas, stop: StopCriteria,
                          f"{game.dim}")
     if record and len(w) != 1:
         raise ValueError("only a batch of one records its history")
-    eta = np.asarray(etas, dtype=float).reshape(-1, 1)
-    ends = [None] * len(w)
-    steps, points = [], [w]
-    rows = np.arange(len(w))           # cell index of each remaining row
-    n, d, span = game.num_players, game.dim, stop.loss_window
+    n, d = game.num_players, game.dim
     bound, xi_threshold = stop.divergence_norm, stop.xi_threshold
     loss_threshold, max_iters = stop.loss_threshold, stop.max_iters
     block = _block_length(game)
-    # Row c holds cell c's mean absolute losses, oldest first:
-    # means[:, o:o + span] those of the span steps before the block and
-    # means[:, o + span + j] that of the block's step j, so every window is
-    # one contiguous row slice and sums in the order a list of the last
-    # ``span`` means would.  The window moves k columns right per block and
-    # back to the front only once past span, which copies span means per
-    # row at most once every span steps.
-    means = np.zeros((len(w), 2 * span + block))
-    o = 0
-    prev_xi = None
+    ledger = _Ledger(len(w), etas, stop.loss_window, block)
+    steps = [(np.zeros((0, n)), np.zeros(0), np.zeros(0))]
+    points, prev_xi = [w], None
     adjusted, losses_at = _adjusted, game.batch_losses
     if not isinstance(game, QuadraticGame):
         # A general game's evaluations and direction run the user's
@@ -430,53 +525,19 @@ def _euler(spec: AdjusterSpec, game: Game, starts, etas, stop: StopCriteria,
         user = np.errstate(**np.geterr())
         adjusted, losses_at = user(_adjusted), user(losses_at)
 
-    def beyond(w):
-        """Rows of w past the norm bound.  A non-finite norm is a
-        non-finite row, unless w @ w overflowed: with a finite bound that
-        is still above it."""
-        if math.isfinite(bound):
-            return ~(np.sqrt(np.vecdot(w, w)) <= bound)
-        return ~np.isfinite(w).all(axis=-1)
-
-    def within(w) -> bool:
-        """Whether no row of w is past the norm bound, exactly when
-        ``beyond(w)`` is all False, without the mask: a square root that
-        is correctly rounded is monotone, so the largest norm is the root
-        of the largest w @ w, and a NaN fails the test."""
-        if math.isfinite(bound):
-            return math.sqrt(np.vecdot(w, w).max()) <= bound
-        return bool(np.isfinite(w).all())
-
-    def window_floor(first, k):
-        """A lower bound on the computed mean of the window of each step
-        first to k - 1 of the block: span copies of the least mean those
-        windows read, summed as a window sums (a one-row ``np.add.reduce``
-        of the same length adds in the same order), over span.  Rounded
-        addition and division are monotone, so a window of means that are
-        each at least that one comes out at least as large.  A NaN mean
-        makes the bound NaN, which fails every comparison."""
-        least = means[:, o + first + 1:o + span + k].min()
-        return np.add.reduce(np.full(span, least)) / span
-
-    def finish(row, outcome, t, last):
-        """Row ``row`` stops at iteration t with a window of the means up
-        to iteration ``last``; t0 is the first iteration of the block."""
-        end = o + span + last - t0 + 1
-        ends[rows[row]] = _CellEnd(
-            outcome, t, means[row, end - min(last + 1, span):end].copy())
-
-    t0 = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        while t0 < max_iters:
-            if not within(w):
-                far = beyond(w)
-                for row in np.flatnonzero(far):
-                    finish(row, DIVERGED, t0, t0 - 1)
-                w, eta, means, rows, prev_xi = _kept(
-                    ~far, w, eta, means, rows, prev_xi)
-                if not len(rows):
-                    break
-            k, c = min(block, max_iters - t0), len(rows)
+        if not _within(w, bound):
+            far = _beyond(w, bound)
+            for row in np.flatnonzero(far):
+                ledger.finish(row, DIVERGED, 0, -1)
+            (w,) = ledger.compact(~far, w)
+        while len(w):
+            t0, eta, c = ledger.t0, ledger.eta, len(w)
+            k = min(block, max_iters - t0)
+            done = t0 + k == max_iters
+            # The pass decides iterations t0 to t0 + r - 1: the k steps,
+            # and the bound on the block's last point unless it is done.
+            r = k if done else k + 1
             # ws[j] is the point step j starts from, ws[k] the last result.
             ws, xis = np.empty((k + 1, c, d)), np.empty((k, c, d))
             ws[0] = w
@@ -493,35 +554,29 @@ def _euler(spec: AdjusterSpec, game: Game, starts, etas, stop: StopCriteria,
 
             xi_norm = np.sqrt(np.vecdot(xis, xis))
             mean_abs = np.add.reduce(np.absolute(losses), axis=2) / n
-            means[:, o + span:o + span + k] = mean_abs.T
-            first = max(span - 1 - t0, 0)    # the first full window
-            windows = loss_threshold > 0 and first < k
+            ledger.store(mean_abs)
+            windows = loss_threshold > 0 and t0 + k >= ledger.span
             fired = None
             # Each screen fails exactly when its test may fire at some step
             # of some row, so a block that passes them all builds no mask.
             # A finite sum of the means and norms (all >= 0) implies finite
             # losses and field.
             if (not math.isfinite((mean_abs + xi_norm).sum())
-                    or k > 1 and not within(ws[1:k])
+                    or r > 1 and not _within(ws[1:r], bound)
                     or xi_threshold is not None
                     and not xi_norm.min() >= xi_threshold
-                    or windows
-                    and not window_floor(first, k) >= loss_threshold):
-                # The stop tests of all k steps, each an array of shape
-                # (k, C).
-                diverged = ~(np.isfinite(losses).all(axis=2)
-                             & np.isfinite(xi_norm))
-                if k > 1:
-                    diverged[1:] |= beyond(ws[1:k])
-                stopping = diverged
+                    or windows and not ledger.floor(k) >= loss_threshold):
+                # The stop tests of the r iterations, each an array of
+                # shape (r, C); row k, if any, holds only the bound.
+                diverged = np.zeros((r, c), dtype=bool)
+                diverged[:k] = ~(np.isfinite(losses).all(axis=2)
+                                 & np.isfinite(xi_norm))
+                diverged[1:] |= _beyond(ws[1:r], bound)
+                stopping = diverged.copy()
                 if xi_threshold is not None:
-                    stopping = stopping | (xi_norm < xi_threshold)
+                    stopping[:k] |= xi_norm < xi_threshold
                 if windows:
-                    sums = np.full((k, c), np.inf)
-                    for j in range(first, k):
-                        np.add.reduce(means[:, o + j + 1:o + j + 1 + span],
-                                      axis=1, out=sums[j])
-                    stopping = stopping | (sums / span < loss_threshold)
+                    stopping[:k] |= ledger.window_means(k) < loss_threshold
                 if np.count_nonzero(stopping):
                     fired = stopping.any(axis=0)
                     at = stopping.argmax(axis=0)
@@ -529,14 +584,9 @@ def _euler(spec: AdjusterSpec, game: Game, starts, etas, stop: StopCriteria,
                         j = int(at[row])
                         t = t0 + j
                         if diverged[j, row]:
-                            finish(row, DIVERGED, t, t - 1)
+                            ledger.finish(row, DIVERGED, t, t - 1)
                         else:
-                            finish(row, CONVERGED, t, t)
-            done = t0 + k == max_iters
-            if done:
-                for row in (range(c) if fired is None
-                            else np.flatnonzero(~fired)):
-                    finish(row, MAX_ITERS, max_iters, max_iters - 1)
+                            ledger.finish(row, CONVERGED, t, t)
             if record:
                 # A stopped cell took the steps before its stop, and
                 # processed the step it stops at when it converged there.
@@ -547,18 +597,15 @@ def _euler(spec: AdjusterSpec, game: Game, starts, etas, stop: StopCriteria,
                               signs[:processed, 0]))
                 points.append(ws[1:taken + 1, 0])
             if done:
+                for row in (range(c) if fired is None
+                            else np.flatnonzero(~fired)):
+                    ledger.finish(row, MAX_ITERS, max_iters, max_iters - 1)
                 break
             prev_xi = xis[-1]
             if fired is not None:
-                w, eta, means, rows, prev_xi = _kept(
-                    ~fired, w, eta, means, rows, prev_xi)
-                if not len(rows):
-                    break
-            t0, o = t0 + k, o + k
-            if o > span:
-                means[:, :span] = means[:, o:o + span]
-                o = 0
-    return ends, ((steps, points) if record else None)
+                w, prev_xi = ledger.compact(~fired, w, prev_xi)
+            ledger.advance(k)
+    return ledger.ends, ((steps, points) if record else None)
 
 
 def run(spec: AdjusterSpec, game: Game, w0, eta: float,
@@ -574,12 +621,7 @@ def run(spec: AdjusterSpec, game: Game, w0, eta: float,
     check_eta(eta)
     w = as_point(game.partition, w0).reshape(1, -1)
     (end,), (steps, points) = _euler(spec, game, w, (eta,), stop, record=True)
-    if steps:
-        losses, xi_norms, signs = (
-            np.concatenate(column) for column in zip(*steps))
-    else:
-        losses = np.zeros((0, game.num_players))
-        xi_norms = signs = np.zeros(0)
+    losses, xi_norms, signs = map(np.concatenate, zip(*steps))
     return Trajectory(
         points=np.concatenate(points),
         losses=losses,

@@ -13,6 +13,7 @@ single game object can be shared freely across threads.
 from __future__ import annotations
 
 import inspect
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -75,20 +76,26 @@ class PlayerPartition:
 def as_point(partition: PlayerPartition, values) -> Array:
     """Validate and return a parameter vector for the given partition.
 
-    Raises ValueError on wrong length, non-finite or boolean entries (True
-    is not a coordinate).  A numeric array pays only a check of its dtype.
+    Raises ValueError on wrong length, on non-finite entries and on entries
+    that are not numbers: a string, or a boolean (True is not a
+    coordinate).  A numeric array pays only a check of its dtype.
     """
+    return _as_vector(values, partition.total, "point")
+
+
+def _as_vector(values, length: int, what: str) -> Array:
+    """``as_point``'s check of a vector of ``length`` numbers, with ``what``
+    naming the vector in the error."""
     if not (isinstance(values, np.ndarray) and values.dtype.kind in "fiu"):
         for x in np.asarray(values, dtype=object).reshape(-1):
-            if isinstance(x, (bool, np.bool_)):
-                raise ValueError(f"point must hold numbers, got {x!r}")
+            if (isinstance(x, (bool, np.bool_))
+                    or not isinstance(x, numbers.Real)):
+                raise ValueError(f"{what} must hold numbers, got {x!r}")
     w = np.asarray(values, dtype=float).reshape(-1)
-    if w.shape != (partition.total,):
-        raise ValueError(
-            f"point has length {w.size}, game needs {partition.total}"
-        )
+    if w.shape != (length,):
+        raise ValueError(f"{what} has length {w.size}, game needs {length}")
     if not np.all(np.isfinite(w)):
-        raise ValueError("point has non-finite entries")
+        raise ValueError(f"{what} has non-finite entries")
     return w
 
 

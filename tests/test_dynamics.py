@@ -141,6 +141,18 @@ class TestDirection:
                            match="prev_xi has length 1, game needs 2"):
             dg.direction(dg.AdjusterSpec("omd"), game, [1, 1], prev_xi=[1.0])
 
+    @pytest.mark.parametrize("prev_xi,message", [
+        ([True, 1], "prev_xi must hold numbers, got True"),
+        ([np.nan, 1], "prev_xi has non-finite entries"),
+        (["1", 1], "prev_xi must hold numbers, got '1'"),
+    ])
+    def test_checks_prev_xi_as_a_point(self, prev_xi, message):
+        # True was taken as 1.0 and NaN passed into the direction.
+        game = dg.catalog_game("example7")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            dg.direction(dg.AdjusterSpec("omd"), game, [0.5, 0.5],
+                         prev_xi=prev_xi)
+
     @pytest.mark.parametrize("w,message", [
         ([1.0, 1.0, 1.0], "point has length 3, game needs 2"),
         ([np.nan, 1.0], "non-finite"),

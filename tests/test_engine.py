@@ -178,14 +178,21 @@ class TestEngineBoundary:
             dg.run(dg.AdjusterSpec("simgd"), game, [bad, 0.0, 0.0, 0.0], 0.1)
 
     def test_cells_are_independent_of_their_batch(self):
-        # A cell's result does not depend on which cells share its batch.
+        # A cell's result does not depend on which cells share its batch,
+        # also when one of them starts past the norm bound: that cell ends
+        # at iteration 0 with an empty window and leaves the batch before
+        # its first step.
         game = dg.catalog_game("fig7_four_player")
         spec = dg.AdjusterSpec("sga-aligned", lam=1.0)
         stop = dg.StopCriteria(max_iters=400)
         rng = np.random.default_rng(5)
-        starts = rng.standard_normal((6, game.dim))
-        etas = (0.05, 0.2, 0.4, 0.6, 0.9, 1.5)
+        starts = np.insert(rng.standard_normal((6, game.dim)), 2,
+                           np.full(game.dim, stop.divergence_norm), axis=0)
+        etas = (0.05, 0.2, 0.3, 0.4, 0.6, 0.9, 1.5)
         together, _ = _euler(spec, game, starts, etas, stop)
+        assert (together[2].outcome, together[2].iteration) == \
+            (dg.DIVERGED, 0)
+        assert together[2].window.shape == (0,)
         for k, end in enumerate(together):
             (alone,), _ = _euler(spec, game, starts[k:k + 1], etas[k:k + 1],
                                  stop)

@@ -52,6 +52,19 @@ class TestPoint:
                 f"point must hold numbers, got {named}")):
             dg.as_point(dg.PlayerPartition((1, 1)), values)
 
+    @pytest.mark.parametrize("values,named", [
+        (["a", 1], "'a'"), (["1.5", 1], "'1.5'"), ([None, 1.0], "None"),
+        (np.array(["1.5", "1"]), "'1.5'"), ([1.0, 1j], "1j")])
+    def test_non_numbers_rejected(self, values, named):
+        # A string raised NumPy's conversion error, and a numeric one
+        # was taken as its number.
+        with pytest.raises(ValueError, match=re.escape(
+                f"point must hold numbers, got {named}")):
+            dg.as_point(dg.PlayerPartition((1, 1)), values)
+        with pytest.raises(ValueError, match=re.escape(named)):
+            dg.run(dg.AdjusterSpec("sga"), dg.catalog_game("example7"),
+                   values, 0.1)
+
     def test_run_and_sweep_reject_boolean_starts(self):
         # Both took True as 1.0 and ran from (1.0, 1.0).
         spec = dg.AdjusterSpec("sga")

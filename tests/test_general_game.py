@@ -106,6 +106,34 @@ class TestProbesOnFirstRead:
         assert traj.probes.shape == (0,)
 
 
+class TestNormBoundMidRun:
+    """A cell that crosses a finite norm bound mid-run stops at the first
+    point past it, and the game's callables never run there: with an
+    analytic Hessian every rule evaluates the field once per processed
+    iteration, in a run and in a batch whose cells stop at different
+    iterations or not at all."""
+
+    STOP = dg.StopCriteria(max_iters=ITERS, loss_threshold=0.0,
+                           divergence_norm=10.0)
+
+    @pytest.mark.parametrize("kind", dg.KINDS)
+    def test_no_field_evaluation_past_the_bound(self, builds, kind):
+        spec, game = dg.AdjusterSpec(kind), CountingGame(builds[0])
+        traj = dg.run(spec, game, W0, 1.0, self.STOP)
+        assert traj.outcome == dg.DIVERGED
+        assert traj.outcome_iteration >= 2
+        assert game.field_evals == len(traj.xi_norms) == \
+            traj.outcome_iteration
+        game.field_evals = 0
+        ends, _ = _euler(spec, game, [W0, W0, -W0], [ETA, 1.0, 1.5],
+                         self.STOP)
+        assert [end.outcome for end in ends] == \
+            [dg.MAX_ITERS, dg.DIVERGED, dg.DIVERGED]
+        # A cell past the bound at t processed t iterations, one that ran
+        # out of budget processed all of them.
+        assert game.field_evals == sum(end.iteration for end in ends)
+
+
 class TestFieldEvaluationsPerIteration:
     """Without an analytic Hessian a rule pays only for the products its
     direction uses: the probe diagnostic adds nothing."""
