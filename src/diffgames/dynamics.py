@@ -508,6 +508,9 @@ def _euler(spec: AdjusterSpec, game: Game, starts, etas, stop: StopCriteria,
     if w.ndim != 2 or w.shape[1] != game.dim:
         raise ValueError(f"start point has length {w.shape[-1]}, game needs "
                          f"{game.dim}")
+    if len(etas) != len(w):
+        raise ValueError(f"got {len(etas)} learning rates for {len(w)} "
+                         f"start points")
     if record and len(w) != 1:
         raise ValueError("only a batch of one records its history")
     n, d = game.num_players, game.dim
@@ -651,15 +654,17 @@ def _why_no_oracle(spec: AdjusterSpec, game: Game) -> str | None:
     return None
 
 
-def iteration_matrix(spec: AdjusterSpec, game: QuadraticGame,
-                     eta: float) -> Array:
-    """Exact linear iteration matrix of a fixed-weight rule.
+def _iteration_matrices(spec: AdjusterSpec, game: QuadraticGame,
+                        etas) -> Array:
+    """The ``(E, m, m)`` stack of ``iteration_matrix`` at E rates, bit for
+    bit.
 
-    Only defined for quadratic games with zero gradient offsets, where every
-    non-aligned rule reduces to ``w_next = M w`` (omd needs its companion
-    form on the doubled state (w_t, w_{t-1})).
+    The expressions are those of a lone matrix with eta an ``(E, 1, 1)``
+    array, so each entry takes the same operations in the same order
+    (``(eta * P) @ h`` for a rule ``I - eta P h``), and a stacked matmul
+    multiplies each matrix as a lone one does.
     """
-    check_eta(eta)
+    eta = np.array([check_eta(e) for e in etas]).reshape(-1, 1, 1)
     reason = _why_no_oracle(spec, game)
     if reason is not None:
         raise ValueError(reason)
@@ -676,11 +681,61 @@ def iteration_matrix(spec: AdjusterSpec, game: QuadraticGame,
     if spec.kind == HAMILTONIAN_DESCENT:
         return eye - eta * h.T @ h
     # OMD companion form: w_next = (I - 2 eta H) w_t + eta H w_{t-1}.
-    m = np.zeros((2 * d, 2 * d))
-    m[:d, :d] = eye - 2.0 * eta * h
-    m[:d, d:] = eta * h
-    m[d:, :d] = eye
+    m = np.zeros((len(eta), 2 * d, 2 * d))
+    m[:, :d, :d] = eye - 2.0 * eta * h
+    m[:, :d, d:] = eta * h
+    m[:, d:, :d] = eye
     return m
+
+
+# Bytes of iteration matrices the oracle builds and decomposes in one
+# stacked call.  A preset's whole grid (m <= 8, 50 rates: 25 KB at most)
+# is one stack; from m = 129 up a stack holds one matrix, so a large
+# game's oracle holds no more at a time than one lone call does.
+_ORACLE_STACK_BYTES = 1 << 18
+
+
+def _spectral_radii(spec: AdjusterSpec, game: QuadraticGame,
+                    etas) -> list[float]:
+    """The spectral radius of ``iteration_matrix`` at each rate, bit for
+    bit as a lone ``spectral_oracle`` takes it.
+
+    The matrices are built in stacks of at most ``_ORACLE_STACK_BYTES``
+    (or one matrix) and each stack is decomposed by one ``eigvals`` call,
+    which LAPACK runs matrix by matrix as it runs a lone one.  Raises the
+    ValueError of ``spectral_oracle`` at the first rate, in the given
+    order, whose matrix or radius is not finite.
+    """
+    size = 2 * game.dim if spec.kind == OMD else game.dim
+    count = max(1, _ORACLE_STACK_BYTES // (8 * size * size))
+    radii = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, len(etas), count):
+            m = _iteration_matrices(spec, game, etas[lo:lo + count])
+            finite = np.isfinite(m).all(axis=(1, 2))
+            # eigvals rejects a non-finite matrix: decompose the ones
+            # before the first (a view, not a copy).
+            good = len(m) if finite.all() else int(finite.argmin())
+            rho = np.abs(np.linalg.eigvals(m[:good])).max(axis=-1)
+            del m  # so the next stack is built with this one freed
+            bad = np.flatnonzero(~np.isfinite(rho))
+            first = int(bad[0]) if bad.size else good
+            if first < len(finite):
+                raise ValueError(f"the spectral oracle of {spec.kind!r} "
+                                 f"overflows at eta={etas[lo + first]!r}")
+            radii += rho.tolist()
+    return radii
+
+
+def iteration_matrix(spec: AdjusterSpec, game: QuadraticGame,
+                     eta: float) -> Array:
+    """Exact linear iteration matrix of a fixed-weight rule.
+
+    Only defined for quadratic games with zero gradient offsets, where every
+    non-aligned rule reduces to ``w_next = M w`` (omd needs its companion
+    form on the doubled state (w_t, w_{t-1})).
+    """
+    return _iteration_matrices(spec, game, (eta,))[0]
 
 
 def spectral_oracle(spec: AdjusterSpec, game: QuadraticGame,
@@ -689,13 +744,10 @@ def spectral_oracle(spec: AdjusterSpec, game: QuadraticGame,
 
     Raises ValueError for a bad eta, where the oracle does not apply, and
     where the iteration matrix or its spectral radius overflows at eta.
+    This is the batch of one of the oracle a sweep takes: one stacked
+    eigendecomposition call for all of a rule's rates (per
+    ``_ORACLE_STACK_BYTES`` of matrices).
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        m = iteration_matrix(spec, game, eta)
-        rho = (float(np.max(np.abs(np.linalg.eigvals(m))))
-               if np.isfinite(m).all() else math.inf)
-    if not math.isfinite(rho):
-        raise ValueError(f"the spectral oracle of {spec.kind!r} overflows "
-                         f"at eta={eta!r}")
+    (rho,) = _spectral_radii(spec, game, (eta,))
     return SpectralPrediction(spectral_radius=rho,
                               predicts_convergence=rho < 1.0)

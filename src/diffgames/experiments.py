@@ -22,8 +22,8 @@ import numpy as np
 from . import analysis
 from .derivatives import hvp, simultaneous_gradient, thvp
 from .dynamics import (CONVERGED, AdjusterSpec, StopCriteria, _euler,
-                       _number, _whole, _why_no_oracle, check_eta,
-                       spectral_oracle)
+                       _number, _spectral_radii, _whole, _why_no_oracle,
+                       check_eta)
 from .games import as_point, catalog_game, default_start
 
 Array = np.ndarray
@@ -130,18 +130,21 @@ def sweep(config: SweepConfig) -> list[SweepCell]:
     ``run``, so every cell equals ``run`` on its own start point and rate,
     bit for bit.  A cell that blows up numerically is recorded as diverged;
     any exception is a fault and propagates, the ValueError of a spectral
-    oracle that overflows included.  A rule the oracle does not apply to
-    gets no spectral radius.  Cells come out in the configured order:
-    adjuster, then eta, then start point.
+    oracle that overflows included (named at the first such rate of the
+    grid).  A rule takes the spectrum of all its rates in one stacked
+    eigendecomposition call (per 256 KiB of matrices), each radius bit for
+    bit what a lone ``spectral_oracle`` returns; a rule the oracle does not
+    apply to gets no spectral radius.  Cells come out in the configured
+    order: adjuster, then eta, then start point.
     """
     game = catalog_game(config.game, **config.game_params)
     starts = _start_points(config, game.dim)
 
     cells = []
     for spec in config.adjusters:
-        oracle = _why_no_oracle(spec, game) is None
-        rhos = [spectral_oracle(spec, game, eta).spectral_radius if oracle
-                else None for eta in config.etas]
+        rhos = (_spectral_radii(spec, game, config.etas)
+                if _why_no_oracle(spec, game) is None
+                else [None] * len(config.etas))
         grid = [(ei, w0) for ei in range(len(config.etas))
                 for w0 in starts[ei]]
         ends, _ = _euler(spec, game, [w0 for _, w0 in grid],

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import diffgames as dg
+from diffgames import dynamics
 
 from conftest import (HAMILTONIAN_GAMES, POTENTIAL_GAMES, plain_game,
                       random_orthogonal, random_realizable_game,
@@ -500,6 +501,66 @@ class TestSpectralOracle:
         )
         with pytest.raises(ValueError):
             dg.spectral_oracle(dg.AdjusterSpec("simgd"), game, 0.1)
+
+
+def _lone_matrix(spec, h, eta):
+    """One rule's iteration matrix at one rate, written out."""
+    eye = np.eye(len(h))
+    return {
+        "simgd": lambda: eye - eta * h,
+        "sga": lambda: eye - eta * (eye + spec.lam * (0.5 * (h - h.T)).T) @ h,
+        "consensus": lambda: eye - eta * (eye + spec.lam * h.T) @ h,
+        "hamiltonian-descent": lambda: eye - eta * h.T @ h,
+        "omd": lambda: np.block([[eye - 2.0 * eta * h, eta * h],
+                                 [eye, np.zeros_like(h)]]),
+    }[spec.kind]()
+
+
+def _stacked_oracle_cases():
+    """Every preset config's oracle rules with its rate grid, and seeded
+    random games with each linear rule at three weights."""
+    cases = []
+    for preset in dg.PRESETS:
+        for i, config in enumerate(dg.preset_configs(preset)):
+            game = dg.catalog_game(config.game, **config.game_params)
+            cases += [(f"{preset}.{i}-{spec.kind}", game, spec, config.etas)
+                      for spec in config.adjusters
+                      if spec.kind in dg.LINEAR_KINDS]
+    etas = tuple(np.geomspace(0.001, 2.5, 13))
+    for seed, parts in enumerate([(2, 2), (1, 2, 3), (16, 16), (8,) * 8]):
+        rng = np.random.default_rng(seed)
+        game = random_realizable_game(rng, dg.PlayerPartition(parts),
+                                      -0.5, 2.0)
+        label = "x".join(map(str, parts))
+        cases += [(f"{label}-{kind}-{lam}", game, dg.AdjusterSpec(kind, lam),
+                   etas) for kind in dg.LINEAR_KINDS
+                  for lam in (1.0, 0.3, -0.7)]
+    return cases
+
+
+class TestStackedOracle:
+    """A rule's stacked matrices and radii (one eigvals call per stack) hold
+    the bits of lone ones; the claim rests on LAPACK decomposing a matrix of
+    a stack as it decomposes a lone one."""
+
+    CASES = _stacked_oracle_cases()
+
+    # The default budget, and one matrix per stack.
+    @pytest.mark.parametrize("budget", [None, 1])
+    @pytest.mark.parametrize("label,game,spec,etas", CASES,
+                             ids=[c[0] for c in CASES])
+    def test_bits_of_lone_matrices(self, monkeypatch, budget, label, game,
+                                   spec, etas):
+        if budget is not None:
+            monkeypatch.setattr(dynamics, "_ORACLE_STACK_BYTES", budget)
+        h = game.hessian_matrix
+        lone = [_lone_matrix(spec, h, eta) for eta in etas]
+        stack = dynamics._iteration_matrices(spec, game, etas)
+        assert stack.shape == (len(etas),) + lone[0].shape
+        assert [m.tobytes() for m in stack] == [m.tobytes() for m in lone]
+        radii = dynamics._spectral_radii(spec, game, etas)
+        assert [r.hex() for r in radii] == [
+            float(np.max(np.abs(np.linalg.eigvals(m)))).hex() for m in lone]
 
 
 class TestOracleAgreement:

@@ -171,6 +171,20 @@ class TestEngineBoundary:
         with pytest.raises(ValueError):
             dg.direction(spec, game, [0.5] * 5)
 
+    # A single rate was broadcast to every row of a batch in which no row
+    # stops (a budget of 5); where a row stops (the start past the bound)
+    # the batch failed in NumPy.
+    @pytest.mark.parametrize("far", [False, True])
+    @pytest.mark.parametrize("etas", [(0.1,), (0.1, 0.2), (0.1,) * 4])
+    def test_one_rate_per_start_point(self, etas, far):
+        game = dg.catalog_game("example4")
+        starts = [[0.5, 0.5], [-0.5, 1.0], [20.0 if far else 2.0, 0.0]]
+        stop = dg.StopCriteria(max_iters=5, loss_window=5,
+                               divergence_norm=10.0)
+        with pytest.raises(ValueError, match=(
+                f"got {len(etas)} learning rates for 3 start points")):
+            _euler(dg.AdjusterSpec("simgd"), game, starts, etas, stop)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_start_point_raises(self, bad):
         game = dg.catalog_game("example1")

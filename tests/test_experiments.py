@@ -2,11 +2,13 @@ import dataclasses
 import hashlib
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 import diffgames as dg
+from diffgames import dynamics
 from diffgames.experiments import CSV_COLUMNS
 
 from conftest import CATALOG_DEFAULTS, CountingGame, TanhGame
@@ -48,6 +50,26 @@ class TestSweep:
                              adjusters=(dg.AdjusterSpec("consensus"),))
         with pytest.raises(ValueError, match="'consensus' overflows"):
             dg.sweep(config)
+
+    # The default budget stacks all rates; a budget of 1 byte stacks one.
+    @pytest.mark.parametrize("budget", [None, 1])
+    @pytest.mark.parametrize("kind,etas", [
+        # The matrix is finite, its spectral radius is not.
+        ("simgd", (0.1, 1.795e307)),
+        ("consensus", (0.1, 1e307)),
+        # A later rate's matrix overflows too.
+        ("simgd", (0.1, 1.795e307, 1e308))])
+    def test_overflow_is_named_at_its_first_rate(self, monkeypatch, budget,
+                                                 kind, etas):
+        if budget is not None:
+            monkeypatch.setattr(dynamics, "_ORACLE_STACK_BYTES", budget)
+        config = tiny_config(game="fig3_weak_attractor", etas=etas,
+                             adjusters=(dg.AdjusterSpec(kind),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(
+                    f"'{kind}' overflows at eta={etas[1]!r}")):
+                dg.sweep(config)
 
     def test_deterministic_reruns(self):
         a = dg.serialize(dg.sweep(tiny_config()), "json")
