@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .derivatives import full_hessian, simultaneous_gradient, thvp
+from .derivatives import _thvp, full_hessian, simultaneous_gradient
 from .dynamics import AdjusterSpec, _aligned_signs, check_epsilon
 from .games import Game, QuadraticGame, as_point
 
@@ -141,8 +141,9 @@ def stability_probe(game: Game, w) -> float:
     S is positive semidefinite, negative where S is negative definite, and
     identically zero in games with no symmetric part.
     """
+    w = as_point(game.partition, w)
     xi = simultaneous_gradient(game, w)
-    return float(xi @ thvp(game, w, xi))
+    return float(xi @ _thvp(game, w, xi))
 
 
 def _psd_tolerance(eigs: Array) -> float:

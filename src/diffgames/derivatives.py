@@ -15,8 +15,11 @@ Each finite-difference product evaluates all of its perturbed points in one
 
 Every function here that takes a point of a game checks it with
 ``as_point``, as ``run`` does: a point that is non-finite or of the wrong
-length raises ValueError.  The vector v of a product is not a point; it
-may be non-finite.
+length raises ValueError.  ``hvp`` and ``thvp`` check their vector v the
+same way.  The field itself may overflow at a finite point, so the
+callers that hand on a field they computed (the Euler loop and its
+probe, ``stability_probe``, ``analyze_point``, and ``sym_adjustment``
+and ``grad_hamiltonian`` here) take the unchecked ``_hvp`` and ``_thvp``.
 
 No autodiff framework is involved; every built-in game is closed-form and
 the finite differences are the oracle.
@@ -28,7 +31,7 @@ from functools import partial
 
 import numpy as np
 
-from .games import Game, as_point, make_game
+from .games import Game, _as_vector, as_point, make_game
 
 Array = np.ndarray
 
@@ -90,9 +93,14 @@ def hvp(game: Game, w, v) -> Array:
     The finite-difference path normalizes v before stepping so the step size
     stays meaningful for tiny or huge v; a zero v returns zero directly.  It
     evaluates the field at its two points ``w +- h v/|v|`` in one batch.
+    Raises ValueError for a w or v that ``as_point`` would reject.
     """
-    w = as_point(game.partition, w)
-    v = np.asarray(v, dtype=float).reshape(-1)
+    return _hvp(game, as_point(game.partition, w),
+                _as_vector(v, game.dim, "v"))
+
+
+def _hvp(game: Game, w: Array, v: Array) -> Array:
+    """``hvp`` at a checked point w, of an unchecked float vector v."""
     if game.has_analytic_hessian:
         return game.analytic_hessian(w) @ v
     nrm = float(np.linalg.norm(v))
@@ -109,10 +117,15 @@ def thvp(game: Game, w, v) -> Array:
 
     The finite-difference path differentiates the scalar ``<xi(w), v>``
     along every coordinate axis: one batch of 2d field evaluations, then
-    one dot product with v per point.
+    one dot product with v per point.  Raises ValueError for a w or v that
+    ``as_point`` would reject.
     """
-    w = as_point(game.partition, w)
-    v = np.asarray(v, dtype=float).reshape(-1)
+    return _thvp(game, as_point(game.partition, w),
+                 _as_vector(v, game.dim, "v"))
+
+
+def _thvp(game: Game, w: Array, v: Array) -> Array:
+    """``thvp`` at a checked point w, of an unchecked float vector v."""
     if game.has_analytic_hessian:
         return game.analytic_hessian(w).T @ v
     if not np.any(v):
@@ -124,14 +137,15 @@ def thvp(game: Game, w, v) -> Array:
 
 def sym_adjustment(game: Game, w) -> Array:
     """The antisymmetric-part product A' xi = (H' xi - H xi) / 2."""
+    w = as_point(game.partition, w)
     xi = simultaneous_gradient(game, w)
-    return 0.5 * (thvp(game, w, xi) - hvp(game, w, xi))
+    return 0.5 * (_thvp(game, w, xi) - _hvp(game, w, xi))
 
 
 def grad_hamiltonian(game: Game, w) -> Array:
     """Gradient of w -> |xi(w)|^2 / 2, which equals H' xi for any game."""
-    xi = simultaneous_gradient(game, w)
-    return thvp(game, w, xi)
+    w = as_point(game.partition, w)
+    return _thvp(game, w, simultaneous_gradient(game, w))
 
 
 def full_hessian(game: Game, w) -> Array:

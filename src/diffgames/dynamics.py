@@ -13,12 +13,17 @@ the arithmetic of a lone cell bit for bit (one matrix-vector product and
 one dot product per row, reductions along contiguous rows), so a cell's
 result does not depend on the batch it ran in.
 
-A step evaluates only the field and pays only for the Hessian products its
-rule's direction uses: none for simgd and omd, H' xi for the consensus
-rules and hamiltonian descent, H' xi and H xi for the sga rules.  The probe diagnostic <xi, H' xi> is not
-recorded by the loop; ``Trajectory.probes`` computes it from the stored
-points on first read, with the same field and product code, so it holds
-the bits a probe taken during the run would have.
+A step is one call of the rule's step, bound once per engine call
+(``_stepper``): the rule's branch and weights, the game's field and, on
+a quadratic game, H and its transpose are looked up there, not per step.
+It evaluates only the field, which ``batch_field`` writes straight into
+the block's buffer, and pays only for the Hessian products its rule's
+direction uses: none for simgd and omd, H' xi for the consensus rules and
+hamiltonian descent, H' xi and H xi for the sga rules.  ``direction`` is
+that step on a batch of one, and ``Trajectory.probes`` takes the probe
+<xi, H' xi>, which the loop does not record, from the stored points on
+first read with hamiltonian descent's step (whose direction is H' xi), so
+it holds the bits a probe taken during the run would have.
 
 At the small d of the presets a step costs its NumPy calls, not its
 flops, and testing for a stop after every step (the norm bound, the
@@ -38,9 +43,7 @@ general game those discarded steps would run the user's callables past
 a stop, so there the loop tests after every step (``_block_length``).
 A blow-up is a stop, so on a quadratic game the loop runs with NumPy's
 overflow and invalid-value warnings off; a general game's callables keep
-the caller's settings.  A rule whose rows all share one adjustment sign
-(0 for the rules without a weight) returns it as one float, not an
-array.
+the caller's settings.
 
 A block first screens its stop tests, each with a few calls over all
 its steps and rows: the largest norm against the bound (or one test that
@@ -73,7 +76,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .derivatives import hvp, thvp
+from .derivatives import _hvp, _thvp
 from .games import Game, QuadraticGame, _as_vector, as_point
 
 Array = np.ndarray
@@ -207,18 +210,19 @@ class Trajectory:
         point, shape (iters,).
 
         The loop does not record it: the first read computes it from
-        ``points`` with the loop's own field and product code, bit for bit
-        what a probe taken during the run would be, and caches it.  On a
-        game without an analytic Hessian, ``fd_game(game)`` included, that
-        read costs 2d + 1 field evaluations per iteration: the field again,
-        then ``thvp``.  Near a blow-up a probe may overflow to inf; like
-        the loop, the read does not warn about it.
+        ``points`` with the loop's own step (``_stepper``) of hamiltonian
+        descent, whose direction is H' xi, bit for bit what a probe taken
+        during the run would be, and caches it.  On a game without an
+        analytic Hessian, ``fd_game(game)`` included, that read costs
+        2d + 1 field evaluations per iteration: the field again, then
+        ``thvp``.  Near a blow-up a probe may overflow to inf; like the
+        loop, the read does not warn about it.
         """
         if self._probes is None:
             points = self.points[:len(self.xi_norms)]
+            step = _stepper(AdjusterSpec(HAMILTONIAN_DESCENT), self._game)
             with _quiet(self._game):
-                xi = _field(self._game, points)
-                grad_h, _ = _products(self._game, points, xi, False)
+                xi, grad_h, _ = step(points, None, np.empty(points.shape))
                 self._probes = np.vecdot(xi, grad_h)
         return self._probes
 
@@ -230,27 +234,19 @@ class Trajectory:
         return np.mean(np.abs(self.losses), axis=1)
 
 
-def _products(game: Game, points: Array, xi: Array, both: bool):
-    """H'xi and (when ``both``) H xi at each row, given the field rows xi.
-
-    On a quadratic game the Hessian is one constant matrix: both products
-    are then one batched matmul, which makes one matrix-vector product per
-    row and so matches the row-by-row products bit for bit.  Otherwise they
-    are ``thvp`` and ``hvp``, one row at a time.
-    """
+def _products(game: Game):
+    """The functions ``(points, xi) -> H'xi`` and ``-> H xi`` at each row,
+    given the field rows xi: on a quadratic game one batched matmul with
+    the constant Hessian or its transpose, one matrix-vector product per
+    row, so bit for bit the row-by-row products; otherwise ``thvp`` and
+    ``hvp`` row by row, unchecked, since the field may have overflowed."""
     if isinstance(game, QuadraticGame):
         h = game.hessian_matrix
-        grad_h = np.matmul(h.T, xi[:, :, None])[..., 0]
-        h_xi = np.matmul(h, xi[:, :, None])[..., 0] if both else None
-        return grad_h, h_xi
-    grad_h, h_xi = [], []
-    for w, x in zip(points, xi):
-        grad_h.append(thvp(game, w, x))
-        if both:
-            h_xi.append(hvp(game, w, x))
-    # reshape: a batch of no rows still has d columns
-    return (np.reshape(grad_h, xi.shape),
-            np.reshape(h_xi, xi.shape) if both else None)
+        return [lambda points, xi, m=m: np.matmul(m, xi[:, :, None])[..., 0]
+                for m in (h.T, h)]
+    return [lambda points, xi, p=p: np.reshape(
+                [p(game, w, x) for w, x in zip(points, xi)], xi.shape)
+            for p in (_thvp, _hvp)]
 
 
 def _aligned_signs(xi: Array, at_xi: Array, grad_h: Array,
@@ -264,41 +260,62 @@ def _aligned_signs(xi: Array, at_xi: Array, grad_h: Array,
     return np.where(value >= 0.0, 1.0, -1.0)
 
 
-def _directions(spec: AdjusterSpec, game: Game, points: Array, xi: Array,
-                prev_xi):
-    """Each row's direction, given the field rows xi there, and the sign of
-    the adjustment weight the rule actually applied: one sign per row for
-    the aligned rules, else one float for every row (0.0 for the rules
-    without a weighted adjustment term), so no per-step array is built
-    where every row shares it.
+def _stepper(spec: AdjusterSpec, game: Game):
+    """The rule's engine step on the game, ``step(w, prev_xi, out) -> (xi,
+    vec, sign)``, with the rule's branch, weight and fixed sign, the field
+    and the products (``_products``) bound once.
 
-    ``prev_xi`` holds omd's previous field rows (None on its first step).
-    A rule takes only the Hessian products it uses, none for simgd and omd,
-    and only the aligned rules, whose sign depends on it, compute the probe
-    <xi, H' xi>.
+    The step writes the field at the rows of w into ``out``, a C-ordered
+    array of w's shape (a BLAS dot product may sum a strided row in
+    another order than a contiguous one), and returns it as xi, with each
+    row's direction and the sign of the adjustment weight the rule
+    applied: one per row for the aligned rules, else one float (0.0 for
+    the rules without a weighted adjustment term), so no per-step array is
+    built where every row shares it.  ``prev_xi`` holds omd's previous
+    field rows (None on its first step).  Only the aligned rules compute
+    the probe <xi, H' xi>.
     """
-    kind = spec.kind
+    kind, field = spec.kind, game.batch_field
+    fixed = 1.0 if spec.lam >= 0 else -1.0
+    # The constants as 0-d arrays: NumPy multiplies an array by one faster
+    # than by a Python number, with the same bits.
+    lam, weight, two, half = (np.array(x, dtype=float)
+                              for x in (spec.lam, abs(spec.lam), 2.0, 0.5))
+    trans, plain = _products(game)
     if kind == SIMGD:
-        return xi, 0.0
-    if kind == OMD:
-        return 2.0 * xi - (xi if prev_xi is None else prev_xi), 0.0
-    both = kind in (SGA, SGA_ALIGNED)
-    grad_h, h_xi = _products(game, points, xi, both)
-    fixed_sign = 1.0 if spec.lam >= 0 else -1.0
-    if both:
-        at_xi = 0.5 * (grad_h - h_xi)
-        if kind == SGA:
-            return xi + spec.lam * at_xi, fixed_sign
-        signs = _aligned_signs(xi, at_xi, grad_h, spec.epsilon)
-        return xi + (abs(spec.lam) * signs)[:, None] * at_xi, signs
-    if kind == CONSENSUS:
-        return xi + spec.lam * grad_h, fixed_sign
-    if kind == ALIGNED_CONSENSUS:
-        signs = np.where(np.vecdot(xi, grad_h) >= 0, 1.0, -1.0)
-        return xi + (abs(spec.lam) * signs)[:, None] * grad_h, signs
-    if kind == HAMILTONIAN_DESCENT:
-        return grad_h, 0.0
-    raise ValueError(f"unknown adjuster {spec.kind!r}")  # AdjusterSpec checks
+        def step(w, prev_xi, out):
+            xi = field(w, out)
+            return xi, xi, 0.0
+    elif kind == OMD:
+        def step(w, prev_xi, out):
+            xi = field(w, out)
+            return xi, two * xi - (xi if prev_xi is None else prev_xi), 0.0
+    elif kind == HAMILTONIAN_DESCENT:
+        def step(w, prev_xi, out):
+            xi = field(w, out)
+            return xi, trans(w, xi), 0.0
+    elif kind == CONSENSUS:
+        def step(w, prev_xi, out):
+            xi = field(w, out)
+            return xi, xi + lam * trans(w, xi), fixed
+    elif kind == ALIGNED_CONSENSUS:
+        def step(w, prev_xi, out):
+            xi = field(w, out)
+            grad_h = trans(w, xi)
+            signs = np.where(np.vecdot(xi, grad_h) >= 0, 1.0, -1.0)
+            return xi, xi + (weight * signs)[:, None] * grad_h, signs
+    elif kind == SGA:
+        def step(w, prev_xi, out):
+            xi = field(w, out)
+            return xi, xi + lam * (half * (trans(w, xi) - plain(w, xi))), fixed
+    else:   # SGA_ALIGNED; AdjusterSpec checks the kind
+        def step(w, prev_xi, out):
+            xi = field(w, out)
+            grad_h = trans(w, xi)
+            at_xi = half * (grad_h - plain(w, xi))
+            signs = _aligned_signs(xi, at_xi, grad_h, spec.epsilon)
+            return xi, xi + (weight * signs)[:, None] * at_xi, signs
+    return step
 
 
 def _quiet(game: Game):
@@ -308,19 +325,6 @@ def _quiet(game: Game):
     if isinstance(game, QuadraticGame):
         return np.errstate(over="ignore", invalid="ignore")
     return contextlib.nullcontext()
-
-
-def _field(game: Game, points: Array) -> Array:
-    """The field at every row of ``points``, as a C-ordered array: a BLAS
-    dot product may sum a strided row in another order than a contiguous
-    one, so every row the engine hands on is contiguous."""
-    return np.ascontiguousarray(game.batch_field(points))
-
-
-def _adjusted(spec: AdjusterSpec, game: Game, w: Array, prev_xi):
-    """Field, direction and sign at each row of w."""
-    xi = _field(game, w)
-    return (xi,) + _directions(spec, game, w, xi, prev_xi)
 
 
 def direction(spec: AdjusterSpec, game: Game, w, prev_xi=None) -> Array:
@@ -337,7 +341,7 @@ def direction(spec: AdjusterSpec, game: Game, w, prev_xi=None) -> Array:
     w = as_point(game.partition, w).reshape(1, -1)
     if prev_xi is not None:
         prev_xi = _as_vector(prev_xi, game.dim, "prev_xi").reshape(1, -1)
-    return _adjusted(spec, game, w, prev_xi)[1][0]
+    return _stepper(spec, game)(w, prev_xi, np.empty(w.shape))[1][0]
 
 
 class _CellEnd(NamedTuple):
@@ -392,21 +396,23 @@ class _Ledger:
     """The per-row stop state of the engine's running cells, and the end of
     each cell that stopped.
 
-    Row i of the batch is cell ``rows[i]``, stepping at rate ``eta[i]``;
-    ``ends[c]`` is cell c's ``_CellEnd`` once it stops.  ``t0`` is the
-    first iteration of the current block.  Row i of the means buffer holds
-    the row's mean absolute losses, oldest first: those of the span steps
-    before the block, then that of each step of the block, so every window
-    is one contiguous row slice and sums in the order a list of the last
-    span means would.  The window moves k columns right per block and back
-    to the front only once past span, which copies span means per row at
-    most once every span steps.  ``compact`` drops the stopped rows from
-    every per-row array at once, the caller's too, so state added here
-    follows the batch for free.
+    Row i of the batch is cell ``rows[i]``, stepping at rate ``eta[i]``
+    (the rate repeated d times: at small d a broadcast would cost a step
+    more than its product); ``ends[c]`` is cell c's ``_CellEnd`` once it
+    stops.  ``t0`` is the first iteration of the current block.  Row i of
+    the means buffer holds the row's mean absolute losses, oldest first:
+    those of the span steps before the block, then that of each step of
+    the block, so every window is one contiguous row slice and sums in the
+    order a list of the last span means would.  The window moves k columns
+    right per block and back to the front only once past span, which
+    copies span means per row at most once every span steps.  ``compact``
+    drops the stopped rows from every per-row array at once, the caller's
+    too, so state added here follows the batch for free.
     """
 
-    def __init__(self, count: int, etas, span: int, block: int):
-        self.eta = np.asarray(etas, dtype=float).reshape(-1, 1)
+    def __init__(self, count: int, etas, span: int, block: int, dim: int):
+        self.eta = np.repeat(np.asarray(etas, dtype=float).reshape(-1, 1),
+                             dim, axis=1)
         self.rows = np.arange(count)
         self.ends = [None] * count
         self.span, self.t0 = span, 0
@@ -475,34 +481,27 @@ def _euler(spec: AdjusterSpec, game: Game, starts, etas, stop: StopCriteria,
     Cell c starts at ``starts[c]`` with rate ``etas[c]``.  The state is one
     ``(C, d)`` array; the per-row stop state (cell index, rate, loss means)
     and the ends of the stopped cells are a ``_Ledger``.  The loop steps
-    every cell still running through a block of k steps (``_block_length``),
-    keeping each step's point and field, then takes the losses at the k
-    points it started from (one contiguous run of rows) in one call and
-    decides the stop tests of all k steps at once.  A cell stops at its
-    first step that fires a test, in this order: the norm bound on the
-    point, non-finite losses or field, convergence.  The bound is tested
-    on each point as the step that made it finishes (the starts once
-    before the loop; a block's last point as the first iteration of the
-    next block, except at the end of the budget), so no point past it is
-    evaluated.  A cell's outcome, iteration and trailing window are those
-    of its stop; the block's later steps of that cell are discarded, and
-    the cell leaves the array at the end of the block, so the budget a slow
-    cell uses costs the others nothing.  The tests are screened first (see
-    the module docstring), so a block in which no row can stop builds no
-    per-step mask.  Each row's arithmetic is that of a lone cell, bit for
-    bit: matrix products are one matrix-vector product per row and
-    reductions run along contiguous rows.  A blow-up is a stop, so the
-    loop runs with NumPy's overflow and invalid-value warnings off, except
-    in a general game's evaluations and direction, which run the user's
-    callables under the caller's settings.
+    every cell still running through a block of k steps (``_block_length``)
+    of the rule's bound step (``_stepper``), which writes each step's field
+    into the block's buffer, then takes the losses at the k points it
+    started from (one contiguous run of rows) in one call and decides the
+    stop tests of all k steps at once.  A cell stops at its first step that
+    fires a test, in this order: the norm bound on the point (tested as
+    the step that made it finishes, the starts once before the loop, so no
+    point past it is evaluated), non-finite losses or field, convergence.
+    A cell's outcome, iteration and trailing window are those of its
+    stop; the block's later steps of that cell are discarded, and the cell
+    leaves the array at the end of the block, so the budget a slow cell
+    uses costs the others nothing.  The tests are screened first, each
+    row's arithmetic is that of a lone cell, and a general game keeps the
+    caller's NumPy error settings (see the module docstring).
 
     Returns one ``_CellEnd`` per cell and, with ``record`` (a batch of one
     only), the cell's history (else None): a list of (losses, xi norms,
     signs) array triples whose rows, joined, hold one entry per processed
     iteration, and a list of point arrays whose rows, joined, are the start
-    point and one point per step taken.
-    Norms are ``sqrt(v @ v)``, what ``np.linalg.norm`` computes for a real
-    vector.
+    point and one point per step taken.  Norms are ``sqrt(v @ v)``, what
+    ``np.linalg.norm`` computes for a real vector.
     """
     w = np.array(starts, dtype=float, ndmin=2)
     if w.ndim != 2 or w.shape[1] != game.dim:
@@ -517,16 +516,16 @@ def _euler(spec: AdjusterSpec, game: Game, starts, etas, stop: StopCriteria,
     bound, xi_threshold = stop.divergence_norm, stop.xi_threshold
     loss_threshold, max_iters = stop.loss_threshold, stop.max_iters
     block = _block_length(game)
-    ledger = _Ledger(len(w), etas, stop.loss_window, block)
+    ledger = _Ledger(len(w), etas, stop.loss_window, block, d)
     steps = [(np.zeros((0, n)), np.zeros(0), np.zeros(0))]
     points, prev_xi = [w], None
-    adjusted, losses_at = _adjusted, game.batch_losses
+    step, losses_at = _stepper(spec, game), game.batch_losses
     if not isinstance(game, QuadraticGame):
         # A general game's evaluations and direction run the user's
         # callables: they keep the caller's NumPy error settings inside
         # the quiet loop.
         user = np.errstate(**np.geterr())
-        adjusted, losses_at = user(_adjusted), user(losses_at)
+        step, losses_at = user(step), user(losses_at)
 
     with np.errstate(over="ignore", invalid="ignore"):
         if not _within(w, bound):
@@ -546,8 +545,8 @@ def _euler(spec: AdjusterSpec, game: Game, starts, etas, stop: StopCriteria,
             ws[0] = w
             signs = np.empty((k, c)) if record else None
             for j in range(k):
-                xi, vec, sign = adjusted(spec, game, w, prev_xi)
-                xis[j] = xi
+                # The step writes its field into xis[j].
+                xi, vec, sign = step(w, prev_xi, xis[j])
                 if record:
                     signs[j] = sign
                 w = np.subtract(w, eta * vec, out=ws[j + 1])
@@ -604,7 +603,6 @@ def _euler(spec: AdjusterSpec, game: Game, starts, etas, stop: StopCriteria,
                             else np.flatnonzero(~fired)):
                     ledger.finish(row, MAX_ITERS, max_iters, max_iters - 1)
                 break
-            prev_xi = xis[-1]
             if fired is not None:
                 w, prev_xi = ledger.compact(~fired, w, prev_xi)
             ledger.advance(k)

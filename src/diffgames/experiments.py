@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analysis
-from .derivatives import hvp, simultaneous_gradient, thvp
+from .derivatives import _hvp, _thvp, simultaneous_gradient
 from .dynamics import (CONVERGED, AdjusterSpec, StopCriteria, _euler,
                        _number, _spectral_radii, _whole, _why_no_oracle,
                        check_eta)
@@ -224,8 +224,8 @@ def analyze_point(game, w, epsilon: float = AdjusterSpec.epsilon) -> dict:
     """
     w = as_point(game.partition, w)
     xi = simultaneous_gradient(game, w)
-    grad_h = thvp(game, w, xi)
-    at_xi = 0.5 * (grad_h - hvp(game, w, xi))
+    grad_h = _thvp(game, w, xi)
+    at_xi = 0.5 * (grad_h - _hvp(game, w, xi))
 
     norm_sq = float(xi @ xi)
     xi_norm = float(np.sqrt(norm_sq))

@@ -108,10 +108,13 @@ class Game:
     """An n-player game over R^d with analytic per-player gradients.
 
     A game is evaluated through two batched methods: ``batch_field``,
-    which the Euler loop calls once per step, and ``batch_losses``, which
-    it calls once per block of steps.  Their base versions call the
+    which the Euler loop calls once per step with ``out`` set to the row
+    of its block buffer that keeps the step's field, and ``batch_losses``,
+    which it calls once per block of steps.  Their base versions call the
     per-player hooks ``player_gradient`` and ``loss_vector``; an override
-    of any of them must return exactly the bits the base version would.
+    of any of them must return exactly the bits the base version would,
+    and an override of ``batch_field`` must take ``out``, write the field
+    into it and return it.
 
     Parameters
     ----------
@@ -168,9 +171,11 @@ class Game:
             )
         return g
 
-    def batch_field(self, points: Array) -> Array:
+    def batch_field(self, points: Array, out: Array | None = None) -> Array:
         """The stacked field xi at each row of a ``(C, d)`` array of points,
-        as a C-ordered ``(C, d)`` array.
+        as a C-ordered ``(C, d)`` array: ``out`` when given (a C-ordered
+        ``(C, d)`` float array, which it fills and returns), else a new
+        one.
 
         Row k stacks exactly the ``player_gradient(i, points[k])`` of every
         player i, so a subclass that overrides that per-player hook is
@@ -179,7 +184,7 @@ class Game:
         callable that reuses its output buffer still gives correct rows.
         """
         blocks = [self.partition.block(i) for i in range(self.num_players)]
-        field = np.empty((len(points), self.dim))
+        field = np.empty((len(points), self.dim)) if out is None else out
         for w, row in zip(points, field):
             for i, blk in enumerate(blocks):
                 row[blk] = self.player_gradient(i, w)
@@ -292,16 +297,20 @@ class QuadraticGame(Game):
         # of its iterations per second (2-core Xeon, one BLAS thread).
         self._has_linear = bool(lin_stack.any())
 
-    def batch_field(self, points: Array) -> Array:
-        """All rows at once: ``H w + c``, one matrix-vector product per row.
+    def batch_field(self, points: Array, out: Array | None = None) -> Array:
+        """All rows at once: ``H w + c``, one matrix-vector product per row,
+        written straight into ``out`` (a new array when it is not given).
         Row j of H is row j of its owner's ``B_i``, and OpenBLAS sums it as
         in the per-player ``B_i @ w``, so each row is bit-identical to the
         stacked ``player_gradient``; no BLAS promises that, so a test does.
         """
-        field = np.matmul(self._hessian_matrix, points[:, :, None])[..., 0]
+        if out is None:
+            out = np.empty(points.shape)
+        np.matmul(self._hessian_matrix, points[:, :, None],
+                  out=out[:, :, None])
         if self._has_linear:
-            field += self._offset
-        return field
+            out += self._offset
+        return out
 
     def batch_losses(self, points: Array) -> Array:
         """All rows at once: one ``np.matmul`` of the stacked ``B_i`` over

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import zlib
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 import diffgames as dg
 from diffgames.derivatives import _fd_step
 
-from conftest import CATALOG_DEFAULTS, POTENTIAL_GAMES, TanhGame, rel_err
+from conftest import (CATALOG_DEFAULTS, POTENTIAL_GAMES, CountingGame,
+                      TanhGame, random_realizable_game, rel_err)
 
 
 def trig_game():
@@ -78,6 +80,13 @@ def reusing_trig_game():
                         [lambda w: np.sin(w[0] + 2 * w[1]),
                          lambda w: np.cos(3 * w[0] - w[1])],
                         [gradient(0), gradient(1)])
+
+
+def wide_game(offset):
+    """A realizable quadratic game of 8 players of size 32 (d = 256)."""
+    return random_realizable_game(np.random.default_rng(8),
+                                  dg.PlayerPartition((32,) * 8), 0.5, 1.0,
+                                  offset=offset)
 
 
 class LateWrongLength:
@@ -181,6 +190,32 @@ class TestBatchField:
             assert (reusing.batch_field(points).tobytes()
                     == fresh.batch_field(points).tobytes())
 
+    # Beside the catalog's quadratic games (example3 has offsets), two of
+    # the size of the bench's `wide` game, with and without offsets.
+    OUT_GAMES = {
+        **GAMES,
+        "reusing": reusing_trig_game,
+        "wide": lambda: wide_game(None),
+        "wide-offset": lambda: wide_game(np.linspace(-1.0, 1.0, 256)),
+    }
+
+    @pytest.mark.parametrize("rows", [0, 1, 5])
+    @pytest.mark.parametrize("name", sorted(OUT_GAMES))
+    def test_out_is_filled_bit_for_bit_and_returned(self, name, rows):
+        """Given ``out``, here one row of a block buffer as the Euler loop
+        passes it, the field lands there with the bits of a call without
+        ``out``, and ``out`` itself comes back; the rest of the buffer is
+        left alone."""
+        game = self.OUT_GAMES[name]()
+        points = np.random.default_rng(zlib.crc32(name.encode())).uniform(
+            -1.5, 1.5, (rows, game.dim))
+        fresh = game.batch_field(points)
+        block = np.full((3, rows, game.dim), np.nan)
+        out = block[1]
+        assert game.batch_field(points, out) is out
+        assert out.tobytes() == fresh.tobytes()
+        assert np.isnan(block[[0, 2]]).all()
+
     def test_wrong_length_later_in_a_thvp_batch(self):
         game, bad = late_wrong_length_game()
         bad.arm(2)  # the third of thvp's four points
@@ -271,6 +306,49 @@ class TestThvp:
             v = rng.standard_normal(game.dim)
             assert rel_err(dg.thvp(oracle, w, v),
                            dg.thvp(game, w, v)) <= 1e-6
+
+
+class TestProductVector:
+    """``hvp`` and ``thvp`` check their vector v as ``as_point`` checks a
+    point, before they evaluate anything."""
+
+    @pytest.mark.parametrize("v,message", [
+        ([True, 1], "v must hold numbers, got True"),
+        (["1", 1], "v must hold numbers, got '1'"),
+        ([np.nan, 1], "v has non-finite entries"),
+        ([1.0, -np.inf], "v has non-finite entries"),
+        ([1, 2, 3], "v has length 3, game needs 2"),
+    ])
+    @pytest.mark.parametrize("product", [dg.hvp, dg.thvp])
+    @pytest.mark.parametrize("fd", [False, True], ids=["analytic", "fd"])
+    def test_bad_vector_raises(self, fd, product, v, message):
+        game = dg.catalog_game("example7")
+        game = CountingGame(dg.fd_game(game) if fd else game)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            product(game, [0.5, 0.5], v)
+        assert game.field_evals == 0
+
+    @pytest.mark.parametrize("fd", [False, True], ids=["analytic", "fd"])
+    def test_a_field_that_overflows_is_not_bad_input(self, fd):
+        """The functions that hand on a field they computed take it
+        unchecked: at a finite point where it overflows they return a
+        non-finite value, as the field does."""
+        game = dg.catalog_game("example7")
+        game, w = dg.fd_game(game) if fd else game, [1e308, 1e308]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(dg.simultaneous_gradient(game, w)).any()
+            assert not np.isfinite(dg.stability_probe(game, w))
+            assert not np.isfinite(dg.grad_hamiltonian(game, w)).all()
+            assert not np.isfinite(dg.sym_adjustment(game, w)).all()
+            if not fd:  # a finite-difference Hessian there is not finite
+                assert dg.analyze_point(game, w)["probe"] == np.inf
+
+    @pytest.mark.parametrize("product", [dg.hvp, dg.thvp])
+    def test_whole_numbers_are_numbers(self, product):
+        for game in (dg.catalog_game("example7"),
+                     dg.fd_game(dg.catalog_game("example7"))):
+            assert (product(game, [0.5, 0.5], [2, 1]).tobytes()
+                    == product(game, [0.5, 0.5], [2.0, 1.0]).tobytes())
 
 
 class TestSymAdjustment:

@@ -7,8 +7,8 @@ import pytest
 import diffgames as dg
 from diffgames import dynamics
 
-from conftest import (HAMILTONIAN_GAMES, POTENTIAL_GAMES, plain_game,
-                      random_orthogonal, random_realizable_game,
+from conftest import (HAMILTONIAN_GAMES, POTENTIAL_GAMES, TanhGame,
+                      plain_game, random_orthogonal, random_realizable_game,
                       random_symmetric, rel_err)
 
 
@@ -366,6 +366,42 @@ class TestFusedEvaluation:
             assert np.array_equal(dg.direction(spec, game, w), want)
             traj = dg.run(spec, game, w, 0.1, ONE_STEP)
             assert traj.probes[0] == float(xi @ grad_h)
+
+
+class TestOneStep:
+    """``direction``, ``run``'s first step and ``Trajectory.probes`` are
+    the engine's bound step (``_stepper``) bit for bit, for every rule."""
+
+    GAMES = {
+        "quadratic": lambda: _offset_game(4)[::2],
+        "general": lambda: (TanhGame().build(analytic_hessian=False),
+                            np.array([0.3, -0.2, 0.5, 0.1, -0.4])),
+    }
+
+    @staticmethod
+    def step(spec, game, w, prev_xi=None):
+        out = np.empty((1, game.dim))
+        xi, vec, sign = dynamics._stepper(spec, game)(w[None], prev_xi, out)
+        assert xi is out
+        return xi[0], vec[0], sign
+
+    @pytest.mark.parametrize("name", sorted(GAMES))
+    @pytest.mark.parametrize("kind", dg.KINDS)
+    def test_agree_with_the_stepper(self, kind, name):
+        game, w0 = self.GAMES[name]()
+        spec, eta = dg.AdjusterSpec(kind, lam=0.8), 0.05
+        xi, vec, sign = self.step(spec, game, w0)
+        assert dg.direction(spec, game, w0).tobytes() == vec.tobytes()
+        prev = np.linspace(-1.0, 1.0, game.dim)
+        assert (dg.direction(spec, game, w0, prev_xi=prev).tobytes()
+                == self.step(spec, game, w0, prev[None])[1].tobytes())
+        traj = dg.run(spec, game, w0, eta, ONE_STEP)
+        assert traj.points[1].tobytes() == (w0 - eta * vec).tobytes()
+        assert traj.xi_norms[0] == np.sqrt(xi @ xi)
+        assert traj.signs[0] == np.reshape(sign, -1)[0]
+        xi, grad_h, _ = self.step(dg.AdjusterSpec(dg.HAMILTONIAN_DESCENT),
+                                  game, w0)
+        assert traj.probes[0] == np.vecdot(xi, grad_h)
 
 
 class TestCompatibilityProperties:

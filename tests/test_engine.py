@@ -368,9 +368,9 @@ class CountingQuadraticGame(dg.QuadraticGame):
         super().__init__(game.partition, game.coefficients, game.linear_terms)
         self.calls = 0
 
-    def batch_field(self, points):
+    def batch_field(self, points, out=None):
         self.calls += 1
-        return super().batch_field(points)
+        return super().batch_field(points, out)
 
 
 def processed(end):

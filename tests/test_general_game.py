@@ -134,6 +134,41 @@ class TestNormBoundMidRun:
         assert game.field_evals == sum(end.iteration for end in ends)
 
 
+def overflowing_game(analytic_hessian):
+    """Two scalar players whose field is infinite wherever player 0's
+    coordinate is not 0 (Python floats overflow without a warning)."""
+    hessian = (lambda w: np.diag([1e300 * 1e300, 1.0])) \
+        if analytic_hessian else None
+    return dg.make_game(dg.PlayerPartition((1, 1)),
+                        [lambda w: float(w[0]), lambda w: float(w[1])],
+                        [lambda w: [float(w[0]) * 1e300 * 1e300],
+                         lambda w: [float(w[1])]],
+                        hessian)
+
+
+class TestOverflowingField:
+    """A field that overflows at a finite point is a divergence, not bad
+    input: the loop hands it to its products unchecked, where the public
+    ``hvp`` and ``thvp`` would reject it."""
+
+    @pytest.mark.parametrize("hessian", [True, False],
+                             ids=["analytic", "fd"])
+    @pytest.mark.parametrize("kind", dg.KINDS)
+    def test_run_ends_diverged(self, kind, hessian):
+        game = overflowing_game(hessian)
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = dg.run(dg.AdjusterSpec(kind), game, [0.5, 0.5], ETA)
+            ends, _ = _euler(dg.AdjusterSpec(kind), game,
+                             [[0.5, 0.5], [-2.0, 1.0]], [ETA, 1.0], BUDGET)
+        assert (traj.outcome, traj.outcome_iteration) == (dg.DIVERGED, 0)
+        assert traj.xi_norms.shape == (0,)
+        assert [(end.outcome, end.iteration) for end in ends] == \
+            [(dg.DIVERGED, 0)] * 2
+        with pytest.raises(ValueError, match="^v has non-finite entries$"):
+            dg.thvp(game, [0.5, 0.5], dg.simultaneous_gradient(game,
+                                                               [0.5, 0.5]))
+
+
 class TestFieldEvaluationsPerIteration:
     """Without an analytic Hessian a rule pays only for the products its
     direction uses: the probe diagnostic adds nothing."""
