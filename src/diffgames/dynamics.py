@@ -32,7 +32,12 @@ quadratic game the loop takes a block of steps before it tests for a
 stop: a step inside the block makes only the calls of its field, its
 direction and its update, and keeps its point and field; the losses, read
 only by the stop tests, are then evaluated at all the block's points in
-one call, and one pass makes the tests of every step of the block.
+one call, and one pass makes the tests of every step of the block.  A
+block has 16 steps, or an eighth of the iterations its batch has run once
+that is more (``_block_length``), so a long-running batch pays one pass
+per many steps, and runs at most 15 steps, or under an eighth of those it
+needed, past its last stop.
+
 The norm bound is tested on each point as the step that made it
 finishes: the pass tests every point the block made, the block's last
 one as the first iteration of the next block, and the start points are
@@ -239,14 +244,22 @@ def _products(game: Game):
     given the field rows xi: on a quadratic game one batched matmul with
     the constant Hessian or its transpose, one matrix-vector product per
     row, so bit for bit the row-by-row products; otherwise ``thvp`` and
-    ``hvp`` row by row, unchecked, since the field may have overflowed."""
+    ``hvp`` row by row, unchecked.  A row whose field overflowed stops at
+    that step, so its products are NaN, not evaluated: a finite difference
+    there would call the user's gradients at non-finite points."""
     if isinstance(game, QuadraticGame):
         h = game.hessian_matrix
         return [lambda points, xi, m=m: np.matmul(m, xi[:, :, None])[..., 0]
                 for m in (h.T, h)]
-    return [lambda points, xi, p=p: np.reshape(
-                [p(game, w, x) for w, x in zip(points, xi)], xi.shape)
-            for p in (_thvp, _hvp)]
+
+    def row_by_row(p):
+        def product(points, xi):
+            out = np.full(xi.shape, np.nan)
+            for row in np.flatnonzero(np.isfinite(xi).all(axis=1)):
+                out[row] = p(game, points[row], xi[row])
+            return out
+        return product
+    return [row_by_row(p) for p in (_thvp, _hvp)]
 
 
 def _aligned_signs(xi: Array, at_xi: Array, grad_h: Array,
@@ -354,23 +367,44 @@ class _CellEnd(NamedTuple):
     window: Array
 
 
-# Steps per block on a quadratic game (see ``_block_length``).  A block
-# makes one pass of stop tests for all its steps, which at the small d of
-# the presets halves the NumPy calls per step, while a batch runs at most
-# _BLOCK_STEPS - 1 steps past its last stop.  Blocks of 8 to 64 steps ran
-# the three presets in about the same time; 16 wastes less.
+# The least number of steps in a block on a quadratic game (see
+# ``_block_length``).  A block makes one pass of stop tests for all its
+# steps, which at the small d of the presets halves the NumPy calls per
+# step.  Fixed blocks of 8 to 64 steps ran the three presets in about the
+# same time; 16 wastes less.
 _BLOCK_STEPS = 16
+# A batch that has run t0 iterations takes blocks of t0 // _BLOCK_AGE steps
+# once that is more (from iteration 136 on): the steps it discards past its
+# last stop stay under 1 / _BLOCK_AGE of those it took.  Fixed blocks of 128
+# cost the bench's `wide` cells, which stop at 100 to 120 iterations, half
+# again as many steps.
+_BLOCK_AGE = 8
+# Bytes of one block's points (k steps of C rows of d floats) past which a
+# block grows no longer: a large sweep keeps blocks of _BLOCK_STEPS, while
+# a preset's few rows of d <= 4 grow to hundreds of steps.
+_BLOCK_BYTES = 1 << 18
+# Bytes of gathered loss windows ``_Ledger.window_means`` reduces per call.
+# Temporaries of 64 KB there raised the presets' peak RSS by 0.2 MB (heap
+# fragmentation); at this size they leave it as it was.
+_WINDOW_BYTES = 1 << 14
 
 
-def _block_length(game: Game) -> int:
-    """How many steps the engine takes before it tests for a stop.
+def _block_length(game: Game, t0: int, rows: int, left: int) -> int:
+    """How many steps the engine takes from iteration t0 before it tests
+    for a stop, with ``rows`` cells running and ``left`` iterations of the
+    budget left.
 
-    Only a quadratic game steps in blocks.  The evaluation of any other
-    game runs the user's callables, which must not run past a stop: they
-    may raise there, and on a game without an analytic Hessian such a
+    Only a quadratic game steps in blocks: of ``_BLOCK_STEPS`` steps, or
+    of ``t0 // _BLOCK_AGE`` once that is more and the block's points fit
+    in ``_BLOCK_BYTES``, and never past the budget.  The evaluation of any
+    other game runs the user's callables, which must not run past a stop:
+    they may raise there, and on a game without an analytic Hessian such a
     wasted step costs up to 2d + 1 field evaluations.
     """
-    return _BLOCK_STEPS if isinstance(game, QuadraticGame) else 1
+    if not isinstance(game, QuadraticGame):
+        return 1
+    fit = _BLOCK_BYTES // (8 * rows * game.dim)
+    return min(max(_BLOCK_STEPS, min(t0 // _BLOCK_AGE, fit)), left)
 
 
 def _beyond(w, bound: float) -> Array:
@@ -405,28 +439,41 @@ class _Ledger:
     the block, so every window is one contiguous row slice and sums in the
     order a list of the last span means would.  The window moves k columns
     right per block and back to the front only once past span, which
-    copies span means per row at most once every span steps.  ``compact``
-    drops the stopped rows from every per-row array at once, the caller's
-    too, so state added here follows the batch for free.
+    copies span means per row at most once every span steps; a grown block
+    that does not fit moves it to the front of a buffer with room for
+    blocks of twice its length.  ``compact`` drops the stopped rows from
+    every per-row array at once, the caller's too, so state added here
+    follows the batch for free.
     """
 
-    def __init__(self, count: int, etas, span: int, block: int, dim: int):
+    def __init__(self, count: int, etas, span: int, dim: int):
         self.eta = np.repeat(np.asarray(etas, dtype=float).reshape(-1, 1),
                              dim, axis=1)
         self.rows = np.arange(count)
         self.ends = [None] * count
         self.span, self.t0 = span, 0
-        self._means = np.zeros((count, 2 * span + block))
+        self._means = np.zeros((count, 2 * span + _BLOCK_STEPS))
         self._o = 0     # the column of the oldest mean before the block
 
     def store(self, mean_abs: Array) -> None:
         """Store the block's mean absolute losses, shape (k, C)."""
-        at = self._o + self.span
-        self._means[:, at:at + len(mean_abs)] = mean_abs.T
+        k, span = len(mean_abs), self.span
+        if self._o + span + k > self._means.shape[1]:
+            wider = np.zeros((len(self.rows), 2 * span + 2 * k))
+            wider[:, :span] = self._means[:, self._o:self._o + span]
+            self._means, self._o = wider, 0
+        at = self._o + span
+        self._means[:, at:at + k] = mean_abs.T
 
     def _first(self) -> int:
         """The first step of the block with a full window."""
         return max(self.span - 1 - self.t0, 0)
+
+    def _read(self, k: int) -> Array:
+        """The means that the full windows of the block's k steps read,
+        a view of shape (C, span + k - 1 - ``_first()``)."""
+        o = self._o
+        return self._means[:, o + self._first() + 1:o + self.span + k]
 
     def floor(self, k: int) -> float:
         """A lower bound on the computed mean of every full window of the
@@ -436,19 +483,31 @@ class _Ledger:
         division are monotone, so a window of means that are each at least
         that one comes out at least as large.  A NaN mean makes the bound
         NaN, which fails every comparison."""
-        o = self._o
-        least = self._means[:, o + self._first() + 1:o + self.span + k].min()
+        least = self._read(k).min()
         return np.add.reduce(np.full(self.span, least)) / self.span
 
     def window_means(self, k: int) -> Array:
         """The mean of each step's window, shape (k, C), inf at a step
-        whose window is not yet full."""
-        sums = np.full((k, len(self.rows)), np.inf)
-        for j in range(self._first(), k):
-            start = self._o + j + 1
-            np.add.reduce(self._means[:, start:start + self.span], axis=1,
-                          out=sums[j])
-        return sums / self.span
+        whose window is not yet full.
+
+        Each window sums as a one-row ``np.add.reduce`` of its span means
+        does: ``np.take`` gathers the windows into a new C-ordered
+        ``(C, windows, span)`` array, at most ``_WINDOW_BYTES`` of it at a
+        time, which is reduced along its contiguous last axis.  (A strided
+        sliding-window view would leave the summation order to NumPy's
+        choice of inner axis, and a copy of one grew the process's peak
+        memory from call to call.)
+        """
+        first, c, span = self._first(), len(self.rows), self.span
+        sums = np.full((k, c), np.inf)
+        # Column i of the read means is the first of step first + i's window.
+        read, offsets = self._read(k), np.arange(span)
+        chunk = max(1, _WINDOW_BYTES // (8 * c * span))
+        for lo in range(first, k, chunk):
+            starts = np.arange(lo - first, min(lo + chunk, k) - first)
+            windows = np.take(read, starts[:, None] + offsets, axis=1)
+            sums[lo:lo + len(starts)] = np.add.reduce(windows, axis=2).T
+        return sums / span
 
     def finish(self, row: int, outcome: str, t: int, last: int) -> None:
         """Row ``row`` stops at iteration t with the window of its means
@@ -481,14 +540,16 @@ def _euler(spec: AdjusterSpec, game: Game, starts, etas, stop: StopCriteria,
     Cell c starts at ``starts[c]`` with rate ``etas[c]``.  The state is one
     ``(C, d)`` array; the per-row stop state (cell index, rate, loss means)
     and the ends of the stopped cells are a ``_Ledger``.  The loop steps
-    every cell still running through a block of k steps (``_block_length``)
-    of the rule's bound step (``_stepper``), which writes each step's field
-    into the block's buffer, then takes the losses at the k points it
-    started from (one contiguous run of rows) in one call and decides the
-    stop tests of all k steps at once.  A cell stops at its first step that
-    fires a test, in this order: the norm bound on the point (tested as
-    the step that made it finishes, the starts once before the loop, so no
-    point past it is evaluated), non-finite losses or field, convergence.
+    every cell still running through a block of k steps of the rule's bound
+    step (``_stepper``), which writes each step's field into the block's
+    buffer, then takes the losses at the k points it started from (one
+    contiguous run of rows) in one call and decides the stop tests of all
+    k steps at once.  On a quadratic game k is 16 until iteration 136 and
+    grows with the batch's age from there (``_block_length``).  A cell
+    stops at its first step that fires a test, in this order: the norm
+    bound on the point (tested as the step that made it finishes, the
+    starts once before the loop, so no point past it is evaluated),
+    non-finite losses or field, convergence.
     A cell's outcome, iteration and trailing window are those of its
     stop; the block's later steps of that cell are discarded, and the cell
     leaves the array at the end of the block, so the budget a slow cell
@@ -515,8 +576,7 @@ def _euler(spec: AdjusterSpec, game: Game, starts, etas, stop: StopCriteria,
     n, d = game.num_players, game.dim
     bound, xi_threshold = stop.divergence_norm, stop.xi_threshold
     loss_threshold, max_iters = stop.loss_threshold, stop.max_iters
-    block = _block_length(game)
-    ledger = _Ledger(len(w), etas, stop.loss_window, block, d)
+    ledger = _Ledger(len(w), etas, stop.loss_window, d)
     steps = [(np.zeros((0, n)), np.zeros(0), np.zeros(0))]
     points, prev_xi = [w], None
     step, losses_at = _stepper(spec, game), game.batch_losses
@@ -535,7 +595,7 @@ def _euler(spec: AdjusterSpec, game: Game, starts, etas, stop: StopCriteria,
             (w,) = ledger.compact(~far, w)
         while len(w):
             t0, eta, c = ledger.t0, ledger.eta, len(w)
-            k = min(block, max_iters - t0)
+            k = _block_length(game, t0, c, max_iters - t0)
             done = t0 + k == max_iters
             # The pass decides iterations t0 to t0 + r - 1: the k steps,
             # and the bound on the block's last point unless it is done.

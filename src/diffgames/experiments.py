@@ -22,8 +22,8 @@ import numpy as np
 from . import analysis
 from .derivatives import _hvp, _thvp, simultaneous_gradient
 from .dynamics import (CONVERGED, AdjusterSpec, StopCriteria, _euler,
-                       _number, _spectral_radii, _whole, _why_no_oracle,
-                       check_eta)
+                       _number, _quiet, _spectral_radii, _whole,
+                       _why_no_oracle, check_eta)
 from .games import as_point, catalog_game, default_start
 
 Array = np.ndarray
@@ -220,10 +220,18 @@ def analyze_point(game, w, epsilon: float = AdjusterSpec.epsilon) -> dict:
     Bundles the field, the symmetric/antisymmetric split with its eigendata,
     the game classification, the definiteness probe, and the alignment sign;
     when the point is fixed (within the tolerance of
-    ``classify_fixed_point``), the stability report is included.
+    ``classify_fixed_point``), the stability report is included.  Raises
+    ValueError for a point that ``as_point`` would reject, and for one
+    where the field is not finite, before any Hessian or loss is taken
+    there (on a quadratic game without NumPy's overflow warning; a general
+    game's callables keep the caller's settings).
     """
     w = as_point(game.partition, w)
-    xi = simultaneous_gradient(game, w)
+    with _quiet(game):
+        xi = simultaneous_gradient(game, w)
+    if not np.isfinite(xi).all():
+        raise ValueError(f"the field at {w.tolist()} is not finite: "
+                         f"{xi.tolist()}")
     grad_h = _thvp(game, w, xi)
     at_xi = 0.5 * (grad_h - _hvp(game, w, xi))
 

@@ -94,6 +94,16 @@ class TestAnalyze:
         assert (code, out) == (1, "")
         assert "point has length 3, game needs 4" in err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_field_is_usage_error(self, capsys):
+        # It printed NumPy's overflow warning and a bundle of Infinity,
+        # which is not JSON, and exited 0.
+        code, out, err = invoke(capsys, "analyze", "--game", "example7",
+                                "--at", "1e308,1e308")
+        assert (code, out) == (1, "")
+        assert err == ("diffgames: the field at [1e+308, 1e+308] is not "
+                       "finite: [inf, inf]\n")
+
     def test_nan_epsilon_is_usage_error(self, capsys):
         # As run --epsilon nan: the bias is checked, not turned into a sign.
         code, out, err = invoke(capsys, "analyze", "--game", "example6",

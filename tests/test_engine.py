@@ -270,7 +270,9 @@ def test_outcomes_agree_with_the_oracle(d, kind):
 # step test every step, as a loop without blocks would; each other length k
 # is compared with them, at loss windows and budgets of 1, k - 1, k, k + 1
 # and a few blocks, and at rates from a slow descent to an overflow in one
-# step, so every stop reason falls at several offsets inside a block.
+# step, so every stop reason falls at several offsets inside a block.  The
+# engine's own schedule, whose blocks grow with the batch's age, is compared
+# with them at budgets of a thousand iterations and more.
 BLOCKS = (2, 3, 7, dynamics._BLOCK_STEPS)
 BLOCK_ETAS = (tuple(np.geomspace(1e-2, 4.0, 20))
               + tuple(np.geomspace(10.0, 1e250, 12)))
@@ -279,6 +281,26 @@ BLOCK_SCALES = np.random.default_rng(0).permutation(
 # The cells also run alone: they stop on the loss window, |xi|, the norm
 # bound and the budget at many offsets, and on non-finite values at two.
 RUN_CELLS = [3, 16, 21, 22]
+
+
+def fixed_blocks(patch, k):
+    """Make the engine step a quadratic game in blocks of k steps (the
+    last one cut at the budget) instead of its own schedule."""
+    patch.setattr(dynamics, "_block_length",
+                  lambda game, t0, rows, left: min(k, left))
+
+
+def recorded_blocks(patch):
+    """Record the (t0, k) of every block the engine's own schedule takes,
+    in the list returned."""
+    blocks, schedule = [], dynamics._block_length
+
+    def block_length(game, t0, rows, left):
+        k = schedule(game, t0, rows, left)
+        blocks.append((t0, k))
+        return k
+    patch.setattr(dynamics, "_block_length", block_length)
+    return blocks
 
 
 def block_stops(k):
@@ -309,18 +331,33 @@ class TestBlockLength:
         """The engine's cell ends and the lone runs of the RUN_CELLS, with
         blocks of k steps."""
         with monkeypatch.context() as patch:
-            patch.setattr(dynamics, "_BLOCK_STEPS", k)
+            fixed_blocks(patch, k)
             ends, _ = _euler(spec, game, starts, BLOCK_ETAS, stop)
             runs = [dg.run(spec, game, starts[c], BLOCK_ETAS[c], stop)
                     for c in RUN_CELLS]
         return ends, runs
+
+    def check_against_blocks_of_one(self, ends, runs, ref_ends, ref_runs,
+                                    where):
+        for end, ref in zip(ends, ref_ends, strict=True):
+            assert (end.outcome, end.iteration) == \
+                (ref.outcome, ref.iteration), where
+            assert end.window.tobytes() == ref.window.tobytes(), where
+        for traj, ref in zip(runs, ref_runs, strict=True):
+            for array in TRAJECTORY_ARRAYS:
+                assert getattr(traj, array).tobytes() == \
+                    getattr(ref, array).tobytes(), (where, array)
+            assert (traj.outcome, traj.outcome_iteration) == \
+                (ref.outcome, ref.outcome_iteration), where
 
     @pytest.mark.parametrize("k", BLOCKS)
     @pytest.mark.parametrize("name,params", CATALOG_DEFAULTS)
     def test_results_do_not_depend_on_the_block_length(self, monkeypatch,
                                                        name, params, k):
         game = dg.catalog_game(name, **params)
-        assert dynamics._block_length(game) == dynamics._BLOCK_STEPS
+        # The budgets below end before the engine's blocks grow.
+        assert dynamics._block_length(game, 63, len(BLOCK_ETAS), 64) == \
+            dynamics._BLOCK_STEPS
         rng = np.random.default_rng(zlib.crc32(name.encode()))
         starts = (rng.standard_normal((len(BLOCK_ETAS), game.dim))
                   * BLOCK_SCALES[:, None])
@@ -332,16 +369,9 @@ class TestBlockLength:
                                            stop)
                 ref_ends, ref_runs = self.outcomes(monkeypatch, 1, spec, game,
                                                    starts, stop)
-                for end, ref in zip(ends, ref_ends, strict=True):
-                    assert (end.outcome, end.iteration) == \
-                        (ref.outcome, ref.iteration), where
-                    assert end.window.tobytes() == ref.window.tobytes(), where
-                for traj, ref in zip(runs, ref_runs, strict=True):
-                    for array in TRAJECTORY_ARRAYS:
-                        assert getattr(traj, array).tobytes() == \
-                            getattr(ref, array).tobytes(), (where, array)
-                    assert (traj.outcome, traj.outcome_iteration) == \
-                        (ref.outcome, ref.outcome_iteration), where
+                self.check_against_blocks_of_one(ends, runs, ref_ends,
+                                                 ref_runs, where)
+                for ref in ref_runs:
                     if k == dynamics._BLOCK_STEPS:
                         self.offsets.setdefault(
                             stop_reason(ref, stop), set()).add(
@@ -358,6 +388,56 @@ class TestBlockLength:
         assert set(self.offsets) == {"budget", "loss", "xi", "norm",
                                      "nonfinite"}
         assert all(len(seen) >= 2 for seen in self.offsets.values())
+
+    # Two budgets of 1,200 iterations: a loss window of 10 with |xi| at
+    # 1e-3 and a norm bound of 1e6; and a window of 300 at a loss
+    # threshold of 1e-5 with |xi| at 1e-2 and no norm bound.  From slow
+    # descents to slow blow-ups, every stop reason falls past iteration 136,
+    # where the blocks have grown.
+    GROWN_ETAS = (tuple(np.geomspace(1e-4, 2.0, 20))
+                  + tuple(np.geomspace(2.5, 40.0, 8)))
+    GROWN_STOPS = (
+        dg.StopCriteria(max_iters=1200, loss_window=10, loss_threshold=1e-2,
+                        xi_threshold=1e-3, divergence_norm=1e6),
+        dg.StopCriteria(max_iters=1200, loss_window=300,
+                        loss_threshold=1e-5, xi_threshold=1e-2,
+                        divergence_norm=math.inf))
+    GROWN_RUN_CELLS = (4, 19)
+
+    @pytest.mark.parametrize("name", ["example6", "fig7_four_player"])
+    def test_grown_blocks_equal_blocks_of_one(self, monkeypatch, name):
+        game = dg.catalog_game(name)
+        etas = self.GROWN_ETAS
+        starts = np.random.default_rng(1).standard_normal((len(etas),
+                                                           game.dim))
+        grown = set()
+        for stop in self.GROWN_STOPS:
+            for kind in dg.KINDS:
+                spec = dg.AdjusterSpec(kind, lam=0.5)
+                where = (kind, stop.loss_window)
+                with monkeypatch.context() as patch:
+                    blocks = recorded_blocks(patch)
+                    ends, _ = _euler(spec, game, starts, etas, stop)
+                runs = [dg.run(spec, game, starts[c], etas[c], stop)
+                        for c in self.GROWN_RUN_CELLS]
+                with monkeypatch.context() as patch:
+                    fixed_blocks(patch, 1)
+                    ref_ends, _ = _euler(spec, game, starts, etas, stop)
+                    ref_runs = [dg.run(spec, game, starts[c], etas[c], stop)
+                                for c in self.GROWN_RUN_CELLS]
+                self.check_against_blocks_of_one(ends, runs, ref_ends,
+                                                 ref_runs, where)
+                for end, w0, eta in zip(ends, starts, etas):
+                    reason = stop_reason(
+                        run_quietly(spec, game, w0, eta, stop), stop)
+                    # The pass of the block [t0, t0 + k) tests the bound on
+                    # the points its steps made, iterations t0 + 1 to
+                    # t0 + k, and the other tests at its steps.
+                    t = end.iteration - (reason in ("norm", "budget"))
+                    k = next(k for t0, k in blocks if t0 <= t < t0 + k)
+                    if k > dynamics._BLOCK_STEPS:
+                        grown.add(reason)
+        assert grown == {"budget", "loss", "xi", "norm", "nonfinite"}
 
 
 class CountingQuadraticGame(dg.QuadraticGame):
@@ -380,18 +460,41 @@ def processed(end):
     return end.iteration + (end.outcome == dg.CONVERGED)
 
 
+def waste_bound(last):
+    """The most iterations a batch evaluates past its last stop, which it
+    processed up to iteration ``last``: one less than its last block,
+    which started at an iteration t0 <= last and so has at most
+    max(_BLOCK_STEPS, last // _BLOCK_AGE) steps."""
+    return max(dynamics._BLOCK_STEPS, last // dynamics._BLOCK_AGE) - 1
+
+
 class TestBlockGate:
     """Only a quadratic game steps in blocks, and there a batch evaluates
-    at most BLOCK_STEPS - 1 iterations past its last stop.  A general game
-    evaluates once per iteration (``test_general_game.py``'s
-    ``TestFieldEvaluationsPerIteration``)."""
+    at most ``waste_bound`` iterations past its last stop: _BLOCK_STEPS - 1
+    up to iteration 136, under 1 / _BLOCK_AGE of those it processed from
+    there on.  A general game evaluates once per iteration
+    (``test_general_game.py``'s ``TestFieldEvaluationsPerIteration``)."""
 
-    @pytest.mark.parametrize("sizes", [(1, 1), (8, 8, 8, 8), (32,) * 8])
+    @pytest.mark.parametrize("sizes", [(1, 1), (8, 8, 8, 8), (32,) * 8,
+                                       (2, 2)])
     def test_quadratic_games_step_in_blocks(self, sizes):
         game = random_realizable_game(np.random.default_rng(0),
                                       dg.PlayerPartition(sizes), 0.5, 1.0)
-        assert dynamics._block_length(game) == dynamics._BLOCK_STEPS
-        assert dynamics._block_length(plain_game(game)) == 1
+        length = dynamics._block_length
+        steps = dynamics._BLOCK_STEPS
+        assert length(game, 0, 1, 10**4) == steps
+        assert length(game, 135, 1, 10**4) == steps
+        # A block grows with the batch's age, never past the budget ...
+        assert length(game, 136, 1, 10**4) == 17
+        assert length(game, 200, 1, 10) == 10
+        # ... nor past _BLOCK_BYTES of points, unless it has only
+        # _BLOCK_STEPS: a lone row of d <= 32 grows to 1,000 steps, a
+        # large sweep keeps blocks of 16.
+        fit = dynamics._BLOCK_BYTES // (8 * game.dim)
+        assert length(game, 8000, 1, 10**4) == min(1000, fit)
+        assert length(game, 8000, 1000, 10**4) == max(steps, fit // 1000)
+        assert length(plain_game(game), 0, 1, 10**4) == 1
+        assert length(plain_game(game), 8000, 1, 10**4) == 1
 
     @staticmethod
     def potential_game(sizes):
@@ -420,6 +523,24 @@ class TestBlockGate:
         assert {end.outcome for end in ends} == {dg.CONVERGED, dg.DIVERGED}
         last = max(map(processed, ends))
         assert last <= game.calls <= last + dynamics._BLOCK_STEPS - 1
+
+    @pytest.mark.parametrize("kind", dg.KINDS)
+    def test_evaluates_a_share_of_its_steps_past_a_late_stop(self, kind):
+        # At rate 0.005 every rule converges after more than 136
+        # iterations, inside a grown block.
+        game, w0 = self.potential_game((2, 2))
+        spec, stop = dg.AdjusterSpec(kind), dg.StopCriteria(max_iters=10**4)
+        traj = dg.run(spec, game, w0, 0.005, stop)
+        last = len(traj.xi_norms)
+        assert traj.outcome == dg.CONVERGED and last > 136 + 16
+        assert last <= game.calls <= last + waste_bound(last)
+        game.calls = 0
+        ends, _ = _euler(spec, game, [w0, w0, -w0], (0.005, 0.01, 3.0), stop)
+        assert [end.outcome for end in ends] == \
+            [dg.CONVERGED, dg.CONVERGED, dg.DIVERGED]
+        last = max(map(processed, ends))
+        assert last > 136 + 16
+        assert last <= game.calls <= last + waste_bound(last)
 
 
 def plain_simgd(game, w0, eta, stop):
@@ -459,17 +580,18 @@ class TestStopScreens:
     test (the least loss mean of the block's windows, the largest norm,
     one all-finite test) says so.  Each case sits on the edge of one test,
     where a screen that was not exact would skip a stop, and the engine
-    must then match a plain per-step loop at blocks of one step and of
-    ``_BLOCK_STEPS``."""
+    must then match a plain per-step loop at blocks of one step and at the
+    engine's own blocks."""
 
     def check(self, monkeypatch, game, starts, etas, stop):
         """The plain loop's result for each cell, after checking that the
         engine's equals it."""
         refs = [plain_simgd(game, w0, eta, stop)
                 for w0, eta in zip(starts, etas)]
-        for k in (1, dynamics._BLOCK_STEPS):
+        for k in (1, None):
             with monkeypatch.context() as patch:
-                patch.setattr(dynamics, "_BLOCK_STEPS", k)
+                if k is not None:
+                    fixed_blocks(patch, k)
                 ends, _ = _euler(dg.AdjusterSpec("simgd"), game, starts,
                                  etas, stop)
             for end, (outcome, t, window, _) in zip(ends, refs, strict=True):
@@ -542,3 +664,33 @@ class TestStopScreens:
                       and np.isfinite(w).all()]
         assert nan_at == [16, 14, 8, 6]
         assert refs[4][0] == dg.MAX_ITERS
+
+
+class TestWindowMeans:
+    """``_Ledger.window_means`` sums every window of a block in one reduce
+    over the gathered windows; each must have the bits of one
+    ``np.add.reduce`` of that window alone.  NumPy sums pairwise from 8
+    terms on, so the spans straddle 8, and the blocks include grown ones
+    that move the window to a wider buffer."""
+
+    @pytest.mark.parametrize("rows", [1, 3, 20])
+    @pytest.mark.parametrize("span", [1, 2, 7, 8, 9, 10, 100, 129])
+    def test_each_window_sums_as_a_lone_reduce(self, span, rows):
+        rng = np.random.default_rng(100 * span + rows)
+        ledger = dynamics._Ledger(rows, np.ones(rows), span, 4)
+        history = np.empty((rows, 0))
+        for k in (1, 16, 17, 5, 40, 300):
+            # Means over several orders of magnitude, so that rounding
+            # depends on the order of the sum.
+            means = rng.lognormal(sigma=4.0, size=(k, rows))
+            ledger.store(means)
+            history = np.concatenate([history, means.T], axis=1)
+            want = np.full((k, rows), np.inf)
+            for j in range(k):
+                t = ledger.t0 + j
+                if t + 1 >= span:
+                    for row in range(rows):
+                        window = history[row, t + 1 - span:t + 1]
+                        want[j, row] = np.add.reduce(window) / span
+            assert ledger.window_means(k).tobytes() == want.tobytes(), k
+            ledger.advance(k)

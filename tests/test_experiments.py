@@ -286,6 +286,28 @@ class TestAnalyzePoint:
         with pytest.raises(ValueError, match="non-finite"):
             dg.analyze_point(game, [bad, 1.0])
 
+    # The analytic build returned a bundle of infinities here, which is not
+    # valid JSON, and warned; the finite-difference one raised a ValueError
+    # from deep in the Hessian that named no input.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rejects_a_point_where_the_field_overflows(self, monkeypatch):
+        message = (r"^the field at \[1e\+308, 1e\+308\] is not finite: "
+                   r"\[inf, inf\]$")
+        game = dg.catalog_game("example7")
+        fd = CountingGame(dg.fd_game(game))
+        # A general game's callables run under the caller's settings.
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match=message):
+                dg.analyze_point(fd, [1e308, 1e308])
+        assert fd.field_evals == 1
+
+        def taken(*args):
+            raise AssertionError("a Hessian or loss was taken")
+        for name in ("analytic_hessian", "loss_vector", "batch_losses"):
+            monkeypatch.setattr(dg.QuadraticGame, name, taken)
+        with pytest.raises(ValueError, match=message):
+            dg.analyze_point(game, [1e308, 1e308])
+
     def test_json_ready(self):
         game = dg.catalog_game("example6")
         bundle = dg.analyze_point(game, [0.0, 0.0])

@@ -169,6 +169,47 @@ class TestOverflowingField:
                                                                [0.5, 0.5]))
 
 
+def recording_game(seen):
+    """Player 0's gradient overflows where w_0 > 1 and is w_0 elsewhere,
+    player 1's is w_1; every point a callable is given is appended to
+    ``seen``."""
+    def recorded(f):
+        def call(w):
+            seen.append(np.array(w, dtype=float))
+            return f(w)
+        return call
+
+    return dg.make_game(
+        dg.PlayerPartition((1, 1)),
+        [recorded(lambda w: float(w[0])), recorded(lambda w: float(w[1]))],
+        [recorded(lambda w: [float(w[0]) * (1e300 * 1e300 if w[0] > 1
+                                            else 1.0)]),
+         recorded(lambda w: [float(w[1])])])
+
+
+class TestNoCallsAtNonFinitePoints:
+    """A row whose field overflowed stops at that step, so the loop takes
+    no Hessian product there: a finite-difference hvp of a non-finite v
+    would call the user's gradients at w +- h * nan."""
+
+    @pytest.mark.parametrize("kind", dg.KINDS)
+    def test_callables_see_only_finite_points(self, kind):
+        seen = []
+        game, spec = recording_game(seen), dg.AdjusterSpec(kind)
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = dg.run(spec, game, [2.0, 0.5], ETA)
+            ends, _ = _euler(spec, game, [[2.0, 0.5], [0.5, 0.5]],
+                             [ETA, ETA], BUDGET)
+        assert (traj.outcome, traj.outcome_iteration) == (dg.DIVERGED, 0)
+        assert (ends[0].outcome, ends[0].iteration) == (dg.DIVERGED, 0)
+        assert seen and all(np.isfinite(w).all() for w in seen), kind
+        # The finite row is the lone run of its cell.
+        (alone,), _ = _euler(spec, game, [[0.5, 0.5]], [ETA], BUDGET)
+        assert (ends[1].outcome, ends[1].iteration) == \
+            (alone.outcome, alone.iteration) == (dg.MAX_ITERS, ITERS)
+        assert ends[1].window.tobytes() == alone.window.tobytes()
+
+
 class TestFieldEvaluationsPerIteration:
     """Without an analytic Hessian a rule pays only for the products its
     direction uses: the probe diagnostic adds nothing."""
