@@ -64,25 +64,27 @@ in a block where one does.
 
 The loop itself keeps only the block loop, the in-block step and that
 pass.  The per-row stop state is one ``_Ledger``: each row's cell index
-and rate, the buffer of its trailing loss means, and the ends of the
-cells that stopped.  The ledger takes a block's means, answers the
-screen's window floor and the per-step window means, records a stop,
-and drops the stopped rows from every per-row array at once, so state
-added to it follows the batch without another compaction site.
+and rate, its mean losses over the span steps before the block and over
+the block's own, and the ends of the cells that stopped.  The ledger
+takes a block's means into a new array whose column span is the block's
+first step, answers the screen's window floor and the per-step window
+means, records a stop, and drops the stopped rows from every per-row
+array at once, so state added to it follows the batch without another
+compaction site.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .derivatives import _hvp, _thvp
-from .games import Game, QuadraticGame, _as_vector, as_point
+from .games import (Game, QuadraticGame, _as_vector, _number, _whole,
+                    as_point)
 
 Array = np.ndarray
 
@@ -155,23 +157,6 @@ class StopCriteria:
             raise ValueError("max_iters must be positive")
         if not (1 <= self.loss_window <= self.max_iters):
             raise ValueError("need 1 <= loss_window <= max_iters")
-
-
-def _number(value, what: str) -> float:
-    """A real number (True is not one), as a float; ``what`` names it in
-    the error."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{what} must be a number, got {value!r}")
-    return float(value)
-
-
-def _whole(value, what: str) -> int:
-    """A number >= 0 with no fractional part (2.0 is one; 2.5 and True are
-    not), as an int; ``what`` names it in the error."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not float(value).is_integer() or value < 0):
-        raise ValueError(f"{what} must be a whole number >= 0, got {value!r}")
-    return int(value)
 
 
 def check_eta(eta: float) -> float:
@@ -434,16 +419,15 @@ class _Ledger:
     (the rate repeated d times: at small d a broadcast would cost a step
     more than its product); ``ends[c]`` is cell c's ``_CellEnd`` once it
     stops.  ``t0`` is the first iteration of the current block.  Row i of
-    the means buffer holds the row's mean absolute losses, oldest first:
-    those of the span steps before the block, then that of each step of
-    the block, so every window is one contiguous row slice and sums in the
-    order a list of the last span means would.  The window moves k columns
-    right per block and back to the front only once past span, which
-    copies span means per row at most once every span steps; a grown block
-    that does not fit moves it to the front of a buffer with room for
-    blocks of twice its length.  ``compact`` drops the stopped rows from
-    every per-row array at once, the caller's too, so state added here
-    follows the batch for free.
+    the means array holds the row's mean absolute losses, oldest first:
+    those of the span steps before the block (0 before iteration 0, which
+    no full window reads), then that of each step of the block, so every
+    window is one contiguous row slice and sums in the order a list of the
+    last span means would, and column span is always the block's first
+    step.  ``store`` makes a new array per block from the last span means
+    and the block's; none is written after it is made.  ``compact`` drops
+    the stopped rows from every per-row array at once, the caller's too,
+    so state added here follows the batch for free.
     """
 
     def __init__(self, count: int, etas, span: int, dim: int):
@@ -452,18 +436,12 @@ class _Ledger:
         self.rows = np.arange(count)
         self.ends = [None] * count
         self.span, self.t0 = span, 0
-        self._means = np.zeros((count, 2 * span + _BLOCK_STEPS))
-        self._o = 0     # the column of the oldest mean before the block
+        self._means = np.zeros((count, span))
 
     def store(self, mean_abs: Array) -> None:
         """Store the block's mean absolute losses, shape (k, C)."""
-        k, span = len(mean_abs), self.span
-        if self._o + span + k > self._means.shape[1]:
-            wider = np.zeros((len(self.rows), 2 * span + 2 * k))
-            wider[:, :span] = self._means[:, self._o:self._o + span]
-            self._means, self._o = wider, 0
-        at = self._o + span
-        self._means[:, at:at + k] = mean_abs.T
+        self._means = np.concatenate(
+            (self._means[:, -self.span:], mean_abs.T), axis=1)
 
     def _first(self) -> int:
         """The first step of the block with a full window."""
@@ -472,8 +450,7 @@ class _Ledger:
     def _read(self, k: int) -> Array:
         """The means that the full windows of the block's k steps read,
         a view of shape (C, span + k - 1 - ``_first()``)."""
-        o = self._o
-        return self._means[:, o + self._first() + 1:o + self.span + k]
+        return self._means[:, self._first() + 1:self.span + k]
 
     def floor(self, k: int) -> float:
         """A lower bound on the computed mean of every full window of the
@@ -512,7 +489,7 @@ class _Ledger:
     def finish(self, row: int, outcome: str, t: int, last: int) -> None:
         """Row ``row`` stops at iteration t with the window of its means
         up to iteration ``last``."""
-        end = self._o + self.span + last - self.t0 + 1
+        end = self.span + last - self.t0 + 1
         self.ends[self.rows[row]] = _CellEnd(
             outcome, t,
             self._means[row, end - min(last + 1, self.span):end].copy())
@@ -526,11 +503,7 @@ class _Ledger:
 
     def advance(self, k: int) -> None:
         """Close a block of k steps."""
-        self.t0, o = self.t0 + k, self._o + k
-        if o > self.span:
-            self._means[:, :self.span] = self._means[:, o:o + self.span]
-            o = 0
-        self._o = o
+        self.t0 += k
 
 
 def _euler(spec: AdjusterSpec, game: Game, starts, etas, stop: StopCriteria,

@@ -22,9 +22,8 @@ import numpy as np
 from . import analysis
 from .derivatives import _hvp, _thvp, simultaneous_gradient
 from .dynamics import (CONVERGED, AdjusterSpec, StopCriteria, _euler,
-                       _number, _quiet, _spectral_radii, _whole,
-                       _why_no_oracle, check_eta)
-from .games import as_point, catalog_game, default_start
+                       _quiet, _spectral_radii, _why_no_oracle, check_eta)
+from .games import _number, _whole, as_point, catalog_game, default_start
 
 Array = np.ndarray
 

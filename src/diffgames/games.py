@@ -25,6 +25,24 @@ Array = np.ndarray
 _SYM_TOL = 1e-12
 
 
+def _number(value, what: str) -> float:
+    """A real number (True is not one), as a float; ``what`` names it in
+    the error."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _whole(value, what: str, least: int = 0) -> int:
+    """A number >= ``least`` with no fractional part (2.0 is one; 2.5 and
+    True are not), as an int; ``what`` names it in the error."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not float(value).is_integer() or value < least):
+        raise ValueError(
+            f"{what} must be a whole number >= {least}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class PlayerPartition:
     """How a flat parameter vector of length d splits among n players.
@@ -32,17 +50,16 @@ class PlayerPartition:
     Parameters
     ----------
     sizes : tuple of int
-        Number of parameters controlled by each player; all must be >= 1.
+        Number of parameters controlled by each player; all must be whole
+        numbers >= 1 (2.0 is one; 1.5, True and "2" are not).
     """
 
     sizes: tuple[int, ...]
 
     def __post_init__(self):
-        sizes = tuple(int(s) for s in self.sizes)
+        sizes = tuple(_whole(s, "player size", 1) for s in self.sizes)
         if len(sizes) == 0:
             raise ValueError("a game needs at least one player")
-        if any(s < 1 for s in sizes):
-            raise ValueError(f"player sizes must be >= 1, got {sizes}")
         object.__setattr__(self, "sizes", sizes)
 
     @property
@@ -356,6 +373,7 @@ def quadratic_game_from_hessian(partition, hessian, offset=None) -> QuadraticGam
     players by block.
     """
     d = partition.total
+    offset = np.zeros(d) if offset is None else _as_vector(offset, d, "offset")
     h = np.asarray(hessian, dtype=float)
     if h.shape != (d, d):
         raise ValueError(f"hessian is not {d}x{d}")
@@ -376,8 +394,7 @@ def quadratic_game_from_hessian(partition, hessian, offset=None) -> QuadraticGam
         b[:, blk] = h[blk, :].T
         coeffs.append(b)
         v = np.zeros(d)
-        if offset is not None:
-            v[blk] = np.asarray(offset, dtype=float)[blk]
+        v[blk] = offset[blk]
         linear.append(v)
     return QuadraticGame(partition, coeffs, linear)
 
@@ -404,18 +421,9 @@ def _zeros(k):
     return np.zeros((k, k))
 
 
-def _dimension(dim) -> int:
-    """A player dimension: a whole number >= 1 (the command line passes
-    every parameter as a float, so 2.0 is one)."""
-    value = float(dim)
-    if not (value.is_integer() and value >= 1):
-        raise ValueError(f"dim must be a whole number >= 1, got {dim}")
-    return int(value)
-
-
 def _build_example1(dim=2, payoff=None):
     """Zero-sum bilinear bimatrix game; the field rotates around the origin."""
-    dim = _dimension(dim)    # checked even where a payoff overrides it
+    dim = _whole(dim, "dim", 1)    # checked even where a payoff overrides it
     a = np.eye(dim) if payoff is None else np.atleast_2d(
         np.asarray(payoff, dtype=float))
     dx, dy = a.shape
@@ -425,7 +433,7 @@ def _build_example1(dim=2, payoff=None):
 
 def _build_example2(dim=1, p=None, q=None):
     """General bilinear bimatrix game with separate payoff matrices."""
-    dim = _dimension(dim)    # checked even where p and q override it
+    dim = _whole(dim, "dim", 1)    # checked even where p and q override it
     pm = np.eye(dim) if p is None else np.atleast_2d(np.asarray(p, float))
     qm = np.eye(dim) if q is None else np.atleast_2d(np.asarray(q, float))
     if pm.shape != qm.shape:
@@ -579,13 +587,7 @@ def catalog_game(name: str, **params) -> QuadraticGame:
         )
     for key, value in params.items():
         if isinstance(defaults[key], (int, float)):
-            try:
-                float(value)
-            except (TypeError, ValueError):
-                raise ValueError(
-                    f"parameter {key!r} of game {name!r} must be a number, "
-                    f"got {value!r}"
-                ) from None
+            _number(value, f"parameter {key!r} of game {name!r}")
     # A non-finite parameter may make NaN on its way to the coefficients;
     # the game rejects it, so NumPy need not warn about it first.
     with np.errstate(invalid="ignore"):

@@ -523,6 +523,9 @@ class TestOneCodec:
         ("fig3_weak_attractor", {"coupling": [10.0]}),
         ("example5", {"kappa": {"value": 1.0}}),
         ("fig4_bilinear", {"dim": None}),
+        ("fig3_weak_attractor", {"coupling": True}),
+        ("example5", {"kappa": "3"}),
+        ("fig4_bilinear", {"dim": True}),
     ])
     def test_non_numeric_catalog_parameter_is_usage_error(self, capsys,
                                                           tmp_path, game,

@@ -671,7 +671,8 @@ class TestWindowMeans:
     over the gathered windows; each must have the bits of one
     ``np.add.reduce`` of that window alone.  NumPy sums pairwise from 8
     terms on, so the spans straddle 8, and the blocks include grown ones
-    that move the window to a wider buffer."""
+    longer than the span.  ``finish`` must cut each row's window from the
+    means at a stop on the block's first step and on its last."""
 
     @pytest.mark.parametrize("rows", [1, 3, 20])
     @pytest.mark.parametrize("span", [1, 2, 7, 8, 9, 10, 100, 129])
@@ -693,4 +694,10 @@ class TestWindowMeans:
                         window = history[row, t + 1 - span:t + 1]
                         want[j, row] = np.add.reduce(window) / span
             assert ledger.window_means(k).tobytes() == want.tobytes(), k
+            for last in (ledger.t0 - 1, ledger.t0 + k - 1):
+                for row in range(rows):
+                    ledger.finish(row, dynamics.CONVERGED, last + 1, last)
+                    window = history[row, max(last + 1 - span, 0):last + 1]
+                    assert (ledger.ends[row].window.tobytes()
+                            == window.tobytes()), (k, last, row)
             ledger.advance(k)

@@ -31,6 +31,15 @@ class TestPlayerPartition:
         with pytest.raises(ValueError):
             dg.PlayerPartition(())
 
+    @pytest.mark.parametrize("sizes", [(1.5, 1), (True, 1), ("2", 1)])
+    def test_rejects_sizes_that_are_not_whole_numbers(self, sizes):
+        with pytest.raises(ValueError, match="player size must be a whole "
+                                             "number"):
+            dg.PlayerPartition(sizes)
+
+    def test_whole_float_sizes_become_ints(self):
+        assert dg.PlayerPartition((2.0, np.int64(1))).sizes == (2, 1)
+
 
 class TestPoint:
     def test_length_checked(self):
@@ -166,6 +175,10 @@ class TestCatalog:
         ("example3", "a", {"x": 1.0}),
         ("example1", "dim", None),
         ("example5", "kappa", "steep"),
+        ("fig3_weak_attractor", "coupling", True),
+        ("example5", "kappa", "3"),
+        ("example1", "dim", True),
+        ("fig4_bilinear", "dim", "3"),
     ])
     def test_non_numeric_parameter_rejected(self, name, key, value):
         with pytest.raises(ValueError, match=f"parameter '{key}' of game "
@@ -335,6 +348,16 @@ class TestGameFromHessian:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="hessian is not finite"):
                 dg.quadratic_game_from_hessian(p, h)
+
+    @pytest.mark.parametrize("offset,said", [
+        ([1.0, 2.0, 3.0], "offset has length 3, game needs 2"),
+        ([1.0], "offset has length 1, game needs 2"),
+        ([True, 0.0], "offset must hold numbers, got True"),
+    ])
+    def test_offset_checked_as_a_vector(self, offset, said):
+        p = dg.PlayerPartition((1, 1))
+        with pytest.raises(ValueError, match=said):
+            dg.quadratic_game_from_hessian(p, np.eye(2), offset=offset)
 
     def test_offset_realized_in_field(self):
         rng = np.random.default_rng(2)
