@@ -15,7 +15,7 @@ import numpy as np
 
 from .derivatives import _thvp, full_hessian, simultaneous_gradient
 from .dynamics import AdjusterSpec, _aligned_signs, check_epsilon
-from .games import Game, QuadraticGame, as_point
+from .games import Game, QuadraticGame, _as_vector, as_point
 
 Array = np.ndarray
 
@@ -233,12 +233,14 @@ def alignment_sign(xi, at_xi, grad_h,
     fixed points; note the product scales like |xi|^4, so a fixed epsilon
     dominates near fixed points (epsilon is exposed for exactly that reason).
     Raises ValueError for an epsilon that is negative or NaN, as
-    ``AdjusterSpec`` does.
+    ``AdjusterSpec`` does, and for a vector that ``as_point`` would reject
+    as a point of xi's length, naming it.
     """
     check_epsilon(epsilon)
+    d = np.size(xi)
     # One contiguous row each: BLAS may sum a strided row in another order.
-    rows = [np.array(v, dtype=float).reshape(1, -1)
-            for v in (xi, at_xi, grad_h)]
+    rows = [np.array(_as_vector(v, d, what), ndmin=2) for v, what in
+            ((xi, "xi"), (at_xi, "at_xi"), (grad_h, "grad_h"))]
     return float(_aligned_signs(*rows, epsilon)[0])
 
 
@@ -249,11 +251,13 @@ def infinitesimal_alignment(u, v, w) -> float:
         2 <u,w> (<v,w> |u|^2 - <u,w> <u,v>) / (|u|^4 |w|^2)
 
     Positive values mean a small positive lambda bends u toward w when they
-    already point the same way, or away from w when they do not.
+    already point the same way, or away from w when they do not.  Raises
+    ValueError for a vector that ``as_point`` would reject as a point of
+    u's length, naming it, and for a zero u or w.
     """
-    u = np.asarray(u, dtype=float).reshape(-1)
-    v = np.asarray(v, dtype=float).reshape(-1)
-    w = np.asarray(w, dtype=float).reshape(-1)
+    d = np.size(u)
+    u, v, w = (_as_vector(x, d, what)
+               for x, what in ((u, "u"), (v, "v"), (w, "w")))
     uu = float(u @ u)
     ww = float(w @ w)
     if uu == 0.0 or ww == 0.0:

@@ -9,8 +9,6 @@ unexpected errors).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 
@@ -19,7 +17,8 @@ import numpy as np
 from .dynamics import KINDS, AdjusterSpec, StopCriteria, run
 from .experiments import (PRESETS, SCHEMA_VERSION, SweepConfig,
                           analyze_point, config_from_json, run_preset,
-                          serialize, sweep, _STOP_FIELDS, _trailing_loss)
+                          serialize, sweep, _STOP_FIELDS, _csv_bytes,
+                          _json_bytes, _trailing_loss)
 from .games import CATALOG, catalog_game, default_start
 
 
@@ -162,41 +161,33 @@ def _emit(data: bytes, out_path) -> None:
 
 def _cmd_list_games(args) -> int:
     if args.format == "json":
-        doc = [{"name": e.name, "params": e.defaults, "summary": e.summary}
-               for e in CATALOG.values()]
-        _emit((json.dumps(doc, indent=2) + "\n").encode(), args.out)
+        _emit(_json_bytes([{"name": e.name, "params": e.defaults,
+                            "summary": e.summary}
+                           for e in CATALOG.values()]), args.out)
         return 0
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["name", "parameters", "summary"])
-    for e in CATALOG.values():
-        params = ", ".join(f"{k}={v}" for k, v in e.defaults.items())
-        writer.writerow([e.name, params, e.summary])
-    _emit(buf.getvalue().encode(), args.out)
+    _emit(_csv_bytes(["name", "parameters", "summary"], (
+        [e.name, ", ".join(f"{k}={v}" for k, v in e.defaults.items()),
+         e.summary] for e in CATALOG.values())), args.out)
     return 0
 
 
 def _cmd_analyze(args) -> int:
     game = catalog_game(args.game, **_parse_params(args.params))
     at = _parse_vector(args.at)
-    bundle = analyze_point(game, at, epsilon=args.epsilon)
-    _emit((json.dumps(bundle, indent=2) + "\n").encode(), args.out)
+    _emit(_json_bytes(analyze_point(game, at, epsilon=args.epsilon)),
+          args.out)
     return 0
 
 
 def _trajectory_csv(traj, game) -> bytes:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    d = game.dim
-    writer.writerow(["iter"] + [f"w{j}" for j in range(d)]
-                    + ["mean_abs_loss", "xi_norm", "probe", "sign"])
     means = traj.mean_abs_losses()
-    for t in range(len(means)):
-        writer.writerow([t] + [repr(float(x)) for x in traj.points[t]]
-                        + [repr(float(means[t])), repr(float(traj.xi_norms[t])),
-                           repr(float(traj.probes[t])),
-                           repr(float(traj.signs[t]))])
-    return buf.getvalue().encode()
+    return _csv_bytes(
+        ["iter"] + [f"w{j}" for j in range(game.dim)]
+        + ["mean_abs_loss", "xi_norm", "probe", "sign"],
+        ([t] + [repr(float(x)) for x in traj.points[t]]
+         + [repr(float(means[t])), repr(float(traj.xi_norms[t])),
+            repr(float(traj.probes[t])), repr(float(traj.signs[t]))]
+         for t in range(len(means))))
 
 
 def _cmd_run(args) -> int:
@@ -224,7 +215,7 @@ def _cmd_run(args) -> int:
         "trailing_loss": _trailing_loss(traj.mean_abs_losses(),
                                         stop.loss_window),
     }
-    _emit((json.dumps(summary, indent=2) + "\n").encode(), args.out)
+    _emit(_json_bytes(summary), args.out)
     return 0
 
 

@@ -685,21 +685,30 @@ def _why_no_oracle(spec: AdjusterSpec, game: Game) -> str | None:
     return None
 
 
-def _iteration_matrices(spec: AdjusterSpec, game: QuadraticGame,
-                        etas) -> Array:
-    """The ``(E, m, m)`` stack of ``iteration_matrix`` at E rates, bit for
-    bit.
-
-    The expressions are those of a lone matrix with eta an ``(E, 1, 1)``
-    array, so each entry takes the same operations in the same order
-    (``(eta * P) @ h`` for a rule ``I - eta P h``), and a stacked matmul
-    multiplies each matrix as a lone one does.
-    """
-    eta = np.array([check_eta(e) for e in etas]).reshape(-1, 1, 1)
+def _hessian_of(spec: AdjusterSpec, game: Game, eta) -> Array:
+    """The game Hessian a public oracle call at ``eta`` reads, once it has
+    passed that call's checks: ``check_eta``, then ``_why_no_oracle``."""
+    check_eta(eta)
     reason = _why_no_oracle(spec, game)
     if reason is not None:
         raise ValueError(reason)
-    h = game.hessian_matrix
+    return game.hessian_matrix
+
+
+def _iteration_matrices(spec: AdjusterSpec, h: Array, etas) -> Array:
+    """The ``(E, m, m)`` stack of the rule's iteration matrices on the game
+    Hessian ``h`` at E rates, bit for bit ``iteration_matrix`` on a game
+    whose ``hessian_matrix`` is ``h``.
+
+    This is the oracle's arithmetic alone: it reads no game and checks
+    nothing, so ``h`` may be any finite square matrix, and the rates are
+    ones ``check_eta`` accepts; the callers decide where the oracle
+    applies.  The expressions are those of a lone matrix with eta an
+    ``(E, 1, 1)`` array, so each entry takes the same operations in the
+    same order (``(eta * P) @ h`` for a rule ``I - eta P h``), and a
+    stacked matmul multiplies each matrix as a lone one does.
+    """
+    eta = np.array(etas, dtype=float).reshape(-1, 1, 1)
     d = h.shape[0]
     eye = np.eye(d)
     if spec.kind == SIMGD:
@@ -726,23 +735,25 @@ def _iteration_matrices(spec: AdjusterSpec, game: QuadraticGame,
 _ORACLE_STACK_BYTES = 1 << 18
 
 
-def _spectral_radii(spec: AdjusterSpec, game: QuadraticGame,
-                    etas) -> list[float]:
-    """The spectral radius of ``iteration_matrix`` at each rate, bit for
-    bit as a lone ``spectral_oracle`` takes it.
+def _spectral_radii(spec: AdjusterSpec, h: Array, etas) -> list[float]:
+    """The spectral radius of the rule's iteration matrix on the game
+    Hessian ``h`` at each rate, bit for bit as a lone ``spectral_oracle``
+    takes it on a game whose ``hessian_matrix`` is ``h``.  Like
+    ``_iteration_matrices`` it reads no game and checks no input.
 
     The matrices are built in stacks of at most ``_ORACLE_STACK_BYTES``
     (or one matrix) and each stack is decomposed by one ``eigvals`` call,
     which LAPACK runs matrix by matrix as it runs a lone one.  Raises the
     ValueError of ``spectral_oracle`` at the first rate, in the given
-    order, whose matrix or radius is not finite.
+    order, whose matrix or radius is not finite, naming that rate as
+    given.
     """
-    size = 2 * game.dim if spec.kind == OMD else game.dim
+    size = 2 * len(h) if spec.kind == OMD else len(h)
     count = max(1, _ORACLE_STACK_BYTES // (8 * size * size))
     radii = []
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, len(etas), count):
-            m = _iteration_matrices(spec, game, etas[lo:lo + count])
+            m = _iteration_matrices(spec, h, etas[lo:lo + count])
             finite = np.isfinite(m).all(axis=(1, 2))
             # eigvals rejects a non-finite matrix: decompose the ones
             # before the first (a view, not a copy).
@@ -766,7 +777,7 @@ def iteration_matrix(spec: AdjusterSpec, game: QuadraticGame,
     non-aligned rule reduces to ``w_next = M w`` (omd needs its companion
     form on the doubled state (w_t, w_{t-1})).
     """
-    return _iteration_matrices(spec, game, (eta,))[0]
+    return _iteration_matrices(spec, _hessian_of(spec, game, eta), (eta,))[0]
 
 
 def spectral_oracle(spec: AdjusterSpec, game: QuadraticGame,
@@ -779,6 +790,6 @@ def spectral_oracle(spec: AdjusterSpec, game: QuadraticGame,
     eigendecomposition call for all of a rule's rates (per
     ``_ORACLE_STACK_BYTES`` of matrices).
     """
-    (rho,) = _spectral_radii(spec, game, (eta,))
+    (rho,) = _spectral_radii(spec, _hessian_of(spec, game, eta), (eta,))
     return SpectralPrediction(spectral_radius=rho,
                               predicts_convergence=rho < 1.0)

@@ -21,8 +21,9 @@ import numpy as np
 
 from . import analysis
 from .derivatives import _hvp, _thvp, simultaneous_gradient
-from .dynamics import (CONVERGED, AdjusterSpec, StopCriteria, _euler,
-                       _quiet, _spectral_radii, _why_no_oracle, check_eta)
+from .dynamics import (CONVERGED, AdjusterSpec, StopCriteria, _aligned_signs,
+                       _euler, _quiet, _spectral_radii, _why_no_oracle,
+                       check_epsilon, check_eta)
 from .games import _number, _whole, as_point, catalog_game, default_start
 
 Array = np.ndarray
@@ -141,7 +142,7 @@ def sweep(config: SweepConfig) -> list[SweepCell]:
 
     cells = []
     for spec in config.adjusters:
-        rhos = (_spectral_radii(spec, game, config.etas)
+        rhos = (_spectral_radii(spec, game.hessian_matrix, config.etas)
                 if _why_no_oracle(spec, game) is None
                 else [None] * len(config.etas))
         grid = [(ei, w0) for ei in range(len(config.etas))
@@ -220,12 +221,14 @@ def analyze_point(game, w, epsilon: float = AdjusterSpec.epsilon) -> dict:
     the game classification, the definiteness probe, and the alignment sign;
     when the point is fixed (within the tolerance of
     ``classify_fixed_point``), the stability report is included.  Raises
-    ValueError for a point that ``as_point`` would reject, and for one
-    where the field is not finite, before any Hessian or loss is taken
-    there (on a quadratic game without NumPy's overflow warning; a general
-    game's callables keep the caller's settings).
+    ValueError for a point that ``as_point`` would reject, for an epsilon
+    that ``AdjusterSpec`` would, and for a point where the field is not
+    finite, before any Hessian or loss is taken there (on a quadratic game
+    without NumPy's overflow warning; a general game's callables keep the
+    caller's settings).
     """
     w = as_point(game.partition, w)
+    check_epsilon(epsilon)
     with _quiet(game):
         xi = simultaneous_gradient(game, w)
     if not np.isfinite(xi).all():
@@ -239,6 +242,9 @@ def analyze_point(game, w, epsilon: float = AdjusterSpec.epsilon) -> dict:
     # Sampled at w and, for a non-quadratic game, 8 points 1e-3 around it:
     # each full Hessian serves the class, the split and the report.
     game_class, dec, report = analysis._classify_point(game, w, xi_norm)
+    # ``alignment_sign`` without its checks, of vectors computed here: the
+    # engine's sign of one contiguous row each.
+    rows = [np.array(v, dtype=float, ndmin=2) for v in (xi, at_xi, grad_h)]
 
     bundle = {
         "schema_version": SCHEMA_VERSION,
@@ -253,7 +259,7 @@ def analyze_point(game, w, epsilon: float = AdjusterSpec.epsilon) -> dict:
         "s_eigenvalues": dec.s_eigenvalues.tolist(),
         "additive_condition_number": dec.additive_condition_number,
         "probe": float(xi @ grad_h),
-        "alignment_sign": analysis.alignment_sign(xi, at_xi, grad_h, epsilon),
+        "alignment_sign": float(_aligned_signs(*rows, epsilon)[0]),
         "is_fixed_point": report is not None,
         "stability": None,
         "local_nash": None,
@@ -273,6 +279,22 @@ def _cell_record(cell: SweepCell) -> dict:
     return dict(zip(CSV_COLUMNS, vars(cell).values(), strict=True))
 
 
+def _csv_bytes(header, rows) -> bytes:
+    """The package's one CSV encoder: a header row, then the rows, each
+    line ending in a newline.  The writer spells a float as its repr and
+    None as an empty field."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode()
+
+
+def _json_bytes(doc) -> bytes:
+    """The package's one JSON encoder: indented by two, newline-ended."""
+    return (json.dumps(doc, indent=2) + "\n").encode()
+
+
 def serialize(cells: list[SweepCell], format: str = "csv") -> bytes:
     """Encode sweep cells as CSV or JSON bytes.
 
@@ -280,16 +302,11 @@ def serialize(cells: list[SweepCell], format: str = "csv") -> bytes:
     applies.  The JSON mirrors the same records under a schema version.
     """
     if format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        # The writer spells a float as its repr and None as an empty field.
-        writer.writerows(_cell_record(c).values() for c in cells)
-        return buf.getvalue().encode()
+        return _csv_bytes(CSV_COLUMNS,
+                          (_cell_record(c).values() for c in cells))
     if format == "json":
-        doc = {"schema_version": SCHEMA_VERSION,
-               "cells": [_cell_record(c) for c in cells]}
-        return (json.dumps(doc, indent=2) + "\n").encode()
+        return _json_bytes({"schema_version": SCHEMA_VERSION,
+                            "cells": [_cell_record(c) for c in cells]})
     raise ValueError(f"unknown format {format!r}; use 'csv' or 'json'")
 
 
@@ -311,9 +328,16 @@ def _etas_from_json(spec) -> tuple[float, ...]:
     space = {"log": np.geomspace, "linear": np.linspace}.get(kind)
     if space is None:
         raise ValueError(f"unknown eta grid kind {kind!r}")
-    return tuple(space(*(_number(spec[end], _key("etas", end))
-                         for end in ("start", "stop")),
-                       _whole(spec["count"], _key("etas", "count"))))
+    ends = []
+    for end in ("start", "stop"):
+        value = _number(spec[end], _key("etas", end))
+        # Both ends are rates; NumPy would reject a zero end without
+        # naming it and warn on an infinite one.
+        if not 0 < value < np.inf:
+            raise ValueError(f"{_key('etas', end)} must be positive and "
+                             f"finite, got {spec[end]!r}")
+        ends.append(value)
+    return tuple(space(*ends, _whole(spec["count"], _key("etas", "count"))))
 
 
 def _adjuster_from_json(doc) -> AdjusterSpec:

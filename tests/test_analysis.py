@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -255,6 +257,35 @@ class TestAlignmentSign:
                               one_step).signs[0] == sign, (name, w)
                 seen.add(sign)
         assert seen == {1.0, -1.0}
+
+
+# Each vector is checked as a point is, with its name in the message: a
+# boolean is not a number, and a NaN would silently pick a sign.
+@pytest.mark.parametrize("call,args,said", [
+    (dg.alignment_sign, ([True], [1.0], [1.0]),
+     "xi must hold numbers, got True"),
+    (dg.alignment_sign, ([np.nan], [1.0], [1.0]),
+     "xi has non-finite entries"),
+    (dg.alignment_sign, ("x", [1.0], [1.0]), "xi must hold numbers, got 'x'"),
+    (dg.alignment_sign, ([1.0, 2.0], [1.0], [1.0, 0.0]),
+     "at_xi has length 1, game needs 2"),
+    (dg.alignment_sign, ([1.0], [1.0], [np.inf]),
+     "grad_h has non-finite entries"),
+    (dg.infinitesimal_alignment, ([True, 0], [0, 1], [1, 1]),
+     "u must hold numbers, got True"),
+    (dg.infinitesimal_alignment, ([1.0, 0.0], [np.nan, 1.0], [1.0, 1.0]),
+     "v has non-finite entries"),
+    (dg.infinitesimal_alignment, ([1.0, 0.0], [0.0, 1.0], ["1", 1.0]),
+     "w must hold numbers, got '1'"),
+    (dg.infinitesimal_alignment, ([1.0, 0.0], [0.0, 1.0], [1.0, 1.0, 1.0]),
+     "w has length 3, game needs 2"),
+], ids=["alignment_sign-bool", "alignment_sign-nan", "alignment_sign-str",
+        "alignment_sign-length", "alignment_sign-inf",
+        "infinitesimal_alignment-bool", "infinitesimal_alignment-nan",
+        "infinitesimal_alignment-str", "infinitesimal_alignment-length"])
+def test_alignment_vectors_are_checked(call, args, said):
+    with pytest.raises(ValueError, match=re.escape(said)):
+        call(*args)
 
 
 class TestInfinitesimalAlignment:

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import warnings
 
 import pytest
 
@@ -492,6 +493,15 @@ class TestOneCodec:
         ({"etas": {"kind": "linear", "start": 0.1, "stop": True,
                    "count": 3}},
          "config key 'etas': 'stop' must be a number, got True"),
+        # The ends of a grid are rates, named before NumPy sees them.
+        ({"etas": {"start": 0, "stop": 1.0, "count": 3}},
+         "config key 'etas': 'start' must be positive and finite, got 0"),
+        ({"etas": {"start": 0.1, "stop": float("inf"), "count": 3}},
+         "config key 'etas': 'stop' must be positive and finite, got inf"),
+        ({"etas": {"kind": "linear", "start": -0.1, "stop": 1.0,
+                   "count": 3}},
+         "config key 'etas': 'start' must be positive and finite, "
+         "got -0.1"),
         ({"w0": {"random_ball": True}},
          "config key 'w0': 'random_ball' must be a number, got True"),
         ({"w0": {"random_ball": "big"}},
@@ -509,6 +519,21 @@ class TestOneCodec:
         path = config_file(tmp_path, {**base, **doc})
         assert invoke(capsys, "sweep", "--config", path) == \
             (1, "", f"diffgames: {said}\n")
+
+    # NumPy's own message for a zero end names no key, and an infinite
+    # end made it warn before it failed.
+    @pytest.mark.parametrize("grid,said", [
+        ("log:0:1:3", "'start' must be positive and finite, got 0.0"),
+        ("log:inf:1:3", "'start' must be positive and finite, got inf"),
+        ("log:0.1:nan:3", "'stop' must be positive and finite, got nan"),
+        ("linear:0.1:-1:3", "'stop' must be positive and finite, got -1.0"),
+    ])
+    def test_eta_range_end_names_the_key(self, capsys, grid, said):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert invoke(capsys, "sweep", "--game", "example5",
+                          "--adjusters", "simgd", "--eta-range", grid) == \
+                (1, "", f"diffgames: config key 'etas': {said}\n")
 
     def test_negative_seed_flag_names_the_key(self, capsys):
         code, out, err = invoke(capsys, "sweep", "--game", "example1",

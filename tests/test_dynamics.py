@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import diffgames as dg
-from diffgames import dynamics
+from diffgames import dynamics, experiments
 
 from conftest import (HAMILTONIAN_GAMES, POTENTIAL_GAMES, TanhGame,
                       plain_game, random_orthogonal, random_realizable_game,
@@ -528,6 +528,37 @@ class TestSpectralOracle:
         with pytest.raises(ValueError, match="eta must be positive"):
             dg.spectral_oracle(dg.AdjusterSpec("simgd"), game, eta)
 
+    # A bad rate is reported before a game or rule the oracle refuses.
+    @pytest.mark.parametrize("call", [dg.iteration_matrix,
+                                      dg.spectral_oracle])
+    def test_reports_a_bad_rate_first(self, call):
+        with pytest.raises(ValueError, match="eta must be positive"):
+            call(dg.AdjusterSpec("sga-aligned"), dg.catalog_game("example3"),
+                 0.0)
+
+    def test_eligibility_is_checked_once_per_call_and_swept_rule(
+            self, monkeypatch):
+        checked, why = [], dynamics._why_no_oracle
+
+        def counted(spec, game):
+            checked.append(spec.kind)
+            return why(spec, game)
+
+        monkeypatch.setattr(dynamics, "_why_no_oracle", counted)
+        monkeypatch.setattr(experiments, "_why_no_oracle", counted)
+        game = dg.catalog_game("fig4_bilinear")
+        dg.spectral_oracle(dg.AdjusterSpec("sga"), game, 0.1)
+        dg.iteration_matrix(dg.AdjusterSpec("omd"), game, 0.1)
+        assert checked == ["sga", "omd"]
+        # One stack per rate, so a per-stack check would show.
+        monkeypatch.setattr(dynamics, "_ORACLE_STACK_BYTES", 1)
+        checked.clear()
+        dg.sweep(dg.SweepConfig(
+            "fig4_bilinear", tuple(map(dg.AdjusterSpec, (
+                "sga", "omd", "sga-aligned"))), (0.1, 0.2, 0.3),
+            stop=dg.StopCriteria(max_iters=20)))
+        assert checked == ["sga", "omd", "sga-aligned"]
+
     def test_rejects_non_quadratic_games(self):
         p = dg.PlayerPartition((1, 1))
         game = dg.make_game(
@@ -591,12 +622,38 @@ class TestStackedOracle:
             monkeypatch.setattr(dynamics, "_ORACLE_STACK_BYTES", budget)
         h = game.hessian_matrix
         lone = [_lone_matrix(spec, h, eta) for eta in etas]
-        stack = dynamics._iteration_matrices(spec, game, etas)
+        stack = dynamics._iteration_matrices(spec, h, etas)
         assert stack.shape == (len(etas),) + lone[0].shape
         assert [m.tobytes() for m in stack] == [m.tobytes() for m in lone]
-        radii = dynamics._spectral_radii(spec, game, etas)
+        radii = dynamics._spectral_radii(spec, h, etas)
         assert [r.hex() for r in radii] == [
             float(np.max(np.abs(np.linalg.eigvals(m)))).hex() for m in lone]
+
+    # The arithmetic takes a Hessian, not a game: example3's offset keeps
+    # the oracle from that game, and a matrix whose diagonal blocks are
+    # not symmetric is the Hessian of no game quadratic_game_from_hessian
+    # builds.
+    @pytest.mark.parametrize("budget", [None, 1])
+    @pytest.mark.parametrize("kind", dg.LINEAR_KINDS)
+    def test_bits_on_a_hessian_no_eligible_game_owns(self, monkeypatch,
+                                                      budget, kind):
+        if budget is not None:
+            monkeypatch.setattr(dynamics, "_ORACLE_STACK_BYTES", budget)
+        spec = dg.AdjusterSpec(kind, lam=0.7)
+        shifted = dg.catalog_game("example3")
+        assert dynamics._why_no_oracle(spec, shifted) is not None
+        odd = np.random.default_rng(11).standard_normal((4, 4))
+        with pytest.raises(ValueError, match="must be symmetric"):
+            dg.quadratic_game_from_hessian(dg.PlayerPartition((2, 2)), odd)
+        etas = tuple(np.geomspace(0.001, 2.5, 13))
+        for h in (shifted.hessian_matrix, odd):
+            lone = [_lone_matrix(spec, h, eta) for eta in etas]
+            stack = dynamics._iteration_matrices(spec, h, etas)
+            assert [m.tobytes() for m in stack] == [m.tobytes() for m in lone]
+            radii = dynamics._spectral_radii(spec, h, etas)
+            assert [r.hex() for r in radii] == [
+                float(np.max(np.abs(np.linalg.eigvals(m)))).hex()
+                for m in lone]
 
 
 class TestOracleAgreement:
