@@ -15,7 +15,7 @@ import numpy as np
 
 from .derivatives import _thvp, full_hessian, simultaneous_gradient
 from .dynamics import AdjusterSpec, _aligned_signs, check_epsilon
-from .games import Game, QuadraticGame, _as_vector, as_point
+from .games import Game, QuadraticGame, _as_floats, _as_vector, as_point
 
 Array = np.ndarray
 
@@ -79,8 +79,10 @@ def helmholtz_split(hessian) -> Decomposition:
 
     The split M = S + A with S = (M + M')/2 and A = (M - M')/2 is exact and
     unique, and is preserved by any orthogonal change of coordinates.
+    Raises ValueError for a matrix that is not square or not finite, or
+    that holds an entry that is not a number (a boolean, say).
     """
-    h = np.asarray(hessian, dtype=float)
+    h = _as_floats(hessian, "hessian")
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
     if not np.all(np.isfinite(h)):
@@ -222,6 +224,15 @@ def _classify_point(game: Game, w: Array, xi_norm: float):
         probe_value=float(np.mean(probes)))
 
 
+def _vectors(*named) -> list[Array]:
+    """The vectors of the ``(vector, name)`` pairs, each checked by
+    ``_as_vector`` against the length of the first, which is not 0."""
+    first, what = named[0]
+    if np.size(first) == 0:
+        raise ValueError(f"{what} is empty")
+    return [_as_vector(v, np.size(first), name) for v, name in named]
+
+
 def alignment_sign(xi, at_xi, grad_h,
                    epsilon: float = AdjusterSpec.epsilon) -> float:
     """Sign choice for the adjustment weight: the sign the aligned sga rule
@@ -233,15 +244,15 @@ def alignment_sign(xi, at_xi, grad_h,
     fixed points; note the product scales like |xi|^4, so a fixed epsilon
     dominates near fixed points (epsilon is exposed for exactly that reason).
     Raises ValueError for an epsilon that is negative or NaN, as
-    ``AdjusterSpec`` does, and for a vector that ``as_point`` would reject
-    as a point of xi's length, naming it.
+    ``AdjusterSpec`` does, for an empty xi, and for a vector that
+    ``as_point`` would reject as a point of xi's length, naming it.
     """
     check_epsilon(epsilon)
-    d = np.size(xi)
-    # One contiguous row each: BLAS may sum a strided row in another order.
-    rows = [np.array(_as_vector(v, d, what), ndmin=2) for v, what in
-            ((xi, "xi"), (at_xi, "at_xi"), (grad_h, "grad_h"))]
-    return float(_aligned_signs(*rows, epsilon)[0])
+    # One contiguous column each: BLAS may sum a strided one in another
+    # order.
+    columns = [np.array(v)[None, :, None] for v in _vectors(
+        (xi, "xi"), (at_xi, "at_xi"), (grad_h, "grad_h"))]
+    return float(_aligned_signs(*columns, epsilon)[0, 0])
 
 
 def infinitesimal_alignment(u, v, w) -> float:
@@ -252,12 +263,10 @@ def infinitesimal_alignment(u, v, w) -> float:
 
     Positive values mean a small positive lambda bends u toward w when they
     already point the same way, or away from w when they do not.  Raises
-    ValueError for a vector that ``as_point`` would reject as a point of
-    u's length, naming it, and for a zero u or w.
+    ValueError for an empty u, for a vector that ``as_point`` would reject
+    as a point of u's length, naming it, and for a zero u or w.
     """
-    d = np.size(u)
-    u, v, w = (_as_vector(x, d, what)
-               for x, what in ((u, "u"), (v, "v"), (w, "w")))
+    u, v, w = _vectors((u, "u"), (v, "v"), (w, "w"))
     uu = float(u @ u)
     ww = float(w @ w)
     if uu == 0.0 or ww == 0.0:

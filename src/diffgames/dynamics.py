@@ -16,14 +16,28 @@ result does not depend on the batch it ran in.
 A step is one call of the rule's step, bound once per engine call
 (``_stepper``): the rule's branch and weights, the game's field and, on
 a quadratic game, H and its transpose are looked up there, not per step.
-It evaluates only the field, which ``batch_field`` writes straight into
-the block's buffer, and pays only for the Hessian products its rule's
-direction uses: none for simgd and omd, H' xi for the consensus rules and
+It evaluates only the field, which it writes straight into the block's
+buffer, and pays only for the Hessian products its rule's direction
+uses: none for simgd and omd, H' xi for the consensus rules and
 hamiltonian descent, H' xi and H xi for the sga rules.  ``direction`` is
 that step on a batch of one, and ``Trajectory.probes`` takes the probe
 <xi, H' xi>, which the loop does not record, from the stored points on
 first read with hamiltonian descent's step (whose direction is H' xi), so
 it holds the bits a probe taken during the run would have.
+
+The step works on stacks of column vectors: the block's points are a
+``(k + 1, C, d, 1)`` buffer and its fields a ``(k, C, d, 1)`` one, which
+the loop walks with ``zip``.  On a quadratic game the field and both
+Hessian products are then one stacked gemv each straight on those
+buffers (``np.matmul(H, w, out)``), so a step builds none of the
+``(C, d, 1)`` views of ``(C, d)`` rows a matrix product would need, and
+none of their ``[..., 0]`` views back: at the presets' d = 4 those were
+four of an omd step's nine NumPy calls.  Every gemv still gets one
+contiguous column and every dot product one contiguous vector, so each
+row keeps its bits.  A general game's ``batch_field``, and an override
+of it, still sees ``(C, d)`` rows: views of the columns, once per step.
+The stop pass reads the block's points and fields through one
+``(k, C, d)`` view each.
 
 At the small d of the presets a step costs its NumPy calls, not its
 flops, and testing for a stop after every step (the norm bound, the
@@ -76,6 +90,7 @@ compaction site.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -209,11 +224,11 @@ class Trajectory:
         loop, the read does not warn about it.
         """
         if self._probes is None:
-            points = self.points[:len(self.xi_norms)]
+            points = self.points[:len(self.xi_norms), :, None]
             step = _stepper(AdjusterSpec(HAMILTONIAN_DESCENT), self._game)
             with _quiet(self._game):
                 xi, grad_h, _ = step(points, None, np.empty(points.shape))
-                self._probes = np.vecdot(xi, grad_h)
+                self._probes = np.vecdot(xi[..., 0], grad_h[..., 0])
         return self._probes
 
     @property
@@ -225,23 +240,22 @@ class Trajectory:
 
 
 def _products(game: Game):
-    """The functions ``(points, xi) -> H'xi`` and ``-> H xi`` at each row,
-    given the field rows xi: on a quadratic game one batched matmul with
+    """The functions ``(w, xi) -> H'xi`` and ``-> H xi`` at each column,
+    given the field columns xi: on a quadratic game one stacked matmul with
     the constant Hessian or its transpose, one matrix-vector product per
-    row, so bit for bit the row-by-row products; otherwise ``thvp`` and
+    column, so bit for bit the row-by-row products; otherwise ``thvp`` and
     ``hvp`` row by row, unchecked.  A row whose field overflowed stops at
     that step, so its products are NaN, not evaluated: a finite difference
     there would call the user's gradients at non-finite points."""
     if isinstance(game, QuadraticGame):
         h = game.hessian_matrix
-        return [lambda points, xi, m=m: np.matmul(m, xi[:, :, None])[..., 0]
-                for m in (h.T, h)]
+        return [lambda w, xi, m=m: np.matmul(m, xi) for m in (h.T, h)]
 
     def row_by_row(p):
-        def product(points, xi):
+        def product(w, xi):
             out = np.full(xi.shape, np.nan)
-            for row in np.flatnonzero(np.isfinite(xi).all(axis=1)):
-                out[row] = p(game, points[row], xi[row])
+            for row in np.flatnonzero(np.isfinite(xi).all(axis=(1, 2))):
+                out[row, :, 0] = p(game, w[row, :, 0], xi[row, :, 0])
             return out
         return product
     return [row_by_row(p) for p in (_thvp, _hvp)]
@@ -249,12 +263,12 @@ def _products(game: Game):
 
 def _aligned_signs(xi: Array, at_xi: Array, grad_h: Array,
                    epsilon: float) -> Array:
-    """The aligned sga rule's sign at each row: that of
-    ``(1/d) <xi, grad_h> <at_xi, grad_h> + epsilon``, with sign(0) = +1
-    (``analysis.alignment_sign`` is its one-row case).  A NaN value gets
-    -1."""
-    value = (np.vecdot(xi, grad_h) * np.vecdot(at_xi, grad_h)
-             / xi.shape[1] + epsilon)
+    """The aligned sga rule's sign at each column of a ``(C, d, 1)`` stack,
+    shape ``(C, 1)``: that of ``(1/d) <xi, grad_h> <at_xi, grad_h> +
+    epsilon``, with sign(0) = +1 (``analysis.alignment_sign`` is its
+    one-column case).  A NaN value gets -1."""
+    value = (np.vecdot(xi, grad_h, axis=-2)
+             * np.vecdot(at_xi, grad_h, axis=-2) / xi.shape[1] + epsilon)
     return np.where(value >= 0.0, 1.0, -1.0)
 
 
@@ -263,17 +277,37 @@ def _stepper(spec: AdjusterSpec, game: Game):
     vec, sign)``, with the rule's branch, weight and fixed sign, the field
     and the products (``_products``) bound once.
 
-    The step writes the field at the rows of w into ``out``, a C-ordered
-    array of w's shape (a BLAS dot product may sum a strided row in
-    another order than a contiguous one), and returns it as xi, with each
-    row's direction and the sign of the adjustment weight the rule
-    applied: one per row for the aligned rules, else one float (0.0 for
-    the rules without a weighted adjustment term), so no per-step array is
-    built where every row shares it.  ``prev_xi`` holds omd's previous
-    field rows (None on its first step).  Only the aligned rules compute
-    the probe <xi, H' xi>.
+    The step takes its points as a ``(C, d, 1)`` stack of column vectors,
+    writes the field there into ``out``, a C-ordered array of w's shape (a
+    BLAS dot product may sum a strided vector in another order than a
+    contiguous one), and returns it as xi, with each column's direction
+    and the sign of the adjustment weight the rule applied: a ``(C, 1)``
+    array for the aligned rules, else one float (0.0 for the rules without
+    a weighted adjustment term), so no per-step array is built where every
+    row shares it.  ``prev_xi`` holds omd's previous field columns (None
+    on its first step).  Only the aligned rules compute the probe
+    <xi, H' xi>, one dot product along each column (``axis=-2``).
+
+    On a stock ``QuadraticGame`` the field, H w + c, is bound as
+    ``functools.partial(np.matmul, H)``, one stacked gemv straight on the
+    columns made by one C-level call, plus the offset only where
+    ``batch_field`` adds it: the arithmetic of ``batch_field``, so its
+    bits.  With the products' stacked gemvs (``_products``), such a step
+    makes no view of its own.  Any other game, and a subclass that
+    overrides ``batch_field``, has its ``batch_field`` called once per
+    step on ``(C, d)`` row views of the columns, so it sees every step.
     """
-    kind, field = spec.kind, game.batch_field
+    kind, rows = spec.kind, game.batch_field
+
+    def field(w, out):
+        rows(w[..., 0], out[..., 0])
+        return out
+    # The game's batch_field is QuadraticGame's own, not an override.
+    if type(game).batch_field is QuadraticGame.batch_field:
+        field = functools.partial(np.matmul, game.hessian_matrix)
+        if game._has_linear:
+            gemv, offset = field, game.gradient_offset[:, None]
+            field = lambda w, out: np.add(gemv(w, out), offset, out)
     fixed = 1.0 if spec.lam >= 0 else -1.0
     # The constants as 0-d arrays: NumPy multiplies an array by one faster
     # than by a Python number, with the same bits.
@@ -300,7 +334,7 @@ def _stepper(spec: AdjusterSpec, game: Game):
         def step(w, prev_xi, out):
             xi = field(w, out)
             grad_h = trans(w, xi)
-            signs = np.where(np.vecdot(xi, grad_h) >= 0, 1.0, -1.0)
+            signs = np.where(np.vecdot(xi, grad_h, axis=-2) >= 0, 1.0, -1.0)
             return xi, xi + (weight * signs)[:, None] * grad_h, signs
     elif kind == SGA:
         def step(w, prev_xi, out):
@@ -336,10 +370,10 @@ def direction(spec: AdjusterSpec, game: Game, w, prev_xi=None) -> Array:
     reject: of the wrong length, or with an entry that is non-finite or
     not a number.
     """
-    w = as_point(game.partition, w).reshape(1, -1)
+    w = as_point(game.partition, w).reshape(1, -1, 1)
     if prev_xi is not None:
-        prev_xi = _as_vector(prev_xi, game.dim, "prev_xi").reshape(1, -1)
-    return _stepper(spec, game)(w, prev_xi, np.empty(w.shape))[1][0]
+        prev_xi = _as_vector(prev_xi, game.dim, "prev_xi").reshape(1, -1, 1)
+    return _stepper(spec, game)(w, prev_xi, np.empty(w.shape))[1].reshape(-1)
 
 
 class _CellEnd(NamedTuple):
@@ -416,9 +450,10 @@ class _Ledger:
     each cell that stopped.
 
     Row i of the batch is cell ``rows[i]``, stepping at rate ``eta[i]``
-    (the rate repeated d times: at small d a broadcast would cost a step
-    more than its product); ``ends[c]`` is cell c's ``_CellEnd`` once it
-    stops.  ``t0`` is the first iteration of the current block.  Row i of
+    (the rate repeated down a ``(d, 1)`` column, the shape of the engine's
+    points: at small d a broadcast would cost a step more than its
+    product); ``ends[c]`` is cell c's ``_CellEnd`` once it stops.  ``t0``
+    is the first iteration of the current block.  Row i of
     the means array holds the row's mean absolute losses, oldest first:
     those of the span steps before the block (0 before iteration 0, which
     no full window reads), then that of each step of the block, so every
@@ -431,7 +466,7 @@ class _Ledger:
     """
 
     def __init__(self, count: int, etas, span: int, dim: int):
-        self.eta = np.repeat(np.asarray(etas, dtype=float).reshape(-1, 1),
+        self.eta = np.repeat(np.asarray(etas, dtype=float).reshape(-1, 1, 1),
                              dim, axis=1)
         self.rows = np.arange(count)
         self.ends = [None] * count
@@ -511,24 +546,27 @@ def _euler(spec: AdjusterSpec, game: Game, starts, etas, stop: StopCriteria,
     """The Euler loop, for C cells of one rule on one game at once.
 
     Cell c starts at ``starts[c]`` with rate ``etas[c]``.  The state is one
-    ``(C, d)`` array; the per-row stop state (cell index, rate, loss means)
-    and the ends of the stopped cells are a ``_Ledger``.  The loop steps
-    every cell still running through a block of k steps of the rule's bound
-    step (``_stepper``), which writes each step's field into the block's
-    buffer, then takes the losses at the k points it started from (one
-    contiguous run of rows) in one call and decides the stop tests of all
-    k steps at once.  On a quadratic game k is 16 until iteration 136 and
-    grows with the batch's age from there (``_block_length``).  A cell
-    stops at its first step that fires a test, in this order: the norm
-    bound on the point (tested as the step that made it finishes, the
-    starts once before the loop, so no point past it is evaluated),
-    non-finite losses or field, convergence.
-    A cell's outcome, iteration and trailing window are those of its
-    stop; the block's later steps of that cell are discarded, and the cell
-    leaves the array at the end of the block, so the budget a slow cell
-    uses costs the others nothing.  The tests are screened first, each
-    row's arithmetic is that of a lone cell, and a general game keeps the
-    caller's NumPy error settings (see the module docstring).
+    ``(C, d, 1)`` stack of column vectors; the per-row stop state (cell
+    index, rate, loss means) and the ends of the stopped cells are a
+    ``_Ledger``.  The loop steps every cell still running through a block
+    of k steps of the rule's bound step (``_stepper``), walking the
+    block's column buffers of points and fields with ``zip``: step j
+    reads its point from ``ws[j]``, writes its field into ``xis[j]`` and
+    its result into ``ws[j + 1]``, so the step itself makes no view.  The
+    pass then reads both buffers as ``(k, C, d)`` rows: it takes the
+    losses at the k points the block started from (one contiguous run of
+    rows) in one call and decides the stop tests of all k steps at once.
+    On a quadratic game k is 16 until iteration 136 and grows with the
+    batch's age from there (``_block_length``).  A cell stops at its first
+    step that fires a test, in this order: the norm bound on the point
+    (tested as the step that made it finishes, the starts once before the
+    loop, so no point past it is evaluated), non-finite losses or field,
+    convergence.  A cell's outcome, iteration and trailing window are
+    those of its stop; the block's later steps of that cell are discarded,
+    and the cell leaves the array at the end of the block, so the budget a
+    slow cell uses costs the others nothing.  The tests are screened
+    first, each row's arithmetic is that of a lone cell, and a general game
+    keeps the caller's NumPy error settings (see the module docstring).
 
     Returns one ``_CellEnd`` per cell and, with ``record`` (a batch of one
     only), the cell's history (else None): a list of (losses, xi norms,
@@ -566,6 +604,7 @@ def _euler(spec: AdjusterSpec, game: Game, starts, etas, stop: StopCriteria,
             for row in np.flatnonzero(far):
                 ledger.finish(row, DIVERGED, 0, -1)
             (w,) = ledger.compact(~far, w)
+        w = w[:, :, None]
         while len(w):
             t0, eta, c = ledger.t0, ledger.eta, len(w)
             k = _block_length(game, t0, c, max_iters - t0)
@@ -573,17 +612,20 @@ def _euler(spec: AdjusterSpec, game: Game, starts, etas, stop: StopCriteria,
             # The pass decides iterations t0 to t0 + r - 1: the k steps,
             # and the bound on the block's last point unless it is done.
             r = k if done else k + 1
-            # ws[j] is the point step j starts from, ws[k] the last result.
-            ws, xis = np.empty((k + 1, c, d)), np.empty((k, c, d))
+            # Column buffers: ws[j] is the point step j starts from, ws[k]
+            # the last result, and step j writes its field into xis[j].
+            ws, xis = np.empty((k + 1, c, d, 1)), np.empty((k, c, d, 1))
             ws[0] = w
             signs = np.empty((k, c)) if record else None
-            for j in range(k):
-                # The step writes its field into xis[j].
-                xi, vec, sign = step(w, prev_xi, xis[j])
+            for j, (w, out, new) in enumerate(zip(ws, xis, ws[1:])):
+                xi, vec, sign = step(w, prev_xi, out)
                 if record:
                     signs[j] = sign
-                w = np.subtract(w, eta * vec, out=ws[j + 1])
+                np.subtract(w, eta * vec, out=new)
                 prev_xi = xi
+            # The next block starts from the last point; the pass reads
+            # the block's points and fields as (k, C, d) rows.
+            w, ws, xis = new, ws[..., 0], xis[..., 0]
             losses = np.ascontiguousarray(
                 losses_at(ws[:k].reshape(k * c, d))).reshape(k, c, n)
 

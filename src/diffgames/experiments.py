@@ -243,8 +243,9 @@ def analyze_point(game, w, epsilon: float = AdjusterSpec.epsilon) -> dict:
     # each full Hessian serves the class, the split and the report.
     game_class, dec, report = analysis._classify_point(game, w, xi_norm)
     # ``alignment_sign`` without its checks, of vectors computed here: the
-    # engine's sign of one contiguous row each.
-    rows = [np.array(v, dtype=float, ndmin=2) for v in (xi, at_xi, grad_h)]
+    # engine's sign of one contiguous column each.
+    columns = [np.array(v, dtype=float)[None, :, None]
+               for v in (xi, at_xi, grad_h)]
 
     bundle = {
         "schema_version": SCHEMA_VERSION,
@@ -259,7 +260,7 @@ def analyze_point(game, w, epsilon: float = AdjusterSpec.epsilon) -> dict:
         "s_eigenvalues": dec.s_eigenvalues.tolist(),
         "additive_condition_number": dec.additive_condition_number,
         "probe": float(xi @ grad_h),
-        "alignment_sign": float(_aligned_signs(*rows, epsilon)[0]),
+        "alignment_sign": float(_aligned_signs(*columns, epsilon)[0, 0]),
         "is_fixed_point": report is not None,
         "stability": None,
         "local_nash": None,

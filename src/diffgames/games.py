@@ -12,6 +12,7 @@ single game object can be shared freely across threads.
 
 from __future__ import annotations
 
+import contextlib
 import inspect
 import numbers
 from dataclasses import dataclass
@@ -26,21 +27,23 @@ _SYM_TOL = 1e-12
 
 
 def _number(value, what: str) -> float:
-    """A real number (True is not one), as a float; ``what`` names it in
-    the error."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    """A real number that a float holds, as a float: True is not a
+    number, and an int too large for a float (10**400) is not one either;
+    ``what`` names it in the error."""
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+        with contextlib.suppress(OverflowError):
+            return float(value)
+    raise ValueError(f"{what} must be a number, got {value!r}")
 
 
 def _whole(value, what: str, least: int = 0) -> int:
     """A number >= ``least`` with no fractional part (2.0 is one; 2.5 and
     True are not), as an int; ``what`` names it in the error."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not float(value).is_integer() or value < least):
-        raise ValueError(
-            f"{what} must be a whole number >= {least}, got {value!r}")
-    return int(value)
+    with contextlib.suppress(ValueError):
+        if _number(value, what).is_integer() and value >= least:
+            return int(value)
+    raise ValueError(
+        f"{what} must be a whole number >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -100,15 +103,23 @@ def as_point(partition: PlayerPartition, values) -> Array:
     return _as_vector(values, partition.total, "point")
 
 
+def _as_floats(values, what: str) -> Array:
+    """An array of numbers (a vector or a matrix) as a float array, with
+    ``what`` naming it in the error for an entry that is not a number: a
+    string, or a boolean.  A numeric array pays only a check of its
+    dtype."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "fiu"):
+        for x in np.asarray(values, dtype=object).reshape(-1):
+            # NumPy's bool_ is not a numbers.Real; Python's bool is.
+            if isinstance(x, bool) or not isinstance(x, numbers.Real):
+                raise ValueError(f"{what} must hold numbers, got {x!r}")
+    return np.asarray(values, dtype=float)
+
+
 def _as_vector(values, length: int, what: str) -> Array:
     """``as_point``'s check of a vector of ``length`` numbers, with ``what``
     naming the vector in the error."""
-    if not (isinstance(values, np.ndarray) and values.dtype.kind in "fiu"):
-        for x in np.asarray(values, dtype=object).reshape(-1):
-            if (isinstance(x, (bool, np.bool_))
-                    or not isinstance(x, numbers.Real)):
-                raise ValueError(f"{what} must hold numbers, got {x!r}")
-    w = np.asarray(values, dtype=float).reshape(-1)
+    w = _as_floats(values, what).reshape(-1)
     if w.shape != (length,):
         raise ValueError(f"{what} has length {w.size}, game needs {length}")
     if not np.all(np.isfinite(w)):
@@ -125,8 +136,10 @@ class Game:
     """An n-player game over R^d with analytic per-player gradients.
 
     A game is evaluated through two batched methods: ``batch_field``,
-    which the Euler loop calls once per step with ``out`` set to the row
-    of its block buffer that keeps the step's field, and ``batch_losses``,
+    which the Euler loop calls once per step with ``out`` a ``(C, d)``
+    view of the block buffer that keeps the step's field (on a stock
+    ``QuadraticGame`` the loop binds the same arithmetic on the buffer
+    itself instead; an override is always called), and ``batch_losses``,
     which it calls once per block of steps.  Their base versions call the
     per-player hooks ``player_gradient`` and ``loss_vector``; an override
     of any of them must return exactly the bits the base version would,
@@ -255,7 +268,7 @@ class QuadraticGame(Game):
         n, d = partition.num_players, partition.total
         coeffs = []
         for i, b in enumerate(coefficients):
-            b = np.asarray(b, dtype=float)
+            b = _as_floats(b, f"coefficient matrix {i}")
             if b.shape != (d, d):
                 raise ValueError(f"coefficient matrix {i} is not {d}x{d}")
             # NaN would pass the symmetry test below.
@@ -270,7 +283,7 @@ class QuadraticGame(Game):
         if linear is None:
             lin = [np.zeros(d)] * n
         else:
-            lin = [np.asarray(v, dtype=float).reshape(-1) for v in linear]
+            lin = [_as_floats(v, "linear terms").reshape(-1) for v in linear]
             if len(lin) != n or any(v.size != d for v in lin):
                 raise ValueError("linear terms must be n vectors of length d")
             if not all(np.isfinite(v).all() for v in lin):
@@ -374,7 +387,7 @@ def quadratic_game_from_hessian(partition, hessian, offset=None) -> QuadraticGam
     """
     d = partition.total
     offset = np.zeros(d) if offset is None else _as_vector(offset, d, "offset")
-    h = np.asarray(hessian, dtype=float)
+    h = _as_floats(hessian, "hessian")
     if h.shape != (d, d):
         raise ValueError(f"hessian is not {d}x{d}")
     # inf - inf in the symmetry test below would warn before it failed.
@@ -425,7 +438,7 @@ def _build_example1(dim=2, payoff=None):
     """Zero-sum bilinear bimatrix game; the field rotates around the origin."""
     dim = _whole(dim, "dim", 1)    # checked even where a payoff overrides it
     a = np.eye(dim) if payoff is None else np.atleast_2d(
-        np.asarray(payoff, dtype=float))
+        _as_floats(payoff, "payoff"))
     dx, dy = a.shape
     b1 = np.block([[_zeros(dx), a], [a.T, _zeros(dy)]])
     return QuadraticGame(PlayerPartition((dx, dy)), [b1, -b1])
@@ -434,8 +447,8 @@ def _build_example1(dim=2, payoff=None):
 def _build_example2(dim=1, p=None, q=None):
     """General bilinear bimatrix game with separate payoff matrices."""
     dim = _whole(dim, "dim", 1)    # checked even where p and q override it
-    pm = np.eye(dim) if p is None else np.atleast_2d(np.asarray(p, float))
-    qm = np.eye(dim) if q is None else np.atleast_2d(np.asarray(q, float))
+    pm = np.eye(dim) if p is None else np.atleast_2d(_as_floats(p, "p"))
+    qm = np.eye(dim) if q is None else np.atleast_2d(_as_floats(q, "q"))
     if pm.shape != qm.shape:
         raise ValueError("payoff matrices must share a shape")
     dx, dy = pm.shape

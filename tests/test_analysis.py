@@ -279,10 +279,16 @@ class TestAlignmentSign:
      "w must hold numbers, got '1'"),
     (dg.infinitesimal_alignment, ([1.0, 0.0], [0.0, 1.0], [1.0, 1.0, 1.0]),
      "w has length 3, game needs 2"),
+    # The length is the first vector's, so an empty one is named for it.
+    (dg.alignment_sign, ([], [], []), "xi is empty"),
+    (dg.alignment_sign, (np.zeros(0), [1.0], [1.0]), "xi is empty"),
+    (dg.infinitesimal_alignment, ([], [], []), "u is empty"),
 ], ids=["alignment_sign-bool", "alignment_sign-nan", "alignment_sign-str",
         "alignment_sign-length", "alignment_sign-inf",
         "infinitesimal_alignment-bool", "infinitesimal_alignment-nan",
-        "infinitesimal_alignment-str", "infinitesimal_alignment-length"])
+        "infinitesimal_alignment-str", "infinitesimal_alignment-length",
+        "alignment_sign-empty", "alignment_sign-empty-first",
+        "infinitesimal_alignment-empty"])
 def test_alignment_vectors_are_checked(call, args, said):
     with pytest.raises(ValueError, match=re.escape(said)):
         call(*args)

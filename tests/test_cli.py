@@ -563,6 +563,27 @@ class TestOneCodec:
         assert (code, out) == (1, "")
         assert f"parameter {key!r} of game {game!r} must be a number" in err
 
+    # An int too large for a float (a 401-digit JSON number) is bad input
+    # that names its key, not an internal error from float().
+    @pytest.mark.parametrize("doc,said", [
+        ({"etas": [10**400]}, "config key 'etas' must be a number"),
+        ({"etas": [0.1], "seed": 10**400},
+         "config key 'seed' must be a whole number >= 0"),
+        ({"etas": [0.1], "stop": {"max_iters": 10**400}},
+         "config key 'stop': 'max_iters' must be a whole number >= 0"),
+        ({"etas": [0.1], "adjusters": [{"kind": "sga", "lambda": 10**400}]},
+         "config key 'adjusters': 'lambda' must be a number"),
+        ({"etas": [0.1], "game_params": {"dim": 10**400}},
+         "parameter 'dim' of game 'example1' must be a number"),
+    ], ids=["etas", "seed", "max_iters", "lambda", "game_params"])
+    def test_int_too_large_for_a_float_is_usage_error(self, capsys, tmp_path,
+                                                      doc, said):
+        doc = {"game": "example1", "adjusters": [{"kind": "sga"}], **doc}
+        code, out, err = invoke(capsys, "sweep", "--config",
+                                config_file(tmp_path, doc))
+        assert (code, out) == (1, "")
+        assert err == f"diffgames: {said}, got {10**400!r}\n"
+
     def test_matrix_catalog_parameter_is_accepted(self, capsys, tmp_path):
         doc = {"game": "example2", "game_params": {"p": [[1.0, 2.0]],
                                                    "q": [[0.5, -1.0]]},

@@ -34,8 +34,10 @@ class TestSpecs:
             dg.AdjusterSpec("sga-aligned", epsilon=np.nan)
 
     # A boolean is not a number, and a string is named by its parameter,
-    # not by float().
-    @pytest.mark.parametrize("value", [True, "x"])
+    # not by float(); nor is an int too large for a float, which float()
+    # would raise OverflowError for.
+    @pytest.mark.parametrize("value", [True, "x", 10**400],
+                             ids=["True", "x", "10**400"])
     @pytest.mark.parametrize("call,name", [
         (lambda v: dg.AdjusterSpec("sga", lam=v), "lam"),
         (lambda v: dg.AdjusterSpec("sga-aligned", epsilon=v), "epsilon"),
@@ -380,10 +382,13 @@ class TestOneStep:
 
     @staticmethod
     def step(spec, game, w, prev_xi=None):
-        out = np.empty((1, game.dim))
-        xi, vec, sign = dynamics._stepper(spec, game)(w[None], prev_xi, out)
+        # The engine steps a (C, d, 1) stack of column vectors.
+        out = np.empty((1, game.dim, 1))
+        prev_xi = None if prev_xi is None else prev_xi[..., None]
+        xi, vec, sign = dynamics._stepper(spec, game)(w[None, :, None],
+                                                      prev_xi, out)
         assert xi is out
-        return xi[0], vec[0], sign
+        return xi[0, :, 0], vec[0, :, 0], sign
 
     @pytest.mark.parametrize("name", sorted(GAMES))
     @pytest.mark.parametrize("kind", dg.KINDS)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import diffgames as dg
+from diffgames import dynamics
 
 from conftest import CATALOG_DEFAULTS, plain_game, rel_err
 
@@ -31,7 +32,8 @@ class TestPlayerPartition:
         with pytest.raises(ValueError):
             dg.PlayerPartition(())
 
-    @pytest.mark.parametrize("sizes", [(1.5, 1), (True, 1), ("2", 1)])
+    @pytest.mark.parametrize("sizes", [(1.5, 1), (True, 1), ("2", 1),
+                                       (10**400, 1)])
     def test_rejects_sizes_that_are_not_whole_numbers(self, sizes):
         with pytest.raises(ValueError, match="player size must be a whole "
                                              "number"):
@@ -369,6 +371,49 @@ class TestGameFromHessian:
         assert np.allclose(xi, c)
 
 
+# A boolean is not a number in a matrix either, and each message names
+# the argument; an integer array (even one written with True) is numeric.
+@pytest.mark.parametrize("call,said", [
+    (lambda: dg.helmholtz_split([[True, 0], [0, 1]]),
+     "hessian must hold numbers, got True"),
+    (lambda: dg.helmholtz_split(np.eye(2, dtype=bool)),
+     "hessian must hold numbers, got True"),
+    (lambda: dg.quadratic_game_from_hessian(dg.PlayerPartition((1, 1)),
+                                            [[True, 0], [0, 1]]),
+     "hessian must hold numbers, got True"),
+    (lambda: dg.QuadraticGame(dg.PlayerPartition((1, 1)),
+                              [[[True, 0], [0, 0]], np.eye(2)]),
+     "coefficient matrix 0 must hold numbers, got True"),
+    (lambda: dg.QuadraticGame(dg.PlayerPartition((1, 1)),
+                              [np.eye(2), [[1, "0"], [0, 1]]]),
+     "coefficient matrix 1 must hold numbers, got '0'"),
+    (lambda: dg.QuadraticGame(dg.PlayerPartition((1, 1)),
+                              [np.eye(2), np.eye(2)], [[True, 0], [0, 0]]),
+     "linear terms must hold numbers, got True"),
+    (lambda: dg.catalog_game("example1", payoff=[[True]]),
+     "payoff must hold numbers, got True"),
+    (lambda: dg.catalog_game("example2", p=[[1.0]], q=[[True]]),
+     "q must hold numbers, got True"),
+    (lambda: dg.catalog_game("example2", p=[["1"]], q=[[1.0]]),
+     "p must hold numbers, got '1'"),
+], ids=["helmholtz_split", "helmholtz_split-bool-array",
+        "quadratic_game_from_hessian", "QuadraticGame.coefficients",
+        "QuadraticGame.coefficients-str", "QuadraticGame.linear",
+        "catalog.payoff", "catalog.q", "catalog.p-str"])
+def test_matrices_hold_numbers(call, said):
+    with pytest.raises(ValueError, match=re.escape(said)):
+        call()
+
+
+def test_integer_matrices_are_numbers():
+    h = np.array([[True, 0], [0, 0]])
+    assert h.dtype.kind == "i"
+    assert dg.helmholtz_split(h).hessian.tolist() == [[1.0, 0.0], [0.0, 0.0]]
+    game = dg.QuadraticGame(dg.PlayerPartition((1, 1)), [h, np.eye(2)],
+                            [h[0], h[1]])
+    assert game.hessian_matrix.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+
 # Rows whose bits the batched evaluation must keep: signed zeros,
 # subnormals, huge and non-finite entries, and a ramp.
 EDGE_ROWS = (-0.0, 0.0, 1e-320, -1e-320, 1e300, -np.inf, np.nan)
@@ -419,6 +464,44 @@ def test_batch_evaluation_of_a_dense_game():
         else:
             assert not np.isfinite(loss).any(), w
             assert not np.isfinite(want_loss).any(), w
+
+
+class TestEngineColumns:
+    """The engine's own form of the field and the Hessian products: on a
+    ``(k, C, d, 1)`` block buffer of column vectors, the step bound by
+    ``dynamics._stepper`` writes the stock ``QuadraticGame`` field into
+    the buffer's columns with one stacked gemv, and ``dynamics._products``
+    takes H' xi and H xi from those columns.  Each row must keep the bits
+    of the stacked ``player_gradient``, ``H.T @ xi`` and ``H @ xi``, and a
+    dot product along the columns (``axis=-2``, the aligned rules' probe)
+    those of one on a contiguous row.  Like ``TestFieldFromTheHessian``
+    this rests on a BLAS kernel property; CI runs it at one BLAS thread
+    and on the Haswell kernel."""
+
+    @pytest.mark.parametrize("offset", [False, True])
+    @pytest.mark.parametrize("c", [1, 3])
+    @pytest.mark.parametrize("sizes", [(1, 1), (2, 2), (32,) * 8],
+                             ids=["d2", "d4", "d256"])
+    def test_columns_equal_the_row_products(self, sizes, c, offset):
+        game, rng = _dense_game(sizes, offset)
+        d, k, h = game.dim, 4, game.hessian_matrix
+        step = dynamics._stepper(dg.AdjusterSpec(dg.SIMGD), game)
+        trans, plain = dynamics._products(game)
+        ws, xis = np.empty((k, c, d, 1)), np.empty((k, c, d, 1))
+        for j, (w, out) in enumerate(zip(ws, xis)):
+            w[...] = 10.0 ** (j - 1) * rng.standard_normal((c, d, 1))
+            xi, _, _ = step(w, None, out)
+            assert xi is out
+            grad_h, h_xi = trans(w, xi), plain(w, xi)
+            probes = np.vecdot(xi, grad_h, axis=-2)
+            for row in range(c):
+                x = xi[row, :, 0]
+                want = TestFieldFromTheHessian.stacked_gradients(
+                    game, w[row, :, 0])
+                assert x.tobytes() == want.tobytes(), (j, row)
+                assert grad_h[row, :, 0].tobytes() == (h.T @ x).tobytes()
+                assert h_xi[row, :, 0].tobytes() == (h @ x).tobytes()
+                assert probes[row, 0] == np.vecdot(x, grad_h[row, :, 0])
 
 
 # Partitions of the field-from-H test: d from 2 to 512, odd and even
