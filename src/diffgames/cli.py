@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -200,6 +201,10 @@ def _cmd_run(args) -> int:
         _emit(_trajectory_csv(traj, game), args.out)
         return 0
     final = traj.final_point
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(final))
+    if not math.isfinite(norm):
+        norm = math.hypot(*final)   # |w| may be a float where w @ w is not
     summary = {
         "schema_version": SCHEMA_VERSION,
         "game": args.game,
@@ -208,8 +213,9 @@ def _cmd_run(args) -> int:
         "eta": args.eta,
         "outcome": traj.outcome,
         "iterations": traj.outcome_iteration,
-        "final_w": [float(x) for x in final],
-        "final_w_norm": float(np.linalg.norm(final)),
+        # JSON has no inf or NaN: a number a float cannot hold is null.
+        "final_w": [float(x) if math.isfinite(x) else None for x in final],
+        "final_w_norm": norm if math.isfinite(norm) else None,
         "final_xi_norm": (float(traj.xi_norms[-1])
                           if traj.xi_norms.size else None),
         "trailing_loss": _trailing_loss(traj.mean_abs_losses(),

@@ -15,7 +15,7 @@ result does not depend on the batch it ran in.
 
 A step is one call of the rule's step, bound once per engine call
 (``_stepper``): the rule's branch and weights, the game's field and, on
-a quadratic game, H and its transpose are looked up there, not per step.
+a quadratic game, its Hessian products are looked up there, not per step.
 It evaluates only the field, which it writes straight into the block's
 buffer, and pays only for the Hessian products its rule's direction
 uses: none for simgd and omd, H' xi for the consensus rules and
@@ -27,17 +27,19 @@ it holds the bits a probe taken during the run would have.
 
 The step works on stacks of column vectors: the block's points are a
 ``(k + 1, C, d, 1)`` buffer and its fields a ``(k, C, d, 1)`` one, which
-the loop walks with ``zip``.  On a quadratic game the field and both
-Hessian products are then one stacked gemv each straight on those
-buffers (``np.matmul(H, w, out)``), so a step builds none of the
-``(C, d, 1)`` views of ``(C, d)`` rows a matrix product would need, and
-none of their ``[..., 0]`` views back: at the presets' d = 4 those were
-four of an omd step's nine NumPy calls.  Every gemv still gets one
-contiguous column and every dot product one contiguous vector, so each
-row keeps its bits.  A general game's ``batch_field``, and an override
-of it, still sees ``(C, d)`` rows: views of the columns, once per step.
-The stop pass reads the block's points and fields through one
-``(k, C, d)`` view each.
+the loop walks with ``zip``.  A ``QuadraticGame`` builds its arithmetic
+on such stacks once, with the game: the field, whose kernel its own
+``batch_field`` runs too, and both Hessian products are one stacked gemv
+each straight on those buffers (``np.matmul(H, w, out)``), so a step
+builds none of the ``(C, d, 1)`` views of ``(C, d)`` rows a matrix
+product would need, and none of their ``[..., 0]`` views back: at the
+presets' d = 4 those were four of an omd step's nine NumPy calls.  Every
+gemv still gets one contiguous column and every dot product one
+contiguous vector, so each row keeps its bits.  A general game's
+``batch_field``, and an override of it, still sees ``(C, d)`` rows,
+views of the columns, once per step, and returns new ones, which the
+step copies into its column buffer.  The stop pass reads the block's
+points and fields through one ``(k, C, d)`` view each.
 
 At the small d of the presets a step costs its NumPy calls, not its
 flops, and testing for a stop after every step (the norm bound, the
@@ -90,7 +92,6 @@ compaction site.
 from __future__ import annotations
 
 import contextlib
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -241,15 +242,16 @@ class Trajectory:
 
 def _products(game: Game):
     """The functions ``(w, xi) -> H'xi`` and ``-> H xi`` at each column,
-    given the field columns xi: on a quadratic game one stacked matmul with
-    the constant Hessian or its transpose, one matrix-vector product per
-    column, so bit for bit the row-by-row products; otherwise ``thvp`` and
-    ``hvp`` row by row, unchecked.  A row whose field overflowed stops at
-    that step, so its products are NaN, not evaluated: a finite difference
-    there would call the user's gradients at non-finite points."""
+    given the field columns xi: on a quadratic game (one that overrides
+    ``batch_field`` included) the game's own, built with it from its
+    constant Hessian, one stacked matmul with H or its transpose, one
+    matrix-vector product per column, so bit for bit the row-by-row
+    products; otherwise ``thvp`` and ``hvp`` row by row, unchecked.  A
+    row whose field overflowed stops at that step, so its products are
+    NaN, not evaluated: a finite difference there would call the user's
+    gradients at non-finite points."""
     if isinstance(game, QuadraticGame):
-        h = game.hessian_matrix
-        return [lambda w, xi, m=m: np.matmul(m, xi) for m in (h.T, h)]
+        return game._products
 
     def row_by_row(p):
         def product(w, xi):
@@ -288,26 +290,24 @@ def _stepper(spec: AdjusterSpec, game: Game):
     on its first step).  Only the aligned rules compute the probe
     <xi, H' xi>, one dot product along each column (``axis=-2``).
 
-    On a stock ``QuadraticGame`` the field, H w + c, is bound as
-    ``functools.partial(np.matmul, H)``, one stacked gemv straight on the
-    columns made by one C-level call, plus the offset only where
-    ``batch_field`` adds it: the arithmetic of ``batch_field``, so its
-    bits.  With the products' stacked gemvs (``_products``), such a step
-    makes no view of its own.  Any other game, and a subclass that
-    overrides ``batch_field``, has its ``batch_field`` called once per
-    step on ``(C, d)`` row views of the columns, so it sees every step.
+    On a stock ``QuadraticGame`` the field, H w + c, is the game's own
+    column kernel, built with the game: one stacked gemv straight on the
+    columns made by one C-level call, plus the offset only where the game
+    has linear terms.  Its ``batch_field`` runs the same kernel, so the
+    step has its bits.  With the products' stacked gemvs (``_products``),
+    such a step makes no view of its own.  Any other game, and a subclass
+    that overrides ``batch_field``, has its ``batch_field`` called once
+    per step on ``(C, d)`` row views of the columns, and the rows it
+    returns are copied into ``out``, so it sees every step.
     """
     kind, rows = spec.kind, game.batch_field
-
-    def field(w, out):
-        rows(w[..., 0], out[..., 0])
-        return out
     # The game's batch_field is QuadraticGame's own, not an override.
     if type(game).batch_field is QuadraticGame.batch_field:
-        field = functools.partial(np.matmul, game.hessian_matrix)
-        if game._has_linear:
-            gemv, offset = field, game.gradient_offset[:, None]
-            field = lambda w, out: np.add(gemv(w, out), offset, out)
+        field = game._field
+    else:
+        def field(w, out):
+            out[..., 0] = rows(w[..., 0])
+            return out
     fixed = 1.0 if spec.lam >= 0 else -1.0
     # The constants as 0-d arrays: NumPy multiplies an array by one faster
     # than by a Python number, with the same bits.

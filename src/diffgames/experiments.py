@@ -15,6 +15,7 @@ import csv
 import dataclasses
 import io
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,13 +51,26 @@ class RandomBall:
                 f"radius must be nonnegative and finite, got {self.radius}")
 
 
+def _listed(values, what: str) -> tuple:
+    """A config field that lists things, as a tuple; ``what`` names it in
+    the error for a value that lists nothing (None, a number)."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise ValueError(f"{what} must be a list, got {values!r}") from None
+
+
 @dataclass
 class SweepConfig:
     """One sweep.  Building it builds the game, so an unknown game or
     parameter fails here; ``w0=None`` becomes the game's default start
     point, every fixed start point must be finite and have the game's
     dimension, and the seed must be a whole number >= 0 (it becomes an
-    int)."""
+    int).  A field of the wrong kind (a game that is not a name, an
+    adjuster that is not an ``AdjusterSpec``, a ``stop`` that is not a
+    ``StopCriteria``, ``game_params`` that is not a mapping, ``etas`` or
+    ``w0`` that lists nothing) raises a ValueError that names the
+    field."""
 
     game: str
     adjusters: tuple[AdjusterSpec, ...]
@@ -68,16 +82,27 @@ class SweepConfig:
 
     def __post_init__(self):
         self.seed = _whole(self.seed, "seed")
-        self.adjusters = tuple(self.adjusters)
-        self.etas = tuple(map(check_eta, self.etas))
+        self.adjusters = _listed(self.adjusters, "adjusters")
+        for spec in self.adjusters:
+            if not isinstance(spec, AdjusterSpec):
+                raise ValueError(f"adjusters must hold AdjusterSpecs, got "
+                                 f"{spec!r}")
+        self.etas = tuple(map(check_eta, _listed(self.etas, "etas")))
         if not self.etas:
             raise ValueError("etas must be a nonempty list of positive rates")
+        if not isinstance(self.stop, StopCriteria):
+            raise ValueError(f"stop must be a StopCriteria, got {self.stop!r}")
+        if not isinstance(self.game, str):
+            raise ValueError(f"game must be a catalog name, got {self.game!r}")
+        if not isinstance(self.game_params, Mapping):
+            raise ValueError(f"game_params must be a mapping, got "
+                             f"{self.game_params!r}")
         partition = catalog_game(self.game, **self.game_params).partition
         if self.w0 is None:
             self.w0 = (tuple(default_start(partition.total)),)
         if not isinstance(self.w0, RandomBall):
             self.w0 = tuple(tuple(as_point(partition, p).tolist())
-                            for p in self.w0)
+                            for p in _listed(self.w0, "w0"))
             if not self.w0:
                 raise ValueError("w0 must list at least one start point")
 
@@ -222,15 +247,29 @@ def analyze_point(game, w, epsilon: float = AdjusterSpec.epsilon) -> dict:
     when the point is fixed (within the tolerance of
     ``classify_fixed_point``), the stability report is included.  Raises
     ValueError for a point that ``as_point`` would reject, for an epsilon
-    that ``AdjusterSpec`` would, and for a point where the field is not
-    finite, before any Hessian or loss is taken there (on a quadratic game
-    without NumPy's overflow warning; a general game's callables keep the
-    caller's settings).
+    that ``AdjusterSpec`` would, for a point where the field is not
+    finite, before any Hessian or loss is taken there, and for a point
+    where another entry of the report is not finite (a loss, the field's
+    norm, the split's eigenvalues), naming the first such entry: the
+    report is JSON, which has no inf or NaN.  On a quadratic game the
+    report is computed without NumPy's overflow and invalid-value
+    warnings; a general game's callables keep the caller's settings.
     """
     w = as_point(game.partition, w)
     check_epsilon(epsilon)
     with _quiet(game):
-        xi = simultaneous_gradient(game, w)
+        bundle = _point_report(game, w, epsilon)
+    for key, value in bundle.items():
+        if isinstance(value, (float, list)) and not np.isfinite(value).all():
+            raise ValueError(f"the report's {key!r} at {w.tolist()} is not "
+                             f"finite: {value}")
+    return bundle
+
+
+def _point_report(game, w: Array, epsilon: float) -> dict:
+    """``analyze_point``'s report at a checked point, its entries not yet
+    checked, but the field checked before any Hessian or loss is taken."""
+    xi = simultaneous_gradient(game, w)
     if not np.isfinite(xi).all():
         raise ValueError(f"the field at {w.tolist()} is not finite: "
                          f"{xi.tolist()}")
@@ -292,8 +331,10 @@ def _csv_bytes(header, rows) -> bytes:
 
 
 def _json_bytes(doc) -> bytes:
-    """The package's one JSON encoder: indented by two, newline-ended."""
-    return (json.dumps(doc, indent=2) + "\n").encode()
+    """The package's one JSON encoder: indented by two, newline-ended.
+    JSON has no inf or NaN, so a float that is not finite is a
+    ValueError, not the ``Infinity`` that ``json`` would write."""
+    return (json.dumps(doc, indent=2, allow_nan=False) + "\n").encode()
 
 
 def serialize(cells: list[SweepCell], format: str = "csv") -> bytes:

@@ -13,6 +13,7 @@ single game object can be shared freely across threads.
 from __future__ import annotations
 
 import contextlib
+import functools
 import inspect
 import numbers
 from dataclasses import dataclass
@@ -136,15 +137,13 @@ class Game:
     """An n-player game over R^d with analytic per-player gradients.
 
     A game is evaluated through two batched methods: ``batch_field``,
-    which the Euler loop calls once per step with ``out`` a ``(C, d)``
-    view of the block buffer that keeps the step's field (on a stock
-    ``QuadraticGame`` the loop binds the same arithmetic on the buffer
-    itself instead; an override is always called), and ``batch_losses``,
-    which it calls once per block of steps.  Their base versions call the
-    per-player hooks ``player_gradient`` and ``loss_vector``; an override
-    of any of them must return exactly the bits the base version would,
-    and an override of ``batch_field`` must take ``out``, write the field
-    into it and return it.
+    which the Euler loop calls once per step and copies into the block
+    buffer that keeps the step's field (on a stock ``QuadraticGame`` the
+    loop runs the game's own column kernel on the buffer instead; an
+    override is always called), and ``batch_losses``, which it calls once
+    per block of steps.  Their base versions call the per-player hooks
+    ``player_gradient`` and ``loss_vector``; an override of any of them
+    must return exactly the bits the base version would.
 
     Parameters
     ----------
@@ -201,11 +200,9 @@ class Game:
             )
         return g
 
-    def batch_field(self, points: Array, out: Array | None = None) -> Array:
+    def batch_field(self, points: Array) -> Array:
         """The stacked field xi at each row of a ``(C, d)`` array of points,
-        as a C-ordered ``(C, d)`` array: ``out`` when given (a C-ordered
-        ``(C, d)`` float array, which it fills and returns), else a new
-        one.
+        as a new C-ordered ``(C, d)`` array.
 
         Row k stacks exactly the ``player_gradient(i, points[k])`` of every
         player i, so a subclass that overrides that per-player hook is
@@ -214,7 +211,7 @@ class Game:
         callable that reuses its output buffer still gives correct rows.
         """
         blocks = [self.partition.block(i) for i in range(self.num_players)]
-        field = np.empty((len(points), self.dim)) if out is None else out
+        field = np.empty((len(points), self.dim))
         for w, row in zip(points, field):
             for i, blk in enumerate(blocks):
                 row[blk] = self.player_gradient(i, w)
@@ -326,20 +323,29 @@ class QuadraticGame(Game):
         # The skip pays: adding the zero terms cost the presets bench 10-13%
         # of its iterations per second (2-core Xeon, one BLAS thread).
         self._has_linear = bool(lin_stack.any())
-
-    def batch_field(self, points: Array, out: Array | None = None) -> Array:
-        """All rows at once: ``H w + c``, one matrix-vector product per row,
-        written straight into ``out`` (a new array when it is not given).
-        Row j of H is row j of its owner's ``B_i``, and OpenBLAS sums it as
-        in the per-player ``B_i @ w``, so each row is bit-identical to the
-        stacked ``player_gradient``; no BLAS promises that, so a test does.
-        """
-        if out is None:
-            out = np.empty(points.shape)
-        np.matmul(self._hessian_matrix, points[:, :, None],
-                  out=out[:, :, None])
+        # The arithmetic the Euler loop binds, on (C, d, 1) stacks of
+        # column vectors, built once here.  The field ``(w, out) -> H w +
+        # c`` is one stacked gemv straight into ``out``, made by one C-level
+        # call, plus the offset only where there are linear terms; the
+        # products ``(w, xi) -> H' xi`` and ``-> H xi`` are one stacked gemv
+        # each.  ``batch_field`` runs the same field kernel.
+        self._field = functools.partial(np.matmul, hessian)
         if self._has_linear:
-            out += self._offset
+            gemv, column = self._field, offset[:, None]
+            self._field = lambda w, out: np.add(gemv(w, out), column, out)
+        self._products = tuple(lambda w, xi, m=m: np.matmul(m, xi)
+                               for m in (hessian.T, hessian))
+
+    def batch_field(self, points: Array) -> Array:
+        """All rows at once: ``H w + c``, one matrix-vector product per row,
+        by the field kernel the Euler loop runs, on column views of the
+        rows and of the new ``(C, d)`` array it returns.  Row j of H is row
+        j of its owner's ``B_i``, and OpenBLAS sums it as in the per-player
+        ``B_i @ w``, so each row is bit-identical to the stacked
+        ``player_gradient``; no BLAS promises that, so a test does.
+        """
+        out = np.empty(points.shape)
+        self._field(points[:, :, None], out[:, :, None])
         return out
 
     def batch_losses(self, points: Array) -> Array:

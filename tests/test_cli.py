@@ -105,6 +105,23 @@ class TestAnalyze:
         assert err == ("diffgames: the field at [1e+308, 1e+308] is not "
                        "finite: [inf, inf]\n")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("argv,at", [
+        (["--game", "example1", "--at", "1e200,1e200,1e200,1e200"],
+         "[1e+200, 1e+200, 1e+200, 1e+200]"),
+        (["--game", "example5", "--params", "kappa=1e308", "--at", "1,1"],
+         "[1.0, 1.0]"),
+    ])
+    def test_overflowing_report_is_usage_error(self, capsys, argv, at):
+        # The field is finite at both points, but its norm and the losses
+        # overflow there, and with kappa=1e308 the split's eigenvalues are
+        # NaN: it printed NumPy's overflow warnings and a bundle of
+        # Infinity and NaN, which is not JSON, and exited 0.
+        code, out, err = invoke(capsys, "analyze", *argv)
+        assert (code, out) == (1, "")
+        assert err == (f"diffgames: the report's 'xi_norm' at {at} is not "
+                       f"finite: inf\n")
+
     def test_nan_epsilon_is_usage_error(self, capsys):
         # As run --epsilon nan: the bias is checked, not turned into a sign.
         code, out, err = invoke(capsys, "analyze", "--game", "example6",
@@ -160,6 +177,30 @@ class TestRun:
                                 "--w0", w0)
         assert (code, out) == (1, "")
         assert "non-finite" in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("argv,final_w,norm", [
+        (["--game", "example1", "--adjuster", "sga", "--eta", "0.1",
+          "--w0", "1e200,1e200,1e200,1e200"], [1e200] * 4, 2e200),
+        (["--game", "example1", "--adjuster", "sga", "--eta", "0.1",
+          "--w0", "1e308,1e308,1e308,1e308"], [1e308] * 4, None),
+        # The first step overflows to the point (-inf, inf).
+        (["--game", "fig3_weak_attractor", "--params", "coupling=1e10",
+          "--adjuster", "simgd", "--eta", "1e300", "--w0", "1,1"],
+         [None, None], None),
+    ])
+    def test_json_numbers_are_numbers_or_null(self, capsys, argv, final_w,
+                                              norm):
+        # It printed NumPy's overflow warning for w @ w and wrote Infinity
+        # (not JSON) for a norm of 2e+200, and for the coordinates.
+        code, out, err = invoke(capsys, "run", *argv)
+        assert (code, err) == (0, "")
+
+        def refuse(name):
+            raise AssertionError(f"{name} is not JSON")
+        doc = json.loads(out, parse_constant=refuse)
+        assert doc["outcome"] == "diverged"
+        assert (doc["final_w"], doc["final_w_norm"]) == (final_w, norm)
 
     @pytest.mark.parametrize("flags,given", [
         ([], {}),

@@ -9,7 +9,7 @@ import diffgames as dg
 from diffgames.derivatives import _fd_step
 
 from conftest import (CATALOG_DEFAULTS, POTENTIAL_GAMES, CountingGame,
-                      TanhGame, random_realizable_game, rel_err)
+                      TanhGame, rel_err)
 
 
 def trig_game():
@@ -80,13 +80,6 @@ def reusing_trig_game():
                         [lambda w: np.sin(w[0] + 2 * w[1]),
                          lambda w: np.cos(3 * w[0] - w[1])],
                         [gradient(0), gradient(1)])
-
-
-def wide_game(offset):
-    """A realizable quadratic game of 8 players of size 32 (d = 256)."""
-    return random_realizable_game(np.random.default_rng(8),
-                                  dg.PlayerPartition((32,) * 8), 0.5, 1.0,
-                                  offset=offset)
 
 
 class LateWrongLength:
@@ -189,32 +182,6 @@ class TestBatchField:
             points = rng.uniform(-1.5, 1.5, (3, 2))
             assert (reusing.batch_field(points).tobytes()
                     == fresh.batch_field(points).tobytes())
-
-    # Beside the catalog's quadratic games (example3 has offsets), two of
-    # the size of the bench's `wide` game, with and without offsets.
-    OUT_GAMES = {
-        **GAMES,
-        "reusing": reusing_trig_game,
-        "wide": lambda: wide_game(None),
-        "wide-offset": lambda: wide_game(np.linspace(-1.0, 1.0, 256)),
-    }
-
-    @pytest.mark.parametrize("rows", [0, 1, 5])
-    @pytest.mark.parametrize("name", sorted(OUT_GAMES))
-    def test_out_is_filled_bit_for_bit_and_returned(self, name, rows):
-        """Given ``out``, here one row of a block buffer as the Euler loop
-        passes it, the field lands there with the bits of a call without
-        ``out``, and ``out`` itself comes back; the rest of the buffer is
-        left alone."""
-        game = self.OUT_GAMES[name]()
-        points = np.random.default_rng(zlib.crc32(name.encode())).uniform(
-            -1.5, 1.5, (rows, game.dim))
-        fresh = game.batch_field(points)
-        block = np.full((3, rows, game.dim), np.nan)
-        out = block[1]
-        assert game.batch_field(points, out) is out
-        assert out.tobytes() == fresh.tobytes()
-        assert np.isnan(block[[0, 2]]).all()
 
     def test_wrong_length_later_in_a_thvp_batch(self):
         game, bad = late_wrong_length_game()

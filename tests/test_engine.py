@@ -448,9 +448,9 @@ class CountingQuadraticGame(dg.QuadraticGame):
         super().__init__(game.partition, game.coefficients, game.linear_terms)
         self.calls = 0
 
-    def batch_field(self, points, out=None):
+    def batch_field(self, points):
         self.calls += 1
-        return super().batch_field(points, out)
+        return super().batch_field(points)
 
 
 def processed(end):

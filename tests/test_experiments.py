@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import diffgames as dg
-from diffgames import dynamics
+from diffgames import dynamics, experiments
 from diffgames.experiments import CSV_COLUMNS
 
 from conftest import CATALOG_DEFAULTS, CountingGame, TanhGame
@@ -100,6 +100,24 @@ class TestSweep:
     def test_rejects_nan_eta(self):
         with pytest.raises(ValueError):
             tiny_config(etas=(0.1, np.nan))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("game", ["example6"]),
+    ("adjusters", ("sga",)),
+    ("adjusters", None),
+    ("etas", None),
+    ("game_params", None),
+    ("stop", {"max_iters": 5}),
+    ("w0", 5),
+])
+def test_config_rejects_a_field_of_the_wrong_kind(field, value):
+    # Each built, or raised a TypeError, and a built one failed in the
+    # sweep: 'str' object has no attribute 'kind'.
+    with pytest.raises(ValueError, match=f"^{field} must "):
+        dg.SweepConfig(**{"game": "example6",
+                          "adjusters": (dg.AdjusterSpec("sga"),),
+                          "etas": (0.1,), field: value})
 
 
 class TestSeed:
@@ -489,6 +507,11 @@ class TestSerialize:
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             dg.serialize([], "yaml")
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_json_refuses_what_json_cannot_hold(self, value):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            experiments._json_bytes({"x": [1.0, value]})
 
 
 class TestConfigCodec:
