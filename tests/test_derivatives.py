@@ -9,7 +9,7 @@ import diffgames as dg
 from diffgames.derivatives import _fd_step
 
 from conftest import (CATALOG_DEFAULTS, POTENTIAL_GAMES, CountingGame,
-                      TanhGame, rel_err)
+                      TanhGame, random_realizable_game, rel_err)
 
 
 def trig_game():
@@ -80,6 +80,13 @@ def reusing_trig_game():
                         [lambda w: np.sin(w[0] + 2 * w[1]),
                          lambda w: np.cos(3 * w[0] - w[1])],
                         [gradient(0), gradient(1)])
+
+
+def wide_game(offset):
+    """A realizable quadratic game of 8 players of size 32 (d = 256)."""
+    return random_realizable_game(np.random.default_rng(8),
+                                  dg.PlayerPartition((32,) * 8), 0.5, 1.0,
+                                  offset=offset)
 
 
 class LateWrongLength:
@@ -182,6 +189,39 @@ class TestBatchField:
             points = rng.uniform(-1.5, 1.5, (3, 2))
             assert (reusing.batch_field(points).tobytes()
                     == fresh.batch_field(points).tobytes())
+
+    # Beside the catalog's quadratic games (example3 has offsets), two of
+    # the size of the bench's `wide` game, with and without offsets.
+    NEW_ARRAY_GAMES = {
+        **GAMES,
+        "reusing": reusing_trig_game,
+        "wide": lambda: wide_game(None),
+        "wide-offset": lambda: wide_game(np.linspace(-1.0, 1.0, 256)),
+    }
+
+    @pytest.mark.parametrize("rows", [0, 1, 5])
+    @pytest.mark.parametrize("name", sorted(NEW_ARRAY_GAMES))
+    def test_returns_a_new_array_bit_for_bit(self, name, rows):
+        """Each call returns a new C-ordered ``(C, d)`` array, which the
+        Euler loop copies into its column buffer: it shares no memory with
+        the points or with another call's result, a later call leaves it
+        as it was (the ``reusing`` game's callables overwrite one buffer),
+        and its bits are the per-player rows of the base method."""
+        game = self.NEW_ARRAY_GAMES[name]()
+        points = np.random.default_rng(zlib.crc32(name.encode())).uniform(
+            -1.5, 1.5, (rows, game.dim))
+        given = points.copy()
+        field = game.batch_field(points)
+        kept = field.copy()
+        again = game.batch_field(-points)
+        base = dg.Game.batch_field(game, points)
+        assert field.dtype == np.float64 and field.flags.c_contiguous
+        assert field.shape == (rows, game.dim)
+        assert not np.shares_memory(field, points)
+        assert not np.shares_memory(field, again)
+        assert not np.shares_memory(field, base)
+        assert field.tobytes() == kept.tobytes() == base.tobytes()
+        assert points.tobytes() == given.tobytes()
 
     def test_wrong_length_later_in_a_thvp_batch(self):
         game, bad = late_wrong_length_game()
