@@ -66,27 +66,25 @@ A blow-up is a stop, so on a quadratic game the loop runs with NumPy's
 overflow and invalid-value warnings off; a general game's callables keep
 the caller's settings.
 
-A block first screens its stop tests, each with a few calls over all
-its steps and rows: the largest norm against the bound (or one test that
-every entry is finite, with no bound), one finiteness test of the sum of
-the mean losses and field norms, the least field norm against its
-threshold, and, against the loss threshold, a lower bound on every
-window mean: the least mean the windows read, summed as a window of that
-length sums.  Each screen fails wherever its test fires at some step of
-some row, rounding and NaN included, so a block that passes them all
-builds no mask.  Otherwise the masks of the tests that are switched on
-decide, and who stopped and why, and the compaction, are worked out only
-in a block where one does.
+The pass builds one mask per stop test over all the block's steps and
+rows: non-finite losses or field, the norm bound (``_beyond``, which
+tests the start points too), and, where they are switched on, the field
+norm against its threshold and the window means against the loss
+threshold.  Only the window means are guarded: their gather grows with
+rows, steps and span, so a block skips it where a lower bound on every
+window mean (the least mean the windows read, summed as a window of that
+length sums) already passes the threshold.  Who stopped and why, and the
+compaction, are worked out only in a block where a test fires.
 
 The loop itself keeps only the block loop, the in-block step and that
 pass.  The per-row stop state is one ``_Ledger``: each row's cell index
 and rate, its mean losses over the span steps before the block and over
 the block's own, and the ends of the cells that stopped.  The ledger
 takes a block's means into a new array whose column span is the block's
-first step, answers the screen's window floor and the per-step window
-means, records a stop, and drops the stopped rows from every per-row
-array at once, so state added to it follows the batch without another
-compaction site.
+first step, answers the per-step window means and a floor under them,
+records a stop, and drops the stopped rows from every per-row array at
+once, so state added to it follows the batch without another compaction
+site.
 """
 
 from __future__ import annotations
@@ -435,16 +433,6 @@ def _beyond(w, bound: float) -> Array:
     return ~np.isfinite(w).all(axis=-1)
 
 
-def _within(w, bound: float) -> bool:
-    """Whether no row of w is past the norm bound, exactly when
-    ``_beyond(w, bound)`` is all False, without the mask: a square root
-    that is correctly rounded is monotone, so the largest norm is the root
-    of the largest w @ w, and a NaN fails the test."""
-    if math.isfinite(bound):
-        return math.sqrt(np.vecdot(w, w).max()) <= bound
-    return bool(np.isfinite(w).all())
-
-
 class _Ledger:
     """The per-row stop state of the engine's running cells, and the end of
     each cell that stopped.
@@ -489,12 +477,13 @@ class _Ledger:
 
     def floor(self, k: int) -> float:
         """A lower bound on the computed mean of every full window of the
-        block's k steps: span copies of the least mean those windows read,
-        summed as a window sums (a one-row ``np.add.reduce`` of the same
-        length adds in the same order), over span.  Rounded addition and
-        division are monotone, so a window of means that are each at least
-        that one comes out at least as large.  A NaN mean makes the bound
-        NaN, which fails every comparison."""
+        block's k steps, which spares a block where no window can stop
+        the gather of ``window_means``: span copies of the least mean those
+        windows read, summed as a window sums (a one-row ``np.add.reduce``
+        of the same length adds in the same order), over span.  Rounded
+        addition and division are monotone, so a window of means that are
+        each at least that one comes out at least as large.  A NaN mean
+        makes the bound NaN, which fails every comparison."""
         least = self._read(k).min()
         return np.add.reduce(np.full(self.span, least)) / self.span
 
@@ -564,9 +553,10 @@ def _euler(spec: AdjusterSpec, game: Game, starts, etas, stop: StopCriteria,
     convergence.  A cell's outcome, iteration and trailing window are
     those of its stop; the block's later steps of that cell are discarded,
     and the cell leaves the array at the end of the block, so the budget a
-    slow cell uses costs the others nothing.  The tests are screened
-    first, each row's arithmetic is that of a lone cell, and a general game
-    keeps the caller's NumPy error settings (see the module docstring).
+    slow cell uses costs the others nothing.  Each test is one mask over
+    the block (the window means behind their floor), each row's arithmetic
+    is that of a lone cell, and a general game keeps the caller's NumPy
+    error settings (see the module docstring).
 
     Returns one ``_CellEnd`` per cell and, with ``record`` (a batch of one
     only), the cell's history (else None): a list of (losses, xi norms,
@@ -599,11 +589,10 @@ def _euler(spec: AdjusterSpec, game: Game, starts, etas, stop: StopCriteria,
         step, losses_at = user(step), user(losses_at)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        if not _within(w, bound):
-            far = _beyond(w, bound)
-            for row in np.flatnonzero(far):
-                ledger.finish(row, DIVERGED, 0, -1)
-            (w,) = ledger.compact(~far, w)
+        far = _beyond(w, bound)
+        for row in np.flatnonzero(far):
+            ledger.finish(row, DIVERGED, 0, -1)
+        (w,) = ledger.compact(~far, w)
         w = w[:, :, None]
         while len(w):
             t0, eta, c = ledger.t0, ledger.eta, len(w)
@@ -632,38 +621,31 @@ def _euler(spec: AdjusterSpec, game: Game, starts, etas, stop: StopCriteria,
             xi_norm = np.sqrt(np.vecdot(xis, xis))
             mean_abs = np.add.reduce(np.absolute(losses), axis=2) / n
             ledger.store(mean_abs)
-            windows = loss_threshold > 0 and t0 + k >= ledger.span
+            # The stop tests of the r iterations, each an array of shape
+            # (r, C); row k, if any, holds only the bound.
+            diverged = np.zeros((r, c), dtype=bool)
+            diverged[:k] = ~(np.isfinite(losses).all(axis=2)
+                             & np.isfinite(xi_norm))
+            diverged[1:] |= _beyond(ws[1:r], bound)
+            stopping = diverged.copy()
+            if xi_threshold is not None:
+                stopping[:k] |= xi_norm < xi_threshold
+            # Where no window can stop, the floor spares the block the
+            # gather of window_means, which grows with rows, steps and span.
+            if (loss_threshold > 0 and t0 + k >= ledger.span
+                    and not ledger.floor(k) >= loss_threshold):
+                stopping[:k] |= ledger.window_means(k) < loss_threshold
             fired = None
-            # Each screen fails exactly when its test may fire at some step
-            # of some row, so a block that passes them all builds no mask.
-            # A finite sum of the means and norms (all >= 0) implies finite
-            # losses and field.
-            if (not math.isfinite((mean_abs + xi_norm).sum())
-                    or r > 1 and not _within(ws[1:r], bound)
-                    or xi_threshold is not None
-                    and not xi_norm.min() >= xi_threshold
-                    or windows and not ledger.floor(k) >= loss_threshold):
-                # The stop tests of the r iterations, each an array of
-                # shape (r, C); row k, if any, holds only the bound.
-                diverged = np.zeros((r, c), dtype=bool)
-                diverged[:k] = ~(np.isfinite(losses).all(axis=2)
-                                 & np.isfinite(xi_norm))
-                diverged[1:] |= _beyond(ws[1:r], bound)
-                stopping = diverged.copy()
-                if xi_threshold is not None:
-                    stopping[:k] |= xi_norm < xi_threshold
-                if windows:
-                    stopping[:k] |= ledger.window_means(k) < loss_threshold
-                if np.count_nonzero(stopping):
-                    fired = stopping.any(axis=0)
-                    at = stopping.argmax(axis=0)
-                    for row in np.flatnonzero(fired):
-                        j = int(at[row])
-                        t = t0 + j
-                        if diverged[j, row]:
-                            ledger.finish(row, DIVERGED, t, t - 1)
-                        else:
-                            ledger.finish(row, CONVERGED, t, t)
+            if np.count_nonzero(stopping):
+                fired = stopping.any(axis=0)
+                at = stopping.argmax(axis=0)
+                for row in np.flatnonzero(fired):
+                    j = int(at[row])
+                    t = t0 + j
+                    if diverged[j, row]:
+                        ledger.finish(row, DIVERGED, t, t - 1)
+                    else:
+                        ledger.finish(row, CONVERGED, t, t)
             if record:
                 # A stopped cell took the steps before its stop, and
                 # processed the step it stops at when it converged there.

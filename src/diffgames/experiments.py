@@ -382,6 +382,15 @@ def _etas_from_json(spec) -> tuple[float, ...]:
     return tuple(space(*ends, _whole(spec["count"], _key("etas", "count"))))
 
 
+def _params_from_json(doc) -> dict:
+    """A catalog game's parameters: a JSON object, never a list of pairs,
+    which ``dict`` would read as one."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{_key('game_params')} must be a JSON object, "
+                         f"got {doc!r}")
+    return doc
+
+
 def _adjuster_from_json(doc) -> AdjusterSpec:
     return AdjusterSpec(kind=doc["kind"], **{
         name: _number(doc[key], _key("adjusters", key))
@@ -397,7 +406,7 @@ _STOP_FIELDS = {f.name: int if isinstance(f.default, int) else float
 # SweepConfig field of the same name.
 _DECODERS = {
     "game": str,
-    "game_params": dict,
+    "game_params": _params_from_json,
     "adjusters": lambda doc: tuple(map(_adjuster_from_json, doc)),
     "etas": _etas_from_json,
     "w0": lambda doc: (RandomBall(_number(doc["random_ball"],

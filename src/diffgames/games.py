@@ -106,14 +106,16 @@ def as_point(partition: PlayerPartition, values) -> Array:
 
 def _as_floats(values, what: str) -> Array:
     """An array of numbers (a vector or a matrix) as a float array, with
-    ``what`` naming it in the error for an entry that is not a number: a
-    string, or a boolean.  A numeric array pays only a check of its
-    dtype."""
+    ``what`` naming it in the error for an entry that ``_number`` rejects:
+    a string, a boolean, or an int too large for a float.  A numeric array
+    pays only a check of its dtype."""
     if not (isinstance(values, np.ndarray) and values.dtype.kind in "fiu"):
         for x in np.asarray(values, dtype=object).reshape(-1):
-            # NumPy's bool_ is not a numbers.Real; Python's bool is.
-            if isinstance(x, bool) or not isinstance(x, numbers.Real):
-                raise ValueError(f"{what} must hold numbers, got {x!r}")
+            try:
+                _number(x, what)
+            except ValueError:
+                raise ValueError(
+                    f"{what} must hold numbers, got {x!r}") from None
     return np.asarray(values, dtype=float)
 
 

@@ -488,6 +488,7 @@ class TestOneCodec:
         ({"stop": [1]}, "stop"),
         ({"stop": {"max_iters": [10]}}, "stop"),
         ({"seed": [0]}, "seed"),
+        ({"game_params": "abc"}, "game_params"),
     ])
     def test_malformed_config_is_usage_error(self, capsys, tmp_path, doc,
                                              key):

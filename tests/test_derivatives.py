@@ -325,6 +325,8 @@ class TestProductVector:
         ([np.nan, 1], "v has non-finite entries"),
         ([1.0, -np.inf], "v has non-finite entries"),
         ([1, 2, 3], "v has length 3, game needs 2"),
+        pytest.param([10**400, 1], f"v must hold numbers, got {10**400!r}",
+                     id="huge-int"),
     ])
     @pytest.mark.parametrize("product", [dg.hvp, dg.thvp])
     @pytest.mark.parametrize("fd", [False, True], ids=["analytic", "fd"])

@@ -576,12 +576,13 @@ def plain_simgd(game, w0, eta, stop):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestStopScreens:
-    """A block in which no row can stop builds no stop mask: a screen per
-    test (the least loss mean of the block's windows, the largest norm,
-    one all-finite test) says so.  Each case sits on the edge of one test,
-    where a screen that was not exact would skip a stop, and the engine
-    must then match a plain per-step loop at blocks of one step and at the
-    engine's own blocks."""
+    """The stop pass decides each test of a block's steps with one mask,
+    and the loss window only where a lower bound on its means (the least
+    mean the windows read) does not already clear the threshold.  Each
+    case sits on the edge of one test, where a mask or a bound that was
+    not exact would skip a stop or make one, and the engine must then
+    match a plain per-step loop at blocks of one step and at the engine's
+    own blocks."""
 
     def check(self, monkeypatch, game, starts, etas, stop):
         """The plain loop's result for each cell, after checking that the
@@ -643,6 +644,27 @@ class TestStopScreens:
                                        divergence_norm=bound)
                 refs = self.check(monkeypatch, game, starts, etas, stop)
                 assert refs[0][:2] == (dg.DIVERGED, t + (bound == norm))
+
+    def test_xi_threshold_at_an_observed_field_norm(self, monkeypatch):
+        # Player 1's loss is x^2 / 2 and player 2's y^2 / 2, so the field
+        # is w and simultaneous descent shrinks |xi| at every step; the
+        # threshold is the field norm at iteration t, so that cell stops
+        # at t + 1, or at t when the threshold is a float more.  Blocks
+        # of 16 end at 15 and 16, and grown blocks start at 136 and 152.
+        game = dg.QuadraticGame(dg.PlayerPartition((1, 1)),
+                                [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+        starts = [[0.5, 0.5], [0.3, -0.4], [1.0, 0.01]]
+        etas = (0.01, 0.02, 0.005)
+        free = dg.StopCriteria(max_iters=240, loss_threshold=0.0)
+        norms = dg.run(dg.AdjusterSpec("simgd"), game, starts[0], etas[0],
+                       free).xi_norms
+        for t in (1, 15, 16, 17, 136, 151, 152, 200):
+            for threshold in (norms[t], np.nextafter(norms[t], np.inf)):
+                stop = dg.StopCriteria(max_iters=240, loss_threshold=0.0,
+                                       xi_threshold=threshold)
+                refs = self.check(monkeypatch, game, starts, etas, stop)
+                assert refs[0][:2] == (dg.CONVERGED,
+                                       t + (threshold == norms[t]))
 
     def test_a_row_turns_nan_mid_block(self, monkeypatch):
         # Player 1's loss is x^2 / 2 - 1e150 y and player 2's y^2 / 2, so

@@ -561,6 +561,17 @@ class TestConfigCodec:
                                  "epsilon": None}])
         assert dg.config_from_json(nulls) == dg.config_from_json(doc)
 
+    @pytest.mark.parametrize("params", ["abc", [["dim", 1]], 3, True])
+    def test_game_params_must_be_an_object(self, params):
+        # "abc" raised dict()'s ValueError, which names no key, and a list
+        # of pairs was read as the object {"dim": 1}.
+        doc = {"game": "fig4_bilinear", "adjusters": [{"kind": "omd"}],
+               "etas": [0.1], "game_params": params}
+        with pytest.raises(ValueError, match=re.escape(
+                f"config key 'game_params' must be a JSON object, "
+                f"got {params!r}")):
+            dg.config_from_json(doc)
+
     def test_whole_floats_are_whole_numbers(self):
         doc = {"game": "fig4_bilinear", "adjusters": [{"kind": "omd"}],
                "etas": {"start": 0.01, "stop": 1.0, "count": 5.0},

@@ -65,10 +65,12 @@ class TestPoint:
 
     @pytest.mark.parametrize("values,named", [
         (["a", 1], "'a'"), (["1.5", 1], "'1.5'"), ([None, 1.0], "None"),
-        (np.array(["1.5", "1"]), "'1.5'"), ([1.0, 1j], "1j")])
+        (np.array(["1.5", "1"]), "'1.5'"), ([1.0, 1j], "1j"),
+        pytest.param([10**400, 1], repr(10**400), id="huge-int")])
     def test_non_numbers_rejected(self, values, named):
-        # A string raised NumPy's conversion error, and a numeric one
-        # was taken as its number.
+        # A string raised NumPy's conversion error, a numeric one was
+        # taken as its number, and an int too large for a float raised
+        # OverflowError.
         with pytest.raises(ValueError, match=re.escape(
                 f"point must hold numbers, got {named}")):
             dg.as_point(dg.PlayerPartition((1, 1)), values)
@@ -371,8 +373,9 @@ class TestGameFromHessian:
         assert np.allclose(xi, c)
 
 
-# A boolean is not a number in a matrix either, and each message names
-# the argument; an integer array (even one written with True) is numeric.
+# A boolean is not a number in a matrix either, nor is an int too large
+# for a float, and each message names the argument; an integer array (even
+# one written with True) is numeric.
 @pytest.mark.parametrize("call,said", [
     (lambda: dg.helmholtz_split([[True, 0], [0, 1]]),
      "hessian must hold numbers, got True"),
@@ -390,6 +393,11 @@ class TestGameFromHessian:
     (lambda: dg.QuadraticGame(dg.PlayerPartition((1, 1)),
                               [np.eye(2), np.eye(2)], [[True, 0], [0, 0]]),
      "linear terms must hold numbers, got True"),
+    (lambda: dg.helmholtz_split([[10**400]]),
+     f"hessian must hold numbers, got {10**400!r}"),
+    (lambda: dg.QuadraticGame(dg.PlayerPartition((1, 1)),
+                              [np.eye(2), [[1, 0], [0, -10**400]]]),
+     f"coefficient matrix 1 must hold numbers, got {-10**400!r}"),
     (lambda: dg.catalog_game("example1", payoff=[[True]]),
      "payoff must hold numbers, got True"),
     (lambda: dg.catalog_game("example2", p=[[1.0]], q=[[True]]),
@@ -399,6 +407,7 @@ class TestGameFromHessian:
 ], ids=["helmholtz_split", "helmholtz_split-bool-array",
         "quadratic_game_from_hessian", "QuadraticGame.coefficients",
         "QuadraticGame.coefficients-str", "QuadraticGame.linear",
+        "helmholtz_split-huge-int", "QuadraticGame.coefficients-huge-int",
         "catalog.payoff", "catalog.q", "catalog.p-str"])
 def test_matrices_hold_numbers(call, said):
     with pytest.raises(ValueError, match=re.escape(said)):
