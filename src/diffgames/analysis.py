@@ -79,12 +79,13 @@ def helmholtz_split(hessian) -> Decomposition:
 
     The split M = S + A with S = (M + M')/2 and A = (M - M')/2 is exact and
     unique, and is preserved by any orthogonal change of coordinates.
-    Raises ValueError for a matrix that is not square or not finite, or
-    that holds an entry that is not a number (a boolean, say).
+    Raises ValueError for a matrix that is not square, empty or not
+    finite, or that holds an entry that is not a number (a boolean, say).
     """
     h = _as_floats(hessian, "hessian")
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {h.shape}")
+    if h.ndim != 2 or h.shape[0] != h.shape[1] or h.size == 0:
+        raise ValueError(f"expected a nonempty square matrix, got shape "
+                         f"{h.shape}")
     if not np.all(np.isfinite(h)):
         raise ValueError("matrix has non-finite entries")
     sym = 0.5 * (h + h.T)

@@ -24,13 +24,17 @@ from .games import CATALOG, catalog_game, default_start
 
 
 class _UsageError(Exception):
-    pass
+    """A usage error, its message prefixed with the (sub)command it is
+    about, ``diffgames`` unless named."""
+
+    def __init__(self, message, prog="diffgames"):
+        super().__init__(f"{prog}: {message}")
 
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on usage errors; remap to this tool's 1.
     def error(self, message):
-        raise _UsageError(f"{self.prog}: {message}")
+        raise _UsageError(message, self.prog)
 
 
 def _parse_vector(text: str) -> list[float]:

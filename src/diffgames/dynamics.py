@@ -13,33 +13,39 @@ the arithmetic of a lone cell bit for bit (one matrix-vector product and
 one dot product per row, reductions along contiguous rows), so a cell's
 result does not depend on the batch it ran in.
 
-A step is one call of the rule's step, bound once per engine call
-(``_stepper``): the rule's branch and weights, the game's field and, on
-a quadratic game, its Hessian products are looked up there, not per step.
-It evaluates only the field, which it writes straight into the block's
+A block of steps is one call of the rule's block kernel, bound once per
+engine call (``_stepper``): the rule's branch and weights, the game's
+field and, on a quadratic game, its Hessian products are looked up there,
+not per step.  The kernel runs the block's steps in one loop.  Each
+evaluates only the field, which it writes straight into the block's
 buffer, and pays only for the Hessian products its rule's direction
 uses: none for simgd and omd, H' xi for the consensus rules and
 hamiltonian descent, H' xi and H xi for the sga rules.  ``direction`` is
-that step on a batch of one, and ``Trajectory.probes`` takes the probe
-<xi, H' xi>, which the loop does not record, from the stored points on
-first read with hamiltonian descent's step (whose direction is H' xi), so
-it holds the bits a probe taken during the run would have.
+that kernel's one step on a batch of one, and ``Trajectory.probes`` takes
+the probe <xi, H' xi>, which the loop does not record, from the stored
+points on first read with hamiltonian descent's kernel (whose direction
+is H' xi), as one step of all of them, so it holds the bits a probe taken
+during the run would have.
 
-The step works on stacks of column vectors: the block's points are a
-``(k + 1, C, d, 1)`` buffer and its fields a ``(k, C, d, 1)`` one, which
-the loop walks with ``zip``.  A ``QuadraticGame`` builds its arithmetic
-on such stacks once, with the game: the field, whose kernel its own
+The kernel works on stacks of column vectors in a ``_Workspace`` that the
+batch keeps from block to block: a ``(K + 1, C, d, 1)`` buffer of points,
+a ``(K, C, d, 1)`` one of fields, ``(C, d, 1)`` scratch for the
+direction, and omd's previous field.  The loop makes it again only where
+the batch drops rows or a block outgrows it, with room for blocks twice
+as long (within ``_BLOCK_BYTES``), and each step's views of it are made
+once, when a block first takes that step.  Every ufunc of a step writes
+into a given output, so on a quadratic game a step makes no view, and no
+temporary but the aligned rules' sign: an omd step is the field's one
+gemv and four ufunc calls.  A ``QuadraticGame`` builds its arithmetic on
+such stacks once, with the game: the field, whose kernel its own
 ``batch_field`` runs too, and both Hessian products are one stacked gemv
-each straight on those buffers (``np.matmul(H, w, out)``), so a step
-builds none of the ``(C, d, 1)`` views of ``(C, d)`` rows a matrix
-product would need, and none of their ``[..., 0]`` views back: at the
-presets' d = 4 those were four of an omd step's nine NumPy calls.  Every
-gemv still gets one contiguous column and every dot product one
-contiguous vector, so each row keeps its bits.  A general game's
-``batch_field``, and an override of it, still sees ``(C, d)`` rows,
-views of the columns, once per step, and returns new ones, which the
-step copies into its column buffer.  The stop pass reads the block's
-points and fields through one ``(k, C, d)`` view each.
+each straight on those buffers (``np.matmul(H, w, out)``).  Every gemv
+still gets one contiguous column and every dot product one contiguous
+vector, so each row keeps its bits.  A general game's ``batch_field``,
+and an override of it, still sees ``(C, d)`` rows, views of the columns,
+once per step, and returns new ones, which the step copies into its
+column buffer.  The stop pass reads the block's points and fields
+through one ``(k, C, d)`` view each.
 
 At the small d of the presets a step costs its NumPy calls, not its
 flops, and testing for a stop after every step (the norm bound, the
@@ -170,7 +176,9 @@ class StopCriteria:
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
         if not (1 <= self.loss_window <= self.max_iters):
-            raise ValueError("need 1 <= loss_window <= max_iters")
+            raise ValueError(f"need 1 <= loss_window <= max_iters, got "
+                             f"loss_window={self.loss_window} and "
+                             f"max_iters={self.max_iters}")
 
 
 def check_eta(eta: float) -> float:
@@ -214,20 +222,23 @@ class Trajectory:
         point, shape (iters,).
 
         The loop does not record it: the first read computes it from
-        ``points`` with the loop's own step (``_stepper``) of hamiltonian
-        descent, whose direction is H' xi, bit for bit what a probe taken
-        during the run would be, and caches it.  On a game without an
+        ``points`` with the loop's own block kernel (``_stepper``) of
+        hamiltonian descent, whose direction is H' xi, as one step of all
+        the points, bit for bit what a probe taken during the run would
+        be, and caches it.  On a game without an
         analytic Hessian, ``fd_game(game)`` included, that read costs
         2d + 1 field evaluations per iteration: the field again, then
         ``thvp``.  Near a blow-up a probe may overflow to inf; like the
         loop, the read does not warn about it.
         """
         if self._probes is None:
-            points = self.points[:len(self.xi_norms), :, None]
-            step = _stepper(AdjusterSpec(HAMILTONIAN_DESCENT), self._game)
+            space = _Workspace(self.points[:len(self.xi_norms), :, None],
+                               None, 1)
+            block = _stepper(AdjusterSpec(HAMILTONIAN_DESCENT), self._game)
             with _quiet(self._game):
-                xi, grad_h, _ = step(points, None, np.empty(points.shape))
-                self._probes = np.vecdot(xi[..., 0], grad_h[..., 0])
+                grad_h = block(space, 1, 1.0, None)
+                self._probes = np.vecdot(space.fields[0, ..., 0],
+                                         grad_h[..., 0])
         return self._probes
 
     @property
@@ -239,8 +250,9 @@ class Trajectory:
 
 
 def _products(game: Game):
-    """The functions ``(w, xi) -> H'xi`` and ``-> H xi`` at each column,
-    given the field columns xi: on a quadratic game (one that overrides
+    """The functions ``(w, xi, out) -> H'xi`` and ``-> H xi`` at each
+    column, given the field columns xi, written into ``out``, a C-ordered
+    array of xi's shape: on a quadratic game (one that overrides
     ``batch_field`` included) the game's own, built with it from its
     constant Hessian, one stacked matmul with H or its transpose, one
     matrix-vector product per column, so bit for bit the row-by-row
@@ -252,8 +264,8 @@ def _products(game: Game):
         return game._products
 
     def row_by_row(p):
-        def product(w, xi):
-            out = np.full(xi.shape, np.nan)
+        def product(w, xi, out):
+            out.fill(np.nan)
             for row in np.flatnonzero(np.isfinite(xi).all(axis=(1, 2))):
                 out[row, :, 0] = p(game, w[row, :, 0], xi[row, :, 0])
             return out
@@ -272,31 +284,70 @@ def _aligned_signs(xi: Array, at_xi: Array, grad_h: Array,
     return np.where(value >= 0.0, 1.0, -1.0)
 
 
+class _Workspace:
+    """The engine's buffers for a batch of C rows of d coordinates, kept
+    from block to block for blocks of up to ``size`` steps.
+
+    ``points`` is a ``(size + 1, C, d, 1)`` stack of column vectors whose
+    slot j is the point step j starts from, made with slot 0 holding w,
+    and ``fields`` a ``(size, C, d, 1)`` one whose slot j gets step j's
+    field.  ``vec`` and ``tmp`` are ``(C, d, 1)`` scratch for a step's
+    direction, and ``prev`` is omd's previous field, owned by the
+    workspace (None before its first step).
+    """
+
+    def __init__(self, w: Array, prev: Array | None, size: int):
+        c, d, _ = w.shape
+        self.points = np.empty((size + 1, c, d, 1))
+        self.points[0] = w
+        self.fields = np.empty((size, c, d, 1))
+        self.vec, self.tmp = np.empty((2, c, d, 1))
+        self.prev = prev
+        self._steps = []
+
+    def steps(self, k: int) -> list:
+        """The (point, field, next point) views of the first k steps, each
+        made once, when a block first needs it."""
+        steps = self._steps
+        for j in range(len(steps), k):
+            steps.append((self.points[j], self.fields[j],
+                          self.points[j + 1]))
+        return steps[:k]
+
+
 def _stepper(spec: AdjusterSpec, game: Game):
-    """The rule's engine step on the game, ``step(w, prev_xi, out) -> (xi,
-    vec, sign)``, with the rule's branch, weight and fixed sign, the field
+    """The rule's block kernel on the game, ``block(space, k, eta, signs)
+    -> vec``, with the rule's branch, weights and fixed sign, the field
     and the products (``_products``) bound once.
 
-    The step takes its points as a ``(C, d, 1)`` stack of column vectors,
-    writes the field there into ``out``, a C-ordered array of w's shape (a
-    BLAS dot product may sum a strided vector in another order than a
-    contiguous one), and returns it as xi, with each column's direction
-    and the sign of the adjustment weight the rule applied: a ``(C, 1)``
-    array for the aligned rules, else one float (0.0 for the rules without
-    a weighted adjustment term), so no per-step array is built where every
-    row shares it.  ``prev_xi`` holds omd's previous field columns (None
-    on its first step).  Only the aligned rules compute the probe
-    <xi, H' xi>, one dot product along each column (``axis=-2``).
+    The kernel takes the first k steps of a ``_Workspace`` in one loop.
+    Step j reads its point, a ``(C, d, 1)`` stack of column vectors, from
+    the workspace's point slot j, writes the field there into field slot
+    j (C-ordered: a BLAS dot product may sum a strided vector in another
+    order than a contiguous one), the rule's direction into the scratch
+    ``space.vec``, and ``w - eta * vec`` into point slot j + 1, first the
+    product and then the difference.  Every operation is a ufunc or
+    matmul call given its output (positionally: NumPy parses that faster
+    than ``out=``), in the order the direction's expression would
+    evaluate it (``2 xi - prev``; ``xi + lam * (0.5 * (H' xi - H xi))``),
+    so a step builds no view and keeps the bits of that expression.  It
+    returns the last step's direction: ``space.vec``, or its field for
+    simgd, whose direction it is.  With ``signs``, a ``(k, C)`` array, row
+    j gets the sign of the adjustment weight the rule applied at step j
+    (0.0 for the rules without a weighted adjustment term).  Omd reads its
+    previous field from ``space.prev`` (the field itself on its first
+    step, where that is None) and leaves its last field there.  Only the
+    aligned rules compute the probe <xi, H' xi>, one dot product along
+    each column (``axis=-2``).
 
     On a stock ``QuadraticGame`` the field, H w + c, is the game's own
     column kernel, built with the game: one stacked gemv straight on the
     columns made by one C-level call, plus the offset only where the game
     has linear terms.  Its ``batch_field`` runs the same kernel, so the
-    step has its bits.  With the products' stacked gemvs (``_products``),
-    such a step makes no view of its own.  Any other game, and a subclass
-    that overrides ``batch_field``, has its ``batch_field`` called once
-    per step on ``(C, d)`` row views of the columns, and the rows it
-    returns are copied into ``out``, so it sees every step.
+    step has its bits.  Any other game, and a subclass that overrides
+    ``batch_field``, has its ``batch_field`` called once per step on
+    ``(C, d)`` row views of the columns, and the rows it returns are
+    copied into the field slot, so it sees every step.
     """
     kind, rows = spec.kind, game.batch_field
     # The game's batch_field is QuadraticGame's own, not an override.
@@ -305,47 +356,110 @@ def _stepper(spec: AdjusterSpec, game: Game):
     else:
         def field(w, out):
             out[..., 0] = rows(w[..., 0])
-            return out
-    fixed = 1.0 if spec.lam >= 0 else -1.0
     # The constants as 0-d arrays: NumPy multiplies an array by one faster
     # than by a Python number, with the same bits.
     lam, weight, two, half = (np.array(x, dtype=float)
                               for x in (spec.lam, abs(spec.lam), 2.0, 0.5))
     trans, plain = _products(game)
     if kind == SIMGD:
-        def step(w, prev_xi, out):
-            xi = field(w, out)
-            return xi, xi, 0.0
+        def block(space, k, eta, signs):
+            for w, xi, new in space.steps(k):
+                field(w, xi)
+                np.multiply(eta, xi, new)
+                np.subtract(w, new, new)
+            return xi
     elif kind == OMD:
-        def step(w, prev_xi, out):
-            xi = field(w, out)
-            return xi, two * xi - (xi if prev_xi is None else prev_xi), 0.0
+        def block(space, k, eta, signs):
+            vec, prev = space.vec, space.prev
+            for w, xi, new in space.steps(k):
+                field(w, xi)
+                np.multiply(two, xi, vec)
+                np.subtract(vec, xi if prev is None else prev, vec)
+                np.multiply(eta, vec, new)
+                np.subtract(w, new, new)
+                prev = xi
+            # The next block writes its fields over this one's.
+            if space.prev is None:
+                space.prev = np.empty_like(vec)
+            np.copyto(space.prev, prev)
+            return vec
     elif kind == HAMILTONIAN_DESCENT:
-        def step(w, prev_xi, out):
-            xi = field(w, out)
-            return xi, trans(w, xi), 0.0
+        def block(space, k, eta, signs):
+            vec = space.vec
+            for w, xi, new in space.steps(k):
+                field(w, xi)
+                trans(w, xi, vec)
+                np.multiply(eta, vec, new)
+                np.subtract(w, new, new)
+            return vec
     elif kind == CONSENSUS:
-        def step(w, prev_xi, out):
-            xi = field(w, out)
-            return xi, xi + lam * trans(w, xi), fixed
+        def block(space, k, eta, signs):
+            vec = space.vec
+            for w, xi, new in space.steps(k):
+                field(w, xi)
+                trans(w, xi, vec)
+                np.multiply(lam, vec, vec)
+                np.add(xi, vec, vec)
+                np.multiply(eta, vec, new)
+                np.subtract(w, new, new)
+            return vec
     elif kind == ALIGNED_CONSENSUS:
-        def step(w, prev_xi, out):
-            xi = field(w, out)
-            grad_h = trans(w, xi)
-            signs = np.where(np.vecdot(xi, grad_h, axis=-2) >= 0, 1.0, -1.0)
-            return xi, xi + (weight * signs)[:, None] * grad_h, signs
+        def block(space, k, eta, signs):
+            vec = space.vec
+            for j, (w, xi, new) in enumerate(space.steps(k)):
+                field(w, xi)
+                trans(w, xi, vec)
+                sign = np.where(np.vecdot(xi, vec, axis=-2) >= 0, 1.0, -1.0)
+                np.multiply((weight * sign)[:, None], vec, vec)
+                np.add(xi, vec, vec)
+                np.multiply(eta, vec, new)
+                np.subtract(w, new, new)
+                if signs is not None:
+                    signs[j] = sign[:, 0]
+            return vec
     elif kind == SGA:
-        def step(w, prev_xi, out):
-            xi = field(w, out)
-            return xi, xi + lam * (half * (trans(w, xi) - plain(w, xi))), fixed
+        def block(space, k, eta, signs):
+            vec, tmp = space.vec, space.tmp
+            for w, xi, new in space.steps(k):
+                field(w, xi)
+                trans(w, xi, vec)
+                plain(w, xi, tmp)
+                np.subtract(vec, tmp, vec)
+                np.multiply(half, vec, vec)
+                np.multiply(lam, vec, vec)
+                np.add(xi, vec, vec)
+                np.multiply(eta, vec, new)
+                np.subtract(w, new, new)
+            return vec
     else:   # SGA_ALIGNED; AdjusterSpec checks the kind
-        def step(w, prev_xi, out):
-            xi = field(w, out)
-            grad_h = trans(w, xi)
-            at_xi = half * (grad_h - plain(w, xi))
-            signs = _aligned_signs(xi, at_xi, grad_h, spec.epsilon)
-            return xi, xi + (weight * signs)[:, None] * at_xi, signs
-    return step
+        def block(space, k, eta, signs):
+            # grad_h = H' xi in vec, at_xi = 0.5 (grad_h - H xi) in tmp.
+            vec, tmp = space.vec, space.tmp
+            for j, (w, xi, new) in enumerate(space.steps(k)):
+                field(w, xi)
+                trans(w, xi, vec)
+                plain(w, xi, tmp)
+                np.subtract(vec, tmp, tmp)
+                np.multiply(half, tmp, tmp)
+                sign = _aligned_signs(xi, tmp, vec, spec.epsilon)
+                np.multiply((weight * sign)[:, None], tmp, vec)
+                np.add(xi, vec, vec)
+                np.multiply(eta, vec, new)
+                np.subtract(w, new, new)
+                if signs is not None:
+                    signs[j] = sign[:, 0]
+            return vec
+    if kind in (ALIGNED_CONSENSUS, SGA_ALIGNED):
+        return block
+    # The other rules apply one sign at every step and row.
+    sign = 0.0 if kind in (SIMGD, OMD, HAMILTONIAN_DESCENT) else (
+        1.0 if spec.lam >= 0 else -1.0)
+
+    def fixed(space, k, eta, signs):
+        if signs is not None:
+            signs[:k] = sign
+        return block(space, k, eta, signs)
+    return fixed
 
 
 def _quiet(game: Game):
@@ -370,8 +484,11 @@ def direction(spec: AdjusterSpec, game: Game, w, prev_xi=None) -> Array:
     """
     w = as_point(game.partition, w).reshape(1, -1, 1)
     if prev_xi is not None:
-        prev_xi = _as_vector(prev_xi, game.dim, "prev_xi").reshape(1, -1, 1)
-    return _stepper(spec, game)(w, prev_xi, np.empty(w.shape))[1].reshape(-1)
+        # A copy: the kernel leaves the field in it.
+        prev_xi = np.array(_as_vector(prev_xi, game.dim, "prev_xi")
+                           ).reshape(1, -1, 1)
+    return _stepper(spec, game)(_Workspace(w, prev_xi, 1), 1, 1.0,
+                                None).reshape(-1)
 
 
 class _CellEnd(NamedTuple):
@@ -538,13 +655,17 @@ def _euler(spec: AdjusterSpec, game: Game, starts, etas, stop: StopCriteria,
     ``(C, d, 1)`` stack of column vectors; the per-row stop state (cell
     index, rate, loss means) and the ends of the stopped cells are a
     ``_Ledger``.  The loop steps every cell still running through a block
-    of k steps of the rule's bound step (``_stepper``), walking the
-    block's column buffers of points and fields with ``zip``: step j
-    reads its point from ``ws[j]``, writes its field into ``xis[j]`` and
-    its result into ``ws[j + 1]``, so the step itself makes no view.  The
-    pass then reads both buffers as ``(k, C, d)`` rows: it takes the
-    losses at the k points the block started from (one contiguous run of
-    rows) in one call and decides the stop tests of all k steps at once.
+    of k steps, one call of the rule's block kernel (``_stepper``) on the
+    batch's ``_Workspace``: step j reads its point from point slot j,
+    writes its field into field slot j and its result into point slot
+    j + 1.  The workspace, with omd's previous field, is kept from block
+    to block; it is made again, from the last point, only where rows
+    stopped (``_Ledger.compact`` carries the previous field) or a block
+    needs more steps than it holds, with room for twice as many, up to
+    ``_BLOCK_BYTES`` of points.  The pass then reads both buffers as
+    ``(k, C, d)`` rows: it takes the losses at the k points the block
+    started from (one contiguous run of rows) in one call and decides the
+    stop tests of all k steps at once.
     On a quadratic game k is 16 until iteration 136 and grows with the
     batch's age from there (``_block_length``).  A cell stops at its first
     step that fires a test, in this order: the norm bound on the point
@@ -562,7 +683,8 @@ def _euler(spec: AdjusterSpec, game: Game, starts, etas, stop: StopCriteria,
     only), the cell's history (else None): a list of (losses, xi norms,
     signs) array triples whose rows, joined, hold one entry per processed
     iteration, and a list of point arrays whose rows, joined, are the start
-    point and one point per step taken.  Norms are ``sqrt(v @ v)``, what
+    point and one point per step taken (copies: the workspace is
+    reused).  Norms are ``sqrt(v @ v)``, what
     ``np.linalg.norm`` computes for a real vector.
     """
     w = np.array(starts, dtype=float, ndmin=2)
@@ -579,14 +701,14 @@ def _euler(spec: AdjusterSpec, game: Game, starts, etas, stop: StopCriteria,
     loss_threshold, max_iters = stop.loss_threshold, stop.max_iters
     ledger = _Ledger(len(w), etas, stop.loss_window, d)
     steps = [(np.zeros((0, n)), np.zeros(0), np.zeros(0))]
-    points, prev_xi = [w], None
-    step, losses_at = _stepper(spec, game), game.batch_losses
+    points, prev_xi, space = [w], None, None
+    block, losses_at = _stepper(spec, game), game.batch_losses
     if not isinstance(game, QuadraticGame):
         # A general game's evaluations and direction run the user's
         # callables: they keep the caller's NumPy error settings inside
         # the quiet loop.
         user = np.errstate(**np.geterr())
-        step, losses_at = user(step), user(losses_at)
+        block, losses_at = user(block), user(losses_at)
 
     with np.errstate(over="ignore", invalid="ignore"):
         far = _beyond(w, bound)
@@ -601,20 +723,19 @@ def _euler(spec: AdjusterSpec, game: Game, starts, etas, stop: StopCriteria,
             # The pass decides iterations t0 to t0 + r - 1: the k steps,
             # and the bound on the block's last point unless it is done.
             r = k if done else k + 1
-            # Column buffers: ws[j] is the point step j starts from, ws[k]
-            # the last result, and step j writes its field into xis[j].
-            ws, xis = np.empty((k + 1, c, d, 1)), np.empty((k, c, d, 1))
-            ws[0] = w
+            if space is None or len(space.vec) != c or len(space.fields) < k:
+                # Rows stopped, or the block outgrew the workspace: a new
+                # one, with room for the blocks to grow into.
+                fit = _BLOCK_BYTES // (8 * c * d)
+                space = _Workspace(w, prev_xi, max(k, min(2 * k, fit)))
+            else:
+                space.points[0] = w
             signs = np.empty((k, c)) if record else None
-            for j, (w, out, new) in enumerate(zip(ws, xis, ws[1:])):
-                xi, vec, sign = step(w, prev_xi, out)
-                if record:
-                    signs[j] = sign
-                np.subtract(w, eta * vec, out=new)
-                prev_xi = xi
+            block(space, k, eta, signs)
             # The next block starts from the last point; the pass reads
             # the block's points and fields as (k, C, d) rows.
-            w, ws, xis = new, ws[..., 0], xis[..., 0]
+            w, prev_xi = space.points[k], space.prev
+            ws, xis = space.points[:k + 1, ..., 0], space.fields[:k, ..., 0]
             losses = np.ascontiguousarray(
                 losses_at(ws[:k].reshape(k * c, d))).reshape(k, c, n)
 
@@ -654,7 +775,7 @@ def _euler(spec: AdjusterSpec, game: Game, starts, etas, stop: StopCriteria,
                                      and not diverged[taken, 0])
                 steps.append((losses[:processed, 0], xi_norm[:processed, 0],
                               signs[:processed, 0]))
-                points.append(ws[1:taken + 1, 0])
+                points.append(ws[1:taken + 1, 0].copy())
             if done:
                 for row in (range(c) if fired is None
                             else np.flatnonzero(~fired)):

@@ -145,7 +145,9 @@ class Game:
     override is always called), and ``batch_losses``, which it calls once
     per block of steps.  Their base versions call the per-player hooks
     ``player_gradient`` and ``loss_vector``; an override of any of them
-    must return exactly the bits the base version would.
+    must return exactly the bits the base version would.  The points they
+    get are views of buffers the loop writes again in later blocks, so a
+    hook copies what it keeps.
 
     Parameters
     ----------
@@ -329,14 +331,16 @@ class QuadraticGame(Game):
         # column vectors, built once here.  The field ``(w, out) -> H w +
         # c`` is one stacked gemv straight into ``out``, made by one C-level
         # call, plus the offset only where there are linear terms; the
-        # products ``(w, xi) -> H' xi`` and ``-> H xi`` are one stacked gemv
-        # each.  ``batch_field`` runs the same field kernel.
+        # products ``(w, xi, out) -> H' xi`` and ``-> H xi`` are one stacked
+        # gemv each into ``out``.  ``batch_field`` runs the same field
+        # kernel.
         self._field = functools.partial(np.matmul, hessian)
         if self._has_linear:
             gemv, column = self._field, offset[:, None]
             self._field = lambda w, out: np.add(gemv(w, out), column, out)
-        self._products = tuple(lambda w, xi, m=m: np.matmul(m, xi)
-                               for m in (hessian.T, hessian))
+        self._products = tuple(
+            lambda w, xi, out, m=m: np.matmul(m, xi, out)
+            for m in (hessian.T, hessian))
 
     def batch_field(self, points: Array) -> Array:
         """All rows at once: ``H w + c``, one matrix-vector product per row,

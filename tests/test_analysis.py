@@ -39,6 +39,10 @@ class TestHelmholtzSplit:
         with pytest.raises(ValueError):
             dg.helmholtz_split(np.zeros((2, 3)))
 
+    def test_rejects_an_empty_matrix_naming_its_shape(self):
+        with pytest.raises(ValueError, match=r"\(0, 0\)"):
+            dg.helmholtz_split(np.zeros((0, 0)))
+
     def test_reconstruction_and_idempotence(self):
         rng = np.random.default_rng(0)
         for _ in range(100):

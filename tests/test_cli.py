@@ -679,6 +679,44 @@ class TestExitCodes:
         assert out == ""
         assert "'consensus' overflows at eta=1e+307" in err
 
+    # Every usage error line names the program, the ones the helpers
+    # raise included.
+    @pytest.mark.parametrize("argv,message", [
+        (["sweep", "--game", "example1", "--adjusters", "sga",
+          "--eta-range", "0.1,0.2,2"], "eta range must look like"),
+        (["sweep", "--game", "example1", "--adjusters", "sga",
+          "--eta-range", "log:a:1:2"], "malformed eta range"),
+        (["analyze", "--game", "example7", "--at", "0,zero"],
+         "malformed vector literal"),
+        (["analyze", "--game", "example7", "--at", "0,0", "--params", "a"],
+         "expected key=value"),
+        (["analyze", "--game", "example7", "--at", "0,0", "--params",
+          "a=b"], "parameter 'a' has non-numeric value"),
+        (["sweep"], "sweep needs --preset, --config, or --game"),
+        (["sweep", "--game", "example1"], "sweep needs --adjusters"),
+        (["sweep", "--game", "example1", "--adjusters", "sga"],
+         "give exactly one of --etas or --eta-range"),
+        (["sweep", "--game", "example1", "--adjusters", "sga", "--etas",
+          "0.1", "--w0", "1,1,1,1", "--w0-ball", "1"],
+         "give at most one of --w0 or --w0-ball"),
+        (["sweep", "--preset", "fig3", "--game", "example1"],
+         "--game conflicts with --preset"),
+    ])
+    def test_usage_error_names_the_program(self, capsys, argv, message):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"diffgames: {message}"), err
+
+    def test_window_error_gives_both_numbers(self, capsys):
+        # loss_window defaults to 10, past a budget of 5.
+        code, out, err = invoke(capsys, "run", "--game", "example1",
+                                "--adjuster", "omd", "--eta", "0.1",
+                                "--max-iters", "5")
+        assert code == 1
+        assert out == ""
+        assert "loss_window=10" in err and "max_iters=5" in err, err
+
     def test_missing_subcommand(self, capsys):
         code, _, _ = invoke(capsys)
         assert code == 1

@@ -382,13 +382,13 @@ class TestOneStep:
 
     @staticmethod
     def step(spec, game, w, prev_xi=None):
-        # The engine steps a (C, d, 1) stack of column vectors.
-        out = np.empty((1, game.dim, 1))
-        prev_xi = None if prev_xi is None else prev_xi[..., None]
-        xi, vec, sign = dynamics._stepper(spec, game)(w[None, :, None],
-                                                      prev_xi, out)
-        assert xi is out
-        return xi[0, :, 0], vec[0, :, 0], sign
+        # The engine runs a block of steps on (C, d, 1) stacks of column
+        # vectors; this is a block of one step of one row.
+        prev_xi = None if prev_xi is None else prev_xi[..., None].copy()
+        space = dynamics._Workspace(w[None, :, None], prev_xi, 1)
+        signs = np.empty((1, 1))
+        vec = dynamics._stepper(spec, game)(space, 1, 1.0, signs)
+        return space.fields[0, 0, :, 0], vec[0, :, 0], signs[0]
 
     @pytest.mark.parametrize("name", sorted(GAMES))
     @pytest.mark.parametrize("kind", dg.KINDS)

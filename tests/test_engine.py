@@ -13,8 +13,8 @@ from diffgames import dynamics
 from diffgames.dynamics import _euler
 from diffgames.experiments import _start_points, _trailing_loss
 
-from conftest import (CATALOG_DEFAULTS, plain_game, random_realizable_game,
-                      random_symmetric)
+from conftest import (CATALOG_DEFAULTS, TanhGame, plain_game,
+                      random_realizable_game, random_symmetric)
 
 # A finite but huge norm bound: a blow-up is caught by the bound when
 # w @ w overflows first, and as non-finite losses or field when they do.
@@ -723,3 +723,92 @@ class TestWindowMeans:
                     assert (ledger.ends[row].window.tobytes()
                             == window.tobytes()), (k, last, row)
             ledger.advance(k)
+
+
+def reference_loop(spec, game, w0, eta, steps):
+    """``steps`` Euler steps written out as a plain Python loop of
+    ``w - eta * direction(spec, game, w, prev_xi)``, with the field and the
+    sign each step applies taken by the public functions.  Returns the
+    points, the field norms, the signs and the mean absolute losses."""
+    w, prev = np.array(w0, dtype=float), None
+    points, norms, signs, means = [w], [], [], []
+    weighted = 1.0 if spec.lam >= 0 else -1.0
+    for _ in range(steps):
+        xi = dg.simultaneous_gradient(game, w)
+        grad_h = dg.thvp(game, w, xi)
+        if spec.kind == dg.ALIGNED_CONSENSUS:
+            signs.append(1.0 if xi @ grad_h >= 0 else -1.0)
+        elif spec.kind == dg.SGA_ALIGNED:
+            at_xi = 0.5 * (grad_h - dg.hvp(game, w, xi))
+            signs.append(dg.alignment_sign(xi, at_xi, grad_h, spec.epsilon))
+        elif spec.kind in (dg.CONSENSUS, dg.SGA):
+            signs.append(weighted)
+        else:
+            signs.append(0.0)
+        losses = game.loss_vector(w)
+        means.append(np.add.reduce(np.absolute(losses)) / len(losses))
+        norms.append(np.sqrt(xi @ xi))
+        w = w - eta * dg.direction(spec, game, w, prev)
+        points.append(w)
+        prev = xi
+    return np.array(points), np.array(norms), np.array(signs), means
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestReferenceLoop:
+    """Every rule's engine equals a plain loop of ``direction`` steps bit
+    for bit, over many blocks: on a quadratic game whose blocks outgrow the
+    engine's buffers, in a lone run and in a batch whose other rows stopped
+    first, and on a general game, stepped in blocks of one.  Unlike
+    ``TestBlockLength``, whose reference runs the engine with blocks of
+    one, the reference shares none of the engine's buffers, so it also
+    sees a step that reads a buffer a later step wrote (omd's previous
+    field above all)."""
+
+    BUDGET = 700
+    STOP = dg.StopCriteria(max_iters=BUDGET, loss_window=10,
+                           loss_threshold=0.0, divergence_norm=1e6)
+
+    @staticmethod
+    def check_run(spec, game, w0, eta, stop):
+        traj = dg.run(spec, game, w0, eta, stop)
+        assert traj.outcome == dg.MAX_ITERS
+        points, norms, signs, _ = reference_loop(spec, game, w0, eta,
+                                                 stop.max_iters)
+        assert traj.points.tobytes() == points.tobytes()
+        assert traj.xi_norms.tobytes() == norms.tobytes()
+        assert traj.signs.tobytes() == signs.tobytes()
+
+    @pytest.mark.parametrize("kind", dg.KINDS)
+    def test_quadratic_game(self, monkeypatch, kind):
+        game, eta = dg.catalog_game("fig7_four_player"), 0.01
+        spec = dg.AdjusterSpec(kind, lam=0.5)
+        w0 = np.random.default_rng(3).standard_normal(game.dim)
+        self.check_run(spec, game, w0, eta, self.STOP)
+        # A batch: the other rows blow up in the first blocks and leave it,
+        # then the blocks of the last one outgrow the buffers made after.
+        builds, workspace = [], dynamics._Workspace
+
+        def recorded(w, prev, size):
+            builds.append((len(w), size))
+            return workspace(w, prev, size)
+        monkeypatch.setattr(dynamics, "_Workspace", recorded)
+        ends, _ = _euler(spec, game, [w0, w0, -w0], (eta, 30.0, 300.0),
+                         self.STOP)
+        assert [end.outcome for end in ends] == [dg.MAX_ITERS, dg.DIVERGED,
+                                                 dg.DIVERGED]
+        assert ends[1].iteration < 64 and ends[2].iteration < 64
+        rows = [c for c, _ in builds]
+        assert rows[0] == 3 and rows[-1] == 1
+        assert builds[-1][1] > min(size for c, size in builds if c == 1)
+        _, _, _, means = reference_loop(spec, game, w0, eta, self.BUDGET)
+        assert ends[0].window.tobytes() == np.array(means[-10:]).tobytes()
+
+    @pytest.mark.parametrize("kind", dg.KINDS)
+    def test_general_game(self, kind):
+        # A general game steps in blocks of one, one step per pass.
+        game = TanhGame().build(analytic_hessian=True)
+        w0 = np.array([0.3, -0.2, 0.5, 0.1, -0.4])
+        stop = dg.StopCriteria(max_iters=40, loss_window=10,
+                               loss_threshold=0.0)
+        self.check_run(dg.AdjusterSpec(kind, lam=0.5), game, w0, 0.05, stop)

@@ -476,8 +476,9 @@ def test_batch_evaluation_of_a_dense_game():
 
 
 class TestEngineColumns:
-    """The engine's own form of the field and the Hessian products: on a
-    ``(k, C, d, 1)`` block buffer of column vectors, the step bound by
+    """The engine's own form of the field and the Hessian products: on the
+    ``(k, C, d, 1)`` block buffers of column vectors that the engine keeps
+    (``dynamics._Workspace``), the block kernel bound by
     ``dynamics._stepper`` writes the stock ``QuadraticGame`` field into
     the buffer's columns with one stacked gemv, and ``dynamics._products``
     takes H' xi and H xi from those columns.  Each row must keep the bits
@@ -494,14 +495,19 @@ class TestEngineColumns:
     def test_columns_equal_the_row_products(self, sizes, c, offset):
         game, rng = _dense_game(sizes, offset)
         d, k, h = game.dim, 4, game.hessian_matrix
-        step = dynamics._stepper(dg.AdjusterSpec(dg.SIMGD), game)
+        block = dynamics._stepper(dg.AdjusterSpec(dg.SIMGD), game)
         trans, plain = dynamics._products(game)
-        ws, xis = np.empty((k, c, d, 1)), np.empty((k, c, d, 1))
-        for j, (w, out) in enumerate(zip(ws, xis)):
-            w[...] = 10.0 ** (j - 1) * rng.standard_normal((c, d, 1))
-            xi, _, _ = step(w, None, out)
-            assert xi is out
-            grad_h, h_xi = trans(w, xi), plain(w, xi)
+        # A block of k steps at a negative rate, so the points' scale
+        # grows from step to step.
+        space = dynamics._Workspace(0.1 * rng.standard_normal((c, d, 1)),
+                                    None, k)
+        eta = np.full((c, d, 1), -9.0)
+        block(space, k, eta, None)
+        grad_h, h_xi = np.empty((c, d, 1)), np.empty((c, d, 1))
+        for j, (w, xi, new) in enumerate(space.steps(k)):
+            assert new.tobytes() == (w - eta * xi).tobytes()
+            trans(w, xi, grad_h)
+            plain(w, xi, h_xi)
             probes = np.vecdot(xi, grad_h, axis=-2)
             for row in range(c):
                 x = xi[row, :, 0]
