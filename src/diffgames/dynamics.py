@@ -13,84 +13,16 @@ the arithmetic of a lone cell bit for bit (one matrix-vector product and
 one dot product per row, reductions along contiguous rows), so a cell's
 result does not depend on the batch it ran in.
 
-A block of steps is one call of the rule's block kernel, bound once per
-engine call (``_stepper``): the rule's branch and weights, the game's
-field and, on a quadratic game, its Hessian products are looked up there,
-not per step.  The kernel runs the block's steps in one loop.  Each
-evaluates only the field, which it writes straight into the block's
-buffer, and pays only for the Hessian products its rule's direction
-uses: none for simgd and omd, H' xi for the consensus rules and
-hamiltonian descent, H' xi and H xi for the sga rules.  ``direction`` is
-that kernel's one step on a batch of one, and ``Trajectory.probes`` takes
-the probe <xi, H' xi>, which the loop does not record, from the stored
-points on first read with hamiltonian descent's kernel (whose direction
-is H' xi), as one step of all of them, so it holds the bits a probe taken
-during the run would have.
-
-The kernel works on stacks of column vectors in a ``_Workspace`` that the
-batch keeps from block to block: a ``(K + 1, C, d, 1)`` buffer of points,
-a ``(K, C, d, 1)`` one of fields, ``(C, d, 1)`` scratch for the
-direction, and omd's previous field.  The loop makes it again only where
-the batch drops rows or a block outgrows it, with room for blocks twice
-as long (within ``_BLOCK_BYTES``), and each step's views of it are made
-once, when a block first takes that step.  Every ufunc of a step writes
-into a given output, so on a quadratic game a step makes no view, and no
-temporary but the aligned rules' sign: an omd step is the field's one
-gemv and four ufunc calls.  A ``QuadraticGame`` builds its arithmetic on
-such stacks once, with the game: the field, whose kernel its own
-``batch_field`` runs too, and both Hessian products are one stacked gemv
-each straight on those buffers (``np.matmul(H, w, out)``).  Every gemv
-still gets one contiguous column and every dot product one contiguous
-vector, so each row keeps its bits.  A general game's ``batch_field``,
-and an override of it, still sees ``(C, d)`` rows, views of the columns,
-once per step, and returns new ones, which the step copies into its
-column buffer.  The stop pass reads the block's points and fields
-through one ``(k, C, d)`` view each.
-
-At the small d of the presets a step costs its NumPy calls, not its
-flops, and testing for a stop after every step (the norm bound, the
-non-finite test, the loss window) would take about half of them.  So on a
-quadratic game the loop takes a block of steps before it tests for a
-stop: a step inside the block makes only the calls of its field, its
-direction and its update, and keeps its point and field; the losses, read
-only by the stop tests, are then evaluated at all the block's points in
-one call, and one pass makes the tests of every step of the block.  A
-block has 16 steps, or an eighth of the iterations its batch has run once
-that is more (``_block_length``), so a long-running batch pays one pass
-per many steps, and runs at most 15 steps, or under an eighth of those it
-needed, past its last stop.
-
-The norm bound is tested on each point as the step that made it
-finishes: the pass tests every point the block made, the block's last
-one as the first iteration of the next block, and the start points are
-tested once before the first block.  A cell that stopped inside the
-block ends at its exact iteration with its exact window, and its later
-steps are discarded, so no result depends on the block length.  On a
-general game those discarded steps would run the user's callables past
-a stop, so there the loop tests after every step (``_block_length``).
-A blow-up is a stop, so on a quadratic game the loop runs with NumPy's
-overflow and invalid-value warnings off; a general game's callables keep
-the caller's settings.
-
-The pass builds one mask per stop test over all the block's steps and
-rows: non-finite losses or field, the norm bound (``_beyond``, which
-tests the start points too), and, where they are switched on, the field
-norm against its threshold and the window means against the loss
-threshold.  Only the window means are guarded: their gather grows with
-rows, steps and span, so a block skips it where a lower bound on every
-window mean (the least mean the windows read, summed as a window of that
-length sums) already passes the threshold.  Who stopped and why, and the
-compaction, are worked out only in a block where a test fires.
-
-The loop itself keeps only the block loop, the in-block step and that
-pass.  The per-row stop state is one ``_Ledger``: each row's cell index
-and rate, its mean losses over the span steps before the block and over
-the block's own, and the ends of the cells that stopped.  The ledger
-takes a block's means into a new array whose column span is the block's
-first step, answers the per-step window means and a floor under them,
-records a stop, and drops the stopped rows from every per-row array at
-once, so state added to it follows the batch without another compaction
-site.
+A step is one step of the rule's block kernel (``_stepper``), which works
+in buffers the batch keeps (``_Workspace``); ``direction`` and
+``Trajectory.probes`` run the same kernel.  On a quadratic game the loop
+takes a block of steps (``_block_length``) before one pass tests all of
+them for a stop, and a cell ends at its first step that fires a test, so
+no result depends on the block length.  A blow-up there is a stop, so a
+quadratic game runs with NumPy's overflow and invalid-value warnings off.
+A general game runs the user's callables, which must not run past a stop:
+it steps one at a time and keeps the caller's NumPy error settings.  The
+per-row stop state, and what a stopped cell processed, are a ``_Ledger``.
 """
 
 from __future__ import annotations
@@ -199,11 +131,14 @@ def check_epsilon(epsilon: float) -> None:
 class Trajectory:
     """Iterate history with per-iteration diagnostics.
 
-    ``points`` holds the initial point plus one entry per Euler step taken.
-    The diagnostic arrays have one entry per processed iteration (evaluated
-    at the pre-step point).  ``outcome_iteration`` is the iteration at which
-    the outcome was decided; for MAX_ITERS it equals the iteration budget.
-    ``probes`` is computed from the stored points on first read (see there).
+    ``outcome_iteration`` is the iteration at which the outcome was
+    decided; for MAX_ITERS it equals the iteration budget.  ``points``
+    holds the initial point plus one entry per Euler step taken,
+    ``outcome_iteration + 1`` in all.  The diagnostic arrays have one entry
+    per processed iteration (evaluated at the pre-step point):
+    ``outcome_iteration + 1`` where the run converged, else
+    ``outcome_iteration``.  ``probes`` is computed from the stored points
+    on first read (see there).
     """
 
     points: Array                 # (steps+1, d)
@@ -493,12 +428,14 @@ def direction(spec: AdjusterSpec, game: Game, w, prev_xi=None) -> Array:
 
 class _CellEnd(NamedTuple):
     """How one cell of the engine stopped: its outcome, the iteration that
-    decided it, and the trailing window of per-iteration mean absolute
-    losses (oldest first; shorter than the window if fewer were recorded)."""
+    decided it, the trailing window of per-iteration mean absolute losses
+    (oldest first; shorter than the window if fewer were recorded) and the
+    number of iterations it processed (``_Ledger.finish``)."""
 
     outcome: str
     iteration: int
     window: Array
+    processed: int
 
 
 # The least number of steps in a block on a quadratic game (see
@@ -627,13 +564,20 @@ class _Ledger:
             sums[lo:lo + len(starts)] = np.add.reduce(windows, axis=2).T
         return sums / span
 
-    def finish(self, row: int, outcome: str, t: int, last: int) -> None:
-        """Row ``row`` stops at iteration t with the window of its means
-        up to iteration ``last``."""
+    def finish(self, row: int, outcome: str, t: int) -> None:
+        """Row ``row`` stops at iteration t with ``outcome``.
+
+        This is the engine's one statement of what a stopped cell
+        processed: a cell that converged at t processed iteration t, and
+        one that diverged or ran out of budget at t did not, so its last
+        processed iteration is t - 1.  The cell's window ends there, and
+        its ``_CellEnd.processed`` counts the iterations up to there."""
+        last = t if outcome == CONVERGED else t - 1
         end = self.span + last - self.t0 + 1
         self.ends[self.rows[row]] = _CellEnd(
             outcome, t,
-            self._means[row, end - min(last + 1, self.span):end].copy())
+            self._means[row, end - min(last + 1, self.span):end].copy(),
+            last + 1)
 
     def compact(self, keep: Array, *arrays) -> list:
         """Keep only the rows ``keep`` of the ledger and of each per-row
@@ -679,12 +623,12 @@ def _euler(spec: AdjusterSpec, game: Game, starts, etas, stop: StopCriteria,
     is that of a lone cell, and a general game keeps the caller's NumPy
     error settings (see the module docstring).
 
-    Returns one ``_CellEnd`` per cell and, with ``record`` (a batch of one
-    only), the cell's history (else None): a list of (losses, xi norms,
-    signs) array triples whose rows, joined, hold one entry per processed
-    iteration, and a list of point arrays whose rows, joined, are the start
-    point and one point per step taken (copies: the workspace is
-    reused).  Norms are ``sqrt(v @ v)``, what
+    Returns one ``_CellEnd`` per cell and, with ``record`` (``run``'s
+    batch of one), the cell's history (else None): a list of (losses, xi
+    norms, signs) array triples whose rows, joined, hold one entry per
+    processed iteration (``_Ledger.finish``), and a list of point arrays
+    whose rows, joined, are the start point and one point per step taken
+    (copies: the workspace is reused).  Norms are ``sqrt(v @ v)``, what
     ``np.linalg.norm`` computes for a real vector.
     """
     w = np.array(starts, dtype=float, ndmin=2)
@@ -694,8 +638,6 @@ def _euler(spec: AdjusterSpec, game: Game, starts, etas, stop: StopCriteria,
     if len(etas) != len(w):
         raise ValueError(f"got {len(etas)} learning rates for {len(w)} "
                          f"start points")
-    if record and len(w) != 1:
-        raise ValueError("only a batch of one records its history")
     n, d = game.num_players, game.dim
     bound, xi_threshold = stop.divergence_norm, stop.xi_threshold
     loss_threshold, max_iters = stop.loss_threshold, stop.max_iters
@@ -713,7 +655,7 @@ def _euler(spec: AdjusterSpec, game: Game, starts, etas, stop: StopCriteria,
     with np.errstate(over="ignore", invalid="ignore"):
         far = _beyond(w, bound)
         for row in np.flatnonzero(far):
-            ledger.finish(row, DIVERGED, 0, -1)
+            ledger.finish(row, DIVERGED, 0)
         (w,) = ledger.compact(~far, w)
         w = w[:, :, None]
         while len(w):
@@ -762,24 +704,22 @@ def _euler(spec: AdjusterSpec, game: Game, starts, etas, stop: StopCriteria,
                 at = stopping.argmax(axis=0)
                 for row in np.flatnonzero(fired):
                     j = int(at[row])
-                    t = t0 + j
-                    if diverged[j, row]:
-                        ledger.finish(row, DIVERGED, t, t - 1)
-                    else:
-                        ledger.finish(row, CONVERGED, t, t)
+                    ledger.finish(row, DIVERGED if diverged[j, row]
+                                  else CONVERGED, t0 + j)
             if record:
-                # A stopped cell took the steps before its stop, and
-                # processed the step it stops at when it converged there.
-                taken = k if fired is None else at[0]
-                processed = taken + (fired is not None
-                                     and not diverged[taken, 0])
+                # The batch of one took every step of the block and
+                # processed every iteration while it runs, and what its
+                # end says once it stopped.
+                end = ledger.ends[0]
+                taken, processed = ((k, k) if end is None else
+                                    (end.iteration - t0, end.processed - t0))
                 steps.append((losses[:processed, 0], xi_norm[:processed, 0],
                               signs[:processed, 0]))
                 points.append(ws[1:taken + 1, 0].copy())
             if done:
                 for row in (range(c) if fired is None
                             else np.flatnonzero(~fired)):
-                    ledger.finish(row, MAX_ITERS, max_iters, max_iters - 1)
+                    ledger.finish(row, MAX_ITERS, max_iters)
                 break
             if fired is not None:
                 w, prev_xi = ledger.compact(~fired, w, prev_xi)

@@ -379,7 +379,8 @@ def _etas_from_json(spec) -> tuple[float, ...]:
             raise ValueError(f"{_key('etas', end)} must be positive and "
                              f"finite, got {spec[end]!r}")
         ends.append(value)
-    return tuple(space(*ends, _whole(spec["count"], _key("etas", "count"))))
+    return tuple(space(*ends, _whole(spec["count"], _key("etas", "count"),
+                                     least=1)))
 
 
 def _params_from_json(doc) -> dict:

@@ -507,7 +507,7 @@ class TestOneCodec:
         ({"seed": True}, "config key 'seed' must be a whole number >= 0, "
                          "got True"),
         ({"etas": {"start": 0.1, "stop": 1.0, "count": 2.9}},
-         "config key 'etas': 'count' must be a whole number >= 0, got 2.9"),
+         "config key 'etas': 'count' must be a whole number >= 1, got 2.9"),
         ({"stop": {"max_iters": 10.7}},
          "config key 'stop': 'max_iters' must be a whole number >= 0, "
          "got 10.7"),
@@ -554,6 +554,9 @@ class TestOneCodec:
          "config key 'stop': 'loss_threshold' must be a number, got 'x'"),
         ({"stop": {"divergence_norm": True}},
          "config key 'stop': 'divergence_norm' must be a number, got True"),
+        # An empty grid failed later, with a message that named no key.
+        ({"etas": {"start": 0.1, "stop": 1.0, "count": 0}},
+         "config key 'etas': 'count' must be a whole number >= 1, got 0"),
     ])
     def test_config_error_names_the_key(self, capsys, tmp_path, doc, said):
         base = {"game": "example1", "adjusters": [{"kind": "sga"}],
@@ -569,6 +572,10 @@ class TestOneCodec:
         ("log:inf:1:3", "'start' must be positive and finite, got inf"),
         ("log:0.1:nan:3", "'stop' must be positive and finite, got nan"),
         ("linear:0.1:-1:3", "'stop' must be positive and finite, got -1.0"),
+        # An empty grid failed later, naming no key; a negative count's
+        # message advertised 0 as valid.
+        ("log:0.1:1:0", "'count' must be a whole number >= 1, got 0"),
+        ("log:0.1:1:-2", "'count' must be a whole number >= 1, got -2"),
     ])
     def test_eta_range_end_names_the_key(self, capsys, grid, said):
         with warnings.catch_warnings():

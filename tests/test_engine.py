@@ -2,6 +2,7 @@
 every cell must equal a lone ``run`` bit for bit; on random games its
 outcomes must agree with the exact spectral oracle."""
 
+import dataclasses
 import math
 import zlib
 
@@ -718,7 +719,7 @@ class TestWindowMeans:
             assert ledger.window_means(k).tobytes() == want.tobytes(), k
             for last in (ledger.t0 - 1, ledger.t0 + k - 1):
                 for row in range(rows):
-                    ledger.finish(row, dynamics.CONVERGED, last + 1, last)
+                    ledger.finish(row, dynamics.CONVERGED, last)
                     window = history[row, max(last + 1 - span, 0):last + 1]
                     assert (ledger.ends[row].window.tobytes()
                             == window.tobytes()), (k, last, row)
@@ -771,20 +772,32 @@ class TestReferenceLoop:
 
     @staticmethod
     def check_run(spec, game, w0, eta, stop):
+        """Check ``run`` against the reference loop up to its stop, and
+        return its outcome and iteration."""
         traj = dg.run(spec, game, w0, eta, stop)
-        assert traj.outcome == dg.MAX_ITERS
-        points, norms, signs, _ = reference_loop(spec, game, w0, eta,
-                                                 stop.max_iters)
-        assert traj.points.tobytes() == points.tobytes()
-        assert traj.xi_norms.tobytes() == norms.tobytes()
-        assert traj.signs.tobytes() == signs.tobytes()
+        t = traj.outcome_iteration
+        # A run that converged at t processed iteration t; any other did
+        # not, and the reference must not step from a point past a stop.
+        processed = t + (traj.outcome == dg.CONVERGED)
+        points, norms, signs, means = reference_loop(spec, game, w0, eta,
+                                                     processed)
+        assert len(traj.points) == t + 1
+        assert traj.points.tobytes() == points[:t + 1].tobytes()
+        mean_abs = (np.add.reduce(np.absolute(traj.losses), axis=1)
+                    / game.num_players)
+        for got, want in ((traj.xi_norms, norms), (traj.signs, signs),
+                          (mean_abs, np.array(means))):
+            assert len(got) == processed
+            assert got.tobytes() == want.tobytes()
+        return traj.outcome, t
 
     @pytest.mark.parametrize("kind", dg.KINDS)
     def test_quadratic_game(self, monkeypatch, kind):
         game, eta = dg.catalog_game("fig7_four_player"), 0.01
         spec = dg.AdjusterSpec(kind, lam=0.5)
         w0 = np.random.default_rng(3).standard_normal(game.dim)
-        self.check_run(spec, game, w0, eta, self.STOP)
+        assert self.check_run(spec, game, w0, eta, self.STOP) == (
+            dg.MAX_ITERS, self.BUDGET)
         # A batch: the other rows blow up in the first blocks and leave it,
         # then the blocks of the last one outgrow the buffers made after.
         builds, workspace = [], dynamics._Workspace
@@ -811,4 +824,33 @@ class TestReferenceLoop:
         w0 = np.array([0.3, -0.2, 0.5, 0.1, -0.4])
         stop = dg.StopCriteria(max_iters=40, loss_window=10,
                                loss_threshold=0.0)
-        self.check_run(dg.AdjusterSpec(kind, lam=0.5), game, w0, 0.05, stop)
+        assert self.check_run(dg.AdjusterSpec(kind, lam=0.5), game, w0, 0.05,
+                              stop) == (dg.MAX_ITERS, 40)
+
+    # A run that stops by each test: on fig7 inside a block longer than 16
+    # steps (blocks 204-228, 229-256 and 365-409), on the general game at
+    # a step of its own.  (A non-finite stop is left out: the reference
+    # loop would warn there.)
+    @pytest.mark.parametrize("name,kind,eta,limit,want", [
+        ("fig7", dg.OMD, 0.2, {"loss_threshold": 0.01}, (dg.CONVERGED, 382)),
+        ("fig7", dg.HAMILTONIAN_DESCENT, 0.2, {"xi_threshold": 1e-3},
+         (dg.CONVERGED, 205)),
+        ("fig7", dg.SIMGD, 0.1, {"divergence_norm": 1e3}, (dg.DIVERGED, 242)),
+        ("tanh", dg.SGA, 0.01, {"loss_threshold": 0.01}, (dg.CONVERGED, 95)),
+        ("tanh", dg.CONSENSUS, 0.1, {"xi_threshold": 1e-3},
+         (dg.CONVERGED, 84)),
+        ("tanh", dg.HAMILTONIAN_DESCENT, 0.5, {"divergence_norm": 1e3},
+         (dg.DIVERGED, 66)),
+    ])
+    def test_run_that_stops(self, name, kind, eta, limit, want):
+        if name == "fig7":
+            game = dg.catalog_game("fig7_four_player")
+            w0 = np.random.default_rng(3).standard_normal(game.dim)
+        else:
+            game = TanhGame().build(analytic_hessian=True)
+            w0 = np.array([0.3, -0.2, 0.5, 0.1, -0.4])
+        # Only the test given a limit fires: the others are off or out of
+        # reach.
+        stop = dataclasses.replace(self.STOP, **limit)
+        assert self.check_run(dg.AdjusterSpec(kind, lam=0.5), game, w0, eta,
+                              stop) == want

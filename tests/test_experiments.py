@@ -273,6 +273,27 @@ def test_preset_bytes_are_pinned(name):
     assert digests == PRESET_DIGESTS[name]
 
 
+# sha256 of each preset's CSV cut to its verdict columns,
+# game,adjuster,lambda,eta,seed,outcome,iters (newline-joined).  The last
+# bits of the losses and radii differ between OpenBLAS kernels, so the
+# byte pins above hold on the SkylakeX kernel only; these hold on the
+# SkylakeX, Haswell, Sandybridge and Katmai kernels.
+VERDICT_DIGESTS = {
+    "fig3": "0dc3e3e2f9a039ee7934926933a823ffc2fee2adb7c8c17c1c1caea295b13b72",
+    "fig4": "8168bada7563bb53cb5f7004e87b74b959025cd35fc5a7aceafde5cc22ed3fc2",
+    "fig7": "f1bde6951344686c12e838525253b61bdb38a106711374948a09c95fe21bdd09",
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERDICT_DIGESTS))
+def test_preset_verdicts_are_pinned(name):
+    lines = dg.serialize(dg.run_preset(name, seed=0), "csv").splitlines()
+    assert lines[0].split(b",")[:7] == [b"game", b"adjuster", b"lambda",
+                                        b"eta", b"seed", b"outcome", b"iters"]
+    cut = b"\n".join(b",".join(line.split(b",")[:7]) for line in lines)
+    assert hashlib.sha256(cut).hexdigest() == VERDICT_DIGESTS[name]
+
+
 class TestAnalyzePoint:
     def test_saddle_point_bundle(self):
         game = dg.catalog_game("example7")
@@ -581,6 +602,17 @@ class TestConfigCodec:
         assert (len(config.etas), config.seed) == (5, 3)
         assert config.stop == dg.StopCriteria(max_iters=50, loss_window=5)
         assert type(config.seed) is type(config.stop.max_iters) is int
+
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_eta_grid_needs_a_rate(self, count):
+        # A count of 0 made an empty grid, refused later by a message that
+        # named no key.
+        doc = {"game": "fig4_bilinear", "adjusters": [{"kind": "omd"}],
+               "etas": {"start": 0.01, "stop": 1.0, "count": count}}
+        with pytest.raises(ValueError, match=re.escape(
+                f"config key 'etas': 'count' must be a whole number >= 1, "
+                f"got {count}")):
+            dg.config_from_json(doc)
 
     def test_eta_grid_forms(self):
         doc = {
