@@ -271,9 +271,16 @@ def _stepper(spec: AdjusterSpec, game: Game):
     j gets the sign of the adjustment weight the rule applied at step j
     (0.0 for the rules without a weighted adjustment term).  Omd reads its
     previous field from ``space.prev`` (the field itself on its first
-    step, where that is None) and leaves its last field there.  Only the
-    aligned rules compute the probe <xi, H' xi>, one dot product along
-    each column (``axis=-2``).
+    step, where that is None) and leaves its last field there.
+
+    The four adjusted rules share one loop, ``xi + weight * adj``.  The
+    adjustment is ``A' xi = 0.5 * (H' xi - H xi)`` for sga and
+    sga-aligned, built in ``space.tmp``, and ``gradH = H' xi`` for
+    consensus and aligned-consensus, left in ``space.vec``.  The weight
+    is lam, or for an aligned rule ``sign * abs(lam)`` with each row's
+    sign picked at every step: by ``_aligned_signs`` for sga-aligned, and
+    as that of the probe <xi, H' xi> for aligned-consensus, one dot
+    product along each column (``axis=-2``).
 
     On a stock ``QuadraticGame`` the field, H w + c, is the game's own
     column kernel, built with the game: one stacked gemv straight on the
@@ -285,6 +292,8 @@ def _stepper(spec: AdjusterSpec, game: Game):
     copied into the field slot, so it sees every step.
     """
     kind, rows = spec.kind, game.batch_field
+    sga = kind in (SGA, SGA_ALIGNED)
+    aligned = kind in (SGA_ALIGNED, ALIGNED_CONSENSUS)
     # The game's batch_field is QuadraticGame's own, not an override.
     if type(game).batch_field is QuadraticGame.batch_field:
         field = game._field
@@ -327,64 +336,30 @@ def _stepper(spec: AdjusterSpec, game: Game):
                 np.multiply(eta, vec, new)
                 np.subtract(w, new, new)
             return vec
-    elif kind == CONSENSUS:
+    else:   # the adjusted rules; AdjusterSpec checks the kind
         def block(space, k, eta, signs):
-            vec = space.vec
-            for w, xi, new in space.steps(k):
-                field(w, xi)
-                trans(w, xi, vec)
-                np.multiply(lam, vec, vec)
-                np.add(xi, vec, vec)
-                np.multiply(eta, vec, new)
-                np.subtract(w, new, new)
-            return vec
-    elif kind == ALIGNED_CONSENSUS:
-        def block(space, k, eta, signs):
-            vec = space.vec
+            vec, tmp = space.vec, space.tmp
+            adj, scale = (tmp if sga else vec), lam
             for j, (w, xi, new) in enumerate(space.steps(k)):
                 field(w, xi)
                 trans(w, xi, vec)
-                sign = np.where(np.vecdot(xi, vec, axis=-2) >= 0, 1.0, -1.0)
-                np.multiply((weight * sign)[:, None], vec, vec)
-                np.add(xi, vec, vec)
-                np.multiply(eta, vec, new)
-                np.subtract(w, new, new)
-                if signs is not None:
-                    signs[j] = sign[:, 0]
-            return vec
-    elif kind == SGA:
-        def block(space, k, eta, signs):
-            vec, tmp = space.vec, space.tmp
-            for w, xi, new in space.steps(k):
-                field(w, xi)
-                trans(w, xi, vec)
-                plain(w, xi, tmp)
-                np.subtract(vec, tmp, vec)
-                np.multiply(half, vec, vec)
-                np.multiply(lam, vec, vec)
+                if sga:
+                    plain(w, xi, tmp)
+                    np.subtract(vec, tmp, tmp)
+                    np.multiply(half, tmp, tmp)
+                if aligned:
+                    sign = (_aligned_signs(xi, tmp, vec, spec.epsilon) if sga
+                            else np.where(np.vecdot(xi, vec, axis=-2) >= 0,
+                                          1.0, -1.0))
+                    scale = (weight * sign)[:, None]
+                    if signs is not None:
+                        signs[j] = sign[:, 0]
+                np.multiply(scale, adj, vec)
                 np.add(xi, vec, vec)
                 np.multiply(eta, vec, new)
                 np.subtract(w, new, new)
             return vec
-    else:   # SGA_ALIGNED; AdjusterSpec checks the kind
-        def block(space, k, eta, signs):
-            # grad_h = H' xi in vec, at_xi = 0.5 (grad_h - H xi) in tmp.
-            vec, tmp = space.vec, space.tmp
-            for j, (w, xi, new) in enumerate(space.steps(k)):
-                field(w, xi)
-                trans(w, xi, vec)
-                plain(w, xi, tmp)
-                np.subtract(vec, tmp, tmp)
-                np.multiply(half, tmp, tmp)
-                sign = _aligned_signs(xi, tmp, vec, spec.epsilon)
-                np.multiply((weight * sign)[:, None], tmp, vec)
-                np.add(xi, vec, vec)
-                np.multiply(eta, vec, new)
-                np.subtract(w, new, new)
-                if signs is not None:
-                    signs[j] = sign[:, 0]
-            return vec
-    if kind in (ALIGNED_CONSENSUS, SGA_ALIGNED):
+    if aligned:
         return block
     # The other rules apply one sign at every step and row.
     sign = 0.0 if kind in (SIMGD, OMD, HAMILTONIAN_DESCENT) else (
@@ -415,15 +390,17 @@ def direction(spec: AdjusterSpec, game: Game, w, prev_xi=None) -> Array:
     omitting it makes omd fall back to the plain field on its first step.
     Raises ValueError for a point or a ``prev_xi`` that ``as_point`` would
     reject: of the wrong length, or with an entry that is non-finite or
-    not a number.
+    not a number.  Like ``run``, it does not warn where an overflow on a
+    quadratic game makes the direction non-finite.
     """
     w = as_point(game.partition, w).reshape(1, -1, 1)
     if prev_xi is not None:
         # A copy: the kernel leaves the field in it.
         prev_xi = np.array(_as_vector(prev_xi, game.dim, "prev_xi")
                            ).reshape(1, -1, 1)
-    return _stepper(spec, game)(_Workspace(w, prev_xi, 1), 1, 1.0,
-                                None).reshape(-1)
+    with _quiet(game):
+        return _stepper(spec, game)(_Workspace(w, prev_xi, 1), 1, 1.0,
+                                    None).reshape(-1)
 
 
 class _CellEnd(NamedTuple):
@@ -798,11 +775,9 @@ def _iteration_matrices(spec: AdjusterSpec, h: Array, etas) -> Array:
     eye = np.eye(d)
     if spec.kind == SIMGD:
         return eye - eta * h
-    if spec.kind == SGA:
-        anti = 0.5 * (h - h.T)
-        return eye - eta * (eye + spec.lam * anti.T) @ h
-    if spec.kind == CONSENSUS:
-        return eye - eta * (eye + spec.lam * h.T) @ h
+    if spec.kind in (SGA, CONSENSUS):
+        adj = (0.5 * (h - h.T)).T if spec.kind == SGA else h.T
+        return eye - eta * (eye + spec.lam * adj) @ h
     if spec.kind == HAMILTONIAN_DESCENT:
         return eye - eta * h.T @ h
     # OMD companion form: w_next = (I - 2 eta H) w_t + eta H w_{t-1}.

@@ -355,19 +355,40 @@ class TestFusedEvaluation:
         assert np.array_equal(w1, traj.points[1])
         assert np.array_equal(w0 - eta * dg.direction(spec, game, w0), w1)
 
-    def test_directions_equal_the_public_products(self):
-        game, _, w = _offset_game(3)
+    @staticmethod
+    def public_products(game, w):
         xi = dg.simultaneous_gradient(game, w)
         grad_h = dg.thvp(game, w, xi)
-        at_xi = 0.5 * (grad_h - dg.hvp(game, w, xi))
-        lam = 0.8
-        expected = {"sga": xi + lam * at_xi, "consensus": xi + lam * grad_h,
-                    "hamiltonian-descent": grad_h}
-        for kind, want in expected.items():
-            spec = dg.AdjusterSpec(kind, lam=lam)
-            assert np.array_equal(dg.direction(spec, game, w), want)
-            traj = dg.run(spec, game, w, 0.1, ONE_STEP)
-            assert traj.probes[0] == float(xi @ grad_h)
+        return xi, grad_h, 0.5 * (grad_h - dg.hvp(game, w, xi))
+
+    def test_directions_equal_the_public_products(self):
+        game, _, w = _offset_game(3)
+        xi, grad_h, at_xi = self.public_products(game, w)
+        for lam in (0.8, -0.8):
+            expected = {"sga": xi + lam * at_xi,
+                        "consensus": xi + lam * grad_h,
+                        "hamiltonian-descent": grad_h}
+            for kind, want in expected.items():
+                spec = dg.AdjusterSpec(kind, lam=lam)
+                assert np.array_equal(dg.direction(spec, game, w), want)
+                traj = dg.run(spec, game, w, 0.1, ONE_STEP)
+                assert traj.probes[0] == float(xi @ grad_h)
+        # The aligned rules at points where their sign is -1.
+        for kind, name, w in ((dg.SGA_ALIGNED, "example6", [2.0, 0.0]),
+                              (dg.ALIGNED_CONSENSUS, "example5", [1.0, 1.0])):
+            game = dg.catalog_game(name)
+            xi, grad_h, at_xi = self.public_products(game, w)
+            for lam in (0.8, -0.8):
+                spec = dg.AdjusterSpec(kind, lam=lam)
+                if kind == dg.SGA_ALIGNED:
+                    sign = dg.alignment_sign(xi, at_xi, grad_h, spec.epsilon)
+                    adj = at_xi
+                else:
+                    sign = 1.0 if xi @ grad_h >= 0 else -1.0
+                    adj = grad_h
+                assert sign == -1.0
+                want = xi + (abs(lam) * sign) * adj
+                assert np.array_equal(dg.direction(spec, game, w), want)
 
 
 class TestOneStep:
@@ -407,6 +428,19 @@ class TestOneStep:
         xi, grad_h, _ = self.step(dg.AdjusterSpec(dg.HAMILTONIAN_DESCENT),
                                   game, w0)
         assert traj.probes[0] == np.vecdot(xi, grad_h)
+
+    @pytest.mark.parametrize("kind", dg.KINDS)
+    def test_direction_is_as_quiet_as_run(self, kind):
+        # The field is finite at w, but H' xi overflows.
+        game = dg.catalog_game("fig3_weak_attractor", coupling=1e200)
+        w, eta = np.array([1e-50, 2e-50]), 0.01
+        spec = dg.AdjusterSpec(kind)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(dg.simultaneous_gradient(game, w)).all()
+            step = w - eta * dg.direction(spec, game, w)
+            traj = dg.run(spec, game, w, eta, ONE_STEP)
+            assert step.tobytes() == traj.points[1].tobytes()
 
 
 class TestCompatibilityProperties:

@@ -827,6 +827,21 @@ class TestReferenceLoop:
         assert self.check_run(dg.AdjusterSpec(kind, lam=0.5), game, w0, 0.05,
                               stop) == (dg.MAX_ITERS, 40)
 
+    # The aligned rules with a sign that flips inside a block: once, at
+    # iteration 9, and 331 times.
+    @pytest.mark.parametrize("kind,name,w0,epsilon", [
+        (dg.ALIGNED_CONSENSUS, "example7", [0.3, -0.7], 0.1),
+        (dg.SGA_ALIGNED, "example1",
+         np.random.default_rng(0).standard_normal(4), 0.0),
+    ])
+    def test_aligned_sign_flips(self, kind, name, w0, epsilon):
+        game, eta = dg.catalog_game(name), 0.01
+        spec = dg.AdjusterSpec(kind, lam=0.5, epsilon=epsilon)
+        assert self.check_run(spec, game, w0, eta, self.STOP) == (
+            dg.MAX_ITERS, self.BUDGET)
+        signs = dg.run(spec, game, w0, eta, self.STOP).signs
+        assert set(signs.tolist()) == {-1.0, 1.0}
+
     # A run that stops by each test: on fig7 inside a block longer than 16
     # steps (blocks 204-228, 229-256 and 365-409), on the general game at
     # a step of its own.  (A non-finite stop is left out: the reference
