@@ -18,16 +18,21 @@ in buffers the batch keeps (``_Workspace``); ``direction`` and
 ``Trajectory.probes`` run the same kernel.  On a quadratic game the loop
 takes a block of steps (``_block_length``) before one pass tests all of
 them for a stop, and a cell ends at its first step that fires a test, so
-no result depends on the block length.  A blow-up there is a stop, so a
-quadratic game runs with NumPy's overflow and invalid-value warnings off.
-A general game runs the user's callables, which must not run past a stop:
-it steps one at a time and keeps the caller's NumPy error settings.  The
+no result depends on the block length.  A general game runs the user's
+callables, which must not run past a stop, so it steps one at a time.  The
 per-row stop state, and what a stopped cell processed, are a ``_Ledger``.
+
+The quiet rule.  A blow-up is a stop, reported as ``diverged``, so the
+engine (``_euler``, ``direction``, ``Trajectory.probes``) and
+``experiments.analyze_point`` run inside one block with NumPy's overflow
+and invalid-value warnings off: on a quadratic game they never warn.  On
+a general game the callables they run, the kernel's step, the losses and
+``analyze_point``'s report, keep the caller's NumPy error settings
+(``_user``).
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -104,10 +109,9 @@ class StopCriteria:
             if not _number(value, name) >= 0:
                 raise ValueError(f"{name} must be nonnegative, got {value}")
         for name in ("max_iters", "loss_window"):
-            object.__setattr__(self, name, _whole(getattr(self, name), name))
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
-        if not (1 <= self.loss_window <= self.max_iters):
+            object.__setattr__(self, name,
+                               _whole(getattr(self, name), name, least=1))
+        if self.loss_window > self.max_iters:
             raise ValueError(f"need 1 <= loss_window <= max_iters, got "
                              f"loss_window={self.loss_window} and "
                              f"max_iters={self.max_iters}")
@@ -163,14 +167,16 @@ class Trajectory:
         be, and caches it.  On a game without an
         analytic Hessian, ``fd_game(game)`` included, that read costs
         2d + 1 field evaluations per iteration: the field again, then
-        ``thvp``.  Near a blow-up a probe may overflow to inf; like the
-        loop, the read does not warn about it.
+        ``thvp``.  Near a blow-up a probe may overflow to inf, which the
+        read reports without a warning (the quiet rule of the module
+        docstring).
         """
         if self._probes is None:
             space = _Workspace(self.points[:len(self.xi_norms), :, None],
                                None, 1)
-            block = _stepper(AdjusterSpec(HAMILTONIAN_DESCENT), self._game)
-            with _quiet(self._game):
+            block = _user(self._game, _stepper(
+                AdjusterSpec(HAMILTONIAN_DESCENT), self._game))
+            with np.errstate(over="ignore", invalid="ignore"):
                 grad_h = block(space, 1, 1.0, None)
                 self._probes = np.vecdot(space.fields[0, ..., 0],
                                          grad_h[..., 0])
@@ -372,13 +378,15 @@ def _stepper(spec: AdjusterSpec, game: Game):
     return fixed
 
 
-def _quiet(game: Game):
-    """NumPy's overflow and invalid-value warnings off on a quadratic game,
-    whose blow-up the engine reports as a stop; any other game runs the
-    user's callables, so it keeps the caller's settings."""
+def _user(game: Game, fn):
+    """``fn`` to run inside the engine's quiet block (see the module
+    docstring): on a quadratic game ``fn`` itself; on any other game,
+    whose callables are the user's, ``fn`` at the NumPy error settings in
+    force when ``_user`` is called, so call it before entering that
+    block."""
     if isinstance(game, QuadraticGame):
-        return np.errstate(over="ignore", invalid="ignore")
-    return contextlib.nullcontext()
+        return fn
+    return np.errstate(**np.geterr())(fn)
 
 
 def direction(spec: AdjusterSpec, game: Game, w, prev_xi=None) -> Array:
@@ -390,17 +398,17 @@ def direction(spec: AdjusterSpec, game: Game, w, prev_xi=None) -> Array:
     omitting it makes omd fall back to the plain field on its first step.
     Raises ValueError for a point or a ``prev_xi`` that ``as_point`` would
     reject: of the wrong length, or with an entry that is non-finite or
-    not a number.  Like ``run``, it does not warn where an overflow on a
-    quadratic game makes the direction non-finite.
+    not a number.  Like ``run``, it keeps the quiet rule of the module
+    docstring.
     """
     w = as_point(game.partition, w).reshape(1, -1, 1)
     if prev_xi is not None:
         # A copy: the kernel leaves the field in it.
         prev_xi = np.array(_as_vector(prev_xi, game.dim, "prev_xi")
                            ).reshape(1, -1, 1)
-    with _quiet(game):
-        return _stepper(spec, game)(_Workspace(w, prev_xi, 1), 1, 1.0,
-                                    None).reshape(-1)
+    block = _user(game, _stepper(spec, game))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return block(_Workspace(w, prev_xi, 1), 1, 1.0, None).reshape(-1)
 
 
 class _CellEnd(NamedTuple):
@@ -474,12 +482,13 @@ class _Ledger:
     product); ``ends[c]`` is cell c's ``_CellEnd`` once it stops.  ``t0``
     is the first iteration of the current block.  Row i of
     the means array holds the row's mean absolute losses, oldest first:
-    those of the span steps before the block (0 before iteration 0, which
-    no full window reads), then that of each step of the block, so every
-    window is one contiguous row slice and sums in the order a list of the
-    last span means would, and column span is always the block's first
-    step.  ``store`` makes a new array per block from the last span means
-    and the block's; none is written after it is made.  ``compact`` drops
+    those of the span steps before the block (+inf before iteration 0, so
+    a window that is not yet full sums to inf and never fires), then that
+    of each step of the block, so every window is one contiguous row slice
+    and sums in the order a list of the last span means would, and column
+    span is always the block's first step.  ``store`` makes a new array
+    per block from the last span means and the block's; none is written
+    after it is made.  ``compact`` drops
     the stopped rows from every per-row array at once, the caller's too,
     so state added here follows the batch for free.
     """
@@ -490,31 +499,28 @@ class _Ledger:
         self.rows = np.arange(count)
         self.ends = [None] * count
         self.span, self.t0 = span, 0
-        self._means = np.zeros((count, span))
+        self._means = np.full((count, span), np.inf)
 
     def store(self, mean_abs: Array) -> None:
         """Store the block's mean absolute losses, shape (k, C)."""
         self._means = np.concatenate(
             (self._means[:, -self.span:], mean_abs.T), axis=1)
 
-    def _first(self) -> int:
-        """The first step of the block with a full window."""
-        return max(self.span - 1 - self.t0, 0)
-
     def _read(self, k: int) -> Array:
-        """The means that the full windows of the block's k steps read,
-        a view of shape (C, span + k - 1 - ``_first()``)."""
-        return self._means[:, self._first() + 1:self.span + k]
+        """The means that the windows of the block's k steps read, a view
+        of shape (C, span + k - 1) whose column j is the first of step j's
+        window."""
+        return self._means[:, 1:self.span + k]
 
     def floor(self, k: int) -> float:
-        """A lower bound on the computed mean of every full window of the
-        block's k steps, which spares a block where no window can stop
-        the gather of ``window_means``: span copies of the least mean those
-        windows read, summed as a window sums (a one-row ``np.add.reduce``
-        of the same length adds in the same order), over span.  Rounded
-        addition and division are monotone, so a window of means that are
-        each at least that one comes out at least as large.  A NaN mean
-        makes the bound NaN, which fails every comparison."""
+        """A lower bound on the computed mean of every window of the block's
+        k steps, which spares a block where no window can stop the gather
+        of ``window_means``: span copies of the least mean those windows
+        read, summed as a window sums (a one-row ``np.add.reduce`` of the
+        same length adds in the same order), over span.  Rounded addition
+        and division are monotone, so a window of means that are each at
+        least that one comes out at least as large.  A NaN mean makes the
+        bound NaN, which fails every comparison."""
         least = self._read(k).min()
         return np.add.reduce(np.full(self.span, least)) / self.span
 
@@ -530,15 +536,14 @@ class _Ledger:
         choice of inner axis, and a copy of one grew the process's peak
         memory from call to call.)
         """
-        first, c, span = self._first(), len(self.rows), self.span
-        sums = np.full((k, c), np.inf)
-        # Column i of the read means is the first of step first + i's window.
+        c, span = len(self.rows), self.span
+        sums = np.empty((k, c))
         read, offsets = self._read(k), np.arange(span)
         chunk = max(1, _WINDOW_BYTES // (8 * c * span))
-        for lo in range(first, k, chunk):
-            starts = np.arange(lo - first, min(lo + chunk, k) - first)
+        for lo in range(0, k, chunk):
+            starts = np.arange(lo, min(lo + chunk, k))
             windows = np.take(read, starts[:, None] + offsets, axis=1)
-            sums[lo:lo + len(starts)] = np.add.reduce(windows, axis=2).T
+            sums[lo:lo + chunk] = np.add.reduce(windows, axis=2).T
         return sums / span
 
     def finish(self, row: int, outcome: str, t: int) -> None:
@@ -597,8 +602,8 @@ def _euler(spec: AdjusterSpec, game: Game, starts, etas, stop: StopCriteria,
     and the cell leaves the array at the end of the block, so the budget a
     slow cell uses costs the others nothing.  Each test is one mask over
     the block (the window means behind their floor), each row's arithmetic
-    is that of a lone cell, and a general game keeps the caller's NumPy
-    error settings (see the module docstring).
+    is that of a lone cell, and the loop keeps the quiet rule of the module
+    docstring.
 
     Returns one ``_CellEnd`` per cell and, with ``record`` (``run``'s
     batch of one), the cell's history (else None): a list of (losses, xi
@@ -621,14 +626,8 @@ def _euler(spec: AdjusterSpec, game: Game, starts, etas, stop: StopCriteria,
     ledger = _Ledger(len(w), etas, stop.loss_window, d)
     steps = [(np.zeros((0, n)), np.zeros(0), np.zeros(0))]
     points, prev_xi, space = [w], None, None
-    block, losses_at = _stepper(spec, game), game.batch_losses
-    if not isinstance(game, QuadraticGame):
-        # A general game's evaluations and direction run the user's
-        # callables: they keep the caller's NumPy error settings inside
-        # the quiet loop.
-        user = np.errstate(**np.geterr())
-        block, losses_at = user(block), user(losses_at)
-
+    block = _user(game, _stepper(spec, game))
+    losses_at = _user(game, game.batch_losses)
     with np.errstate(over="ignore", invalid="ignore"):
         far = _beyond(w, bound)
         for row in np.flatnonzero(far):
@@ -672,8 +671,7 @@ def _euler(spec: AdjusterSpec, game: Game, starts, etas, stop: StopCriteria,
                 stopping[:k] |= xi_norm < xi_threshold
             # Where no window can stop, the floor spares the block the
             # gather of window_means, which grows with rows, steps and span.
-            if (loss_threshold > 0 and t0 + k >= ledger.span
-                    and not ledger.floor(k) >= loss_threshold):
+            if loss_threshold > 0 and not ledger.floor(k) >= loss_threshold:
                 stopping[:k] |= ledger.window_means(k) < loss_threshold
             fired = None
             if np.count_nonzero(stopping):

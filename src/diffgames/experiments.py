@@ -23,7 +23,7 @@ import numpy as np
 from . import analysis
 from .derivatives import _hvp, _thvp, simultaneous_gradient
 from .dynamics import (CONVERGED, AdjusterSpec, StopCriteria, _aligned_signs,
-                       _euler, _quiet, _spectral_radii, _why_no_oracle,
+                       _euler, _spectral_radii, _user, _why_no_oracle,
                        check_epsilon, check_eta)
 from .games import _number, _whole, as_point, catalog_game, default_start
 
@@ -251,14 +251,14 @@ def analyze_point(game, w, epsilon: float = AdjusterSpec.epsilon) -> dict:
     finite, before any Hessian or loss is taken there, and for a point
     where another entry of the report is not finite (a loss, the field's
     norm, the split's eigenvalues), naming the first such entry: the
-    report is JSON, which has no inf or NaN.  On a quadratic game the
-    report is computed without NumPy's overflow and invalid-value
-    warnings; a general game's callables keep the caller's settings.
+    report is JSON, which has no inf or NaN.  The report keeps the
+    engine's quiet rule (see ``dynamics``).
     """
     w = as_point(game.partition, w)
     check_epsilon(epsilon)
-    with _quiet(game):
-        bundle = _point_report(game, w, epsilon)
+    report = _user(game, _point_report)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bundle = report(game, w, epsilon)
     for key, value in bundle.items():
         if isinstance(value, (float, list)) and not np.isfinite(value).all():
             raise ValueError(f"the report's {key!r} at {w.tolist()} is not "
@@ -369,7 +369,7 @@ def _etas_from_json(spec) -> tuple[float, ...]:
     kind = spec.get("kind", "log")
     space = {"log": np.geomspace, "linear": np.linspace}.get(kind)
     if space is None:
-        raise ValueError(f"unknown eta grid kind {kind!r}")
+        raise ValueError(f"{_key('etas')}: unknown eta grid kind {kind!r}")
     ends = []
     for end in ("start", "stop"):
         value = _number(spec[end], _key("etas", end))
@@ -416,8 +416,8 @@ _DECODERS = {
                        tuple(tuple(_number(x, _key("w0")) for x in p)
                              for p in doc)),
     "stop": lambda doc: StopCriteria(**{
-        name: (_whole if kind is int else _number)(doc[name],
-                                                   _key("stop", name))
+        name: (_whole(doc[name], _key("stop", name), least=1)
+               if kind is int else _number(doc[name], _key("stop", name)))
         for name, kind in _STOP_FIELDS.items() if doc.get(name) is not None}),
     "seed": lambda doc: _whole(doc, _key("seed")),
 }
@@ -433,9 +433,10 @@ def config_from_json(doc: dict) -> SweepConfig:
     ``jobs`` of older configs, are ignored.  A value of a JSON type that
     cannot serve (a list where an object or a number belongs, a null radius,
     a string or a boolean for a real number), an object without a key it
-    needs, and a count, seed or iteration number that is not a whole
-    number >= 0 raise a ValueError that names the key; any other bad value
-    raises the ValueError of the check it fails.
+    needs, a seed that is not a whole number >= 0, and a count or
+    iteration number that is not one >= 1 raise a ValueError that names
+    the key; any other bad value raises the ValueError of the check it
+    fails.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"a sweep config is a JSON object, got {doc!r}")

@@ -39,6 +39,12 @@ class TestHelmholtzSplit:
         with pytest.raises(ValueError):
             dg.helmholtz_split(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError,
+                           match="^matrix has non-finite entries$"):
+            dg.helmholtz_split([[1.0, bad], [0.0, 1.0]])
+
     def test_rejects_an_empty_matrix_naming_its_shape(self):
         with pytest.raises(ValueError, match=r"\(0, 0\)"):
             dg.helmholtz_split(np.zeros((0, 0)))
@@ -190,6 +196,18 @@ class TestClassifyFixedPoint:
         report = dg.classify_fixed_point(game, [0.0, 0.0])
         assert report.stability == dg.STABLE
         assert report.is_local_nash is True
+
+    def test_verdict_must_hold_around_a_general_point(self):
+        # One player with loss x^3/3 has S = 2x: 0 at the fixed point, where
+        # alone it reads stable (as the zero quadratic game does), and
+        # negative at the nearby samples left of it.
+        game = dg.make_game(dg.PlayerPartition((1,)),
+                            losses=[lambda w: w[0] ** 3 / 3],
+                            gradients=[lambda w: np.array([w[0] ** 2])],
+                            hessian=lambda w: np.array([[2.0 * w[0]]]))
+        flat = dg.QuadraticGame(dg.PlayerPartition((1,)), [np.zeros((1, 1))])
+        assert dg.classify_fixed_point(flat, [0.0]).stability == dg.STABLE
+        assert dg.classify_fixed_point(game, [0.0]).stability == dg.INDEFINITE
 
 
 class TestAlignmentSign:

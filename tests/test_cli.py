@@ -509,10 +509,10 @@ class TestOneCodec:
         ({"etas": {"start": 0.1, "stop": 1.0, "count": 2.9}},
          "config key 'etas': 'count' must be a whole number >= 1, got 2.9"),
         ({"stop": {"max_iters": 10.7}},
-         "config key 'stop': 'max_iters' must be a whole number >= 0, "
+         "config key 'stop': 'max_iters' must be a whole number >= 1, "
          "got 10.7"),
         ({"stop": {"loss_window": False}},
-         "config key 'stop': 'loss_window' must be a whole number >= 0, "
+         "config key 'stop': 'loss_window' must be a whole number >= 1, "
          "got False"),
         ({"etas": {"stop": 1.0, "count": 3}},
          "config key 'etas': missing 'start'"),
@@ -557,6 +557,16 @@ class TestOneCodec:
         # An empty grid failed later, with a message that named no key.
         ({"etas": {"start": 0.1, "stop": 1.0, "count": 0}},
          "config key 'etas': 'count' must be a whole number >= 1, got 0"),
+        # A zero count was caught by StopCriteria, whose message named no
+        # key, and an unknown grid kind named none either.
+        ({"stop": {"max_iters": 0}},
+         "config key 'stop': 'max_iters' must be a whole number >= 1, "
+         "got 0"),
+        ({"stop": {"loss_window": 0}},
+         "config key 'stop': 'loss_window' must be a whole number >= 1, "
+         "got 0"),
+        ({"etas": {"kind": "cubic", "start": 0.1, "stop": 1.0, "count": 3}},
+         "config key 'etas': unknown eta grid kind 'cubic'"),
     ])
     def test_config_error_names_the_key(self, capsys, tmp_path, doc, said):
         base = {"game": "example1", "adjusters": [{"kind": "sga"}],
@@ -619,7 +629,7 @@ class TestOneCodec:
         ({"etas": [0.1], "seed": 10**400},
          "config key 'seed' must be a whole number >= 0"),
         ({"etas": [0.1], "stop": {"max_iters": 10**400}},
-         "config key 'stop': 'max_iters' must be a whole number >= 0"),
+         "config key 'stop': 'max_iters' must be a whole number >= 1"),
         ({"etas": [0.1], "adjusters": [{"kind": "sga", "lambda": 10**400}]},
          "config key 'adjusters': 'lambda' must be a number"),
         ({"etas": [0.1], "game_params": {"dim": 10**400}},

@@ -199,6 +199,7 @@ class TestBatchField:
         "wide-offset": lambda: wide_game(np.linspace(-1.0, 1.0, 256)),
     }
 
+    @pytest.mark.bit_identity
     @pytest.mark.parametrize("rows", [0, 1, 5])
     @pytest.mark.parametrize("name", sorted(NEW_ARRAY_GAMES))
     def test_returns_a_new_array_bit_for_bit(self, name, rows):

@@ -57,11 +57,13 @@ class TestSpecs:
                 f"{name} must be a number, got {value!r}")):
             call(value)
 
-    @pytest.mark.parametrize("value", [2.5, np.inf])
+    # 0 passed the whole-number check, and its message then said nothing
+    # of the least count.
+    @pytest.mark.parametrize("value", [2.5, np.inf, 0])
     @pytest.mark.parametrize("name", ["max_iters", "loss_window"])
     def test_stop_counts_are_whole_numbers(self, name, value):
         with pytest.raises(ValueError, match=re.escape(
-                f"{name} must be a whole number >= 0, got {value!r}")):
+                f"{name} must be a whole number >= 1, got {value!r}")):
             dg.StopCriteria(**{name: value})
 
     def test_whole_stop_counts_become_ints(self):
@@ -361,6 +363,7 @@ class TestFusedEvaluation:
         grad_h = dg.thvp(game, w, xi)
         return xi, grad_h, 0.5 * (grad_h - dg.hvp(game, w, xi))
 
+    @pytest.mark.bit_identity
     def test_directions_equal_the_public_products(self):
         game, _, w = _offset_game(3)
         xi, grad_h, at_xi = self.public_products(game, w)
@@ -391,6 +394,7 @@ class TestFusedEvaluation:
                 assert np.array_equal(dg.direction(spec, game, w), want)
 
 
+@pytest.mark.bit_identity
 class TestOneStep:
     """``direction``, ``run``'s first step and ``Trajectory.probes`` are
     the engine's bound step (``_stepper``) bit for bit, for every rule."""
@@ -644,6 +648,7 @@ def _stacked_oracle_cases():
     return cases
 
 
+@pytest.mark.bit_identity
 class TestStackedOracle:
     """A rule's stacked matrices and radii (one eigvals call per stack) hold
     the bits of lone ones; the claim rests on LAPACK decomposing a matrix of

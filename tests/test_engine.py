@@ -4,6 +4,7 @@ outcomes must agree with the exact spectral oracle."""
 
 import dataclasses
 import math
+import warnings
 import zlib
 
 import numpy as np
@@ -53,6 +54,7 @@ def run_quietly(spec, game, w0, eta, stop):
 # alike; the overflow is what the non-finite and norm-bound stops catch, and
 # on a quadratic game the engine reports it as a stop, not as a NumPy
 # warning.  The plain games' references run quietly (``run_quietly``).
+@pytest.mark.bit_identity
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestSweepCellsEqualLoneRuns:
     # Stop reasons seen per game, shared with the coverage test below.
@@ -161,6 +163,33 @@ class TestEngineBoundary:
                 dg.run(spec, game, w0, 0.1)
         with pytest.warns(RuntimeWarning, match="overflow"):
             assert dg.run(spec, game, w0, 0.1).outcome == dg.DIVERGED
+
+    @pytest.mark.parametrize("setting", [{}, {"over": "raise"}],
+                             ids=["warn", "raise"])
+    def test_probes_read_quietly_on_every_game(self, setting):
+        # Every probe <xi, H' xi> of this run overflows.  The read reports
+        # inf, as the loop reports a blow-up, on a general game too: the
+        # package's own dot product is no callable of the user's.
+        game = dg.catalog_game("fig3_weak_attractor", coupling=1e150)
+        stop = dg.StopCriteria(max_iters=3, loss_window=1)
+        for g in (game, plain_game(game)):
+            with warnings.catch_warnings(), np.errstate(**setting):
+                warnings.simplefilter("error")
+                traj = dg.run(dg.AdjusterSpec("simgd"), g, [1.0, 2.0],
+                              1e-160, stop)
+                assert traj.outcome == dg.MAX_ITERS
+                assert traj.probes.tolist() == [math.inf] * 3
+
+    def test_direction_and_report_keep_the_callers_error_settings(self):
+        # The general game's own field overflows at w: under the caller's
+        # settings, though ``direction`` and ``analyze_point`` run it
+        # inside the engine's quiet block.
+        game, w = plain_game(dg.catalog_game("example7")), [1e308, 1e308]
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError, match="overflow"):
+                dg.direction(dg.AdjusterSpec("simgd"), game, w)
+            with pytest.raises(FloatingPointError, match="overflow"):
+                dg.analyze_point(game, w)
 
     def test_wrong_length_start_point_raises(self):
         game = dg.catalog_game("fig7_four_player")
@@ -321,6 +350,7 @@ def block_stops(k):
                for budget in budgets])
 
 
+@pytest.mark.bit_identity
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestBlockLength:
     # Stop offsets (iteration mod k) seen per reason at the default k, and
@@ -575,6 +605,7 @@ def plain_simgd(game, w0, eta, stop):
     return dg.MAX_ITERS, stop.max_iters, means[-span:], w
 
 
+@pytest.mark.bit_identity
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestStopScreens:
     """The stop pass decides each test of a block's steps with one mask,
@@ -689,6 +720,7 @@ class TestStopScreens:
         assert refs[4][0] == dg.MAX_ITERS
 
 
+@pytest.mark.bit_identity
 class TestWindowMeans:
     """``_Ledger.window_means`` sums every window of a block in one reduce
     over the gathered windows; each must have the bits of one
@@ -755,6 +787,7 @@ def reference_loop(spec, game, w0, eta, steps):
     return np.array(points), np.array(norms), np.array(signs), means
 
 
+@pytest.mark.bit_identity
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestReferenceLoop:
     """Every rule's engine equals a plain loop of ``direction`` steps bit

@@ -102,6 +102,12 @@ class TestSweep:
             tiny_config(etas=(0.1, np.nan))
 
 
+def test_config_rejects_an_empty_start_list():
+    with pytest.raises(ValueError,
+                       match="^w0 must list at least one start point$"):
+        tiny_config(w0=())
+
+
 @pytest.mark.parametrize("field,value", [
     ("game", ["example6"]),
     ("adjusters", ("sga",)),
@@ -265,6 +271,8 @@ PRESET_DIGESTS = {
 }
 
 
+@pytest.mark.bit_identity
+@pytest.mark.kernel_bound
 @pytest.mark.parametrize("name", sorted(PRESET_DIGESTS))
 def test_preset_bytes_are_pinned(name):
     cells = dg.run_preset(name, seed=0)
@@ -285,6 +293,7 @@ VERDICT_DIGESTS = {
 }
 
 
+@pytest.mark.bit_identity
 @pytest.mark.parametrize("name", sorted(VERDICT_DIGESTS))
 def test_preset_verdicts_are_pinned(name):
     lines = dg.serialize(dg.run_preset(name, seed=0), "csv").splitlines()

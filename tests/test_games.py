@@ -414,6 +414,41 @@ def test_matrices_hold_numbers(call, said):
         call()
 
 
+# Each shape and count check at a game's boundary, with its message.
+@pytest.mark.parametrize("call,said", [
+    (lambda: dg.Game(dg.PlayerPartition((1, 1)), [lambda w: 0.0],
+                     [lambda w: w[:1], lambda w: w[1:]]),
+     "expected 2 losses and gradients, got 1 and 2"),
+    (lambda: dg.make_game(dg.PlayerPartition((1, 1)),
+                          [lambda w: 0.0] * 2,
+                          [lambda w: w[:1], lambda w: w[1:]]
+                          ).analytic_hessian(np.zeros(2)),
+     "game has no analytic Hessian"),
+    (lambda: dg.QuadraticGame(dg.PlayerPartition((1, 1)),
+                              [np.eye(3), np.eye(2)]),
+     "coefficient matrix 0 is not 2x2"),
+    (lambda: dg.QuadraticGame(dg.PlayerPartition((1, 1)), [np.eye(2)]),
+     "expected 2 coefficient matrices"),
+    (lambda: dg.QuadraticGame(dg.PlayerPartition((1, 1)),
+                              [np.eye(2), np.eye(2)],
+                              [[0.0, 0.0, 0.0], [0.0, 0.0]]),
+     "linear terms must be n vectors of length d"),
+    (lambda: dg.quadratic_game_from_hessian(dg.PlayerPartition((1, 1)),
+                                            np.eye(3)),
+     "hessian is not 2x2"),
+    (lambda: dg.catalog_game("example2", p=[[1.0, 2.0]], q=[[1.0]]),
+     "payoff matrices must share a shape"),
+    (lambda: dg.catalog_game("fig7_four_player", epsilon=-0.1),
+     "epsilon must be nonnegative, got -0.1"),
+], ids=["Game.losses", "analytic_hessian", "QuadraticGame.coefficients",
+        "QuadraticGame.count", "QuadraticGame.linear",
+        "quadratic_game_from_hessian", "catalog.example2",
+        "catalog.fig7"])
+def test_shapes_and_counts_are_checked(call, said):
+    with pytest.raises(ValueError, match=f"^{re.escape(said)}$"):
+        call()
+
+
 def test_integer_matrices_are_numbers():
     h = np.array([[True, 0], [0, 0]])
     assert h.dtype.kind == "i"
@@ -475,6 +510,7 @@ def test_batch_evaluation_of_a_dense_game():
             assert not np.isfinite(want_loss).any(), w
 
 
+@pytest.mark.bit_identity
 class TestEngineColumns:
     """The engine's own form of the field and the Hessian products: on the
     ``(k, C, d, 1)`` block buffers of column vectors that the engine keeps
@@ -540,6 +576,7 @@ def _dense_game(sizes, offset):
     return dg.QuadraticGame(partition, coefficients, linear), rng
 
 
+@pytest.mark.bit_identity
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                             "ignore:invalid value encountered:RuntimeWarning")
 class TestFieldFromTheHessian:
