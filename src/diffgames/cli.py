@@ -205,8 +205,10 @@ def _cmd_run(args) -> int:
         _emit(_trajectory_csv(traj, game), args.out)
         return 0
     final = traj.final_point
-    with np.errstate(over="ignore"):
+    # |w| and the trailing mean of finite losses may overflow, quietly.
+    with np.errstate(over="ignore", invalid="ignore"):
         norm = float(np.linalg.norm(final))
+        trailing = _trailing_loss(traj.mean_abs_losses(), stop.loss_window)
     if not math.isfinite(norm):
         norm = math.hypot(*final)   # |w| may be a float where w @ w is not
     summary = {
@@ -222,8 +224,7 @@ def _cmd_run(args) -> int:
         "final_w_norm": norm if math.isfinite(norm) else None,
         "final_xi_norm": (float(traj.xi_norms[-1])
                           if traj.xi_norms.size else None),
-        "trailing_loss": _trailing_loss(traj.mean_abs_losses(),
-                                        stop.loss_window),
+        "trailing_loss": trailing,
     }
     _emit(_json_bytes(summary), args.out)
     return 0

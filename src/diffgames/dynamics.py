@@ -28,7 +28,9 @@ engine (``_euler``, ``direction``, ``Trajectory.probes``) and
 and invalid-value warnings off: on a quadratic game they never warn.  On
 a general game the callables they run, the kernel's step, the losses and
 ``analyze_point``'s report, keep the caller's NumPy error settings
-(``_user``).
+(``_user``).  The means of finite losses, whose sums may overflow to inf,
+are quiet on every game: ``Trajectory.mean_abs_losses`` and the trailing
+loss that a run or a sweep reports (``experiments._trailing_loss``).
 """
 
 from __future__ import annotations
@@ -112,7 +114,7 @@ class StopCriteria:
             object.__setattr__(self, name,
                                _whole(getattr(self, name), name, least=1))
         if self.loss_window > self.max_iters:
-            raise ValueError(f"need 1 <= loss_window <= max_iters, got "
+            raise ValueError(f"need loss_window <= max_iters, got "
                              f"loss_window={self.loss_window} and "
                              f"max_iters={self.max_iters}")
 
@@ -187,7 +189,10 @@ class Trajectory:
         return self.points[-1]
 
     def mean_abs_losses(self) -> Array:
-        return np.mean(np.abs(self.losses), axis=1)
+        """The mean absolute loss at each iteration; a mean whose sum
+        overflows reads inf, without a warning (the quiet rule)."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.mean(np.abs(self.losses), axis=1)
 
 
 def _products(game: Game):

@@ -139,6 +139,11 @@ def _start_points(config: SweepConfig, dim: int):
 
 
 def _trailing_loss(mean_abs: Array, window: int) -> float:
+    """The mean of the last ``window`` entries of ``mean_abs``, capped at
+    ``TRAILING_LOSS_CAP``; a mean that overflows or is NaN reads the cap.
+    Its callers (``sweep``, once per rule, and the CLI's ``run``) turn
+    NumPy's overflow and invalid-value warnings off around it, by the
+    quiet rule of the ``dynamics`` docstring."""
     if mean_abs.size == 0:
         return TRAILING_LOSS_CAP
     tail = mean_abs[-min(window, mean_abs.size):]
@@ -174,16 +179,18 @@ def sweep(config: SweepConfig) -> list[SweepCell]:
                 for w0 in starts[ei]]
         ends, _ = _euler(spec, game, [w0 for _, w0 in grid],
                          [config.etas[ei] for ei, _ in grid], config.stop)
-        for (ei, _), end in zip(grid, ends):
-            cells.append(SweepCell(
-                game=config.game, adjuster=spec.kind, lam=spec.lam,
-                eta=config.etas[ei], seed=config.seed, outcome=end.outcome,
-                iters=(end.iteration if end.outcome == CONVERGED
-                       else config.stop.max_iters),
-                trailing_loss=_trailing_loss(end.window,
-                                             config.stop.loss_window),
-                spectral_radius=rhos[ei],
-            ))
+        with np.errstate(over="ignore", invalid="ignore"):  # trailing means
+            for (ei, _), end in zip(grid, ends):
+                cells.append(SweepCell(
+                    game=config.game, adjuster=spec.kind, lam=spec.lam,
+                    eta=config.etas[ei], seed=config.seed,
+                    outcome=end.outcome,
+                    iters=(end.iteration if end.outcome == CONVERGED
+                           else config.stop.max_iters),
+                    trailing_loss=_trailing_loss(end.window,
+                                                 config.stop.loss_window),
+                    spectral_radius=rhos[ei],
+                ))
     return cells
 
 
@@ -403,6 +410,20 @@ def _adjuster_from_json(doc) -> AdjusterSpec:
 _STOP_FIELDS = {f.name: int if isinstance(f.default, int) else float
                 for f in dataclasses.fields(StopCriteria)}
 
+
+def _stop_from_json(doc) -> StopCriteria:
+    """Stop criteria, each value read as its field's type; the error of a
+    check ``StopCriteria`` makes of the values names the key too."""
+    fields = {
+        name: (_whole(doc[name], _key("stop", name), least=1)
+               if kind is int else _number(doc[name], _key("stop", name)))
+        for name, kind in _STOP_FIELDS.items() if doc.get(name) is not None}
+    try:
+        return StopCriteria(**fields)
+    except ValueError as exc:
+        raise ValueError(f"{_key('stop')}: {exc}") from None
+
+
 # How the value of each key of a config's JSON form becomes the
 # SweepConfig field of the same name.
 _DECODERS = {
@@ -415,10 +436,7 @@ _DECODERS = {
                        if isinstance(doc, dict) else
                        tuple(tuple(_number(x, _key("w0")) for x in p)
                              for p in doc)),
-    "stop": lambda doc: StopCriteria(**{
-        name: (_whole(doc[name], _key("stop", name), least=1)
-               if kind is int else _number(doc[name], _key("stop", name)))
-        for name, kind in _STOP_FIELDS.items() if doc.get(name) is not None}),
+    "stop": _stop_from_json,
     "seed": lambda doc: _whole(doc, _key("seed")),
 }
 
@@ -435,8 +453,9 @@ def config_from_json(doc: dict) -> SweepConfig:
     a string or a boolean for a real number), an object without a key it
     needs, a seed that is not a whole number >= 0, and a count or
     iteration number that is not one >= 1 raise a ValueError that names
-    the key; any other bad value raises the ValueError of the check it
-    fails.
+    the key, as do the stop values that ``StopCriteria`` rejects (a
+    negative threshold, a ``loss_window`` past ``max_iters``); any other
+    bad value raises the ValueError of the check it fails.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"a sweep config is a JSON object, got {doc!r}")

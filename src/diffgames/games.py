@@ -299,23 +299,20 @@ class QuadraticGame(Game):
                                  for i in range(n)])
         for a in (stack, lin_stack, hessian, offset):
             a.setflags(write=False)
-        coeffs, lin = list(stack), list(lin_stack)
 
-        def loss_fn(i):
-            return lambda w: 0.5 * float(w @ (coeffs[i] @ w)) + float(lin[i] @ w)
+        def loss_fn(b, v):
+            return lambda w: 0.5 * float(w @ (b @ w)) + float(v @ w)
 
-        def grad_fn(i):
-            blk = partition.block(i)
-            return lambda w: (coeffs[i] @ w + lin[i])[blk]
+        def grad_fn(b, v, blk):
+            return lambda w: (b @ w + v)[blk]
 
         super().__init__(
             partition,
-            [loss_fn(i) for i in range(n)],
-            [grad_fn(i) for i in range(n)],
+            [loss_fn(stack[i], lin_stack[i]) for i in range(n)],
+            [grad_fn(stack[i], lin_stack[i], partition.block(i))
+             for i in range(n)],
             hessian=lambda w: hessian,
         )
-        self._coefficients = tuple(coeffs)
-        self._linear = tuple(lin)
         self._stack, self._linear_stack = stack, lin_stack
         self._hessian_matrix = hessian
         self._offset = offset
@@ -371,11 +368,11 @@ class QuadraticGame(Game):
 
     @property
     def coefficients(self) -> tuple[Array, ...]:
-        return self._coefficients
+        return tuple(self._stack)
 
     @property
     def linear_terms(self) -> tuple[Array, ...]:
-        return self._linear
+        return tuple(self._linear_stack)
 
     @property
     def hessian_matrix(self) -> Array:
@@ -406,21 +403,18 @@ def quadratic_game_from_hessian(partition, hessian, offset=None) -> QuadraticGam
     if not np.isfinite(h).all():
         raise ValueError("hessian is not finite")
     scale = max(1.0, np.max(np.abs(h)))
-    coeffs, linear = [], []
-    for i in range(partition.num_players):
+    n = partition.num_players
+    coeffs, linear = np.zeros((n, d, d)), np.zeros((n, d))
+    for i in range(n):
         blk = partition.block(i)
         diag = h[blk, blk]
         if np.max(np.abs(diag - diag.T)) > _SYM_TOL * scale:
             raise ValueError(
                 f"diagonal block {i} of the hessian must be symmetric"
             )
-        b = np.zeros((d, d))
-        b[blk, :] = h[blk, :]
-        b[:, blk] = h[blk, :].T
-        coeffs.append(b)
-        v = np.zeros(d)
-        v[blk] = offset[blk]
-        linear.append(v)
+        coeffs[i, blk, :] = h[blk, :]
+        coeffs[i, :, blk] = h[blk, :].T
+        linear[i, blk] = offset[blk]
     return QuadraticGame(partition, coeffs, linear)
 
 

@@ -241,6 +241,29 @@ def test_blow_up_warns_nothing(capsys, argv, rows):
             zip(out.splitlines()[1:], rows, strict=True)] == rows
 
 
+# Finite losses whose mean overflows: both losses are -4.9e307 at the
+# start, which the tiny rate leaves in place, so the mean over the trailing
+# window sums ten of 4.9e307.  The cell runs to its budget and its trailing
+# loss reads the cap, with no NumPy warning on the way.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flags", [
+    ["run", "--adjuster", "simgd", "--eta", "1e-300"],
+    ["sweep", "--adjusters", "simgd", "--etas", "1e-300", "--format", "csv"],
+])
+def test_overflowing_loss_mean_warns_nothing(capsys, flags):
+    code, out, err = invoke(capsys, *flags, "--game", "example5",
+                            "--params", "kappa=1e-100",
+                            "--w0", "0.7e204,0.7e204",
+                            "--divergence-norm", "inf", "--max-iters", "20")
+    assert (code, err) == (0, "")
+    if flags[0] == "sweep":
+        assert out.splitlines()[1] == \
+            "example5,simgd,1.0,1e-300,0,max_iters,20,5.0,1.0"
+    else:
+        doc = json.loads(out)
+        assert (doc["outcome"], doc["trailing_loss"]) == ("max_iters", 5.0)
+
+
 class TestSweep:
     def test_preset_csv_row_count(self, capsys, tmp_path):
         out_path = tmp_path / "fig4.csv"
@@ -567,6 +590,12 @@ class TestOneCodec:
          "got 0"),
         ({"etas": {"kind": "cubic", "start": 0.1, "stop": 1.0, "count": 3}},
          "config key 'etas': unknown eta grid kind 'cubic'"),
+        # The checks StopCriteria makes of the values named no key.
+        ({"stop": {"max_iters": 5}},
+         "config key 'stop': need loss_window <= max_iters, got "
+         "loss_window=10 and max_iters=5"),
+        ({"stop": {"loss_threshold": -1}},
+         "config key 'stop': loss_threshold must be nonnegative, got -1.0"),
     ])
     def test_config_error_names_the_key(self, capsys, tmp_path, doc, said):
         base = {"game": "example1", "adjusters": [{"kind": "sga"}],

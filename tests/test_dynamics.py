@@ -72,7 +72,9 @@ class TestSpecs:
         assert stop == dg.StopCriteria(max_iters=20, loss_window=5)
 
     def test_stop_window_within_budget(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(
+                "need loss_window <= max_iters, got loss_window=10 and "
+                "max_iters=5")):
             dg.StopCriteria(max_iters=5, loss_window=10)
 
     @pytest.mark.parametrize("name", ["divergence_norm", "loss_threshold",
@@ -289,10 +291,12 @@ class TestRun:
                                  for i in range(3)])
         stop = dg.StopCriteria(max_iters=3, loss_window=3,
                                loss_threshold=0.0, divergence_norm=np.inf)
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             traj = dg.run(dg.AdjusterSpec("simgd"), game, [1.3e154] * 3,
                           0.1, stop)
-            assert not np.isfinite(traj.mean_abs_losses()).any()
+            # The mean of three losses of 8.45e307 reads inf, quietly.
+            assert np.isinf(traj.mean_abs_losses()).all()
         assert traj.outcome == dg.MAX_ITERS
         assert np.isfinite(traj.losses).all()
         assert traj.losses.shape == (3, 3)

@@ -91,6 +91,21 @@ class TestSweep:
         cells = dg.sweep(config)
         assert all(c.trailing_loss <= 5.0 for c in cells)
 
+    def test_overflowing_trailing_mean_reads_the_cap_quietly(self):
+        # Both losses are -4.9e307 where the tiny rate leaves w, so the
+        # trailing window's sum overflows; the cell still runs its budget.
+        config = tiny_config(game="example5",
+                             game_params={"kappa": 1e-100},
+                             adjusters=(dg.AdjusterSpec("simgd"),),
+                             etas=(1e-300,), w0=((0.7e204, 0.7e204),),
+                             stop=dg.StopCriteria(max_iters=20,
+                                                  divergence_norm=np.inf))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (cell,) = dg.sweep(config)
+        assert (cell.outcome, cell.iters) == (dg.MAX_ITERS, 20)
+        assert cell.trailing_loss == 5.0
+
     def test_rejects_empty_or_negative_grid(self):
         with pytest.raises(ValueError):
             tiny_config(etas=())
