@@ -28,7 +28,9 @@ engine (``_euler``, ``direction``, ``Trajectory.probes``) and
 and invalid-value warnings off: on a quadratic game they never warn.  On
 a general game the callables they run, the kernel's step, the losses and
 ``analyze_point``'s report, keep the caller's NumPy error settings
-(``_user``).  The means of finite losses, whose sums may overflow to inf,
+(``_user``), which ``_stepper`` binds into the block kernel it returns;
+each of the engine's three callers builds its kernel before it enters
+the block.  The means of finite losses, whose sums may overflow to inf,
 are quiet on every game: ``Trajectory.mean_abs_losses`` and the trailing
 loss that a run or a sweep reports (``experiments._trailing_loss``).
 """
@@ -176,10 +178,9 @@ class Trajectory:
         if self._probes is None:
             space = _Workspace(self.points[:len(self.xi_norms), :, None],
                                None, 1)
-            block = _user(self._game, _stepper(
-                AdjusterSpec(HAMILTONIAN_DESCENT), self._game))
+            block = _stepper(AdjusterSpec(HAMILTONIAN_DESCENT), self._game)
             with np.errstate(over="ignore", invalid="ignore"):
-                grad_h = block(space, 1, 1.0, None)
+                grad_h = block(space, 1, 1.0)
                 self._probes = np.vecdot(space.fields[0, ..., 0],
                                          grad_h[..., 0])
         return self._probes
@@ -239,7 +240,12 @@ class _Workspace:
     and ``fields`` a ``(size, C, d, 1)`` one whose slot j gets step j's
     field.  ``vec`` and ``tmp`` are ``(C, d, 1)`` scratch for a step's
     direction, and ``prev`` is omd's previous field, owned by the
-    workspace (None before its first step).
+    workspace (None before its first step).  ``signs`` is a ``(size, C)``
+    array whose row j gets the sign of the adjustment weight each row
+    applied at step j: the kernels of sga and consensus fill a block's
+    rows with lam's sign, the aligned rules write each step's, and simgd,
+    omd and hamiltonian descent, which have no weighted adjustment term,
+    leave the 0.0 it is made with.
     """
 
     def __init__(self, w: Array, prev: Array | None, size: int):
@@ -248,6 +254,7 @@ class _Workspace:
         self.points[0] = w
         self.fields = np.empty((size, c, d, 1))
         self.vec, self.tmp = np.empty((2, c, d, 1))
+        self.signs = np.zeros((size, c))
         self.prev = prev
         self._steps = []
 
@@ -262,9 +269,10 @@ class _Workspace:
 
 
 def _stepper(spec: AdjusterSpec, game: Game):
-    """The rule's block kernel on the game, ``block(space, k, eta, signs)
-    -> vec``, with the rule's branch, weights and fixed sign, the field
-    and the products (``_products``) bound once.
+    """The rule's block kernel on the game, ``block(space, k, eta) ->
+    vec``, with the rule's branch, weights and sign, the field and the
+    products (``_products``) bound once, and the caller's NumPy error
+    settings bound by ``_user``: call it before entering the quiet block.
 
     The kernel takes the first k steps of a ``_Workspace`` in one loop.
     Step j reads its point, a ``(C, d, 1)`` stack of column vectors, from
@@ -278,10 +286,9 @@ def _stepper(spec: AdjusterSpec, game: Game):
     evaluate it (``2 xi - prev``; ``xi + lam * (0.5 * (H' xi - H xi))``),
     so a step builds no view and keeps the bits of that expression.  It
     returns the last step's direction: ``space.vec``, or its field for
-    simgd, whose direction it is.  With ``signs``, a ``(k, C)`` array, row
-    j gets the sign of the adjustment weight the rule applied at step j
-    (0.0 for the rules without a weighted adjustment term).  Omd reads its
-    previous field from ``space.prev`` (the field itself on its first
+    simgd, whose direction it is.  It leaves the sign of each step's
+    adjustment weight in ``space.signs`` (see ``_Workspace``).  Omd reads
+    its previous field from ``space.prev`` (the field itself on its first
     step, where that is None) and leaves its last field there.
 
     The four adjusted rules share one loop, ``xi + weight * adj``.  The
@@ -317,14 +324,14 @@ def _stepper(spec: AdjusterSpec, game: Game):
                               for x in (spec.lam, abs(spec.lam), 2.0, 0.5))
     trans, plain = _products(game)
     if kind == SIMGD:
-        def block(space, k, eta, signs):
+        def block(space, k, eta):
             for w, xi, new in space.steps(k):
                 field(w, xi)
                 np.multiply(eta, xi, new)
                 np.subtract(w, new, new)
             return xi
     elif kind == OMD:
-        def block(space, k, eta, signs):
+        def block(space, k, eta):
             vec, prev = space.vec, space.prev
             for w, xi, new in space.steps(k):
                 field(w, xi)
@@ -339,7 +346,7 @@ def _stepper(spec: AdjusterSpec, game: Game):
             np.copyto(space.prev, prev)
             return vec
     elif kind == HAMILTONIAN_DESCENT:
-        def block(space, k, eta, signs):
+        def block(space, k, eta):
             vec = space.vec
             for w, xi, new in space.steps(k):
                 field(w, xi)
@@ -348,9 +355,13 @@ def _stepper(spec: AdjusterSpec, game: Game):
                 np.subtract(w, new, new)
             return vec
     else:   # the adjusted rules; AdjusterSpec checks the kind
-        def block(space, k, eta, signs):
-            vec, tmp = space.vec, space.tmp
+        lam_sign = 1.0 if spec.lam >= 0 else -1.0
+
+        def block(space, k, eta):
+            vec, tmp, signs = space.vec, space.tmp, space.signs
             adj, scale = (tmp if sga else vec), lam
+            if not aligned:
+                signs[:k] = lam_sign
             for j, (w, xi, new) in enumerate(space.steps(k)):
                 field(w, xi)
                 trans(w, xi, vec)
@@ -363,24 +374,13 @@ def _stepper(spec: AdjusterSpec, game: Game):
                             else np.where(np.vecdot(xi, vec, axis=-2) >= 0,
                                           1.0, -1.0))
                     scale = (weight * sign)[:, None]
-                    if signs is not None:
-                        signs[j] = sign[:, 0]
+                    signs[j] = sign[:, 0]
                 np.multiply(scale, adj, vec)
                 np.add(xi, vec, vec)
                 np.multiply(eta, vec, new)
                 np.subtract(w, new, new)
             return vec
-    if aligned:
-        return block
-    # The other rules apply one sign at every step and row.
-    sign = 0.0 if kind in (SIMGD, OMD, HAMILTONIAN_DESCENT) else (
-        1.0 if spec.lam >= 0 else -1.0)
-
-    def fixed(space, k, eta, signs):
-        if signs is not None:
-            signs[:k] = sign
-        return block(space, k, eta, signs)
-    return fixed
+    return _user(game, block)
 
 
 def _user(game: Game, fn):
@@ -411,9 +411,9 @@ def direction(spec: AdjusterSpec, game: Game, w, prev_xi=None) -> Array:
         # A copy: the kernel leaves the field in it.
         prev_xi = np.array(_as_vector(prev_xi, game.dim, "prev_xi")
                            ).reshape(1, -1, 1)
-    block = _user(game, _stepper(spec, game))
+    block = _stepper(spec, game)
     with np.errstate(over="ignore", invalid="ignore"):
-        return block(_Workspace(w, prev_xi, 1), 1, 1.0, None).reshape(-1)
+        return block(_Workspace(w, prev_xi, 1), 1, 1.0).reshape(-1)
 
 
 class _CellEnd(NamedTuple):
@@ -613,7 +613,8 @@ def _euler(spec: AdjusterSpec, game: Game, starts, etas, stop: StopCriteria,
     Returns one ``_CellEnd`` per cell and, with ``record`` (``run``'s
     batch of one), the cell's history (else None): a list of (losses, xi
     norms, signs) array triples whose rows, joined, hold one entry per
-    processed iteration (``_Ledger.finish``), and a list of point arrays
+    processed iteration (``_Ledger.finish``; the signs copied from the
+    workspace's, which the kernel wrote), and a list of point arrays
     whose rows, joined, are the start point and one point per step taken
     (copies: the workspace is reused).  Norms are ``sqrt(v @ v)``, what
     ``np.linalg.norm`` computes for a real vector.
@@ -631,7 +632,7 @@ def _euler(spec: AdjusterSpec, game: Game, starts, etas, stop: StopCriteria,
     ledger = _Ledger(len(w), etas, stop.loss_window, d)
     steps = [(np.zeros((0, n)), np.zeros(0), np.zeros(0))]
     points, prev_xi, space = [w], None, None
-    block = _user(game, _stepper(spec, game))
+    block = _stepper(spec, game)
     losses_at = _user(game, game.batch_losses)
     with np.errstate(over="ignore", invalid="ignore"):
         far = _beyond(w, bound)
@@ -653,8 +654,7 @@ def _euler(spec: AdjusterSpec, game: Game, starts, etas, stop: StopCriteria,
                 space = _Workspace(w, prev_xi, max(k, min(2 * k, fit)))
             else:
                 space.points[0] = w
-            signs = np.empty((k, c)) if record else None
-            block(space, k, eta, signs)
+            block(space, k, eta)
             # The next block starts from the last point; the pass reads
             # the block's points and fields as (k, C, d) rows.
             w, prev_xi = space.points[k], space.prev
@@ -694,7 +694,7 @@ def _euler(spec: AdjusterSpec, game: Game, starts, etas, stop: StopCriteria,
                 taken, processed = ((k, k) if end is None else
                                     (end.iteration - t0, end.processed - t0))
                 steps.append((losses[:processed, 0], xi_norm[:processed, 0],
-                              signs[:processed, 0]))
+                              space.signs[:processed, 0].copy()))
                 points.append(ws[1:taken + 1, 0].copy())
             if done:
                 for row in (range(c) if fired is None

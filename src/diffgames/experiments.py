@@ -70,7 +70,8 @@ class SweepConfig:
     adjuster that is not an ``AdjusterSpec``, a ``stop`` that is not a
     ``StopCriteria``, ``game_params`` that is not a mapping, ``etas`` or
     ``w0`` that lists nothing) raises a ValueError that names the
-    field."""
+    field, and so does an empty list of adjusters, rates or start
+    points."""
 
     game: str
     adjusters: tuple[AdjusterSpec, ...]
@@ -83,6 +84,8 @@ class SweepConfig:
     def __post_init__(self):
         self.seed = _whole(self.seed, "seed")
         self.adjusters = _listed(self.adjusters, "adjusters")
+        if not self.adjusters:
+            raise ValueError("adjusters must list at least one update rule")
         for spec in self.adjusters:
             if not isinstance(spec, AdjusterSpec):
                 raise ValueError(f"adjusters must hold AdjusterSpecs, got "

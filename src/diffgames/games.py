@@ -389,8 +389,11 @@ def quadratic_game_from_hessian(partition, hessian, offset=None) -> QuadraticGam
     """Build a quadratic game whose game Hessian equals ``hessian`` exactly.
 
     The diagonal blocks of ``hessian`` must be symmetric (they are second
-    derivatives of a single loss in its own variables); off-diagonal blocks
-    are free, which is what makes the game Hessian non-symmetric in general.
+    derivatives of a single loss in its own variables), to within 1e-12
+    times ``max(1, max|h[blk, :]|)`` over player i's block row, the scale
+    at which ``QuadraticGame`` checks the ``B_i`` built from that row;
+    off-diagonal blocks are free, which is what makes the game Hessian
+    non-symmetric in general.
     ``offset`` is the constant part of the first-order field, split among the
     players by block.
     """
@@ -402,18 +405,20 @@ def quadratic_game_from_hessian(partition, hessian, offset=None) -> QuadraticGam
     # inf - inf in the symmetry test below would warn before it failed.
     if not np.isfinite(h).all():
         raise ValueError("hessian is not finite")
-    scale = max(1.0, np.max(np.abs(h)))
     n = partition.num_players
     coeffs, linear = np.zeros((n, d, d)), np.zeros((n, d))
     for i in range(n):
         blk = partition.block(i)
         diag = h[blk, blk]
+        scale = max(1.0, np.max(np.abs(h[blk, :])))
         if np.max(np.abs(diag - diag.T)) > _SYM_TOL * scale:
             raise ValueError(
                 f"diagonal block {i} of the hessian must be symmetric"
             )
-        coeffs[i, blk, :] = h[blk, :]
+        # The block row last, so B_i's diagonal block is h's, not its
+        # transpose.
         coeffs[i, :, blk] = h[blk, :].T
+        coeffs[i, blk, :] = h[blk, :]
         linear[i, blk] = offset[blk]
     return QuadraticGame(partition, coeffs, linear)
 
@@ -440,11 +445,21 @@ def _zeros(k):
     return np.zeros((k, k))
 
 
+def _payoff(values, what: str) -> Array:
+    """A catalog game's payoff matrix: a number is a 1x1 matrix, and
+    anything but a nonempty matrix of numbers raises a ValueError that
+    names it."""
+    m = np.atleast_2d(_as_floats(values, what))
+    if m.ndim != 2 or not m.size:
+        raise ValueError(f"{what} must be a nonempty matrix, got shape "
+                         f"{m.shape}")
+    return m
+
+
 def _build_example1(dim=2, payoff=None):
     """Zero-sum bilinear bimatrix game; the field rotates around the origin."""
     dim = _whole(dim, "dim", 1)    # checked even where a payoff overrides it
-    a = np.eye(dim) if payoff is None else np.atleast_2d(
-        _as_floats(payoff, "payoff"))
+    a = np.eye(dim) if payoff is None else _payoff(payoff, "payoff")
     dx, dy = a.shape
     b1 = np.block([[_zeros(dx), a], [a.T, _zeros(dy)]])
     return QuadraticGame(PlayerPartition((dx, dy)), [b1, -b1])
@@ -453,8 +468,8 @@ def _build_example1(dim=2, payoff=None):
 def _build_example2(dim=1, p=None, q=None):
     """General bilinear bimatrix game with separate payoff matrices."""
     dim = _whole(dim, "dim", 1)    # checked even where p and q override it
-    pm = np.eye(dim) if p is None else np.atleast_2d(_as_floats(p, "p"))
-    qm = np.eye(dim) if q is None else np.atleast_2d(_as_floats(q, "q"))
+    pm = np.eye(dim) if p is None else _payoff(p, "p")
+    qm = np.eye(dim) if q is None else _payoff(q, "q")
     if pm.shape != qm.shape:
         raise ValueError("payoff matrices must share a shape")
     dx, dy = pm.shape

@@ -747,6 +747,8 @@ class TestExitCodes:
          "give at most one of --w0 or --w0-ball"),
         (["sweep", "--preset", "fig3", "--game", "example1"],
          "--game conflicts with --preset"),
+        (["sweep", "--game", "example1", "--adjusters", ",", "--etas",
+          "0.1"], "adjusters must list at least one update rule"),
     ])
     def test_usage_error_names_the_program(self, capsys, argv, message):
         code, out, err = invoke(capsys, *argv)

@@ -415,9 +415,8 @@ class TestOneStep:
         # vectors; this is a block of one step of one row.
         prev_xi = None if prev_xi is None else prev_xi[..., None].copy()
         space = dynamics._Workspace(w[None, :, None], prev_xi, 1)
-        signs = np.empty((1, 1))
-        vec = dynamics._stepper(spec, game)(space, 1, 1.0, signs)
-        return space.fields[0, 0, :, 0], vec[0, :, 0], signs[0]
+        vec = dynamics._stepper(spec, game)(space, 1, 1.0)
+        return space.fields[0, 0, :, 0], vec[0, :, 0], space.signs[0]
 
     @pytest.mark.parametrize("name", sorted(GAMES))
     @pytest.mark.parametrize("kind", dg.KINDS)
@@ -449,6 +448,44 @@ class TestOneStep:
             step = w - eta * dg.direction(spec, game, w)
             traj = dg.run(spec, game, w, eta, ONE_STEP)
             assert step.tobytes() == traj.points[1].tobytes()
+
+
+@pytest.mark.bit_identity
+class TestBlockSigns:
+    """A block of the engine's kernel leaves in ``space.signs`` the sign
+    of the adjustment weight each row applied at each step: what the
+    row's lone ``run`` records in ``Trajectory.signs``."""
+
+    STEPS = 16
+    STOP = dg.StopCriteria(max_iters=STEPS, loss_window=1,
+                           loss_threshold=0.0)
+
+    # sga-aligned's and aligned-consensus's signs flip inside the block.
+    @pytest.mark.parametrize("spec,name,starts,both", [
+        (dg.AdjusterSpec(dg.SGA_ALIGNED, lam=0.5, epsilon=0.0), "example1",
+         np.random.default_rng(0).standard_normal((3, 4)), True),
+        (dg.AdjusterSpec(dg.ALIGNED_CONSENSUS, lam=0.5), "example7",
+         [[0.3, -0.7], [0.5, 0.2], [-0.4, 0.9]], True),
+        (dg.AdjusterSpec(dg.SGA, lam=-0.8), "example1",
+         np.random.default_rng(1).standard_normal((3, 4)), False),
+        (dg.AdjusterSpec(dg.SIMGD), "example7",
+         [[0.3, -0.7], [0.5, 0.2], [-0.4, 0.9]], False),
+    ], ids=["sga-aligned", "aligned-consensus", "sga", "simgd"])
+    def test_block_records_each_runs_signs(self, spec, name, starts, both):
+        game = dg.catalog_game(name)
+        starts, etas = np.array(starts), (0.01, 0.02, 0.05)
+        space = dynamics._Workspace(starts[:, :, None], None, self.STEPS)
+        eta = np.repeat(np.reshape(etas, (3, 1, 1)), game.dim, axis=1)
+        dynamics._stepper(spec, game)(space, self.STEPS, eta)
+        for row, (w0, rate) in enumerate(zip(starts, etas)):
+            want = dg.run(spec, game, w0, rate, self.STOP).signs
+            assert want.shape == (self.STEPS,)
+            assert space.signs[:, row].tobytes() == want.tobytes(), row
+        values = set(space.signs.ravel().tolist())
+        if both:
+            assert values == {-1.0, 1.0}
+        else:
+            assert values == {-1.0 if spec.kind == dg.SGA else 0.0}
 
 
 class TestCompatibilityProperties:

@@ -117,6 +117,15 @@ class TestSweep:
             tiny_config(etas=(0.1, np.nan))
 
 
+def test_config_rejects_an_empty_adjuster_list():
+    said = "^adjusters must list at least one update rule$"
+    with pytest.raises(ValueError, match=said):
+        tiny_config(adjusters=())
+    with pytest.raises(ValueError, match=said):
+        dg.config_from_json({"game": "example1", "adjusters": [],
+                             "etas": [0.1]})
+
+
 def test_config_rejects_an_empty_start_list():
     with pytest.raises(ValueError,
                        match="^w0 must list at least one start point$"):

@@ -8,7 +8,8 @@ import pytest
 import diffgames as dg
 from diffgames import dynamics
 
-from conftest import CATALOG_DEFAULTS, plain_game, rel_err
+from conftest import (CATALOG_DEFAULTS, plain_game,
+                      random_block_antisymmetric, random_symmetric, rel_err)
 
 
 class TestPlayerPartition:
@@ -336,10 +337,32 @@ class TestGameFromHessian:
         game = dg.quadratic_game_from_hessian(p, h)
         assert np.array_equal(game.hessian_matrix, h)
 
+    def test_reproduces_a_hessian_symmetric_to_rounding_exactly(self):
+        # (q * e) @ q.T is symmetric only to rounding: the game's diagonal
+        # blocks must be h's, not their transposes.
+        rng = np.random.default_rng(41)
+        p = dg.PlayerPartition((4, 4))
+        h = random_symmetric(rng, 8, -1.0, 1.0) + random_block_antisymmetric(
+            rng, p)
+        assert not np.array_equal(h[:4, :4], h[:4, :4].T)
+        game = dg.quadratic_game_from_hessian(p, h)
+        assert np.array_equal(game.hessian_matrix, h)
+
     def test_rejects_asymmetric_diagonal_block(self):
         p = dg.PlayerPartition((2, 1))
         h = np.arange(9.0).reshape(3, 3)
         with pytest.raises(ValueError, match="diagonal block"):
+            dg.quadratic_game_from_hessian(p, h)
+
+    def test_checks_each_diagonal_block_at_its_players_scale(self):
+        # Player 0's block is asymmetric by 1e-9 at its own scale of 1;
+        # player 1's row holds 1e6, which must not excuse it.
+        p = dg.PlayerPartition((2, 2))
+        h = np.zeros((4, 4))
+        h[2:, 2:] = np.eye(2)
+        h[2, 0], h[0, 1], h[1, 0] = 1e6, 1.0, 1.0 + 1e-9
+        with pytest.raises(ValueError, match="^diagonal block 0 of the "
+                           "hessian must be symmetric$"):
             dg.quadratic_game_from_hessian(p, h)
 
     @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (2, 0)])
@@ -440,10 +463,19 @@ def test_matrices_hold_numbers(call, said):
      "payoff matrices must share a shape"),
     (lambda: dg.catalog_game("fig7_four_player", epsilon=-0.1),
      "epsilon must be nonnegative, got -0.1"),
+    (lambda: dg.catalog_game("example1", payoff=[[[1.0]]]),
+     "payoff must be a nonempty matrix, got shape (1, 1, 1)"),
+    (lambda: dg.catalog_game("example1", payoff=[]),
+     "payoff must be a nonempty matrix, got shape (1, 0)"),
+    (lambda: dg.catalog_game("example2", p=[[[1.0]]], q=[[1.0]]),
+     "p must be a nonempty matrix, got shape (1, 1, 1)"),
+    (lambda: dg.catalog_game("example2", p=[[1.0]], q=np.ones((1, 1, 1))),
+     "q must be a nonempty matrix, got shape (1, 1, 1)"),
 ], ids=["Game.losses", "analytic_hessian", "QuadraticGame.coefficients",
         "QuadraticGame.count", "QuadraticGame.linear",
         "quadratic_game_from_hessian", "catalog.example2",
-        "catalog.fig7"])
+        "catalog.fig7", "catalog.payoff-3d", "catalog.payoff-empty",
+        "catalog.p-3d", "catalog.q-3d"])
 def test_shapes_and_counts_are_checked(call, said):
     with pytest.raises(ValueError, match=f"^{re.escape(said)}$"):
         call()
@@ -538,7 +570,7 @@ class TestEngineColumns:
         space = dynamics._Workspace(0.1 * rng.standard_normal((c, d, 1)),
                                     None, k)
         eta = np.full((c, d, 1), -9.0)
-        block(space, k, eta, None)
+        block(space, k, eta)
         grad_h, h_xi = np.empty((c, d, 1)), np.empty((c, d, 1))
         for j, (w, xi, new) in enumerate(space.steps(k)):
             assert new.tobytes() == (w - eta * xi).tobytes()
