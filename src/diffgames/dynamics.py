@@ -171,9 +171,10 @@ class Trajectory:
         be, and caches it.  On a game without an
         analytic Hessian, ``fd_game(game)`` included, that read costs
         2d + 1 field evaluations per iteration: the field again, then
-        ``thvp``.  Near a blow-up a probe may overflow to inf, which the
-        read reports without a warning (the quiet rule of the module
-        docstring).
+        ``thvp``.  Near a blow-up a probe may overflow: it comes out inf or
+        NaN, depending on the BLAS kernel (the products of its sum may
+        overflow with opposite signs), and the read reports it without a
+        warning (the quiet rule of the module docstring).
         """
         if self._probes is None:
             space = _Workspace(self.points[:len(self.xi_norms), :, None],

@@ -10,12 +10,9 @@ import diffgames as dg
 
 def pytest_configure(config):
     config.addinivalue_line(
-        "markers", "bit_identity: a claim that holds bit for bit, resting on "
-        "how the BLAS and LAPACK kernels compute (run at one BLAS thread "
-        "and on a second kernel in CI)")
-    config.addinivalue_line(
-        "markers", "kernel_bound: bytes pinned on the OpenBLAS kernel they "
-        "were recorded on (SkylakeX), so left out on other kernels")
+        "markers", "kernel_bound: an absolute byte pin, recorded on "
+        "OpenBLAS's SkylakeX kernel, so left out where CI reruns tier-1 on "
+        "a second kernel (Haswell); every other test runs there too")
 
 
 # Catalog ids with their default parameters; every one is quadratic.

@@ -874,6 +874,7 @@ RUN_CSV_DIGESTS = {
 RUN_CSV_ALL = "ac650db8876f26b070b70a667e96c07ade1fb9f12d1721effe83b775ac983418"
 
 
+@pytest.mark.kernel_bound
 def test_run_csv_bytes_are_pinned(capsys, tmp_path):
     assert list(RUN_CSV_DIGESTS) == [e.name for e in dg.CATALOG.values()]
     out_path = tmp_path / "run.csv"

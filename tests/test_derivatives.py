@@ -199,7 +199,6 @@ class TestBatchField:
         "wide-offset": lambda: wide_game(np.linspace(-1.0, 1.0, 256)),
     }
 
-    @pytest.mark.bit_identity
     @pytest.mark.parametrize("rows", [0, 1, 5])
     @pytest.mark.parametrize("name", sorted(NEW_ARRAY_GAMES))
     def test_returns_a_new_array_bit_for_bit(self, name, rows):
@@ -595,6 +594,7 @@ def runs_digest(game):
     return digest.hexdigest()
 
 
+@pytest.mark.kernel_bound
 @pytest.mark.parametrize("name", sorted(FD_PINS))
 class TestFdGamePins:
     def test_products(self, name):

@@ -367,7 +367,6 @@ class TestFusedEvaluation:
         grad_h = dg.thvp(game, w, xi)
         return xi, grad_h, 0.5 * (grad_h - dg.hvp(game, w, xi))
 
-    @pytest.mark.bit_identity
     def test_directions_equal_the_public_products(self):
         game, _, w = _offset_game(3)
         xi, grad_h, at_xi = self.public_products(game, w)
@@ -398,7 +397,6 @@ class TestFusedEvaluation:
                 assert np.array_equal(dg.direction(spec, game, w), want)
 
 
-@pytest.mark.bit_identity
 class TestOneStep:
     """``direction``, ``run``'s first step and ``Trajectory.probes`` are
     the engine's bound step (``_stepper``) bit for bit, for every rule."""
@@ -450,7 +448,6 @@ class TestOneStep:
             assert step.tobytes() == traj.points[1].tobytes()
 
 
-@pytest.mark.bit_identity
 class TestBlockSigns:
     """A block of the engine's kernel leaves in ``space.signs`` the sign
     of the adjustment weight each row applied at each step: what the
@@ -460,19 +457,22 @@ class TestBlockSigns:
     STOP = dg.StopCriteria(max_iters=STEPS, loss_window=1,
                            loss_threshold=0.0)
 
-    # sga-aligned's and aligned-consensus's signs flip inside the block.
-    @pytest.mark.parametrize("spec,name,starts,both", [
-        (dg.AdjusterSpec(dg.SGA_ALIGNED, lam=0.5, epsilon=0.0), "example1",
-         np.random.default_rng(0).standard_normal((3, 4)), True),
-        (dg.AdjusterSpec(dg.ALIGNED_CONSENSUS, lam=0.5), "example7",
+    # sga-aligned's and aligned-consensus's signs flip inside the block, on
+    # games with an indefinite S (example2 with p = 2, q = -1 has a
+    # nonzero A too), where the alignment changes sign as the field turns.
+    @pytest.mark.parametrize("spec,game,starts,both", [
+        (dg.AdjusterSpec(dg.SGA_ALIGNED, lam=0.5, epsilon=0.0),
+         dg.catalog_game("example2", p=2.0, q=-1.0),
+         np.random.default_rng(0).standard_normal((3, 2)), True),
+        (dg.AdjusterSpec(dg.ALIGNED_CONSENSUS, lam=0.5),
+         dg.catalog_game("example7"),
          [[0.3, -0.7], [0.5, 0.2], [-0.4, 0.9]], True),
-        (dg.AdjusterSpec(dg.SGA, lam=-0.8), "example1",
+        (dg.AdjusterSpec(dg.SGA, lam=-0.8), dg.catalog_game("example1"),
          np.random.default_rng(1).standard_normal((3, 4)), False),
-        (dg.AdjusterSpec(dg.SIMGD), "example7",
+        (dg.AdjusterSpec(dg.SIMGD), dg.catalog_game("example7"),
          [[0.3, -0.7], [0.5, 0.2], [-0.4, 0.9]], False),
     ], ids=["sga-aligned", "aligned-consensus", "sga", "simgd"])
-    def test_block_records_each_runs_signs(self, spec, name, starts, both):
-        game = dg.catalog_game(name)
+    def test_block_records_each_runs_signs(self, spec, game, starts, both):
         starts, etas = np.array(starts), (0.01, 0.02, 0.05)
         space = dynamics._Workspace(starts[:, :, None], None, self.STEPS)
         eta = np.repeat(np.reshape(etas, (3, 1, 1)), game.dim, axis=1)
@@ -689,7 +689,6 @@ def _stacked_oracle_cases():
     return cases
 
 
-@pytest.mark.bit_identity
 class TestStackedOracle:
     """A rule's stacked matrices and radii (one eigvals call per stack) hold
     the bits of lone ones; the claim rests on LAPACK decomposing a matrix of

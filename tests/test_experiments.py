@@ -295,7 +295,6 @@ PRESET_DIGESTS = {
 }
 
 
-@pytest.mark.bit_identity
 @pytest.mark.kernel_bound
 @pytest.mark.parametrize("name", sorted(PRESET_DIGESTS))
 def test_preset_bytes_are_pinned(name):
@@ -317,7 +316,6 @@ VERDICT_DIGESTS = {
 }
 
 
-@pytest.mark.bit_identity
 @pytest.mark.parametrize("name", sorted(VERDICT_DIGESTS))
 def test_preset_verdicts_are_pinned(name):
     lines = dg.serialize(dg.run_preset(name, seed=0), "csv").splitlines()
@@ -522,6 +520,7 @@ ANALYZE_GAMES = CATALOG_DEFAULTS + [("tanh", {"analytic_hessian": True}),
                                     ("tanh-fd", {"analytic_hessian": False})]
 
 
+@pytest.mark.kernel_bound
 @pytest.mark.parametrize("name,params", ANALYZE_GAMES)
 def test_analyze_bytes_are_pinned(name, params):
     game = (TanhGame().build(**params) if name.startswith("tanh")

@@ -542,7 +542,6 @@ def test_batch_evaluation_of_a_dense_game():
             assert not np.isfinite(want_loss).any(), w
 
 
-@pytest.mark.bit_identity
 class TestEngineColumns:
     """The engine's own form of the field and the Hessian products: on the
     ``(k, C, d, 1)`` block buffers of column vectors that the engine keeps
@@ -608,7 +607,6 @@ def _dense_game(sizes, offset):
     return dg.QuadraticGame(partition, coefficients, linear), rng
 
 
-@pytest.mark.bit_identity
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                             "ignore:invalid value encountered:RuntimeWarning")
 class TestFieldFromTheHessian:
