@@ -14,11 +14,13 @@ one dot product per row, reductions along contiguous rows), so a cell's
 result does not depend on the batch it ran in.
 
 A step is one step of the rule's block kernel (``_stepper``), which works
-in buffers the batch keeps (``_Workspace``); ``direction`` and
-``Trajectory.probes`` run the same kernel.  On a quadratic game the loop
-takes a block of steps (``_block_length``) before one pass tests all of
-them for a stop, and a cell ends at its first step that fires a test, so
-no result depends on the block length.  A general game runs the user's
+in buffers the batch keeps (``_Workspace``), on its row's ``(d, 1)``
+columns with ``np.dot`` where a batch of one row steps on a stock
+``QuadraticGame``; ``direction`` and ``Trajectory.probes`` run the same
+kernel.  On a quadratic game the loop takes a block of steps
+(``_block_length``) before one pass tests all of them for a stop, and a
+cell ends at its first step that fires a test, so no result depends on
+the block length.  A general game runs the user's
 callables, which must not run past a stop, so it steps one at a time.  The
 per-row stop state, and what a stopped cell processed, are a ``_Ledger``.
 
@@ -30,9 +32,11 @@ a general game the callables they run, the kernel's step, the losses and
 ``analyze_point``'s report, keep the caller's NumPy error settings
 (``_user``), which ``_stepper`` binds into the block kernel it returns;
 each of the engine's three callers builds its kernel before it enters
-the block.  The means of finite losses, whose sums may overflow to inf,
-are quiet on every game: ``Trajectory.mean_abs_losses`` and the trailing
-loss that a run or a sweep reports (``experiments._trailing_loss``).
+the block.  The aligned rules' sign, a test of the field, and the means
+of finite losses, whose sums may overflow to inf, are quiet on every
+game: the sign in the kernel (``_stepper``), the means in
+``Trajectory.mean_abs_losses`` and in the trailing loss that a run or a
+sweep reports (``experiments._trailing_loss``).
 """
 
 from __future__ import annotations
@@ -224,11 +228,12 @@ def _products(game: Game):
 def _aligned_signs(xi: Array, at_xi: Array, grad_h: Array,
                    epsilon: float) -> Array:
     """The aligned sga rule's sign at each column of a ``(C, d, 1)`` stack,
-    shape ``(C, 1)``: that of ``(1/d) <xi, grad_h> <at_xi, grad_h> +
-    epsilon``, with sign(0) = +1 (``analysis.alignment_sign`` is its
-    one-column case).  A NaN value gets -1."""
+    shape ``(C, 1)`` (or of one ``(d, 1)`` column, shape ``(1,)``): that
+    of ``(1/d) <xi, grad_h> <at_xi, grad_h> + epsilon``, with sign(0) =
+    +1 (``analysis.alignment_sign`` is its one-column case).  A NaN value
+    gets -1."""
     value = (np.vecdot(xi, grad_h, axis=-2)
-             * np.vecdot(at_xi, grad_h, axis=-2) / xi.shape[1] + epsilon)
+             * np.vecdot(at_xi, grad_h, axis=-2) / xi.shape[-2] + epsilon)
     return np.where(value >= 0.0, 1.0, -1.0)
 
 
@@ -247,6 +252,11 @@ class _Workspace:
     rows with lam's sign, the aligned rules write each step's, and simgd,
     omd and hamiltonian descent, which have no weighted adjustment term,
     leave the 0.0 it is made with.
+
+    A block's steps take these buffers as they are or, with ``column`` (a
+    batch of one row on a stock quadratic game, see ``_stepper``), as
+    views of the row's ``(d, 1)`` columns: ``steps`` and ``scratch``
+    hand out either.
     """
 
     def __init__(self, w: Array, prev: Array | None, size: int):
@@ -257,16 +267,25 @@ class _Workspace:
         self.vec, self.tmp = np.empty((2, c, d, 1))
         self.signs = np.zeros((size, c))
         self.prev = prev
-        self._steps = []
+        self._steps = [], []
 
-    def steps(self, k: int) -> list:
+    def steps(self, k: int, column: bool = False) -> list:
         """The (point, field, next point) views of the first k steps, each
-        made once, when a block first needs it."""
-        steps = self._steps
+        made once, when a block first needs it: ``(C, d, 1)`` stacks, or
+        with ``column`` the row's ``(d, 1)`` columns."""
+        steps = self._steps[column]
         for j in range(len(steps), k):
-            steps.append((self.points[j], self.fields[j],
-                          self.points[j + 1]))
+            step = self.points[j], self.fields[j], self.points[j + 1]
+            steps.append(tuple(a[0] for a in step) if column else step)
         return steps[:k]
+
+    def scratch(self, column: bool) -> tuple:
+        """``vec``, ``tmp`` and ``prev`` as a block's steps take them: as
+        they are, or with ``column`` as the row's ``(d, 1)`` columns."""
+        if not column:
+            return self.vec, self.tmp, self.prev
+        return (self.vec[0], self.tmp[0],
+                None if self.prev is None else self.prev[0])
 
 
 def _stepper(spec: AdjusterSpec, game: Game):
@@ -286,11 +305,12 @@ def _stepper(spec: AdjusterSpec, game: Game):
     than ``out=``), in the order the direction's expression would
     evaluate it (``2 xi - prev``; ``xi + lam * (0.5 * (H' xi - H xi))``),
     so a step builds no view and keeps the bits of that expression.  It
-    returns the last step's direction: ``space.vec``, or its field for
-    simgd, whose direction it is.  It leaves the sign of each step's
-    adjustment weight in ``space.signs`` (see ``_Workspace``).  Omd reads
-    its previous field from ``space.prev`` (the field itself on its first
-    step, where that is None) and leaves its last field there.
+    returns the last step's direction, a ``(C, d, 1)`` stack:
+    ``space.vec``, or its field slot for simgd, whose direction it is.  It
+    leaves the sign of each step's adjustment weight in ``space.signs``
+    (see ``_Workspace``).  Omd reads its previous field from
+    ``space.prev`` (the field itself on its first step, where that is
+    None) and leaves its last field there.
 
     The four adjusted rules share one loop, ``xi + weight * adj``.  The
     adjustment is ``A' xi = 0.5 * (H' xi - H xi)`` for sga and
@@ -299,42 +319,63 @@ def _stepper(spec: AdjusterSpec, game: Game):
     is lam, or for an aligned rule ``sign * abs(lam)`` with each row's
     sign picked at every step: by ``_aligned_signs`` for sga-aligned, and
     as that of the probe <xi, H' xi> for aligned-consensus, one dot
-    product along each column (``axis=-2``).
+    product along each column (``axis=-2``).  The sign is a test of the
+    step's field, like the stop tests, so it is taken quietly on every
+    game: where the products of a dot product overflow with both signs,
+    their sum is inf or NaN depending on the BLAS kernel.
 
     On a stock ``QuadraticGame`` the field, H w + c, is the game's own
-    column kernel, built with the game: one stacked gemv straight on the
-    columns made by one C-level call, plus the offset only where the game
-    has linear terms.  Its ``batch_field`` runs the same kernel, so the
-    step has its bits.  Any other game, and a subclass that overrides
+    column kernel, built with the game: one gemv per column straight on
+    the columns made by one C-level call, plus the offset only where the
+    game has linear terms.  Its ``batch_field`` runs the same kernel, so
+    the step has its bits.  Any other game, and a subclass that overrides
     ``batch_field``, has its ``batch_field`` called once per step on
     ``(C, d)`` row views of the columns, and the rows it returns are
     copied into the field slot, so it sees every step.
+
+    Each block picks its arithmetic once, from its row count (``lanes``).
+    A batch of one row on a stock quadratic game, which every lone run and
+    every sweep's tail is, steps on views of the row's ``(d, 1)`` columns
+    (``_Workspace.steps`` and ``scratch``) with the game's one-column
+    kernels: ``np.dot`` calls the gemv of the stacked ``np.matmul``, with
+    its bits, at about half its dispatch cost.  Every other batch steps on
+    the ``(C, d, 1)`` stacks.  Each rule has one loop body for both.
     """
     kind, rows = spec.kind, game.batch_field
     sga = kind in (SGA, SGA_ALIGNED)
     aligned = kind in (SGA_ALIGNED, ALIGNED_CONSENSUS)
     # The game's batch_field is QuadraticGame's own, not an override.
     if type(game).batch_field is QuadraticGame.batch_field:
-        field = game._field
+        stacked, column = (game._field, *game._products), game._column
     else:
         def field(w, out):
             out[..., 0] = rows(w[..., 0])
+        stacked, column = (field, *_products(game)), None
+
+    def lanes(space, eta):
+        """The block's field and products, whether its steps take the
+        row's columns, and eta at their rank."""
+        if column is None or len(space.vec) != 1:
+            return stacked, False, eta
+        return column, True, np.reshape(eta, (-1, 1))
+
     # The constants as 0-d arrays: NumPy multiplies an array by one faster
     # than by a Python number, with the same bits.
     lam, weight, two, half = (np.array(x, dtype=float)
                               for x in (spec.lam, abs(spec.lam), 2.0, 0.5))
-    trans, plain = _products(game)
     if kind == SIMGD:
         def block(space, k, eta):
-            for w, xi, new in space.steps(k):
+            (field, _, _), col, eta = lanes(space, eta)
+            for w, xi, new in space.steps(k, col):
                 field(w, xi)
                 np.multiply(eta, xi, new)
                 np.subtract(w, new, new)
-            return xi
+            return space.fields[k - 1]
     elif kind == OMD:
         def block(space, k, eta):
-            vec, prev = space.vec, space.prev
-            for w, xi, new in space.steps(k):
+            (field, _, _), col, eta = lanes(space, eta)
+            vec, _, prev = space.scratch(col)
+            for w, xi, new in space.steps(k, col):
                 field(w, xi)
                 np.multiply(two, xi, vec)
                 np.subtract(vec, xi if prev is None else prev, vec)
@@ -343,27 +384,36 @@ def _stepper(spec: AdjusterSpec, game: Game):
                 prev = xi
             # The next block writes its fields over this one's.
             if space.prev is None:
-                space.prev = np.empty_like(vec)
+                space.prev = np.empty_like(space.vec)
             np.copyto(space.prev, prev)
-            return vec
+            return space.vec
     elif kind == HAMILTONIAN_DESCENT:
         def block(space, k, eta):
-            vec = space.vec
-            for w, xi, new in space.steps(k):
+            (field, trans, _), col, eta = lanes(space, eta)
+            vec, _, _ = space.scratch(col)
+            for w, xi, new in space.steps(k, col):
                 field(w, xi)
                 trans(w, xi, vec)
                 np.multiply(eta, vec, new)
                 np.subtract(w, new, new)
-            return vec
+            return space.vec
     else:   # the adjusted rules; AdjusterSpec checks the kind
         lam_sign = 1.0 if spec.lam >= 0 else -1.0
 
+        def sign_of(xi, at_xi, grad_h):
+            if sga:
+                return _aligned_signs(xi, at_xi, grad_h, spec.epsilon)
+            return np.where(np.vecdot(xi, grad_h, axis=-2) >= 0, 1.0, -1.0)
+        if not isinstance(game, QuadraticGame):
+            sign_of = np.errstate(over="ignore", invalid="ignore")(sign_of)
+
         def block(space, k, eta):
-            vec, tmp, signs = space.vec, space.tmp, space.signs
+            (field, trans, plain), col, eta = lanes(space, eta)
+            (vec, tmp, _), signs = space.scratch(col), space.signs
             adj, scale = (tmp if sga else vec), lam
             if not aligned:
                 signs[:k] = lam_sign
-            for j, (w, xi, new) in enumerate(space.steps(k)):
+            for j, (w, xi, new) in enumerate(space.steps(k, col)):
                 field(w, xi)
                 trans(w, xi, vec)
                 if sga:
@@ -371,16 +421,14 @@ def _stepper(spec: AdjusterSpec, game: Game):
                     np.subtract(vec, tmp, tmp)
                     np.multiply(half, tmp, tmp)
                 if aligned:
-                    sign = (_aligned_signs(xi, tmp, vec, spec.epsilon) if sga
-                            else np.where(np.vecdot(xi, vec, axis=-2) >= 0,
-                                          1.0, -1.0))
-                    scale = (weight * sign)[:, None]
-                    signs[j] = sign[:, 0]
+                    sign = sign_of(xi, tmp, vec)
+                    scale = (weight * sign)[..., None]
+                    signs[j] = sign[..., 0]
                 np.multiply(scale, adj, vec)
                 np.add(xi, vec, vec)
                 np.multiply(eta, vec, new)
                 np.subtract(w, new, new)
-            return vec
+            return space.vec
     return _user(game, block)
 
 

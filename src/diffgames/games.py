@@ -324,20 +324,25 @@ class QuadraticGame(Game):
         # The skip pays: adding the zero terms cost the presets bench 10-13%
         # of its iterations per second (2-core Xeon, one BLAS thread).
         self._has_linear = bool(lin_stack.any())
-        # The arithmetic the Euler loop binds, on (C, d, 1) stacks of
-        # column vectors, built once here.  The field ``(w, out) -> H w +
-        # c`` is one stacked gemv straight into ``out``, made by one C-level
-        # call, plus the offset only where there are linear terms; the
-        # products ``(w, xi, out) -> H' xi`` and ``-> H xi`` are one stacked
-        # gemv each into ``out``.  ``batch_field`` runs the same field
-        # kernel.
-        self._field = functools.partial(np.matmul, hessian)
-        if self._has_linear:
-            gemv, column = self._field, offset[:, None]
-            self._field = lambda w, out: np.add(gemv(w, out), column, out)
-        self._products = tuple(
-            lambda w, xi, out, m=m: np.matmul(m, xi, out)
-            for m in (hessian.T, hessian))
+        # The arithmetic the Euler loop binds, built once here: the field
+        # ``(w, out) -> H w + c``, one gemv per column straight into
+        # ``out``, made by one C-level call, plus the offset only where
+        # there are linear terms, and the products ``(w, xi, out) -> H' xi``
+        # and ``-> H xi``, one gemv per column each into ``out``.  Two sets:
+        # through the stacked ``np.matmul`` on (C, d, 1) stacks of column
+        # vectors, which ``batch_field`` runs too, and through ``np.dot``
+        # on one (d, 1) column, for a batch of one row: the same gemv with
+        # the same bits, for about half of matmul's dispatch cost (0.58
+        # against 1.05 us at d = 4).
+        def kernels(product):
+            field = functools.partial(product, hessian)
+            if self._has_linear:
+                gemv, column = field, offset[:, None]
+                field = lambda w, out: np.add(gemv(w, out), column, out)
+            return (field, *(lambda w, xi, out, m=m: product(m, xi, out)
+                             for m in (hessian.T, hessian)))
+        stacked, self._column = kernels(np.matmul), kernels(np.dot)
+        self._field, self._products = stacked[0], stacked[1:]
 
     def batch_field(self, points: Array) -> Array:
         """All rows at once: ``H w + c``, one matrix-vector product per row,

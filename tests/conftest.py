@@ -12,7 +12,8 @@ def pytest_configure(config):
     config.addinivalue_line(
         "markers", "kernel_bound: an absolute byte pin, recorded on "
         "OpenBLAS's SkylakeX kernel, so left out where CI reruns tier-1 on "
-        "a second kernel (Haswell); every other test runs there too")
+        "other kernels (Haswell, Sandybridge); every other test runs there "
+        "too")
 
 
 # Catalog ids with their default parameters; every one is quadratic.

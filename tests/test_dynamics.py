@@ -488,6 +488,75 @@ class TestBlockSigns:
             assert values == {-1.0 if spec.kind == dg.SGA else 0.0}
 
 
+class TestOneRowColumns:
+    """A batch of one row on a stock quadratic game steps on its row's
+    ``(d, 1)`` columns with the game's one-column kernels (``np.dot``),
+    a batch of more rows on ``(C, d, 1)`` stacks (``np.matmul``).  A row
+    stepped alone must equal the same row of a 3-row batch, bit for bit:
+    its points, fields, signs and direction, and omd's previous field as
+    the workspace carries it from block to block and across a compaction
+    from 3 rows to 1 (a sweep's tail)."""
+
+    STEPS = 8
+    ETAS = (0.01, 0.03, 0.05)
+    # example3 has linear terms; example2 with p = 2, q = -1 has none,
+    # and its aligned signs flip; the d = 256 game is `wide`'s shape.
+    GAMES = {
+        "example3": lambda: dg.catalog_game("example3"),
+        "example2": lambda: dg.catalog_game("example2", p=2.0, q=-1.0),
+        "d256": lambda: random_realizable_game(
+            np.random.default_rng(41), dg.PlayerPartition((32,) * 8),
+            -0.5, 1.0),
+    }
+
+    def blocks(self, spec, game, starts, etas, prev, count):
+        """``count`` blocks of the rule's kernel on one workspace, each
+        from the last one's end, as the engine takes them; per block, each
+        row's points, fields, signs, direction and omd's previous field
+        (None for the other rules), copied."""
+        block = dynamics._stepper(spec, game)
+        space = dynamics._Workspace(starts[:, :, None], prev, self.STEPS)
+        eta = np.repeat(np.reshape(etas, (-1, 1, 1)), game.dim, axis=1)
+        seen = []
+        for _ in range(count):
+            vec = block(space, self.STEPS, eta)
+            assert vec.shape == (len(starts), game.dim, 1)
+            seen.append([space.points.swapaxes(0, 1).copy(),
+                         space.fields.swapaxes(0, 1).copy(),
+                         space.signs.T.copy(), vec.copy(),
+                         None if space.prev is None else space.prev.copy()])
+            space.points[0] = space.points[self.STEPS]
+        return seen
+
+    @staticmethod
+    def same(alone, together, row):
+        for a, b in zip(alone, together):
+            if b is None:
+                assert a is None
+            else:
+                assert a[0].tobytes() == b[row].tobytes(), row
+
+    @pytest.mark.parametrize("name", sorted(GAMES))
+    @pytest.mark.parametrize("kind", dg.KINDS)
+    def test_a_row_alone_equals_its_row_of_a_batch(self, kind, name):
+        game = self.GAMES[name]()
+        spec = dg.AdjusterSpec(kind, lam=0.8, epsilon=0.1)
+        starts = np.random.default_rng(3).standard_normal((3, game.dim))
+        together = self.blocks(spec, game, starts, self.ETAS, None, 2)
+        for row, eta in enumerate(self.ETAS):
+            alone = self.blocks(spec, game, starts[row:row + 1], (eta,),
+                                None, 2)
+            for block in range(2):
+                self.same(alone[block], together[block], row)
+            # The sweep's tail: the batch keeps only this row after its
+            # first block, with the row's previous field.
+            points, prev = together[0][0], together[0][4]
+            tail = self.blocks(spec, game, points[row:row + 1, -1, :, 0],
+                               (eta,), None if prev is None
+                               else prev[row:row + 1].copy(), 1)
+            self.same(tail[0], together[1], row)
+
+
 class TestCompatibilityProperties:
     def test_field_alignment_preserved(self):
         # <adjusted, xi> = |xi|^2 for every weight: the rotation term is

@@ -137,17 +137,29 @@ class TestSweepCellsEqualLoneRuns:
 class TestEngineBoundary:
     def test_general_game_keeps_the_callers_error_settings(self):
         # A blow-up on a quadratic game is a stop whatever the caller's
-        # settings; a general game's callables overflow under them.  With
-        # no norm bound the second step evaluates at a point near 1e300.
+        # settings; a general game's step and callables overflow under
+        # them.  With no norm bound the second step evaluates at a point
+        # near 1e300.  There the aligned sign's dot products overflow with
+        # both signs, which sum to inf or NaN by BLAS kernel; the sign is
+        # taken quietly on every game, so these are every warning the run
+        # raises, on every kernel.
         game = dg.catalog_game("fig3_weak_attractor")
-        spec, w0 = dg.AdjusterSpec("sga-aligned"), np.ones(game.dim)
+        w0 = np.ones(game.dim)
         stop = dg.StopCriteria(divergence_norm=math.inf)
-        with np.errstate(over="raise", invalid="raise"):
-            assert dg.run(spec, game, w0, 1e300, stop).outcome == dg.DIVERGED
-            with pytest.raises(FloatingPointError, match="overflow"):
+        for kind in (dg.SGA_ALIGNED, dg.ALIGNED_CONSENSUS):
+            spec = dg.AdjusterSpec(kind)
+            with np.errstate(over="raise", invalid="raise"):
+                assert dg.run(spec, game, w0, 1e300, stop).outcome == \
+                    dg.DIVERGED
+                with pytest.raises(FloatingPointError, match="overflow"):
+                    dg.run(spec, plain_game(game), w0, 1e300, stop)
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
                 dg.run(spec, plain_game(game), w0, 1e300, stop)
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            dg.run(spec, plain_game(game), w0, 1e300, stop)
+            assert [(w.category, str(w.message)) for w in seen] == [
+                (RuntimeWarning, "overflow encountered in multiply"),  # step
+                (RuntimeWarning, "overflow encountered in matmul"),  # losses
+                (RuntimeWarning, "overflow encountered in matmul")], kind
 
     def test_general_game_losses_keep_the_callers_error_settings(self):
         # The losses are evaluated once per block, after the steps; a

@@ -1,3 +1,4 @@
+import itertools
 import re
 import warnings
 import zlib
@@ -551,9 +552,11 @@ class TestEngineColumns:
     takes H' xi and H xi from those columns.  Each row must keep the bits
     of the stacked ``player_gradient``, ``H.T @ xi`` and ``H @ xi``, and a
     dot product along the columns (``axis=-2``, the aligned rules' probe)
-    those of one on a contiguous row.  Like ``TestFieldFromTheHessian``
+    those of one on a contiguous row.  A batch of one row steps with the
+    game's one-column kernels (``np.dot`` on a ``(d, 1)`` column), which
+    must give the stacked ones' bits.  Like ``TestFieldFromTheHessian``
     this rests on a BLAS kernel property; CI runs it at one BLAS thread
-    and on the Haswell kernel."""
+    and on the Haswell and Sandybridge kernels."""
 
     @pytest.mark.parametrize("offset", [False, True])
     @pytest.mark.parametrize("c", [1, 3])
@@ -584,6 +587,33 @@ class TestEngineColumns:
                 assert grad_h[row, :, 0].tobytes() == (h.T @ x).tobytes()
                 assert h_xi[row, :, 0].tobytes() == (h @ x).tobytes()
                 assert probes[row, 0] == np.vecdot(x, grad_h[row, :, 0])
+
+    # A batch of one row steps with the game's one-column kernels:
+    # np.dot(M, column, out) with M = H and H.T, against np.matmul(M,
+    # stack) of the stacked ones, with the matrix and the columns each
+    # scaled from 1e-3 to 1e3.
+    @pytest.mark.parametrize("offset", [False, True])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 8, 33, 256])
+    def test_one_column_kernels_equal_the_stacked_ones(self, d, offset):
+        base, rng = _dense_game((d,) if d == 1 else (d - d // 2, d // 2),
+                                offset)
+        for scale_h, scale_w in itertools.product((1e-3, 1.0, 1e3),
+                                                  repeat=2):
+            game = dg.QuadraticGame(
+                base.partition, [scale_h * b for b in base.coefficients],
+                base.linear_terms)
+            stacked = (game._field, *game._products)
+            w = scale_w * rng.standard_normal((3, d, 1))
+            xi = scale_w * rng.standard_normal((3, d, 1))
+            out = np.empty((3, d, 1))
+            for j, (many, one) in enumerate(zip(stacked, game._column)):
+                args = (w,) if j == 0 else (w, xi)
+                many(*args, out)
+                for row in range(3):
+                    column = np.empty((d, 1))
+                    one(*(a[row] for a in args), column)
+                    assert column.tobytes() == out[row].tobytes(), \
+                        (j, row, scale_h, scale_w)
 
 
 # Partitions of the field-from-H test: d from 2 to 512, odd and even

@@ -100,10 +100,15 @@ class TestProbesOnFirstRead:
             traj.probes = np.zeros(ITERS)
 
     def test_no_iteration_no_probe(self, builds):
+        # On a quadratic game too, whose probes of no points are a batch
+        # of no rows.
+        quadratic = dg.quadratic_game_from_hessian(TanhGame.partition,
+                                                   np.eye(5))
         stop = dg.StopCriteria(divergence_norm=0.1)
-        traj = dg.run(dg.AdjusterSpec(dg.SGA), builds[1], W0, ETA, stop)
-        assert traj.outcome == dg.DIVERGED
-        assert traj.probes.shape == (0,)
+        for game in (builds[1], quadratic):
+            traj = dg.run(dg.AdjusterSpec(dg.SGA), game, W0, ETA, stop)
+            assert traj.outcome == dg.DIVERGED
+            assert traj.probes.shape == (0,)
 
 
 class TestNormBoundMidRun:
