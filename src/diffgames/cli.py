@@ -17,9 +17,9 @@ import numpy as np
 
 from .dynamics import KINDS, AdjusterSpec, StopCriteria, run
 from .experiments import (PRESETS, SCHEMA_VERSION, SweepConfig,
-                          analyze_point, config_from_json, run_preset,
-                          serialize, sweep, _STOP_FIELDS, _csv_bytes,
-                          _json_bytes, _trailing_loss)
+                          analyze_point, config_from_json, serialize, sweep,
+                          _PRESET_DOCS, _STOP_FIELDS, _csv_bytes, _json_bytes,
+                          _trailing_loss)
 from .games import CATALOG, catalog_game, default_start
 
 
@@ -39,7 +39,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_vector(text: str) -> list[float]:
     try:
-        return [float(x) for x in text.split(",") if x.strip() != ""]
+        return [float(x) for x in text.split(",")]
     except ValueError:
         raise _UsageError(f"malformed vector literal {text!r}") from None
 
@@ -199,7 +199,7 @@ def _cmd_run(args) -> int:
     game = catalog_game(args.game, **_parse_params(args.params))
     spec = AdjusterSpec(kind=args.adjuster, lam=args.lam, epsilon=args.epsilon)
     stop = StopCriteria(**_stop_overrides(args))
-    w0 = _parse_vector(args.w0) if args.w0 else default_start(game.dim)
+    w0 = default_start(game.dim) if args.w0 is None else _parse_vector(args.w0)
     traj = run(spec, game, w0, args.eta, stop)
     if args.format == "csv":
         _emit(_trajectory_csv(traj, game), args.out)
@@ -233,11 +233,11 @@ def _cmd_run(args) -> int:
 def _sweep_doc_from_flags(args) -> dict:
     """The flags of a sweep as the JSON document a ``--config`` file holds;
     a flag not given is left out, so the codec's default stands."""
-    if not args.game:
+    if args.game is None:
         raise _UsageError("sweep needs --preset, --config, or --game")
-    if not args.adjusters:
+    if args.adjusters is None:
         raise _UsageError("sweep needs --adjusters with --game")
-    if bool(args.etas) == bool(args.eta_range):
+    if (args.etas is None) == (args.eta_range is None):
         raise _UsageError("give exactly one of --etas or --eta-range")
     if args.w0 and args.w0_ball is not None:
         raise _UsageError("give at most one of --w0 or --w0-ball")
@@ -253,22 +253,22 @@ def _sweep_doc_from_flags(args) -> dict:
         "adjusters": [{"kind": k.strip(), "lambda": args.lam,
                        "epsilon": args.epsilon}
                       for k in args.adjusters.split(",") if k.strip()],
-        "etas": (_parse_eta_range(args.eta_range) if args.eta_range
-                 else _parse_vector(args.etas)),
+        "etas": (_parse_vector(args.etas) if args.eta_range is None
+                 else _parse_eta_range(args.eta_range)),
         "w0": w0,
     }
 
 
 def _overlay(doc, args):
-    """The sweep document with ``--seed`` and the stop flags laid over it;
-    a malformed one is left for ``config_from_json`` to reject."""
-    if isinstance(doc, dict):
-        if args.seed is not None:
-            doc["seed"] = args.seed
-        stop = doc.get("stop")
-        if stop is None or isinstance(stop, dict):
-            doc["stop"] = {**(stop or {}), **_stop_overrides(args)}
-    return doc
+    """A copy of the sweep document with ``--seed`` and the stop flags laid
+    over it; a malformed one is left for ``config_from_json`` to reject."""
+    if not isinstance(doc, dict):
+        return doc
+    stop = doc.get("stop")
+    if stop is None or isinstance(stop, dict):
+        stop = {**(stop or {}), **_stop_overrides(args)}
+    seed = doc.get("seed") if args.seed is None else args.seed
+    return {**doc, "seed": seed, "stop": stop}
 
 
 # The flags that define a sweep from scratch, by argparse dest; a preset or
@@ -287,7 +287,7 @@ def _check_conflicts(args) -> None:
         # A preset's stop criteria are part of what it reproduces.
         fixed = (("config", "--config"),) + _SWEEP_FLAGS + tuple(
             (name, "--" + name.replace("_", "-")) for name in _STOP_FIELDS)
-    elif args.config:
+    elif args.config is not None:
         source, fixed = "--config", _SWEEP_FLAGS
     else:
         return
@@ -299,17 +299,17 @@ def _check_conflicts(args) -> None:
 def _cmd_sweep(args) -> int:
     _check_conflicts(args)
     if args.preset:
-        seed = {} if args.seed is None else {"seed": args.seed}
-        cells = run_preset(args.preset, **seed)
+        docs = _PRESET_DOCS[args.preset]
+    elif args.config is not None:
+        with open(args.config) as fh:
+            docs = [json.load(fh)]
     else:
-        if args.config:
-            with open(args.config) as fh:
-                doc = json.load(fh)
-        else:
-            doc = _sweep_doc_from_flags(args)
-        # Explicit flags win over the document's values.
-        cells = sweep(config_from_json(_overlay(doc, args)))
-    _emit(serialize(cells, args.format), args.out)
+        docs = [_sweep_doc_from_flags(args)]
+    # A preset, a file or the flags: each document takes one path, with the
+    # explicit flags winning over its values.
+    configs = [config_from_json(_overlay(doc, args)) for doc in docs]
+    _emit(serialize([cell for config in configs for cell in sweep(config)],
+                    args.format), args.out)
     return 0
 
 

@@ -35,8 +35,6 @@ TRAILING_LOSS_CAP = 5.0
 CSV_COLUMNS = ("game", "adjuster", "lambda", "eta", "seed", "outcome",
                "iters", "trailing_loss", "spectral_radius")
 
-PRESETS = ("fig3", "fig4", "fig7")
-
 
 @dataclass(frozen=True)
 class RandomBall:
@@ -201,43 +199,45 @@ def sweep(config: SweepConfig) -> list[SweepCell]:
 # Presets
 # ---------------------------------------------------------------------------
 
+# Each preset as the JSON documents of its sweeps, the form a ``--config``
+# file holds (README shows them).  ``preset_configs`` and ``diffgames sweep
+# --preset`` decode them with ``config_from_json``.
+_PRESET_DOCS = {
+    "fig3": ({"game": "fig3_weak_attractor",
+              "adjusters": [{"kind": "simgd"}, {"kind": "sga", "lambda": 0.1}],
+              "etas": [0.01, 0.032, 0.1],
+              "stop": {"max_iters": 10000}},),
+    "fig4": ({"game": "fig4_bilinear", "game_params": {"dim": 1},
+              "adjusters": [{"kind": "sga", "lambda": 1.0}, {"kind": "omd"}],
+              "etas": {"kind": "log", "start": 0.01, "stop": 1.75,
+                       "count": 50},
+              "stop": {"max_iters": 250}},),
+    "fig7": tuple({"game": "fig7_four_player",
+                   "game_params": {"epsilon": eps},
+                   "adjusters": [{"kind": "sga", "lambda": 1.0},
+                                 {"kind": "omd"}],
+                   "etas": {"kind": "linear", "start": 0.025, "stop": 0.5,
+                            "count": 20},
+                   "w0": {"random_ball": 1.0},
+                   "stop": {"max_iters": 5000}} for eps in (0.01, 0.0)),
+}
+PRESETS = tuple(_PRESET_DOCS)
+
+
 def preset_configs(name: str,
                    seed: int = SweepConfig.seed) -> tuple[SweepConfig, ...]:
-    """The built-in reproduction presets.
+    """The built-in reproduction presets, decoded from their documents.
 
     fig3: weak-attractor game, plain descent vs sga (lam 0.1) at three rates.
     fig4: scalar bilinear game, sga (lam 1) vs omd on a 50-point log grid.
     fig7: the four-player game at both damping levels, sga vs omd, linear
           grid with a 5000-iteration cutoff.
     """
-    if name == "fig3":
-        return (SweepConfig(
-            game="fig3_weak_attractor",
-            adjusters=(AdjusterSpec("simgd"), AdjusterSpec("sga", lam=0.1)),
-            etas=(0.01, 0.032, 0.1),
-            stop=StopCriteria(max_iters=10000),
-            seed=seed,
-        ),)
-    if name == "fig4":
-        return (SweepConfig(
-            game="fig4_bilinear",
-            game_params={"dim": 1},
-            adjusters=(AdjusterSpec("sga", lam=1.0), AdjusterSpec("omd")),
-            etas=tuple(np.geomspace(0.01, 1.75, 50)),
-            stop=StopCriteria(max_iters=250),
-            seed=seed,
-        ),)
-    if name == "fig7":
-        return tuple(SweepConfig(
-            game="fig7_four_player",
-            game_params={"epsilon": eps},
-            adjusters=(AdjusterSpec("sga", lam=1.0), AdjusterSpec("omd")),
-            etas=tuple(np.linspace(0.025, 0.5, 20)),
-            w0=RandomBall(1.0),
-            stop=StopCriteria(max_iters=5000),
-            seed=seed,
-        ) for eps in (0.01, 0.0))
-    raise ValueError(f"unknown preset {name!r}; one of {PRESETS}")
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r}; one of {PRESETS}")
+    seed = _whole(seed, "seed")
+    return tuple(config_from_json({**doc, "seed": seed})
+                 for doc in _PRESET_DOCS[name])
 
 
 def run_preset(name: str, seed: int = SweepConfig.seed) -> list[SweepCell]:
@@ -394,12 +394,12 @@ def _etas_from_json(spec) -> tuple[float, ...]:
 
 
 def _params_from_json(doc) -> dict:
-    """A catalog game's parameters: a JSON object, never a list of pairs,
-    which ``dict`` would read as one."""
+    """A catalog game's parameters, a copy of the document's: a JSON object,
+    never a list of pairs, which ``dict`` would read as one."""
     if not isinstance(doc, dict):
         raise ValueError(f"{_key('game_params')} must be a JSON object, "
                          f"got {doc!r}")
-    return doc
+    return dict(doc)
 
 
 def _adjuster_from_json(doc) -> AdjusterSpec:
@@ -447,18 +447,20 @@ _DECODERS = {
 def config_from_json(doc: dict) -> SweepConfig:
     """Build a SweepConfig from its JSON form (see README for the schema).
 
-    This is the one decoder of a sweep description: ``diffgames sweep``
-    turns its flags into this form too.  A key that is missing or null
-    keeps its dataclass default (the ``AdjusterSpec`` weights,
-    ``SweepConfig.seed``, the ``StopCriteria``); unknown keys, such as the
-    ``jobs`` of older configs, are ignored.  A value of a JSON type that
-    cannot serve (a list where an object or a number belongs, a null radius,
-    a string or a boolean for a real number), an object without a key it
-    needs, a seed that is not a whole number >= 0, and a count or
-    iteration number that is not one >= 1 raise a ValueError that names
-    the key, as do the stop values that ``StopCriteria`` rejects (a
-    negative threshold, a ``loss_window`` past ``max_iters``); any other
-    bad value raises the ValueError of the check it fails.
+    This is the one decoder of a sweep description: the presets are written
+    in this form, and ``diffgames sweep`` turns its flags into it too.  The
+    config shares no dict with ``doc`` (``game_params`` is copied).  A
+    key that is missing or null keeps its dataclass default (the
+    ``AdjusterSpec`` weights, ``SweepConfig.seed``, the ``StopCriteria``);
+    unknown keys, such as the ``jobs`` of older configs, are ignored.  A
+    value of a JSON type that cannot serve (a list where an object or a
+    number belongs, a null radius, a string or a boolean for a real number),
+    an object without a key it needs, a seed that is not a whole number
+    >= 0, and a count or iteration number that is not one >= 1 raise a
+    ValueError that names the key, as do the stop values that
+    ``StopCriteria`` rejects (a negative threshold, a ``loss_window`` past
+    ``max_iters``); any other bad value raises the ValueError of the check
+    it fails.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"a sweep config is a JSON object, got {doc!r}")

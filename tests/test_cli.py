@@ -623,10 +623,14 @@ class TestOneCodec:
                           "--adjusters", "simgd", "--eta-range", grid) == \
                 (1, "", f"diffgames: config key 'etas': {said}\n")
 
-    def test_negative_seed_flag_names_the_key(self, capsys):
-        code, out, err = invoke(capsys, "sweep", "--game", "example1",
-                                "--adjusters", "sga", "--etas", "0.1",
-                                "--w0-ball", "1", "--seed", "-1")
+    # A preset's seed takes the one path too, so its error names the key.
+    @pytest.mark.parametrize("argv", [
+        ["--game", "example1", "--adjusters", "sga", "--etas", "0.1",
+         "--w0-ball", "1"],
+        ["--preset", "fig3"],
+    ])
+    def test_negative_seed_flag_names_the_key(self, capsys, argv):
+        code, out, err = invoke(capsys, "sweep", *argv, "--seed", "-1")
         assert (code, out) == (1, "")
         assert err == ("diffgames: config key 'seed' must be a whole "
                        "number >= 0, got -1\n")
@@ -749,6 +753,31 @@ class TestExitCodes:
          "--game conflicts with --preset"),
         (["sweep", "--game", "example1", "--adjusters", ",", "--etas",
           "0.1"], "adjusters must list at least one update rule"),
+        # Every comma-separated entry must be a number: an empty one is not
+        # dropped, and an empty literal is not the default start point.
+        (["analyze", "--game", "example7", "--at", "0,,0"],
+         "malformed vector literal '0,,0'\n"),
+        (["run", "--game", "example1", "--adjuster", "sga", "--eta", "0.1",
+          "--w0", "1,,2,,3,4"], "malformed vector literal '1,,2,,3,4'\n"),
+        (["run", "--game", "example1", "--adjuster", "sga", "--eta", "0.1",
+          "--w0", "1,2,3,4,"], "malformed vector literal '1,2,3,4,'\n"),
+        (["run", "--game", "example1", "--adjuster", "sga", "--eta", "0.1",
+          "--w0", ""], "malformed vector literal ''\n"),
+        (["sweep", "--game", "example1", "--adjusters", "sga", "--etas",
+          "0.1,,0.2"], "malformed vector literal '0.1,,0.2'\n"),
+        (["sweep", "--game", "example1", "--adjusters", "sga", "--etas",
+          "0.1", "--w0", ",0.5,0.5,0.5,0.5"],
+         "malformed vector literal ',0.5,0.5,0.5,0.5'\n"),
+        # An empty sweep flag is given, not absent.
+        (["sweep", "--game", "", "--adjusters", "sga", "--etas", "0.1"],
+         "unknown game ''"),
+        (["sweep", "--game", "example1", "--adjusters", "", "--etas", "0.1"],
+         "adjusters must list at least one update rule"),
+        (["sweep", "--game", "example1", "--adjusters", "sga", "--etas", "",
+          "--eta-range", "log:0.1:1:3"],
+         "give exactly one of --etas or --eta-range"),
+        (["sweep", "--config", "", "--game", "example1", "--adjusters", "sga",
+          "--etas", "0.1"], "--game conflicts with --config"),
     ])
     def test_usage_error_names_the_program(self, capsys, argv, message):
         code, out, err = invoke(capsys, *argv)

@@ -257,6 +257,16 @@ class TestPresets:
         with pytest.raises(ValueError):
             dg.preset_configs("fig5")
 
+    # A preset is a document the decoder reads on every call; a config
+    # built from it shares no dict with it, or with the next call's.
+    @pytest.mark.parametrize("name", ["fig4", "fig7"])
+    def test_editing_a_config_leaves_the_next_call_unchanged(self, name):
+        first = dg.preset_configs(name)
+        want = [dict(c.game_params) for c in first]
+        for config in first:
+            config.game_params["dim"] = 2
+        assert [c.game_params for c in dg.preset_configs(name)] == want
+
     def test_oracle_consistency_no_contradictions(self):
         # under a finite budget a predicted-converge cell may time out, but a
         # converged cell must never contradict the oracle and vice versa

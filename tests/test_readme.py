@@ -1,8 +1,9 @@
 """The README's library tour runs as written and gives the values its
-comments state, and every public name the package exports or the README
-calls exists."""
+comments state, its preset documents are the presets, and every public
+name the package exports or the README calls exists."""
 
 import ast
+import json
 import pathlib
 import re
 
@@ -57,3 +58,15 @@ def test_every_name_the_readme_calls_resolves():
     assert "fd_game" in names
     for name in sorted(names):
         assert hasattr(dg, name), name
+
+
+def test_each_preset_is_its_documents():
+    """Each ``json`` block under a line that names a ``--preset`` and ends
+    in a colon decodes to that preset's next config."""
+    decoded = {}
+    for name, block in re.findall(
+            r"`--preset (\w+)`[^\n]*:\n\n```json\n(.*?)```", README, re.S):
+        decoded.setdefault(name, []).append(
+            dg.config_from_json(json.loads(block)))
+    assert decoded == {name: list(dg.preset_configs(name))
+                       for name in dg.PRESETS}
